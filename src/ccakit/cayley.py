@@ -5,11 +5,21 @@ G and s in S, an edge {g, s*g}; the edge is coloured by the colour class
 {s, s^-1}.  Involution classes are singletons {s} and carry a single edge.
 The vertex order is the group's deterministic element enumeration with the
 identity at vertex 0.
+
+ColouredCayleyGraph is the one graph type: every verdict, single graph or
+exhaustive sweep, is taken on it.  It holds index rows only: left_rows[c]
+has one row per member s of colour c, row[v] = index(s * v).  A graph
+built from a ConnectionSet computes its rows with group.multiply; the
+exhaustive sweep, which builds thousands of graphs of one group, hands in
+rows of the cached multiplication table instead.  The colour-neighbour
+sets cn and the BFS tree are computed from the rows on first use and
+cached, so a disconnected set costs a single BFS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fgroup import DEFAULT_GRAPH_LIMIT, FiniteGroup, LimitExceeded
 
@@ -81,33 +91,47 @@ class ColouredCayleyGraph:
         if n > graph_limit:
             raise LimitExceeded(
                 f"group order {n} exceeds graph limit {graph_limit}")
+        index = group.element_index()
+        mul = group.multiply
+        elems = group.elements()
+        colours = conn.colour_classes()
+        self._attach(group, conn, colours, [
+            [[index[mul(s, v)] for v in elems] for s in cls]
+            for cls in colours
+        ])
+
+    @classmethod
+    def _from_rows(cls, group: FiniteGroup, conn: ConnectionSet,
+                   colours: list[tuple], left_rows: list[list[list[int]]],
+                   ) -> "ColouredCayleyGraph":
+        """Graph whose left-multiplication rows the caller already holds.
+
+        colours must equal conn.colour_classes() and left_rows[c][m] must
+        be the row of colours[c][m]; the rows are shared, not copied.
+        """
+        graph = cls.__new__(cls)
+        graph._attach(group, conn, colours, left_rows)
+        return graph
+
+    def _attach(self, group, conn, colours, left_rows) -> None:
         self.group = group
         self.conn = conn
-        self.n = n
+        self.n = group.order()
         self.elems = group.elements()
         self.index = group.element_index()
-        self.colours = conn.colour_classes()
-        # left-multiplication rows per colour member: row[v] = index(s * v)
-        mul = group.multiply
-        self.left_rows = [
-            [[self.index[mul(s, v)] for v in self.elems] for s in cls]
-            for cls in self.colours
-        ]
-        # colour-neighbour sets, cn[v][c] = sorted tuple of c-neighbours of v
-        self.cn = [
-            tuple(tuple(sorted({row[v] for row in rows}))
-                  for rows in self.left_rows)
-            for v in range(n)
-        ]
+        self.colours = colours
+        self.left_rows = left_rows
 
     # -- basic queries ---------------------------------------------------------
 
-    def neighbours(self, v: int) -> list[tuple[int, int]]:
-        """(neighbour, colour-id) pairs for vertex v."""
-        out = []
-        for c, nbrs in enumerate(self.cn[v]):
-            out.extend((u, c) for u in nbrs)
-        return out
+    @cached_property
+    def cn(self) -> list[tuple[tuple[int, ...], ...]]:
+        """Colour-neighbour sets: cn[v][c] = sorted tuple of c-neighbours."""
+        return [
+            tuple(tuple(sorted({row[v] for row in rows}))
+                  for rows in self.left_rows)
+            for v in range(self.n)
+        ]
 
     def bfs_order(self) -> tuple[list[int], list[tuple[int, int] | None]]:
         """BFS order from the identity vertex and (parent, colour) per vertex.

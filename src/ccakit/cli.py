@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 
 from . import groupzoo as gz
 from . import reproduce as rp
@@ -121,7 +119,6 @@ def _base_report(args, command: str) -> dict:
         "command": command,
         "config": {
             "seed": args.seed,
-            "threads": args.threads,
             "budget": args.budget,
             "graph_limit": args.limit_graph,
             "enum_limit": args.limit_enum,
@@ -222,8 +219,8 @@ def cmd_reproduce(args) -> int:
                 raise CLIError(f"unknown criterion {part!r}")
             names.append(part)
         only = names
-    report = rp.run_suite(only=only, threads=args.threads, seed=args.seed,
-                          budget=args.budget, with_timing=args.timing)
+    report = rp.run_suite(only=only, seed=args.seed, budget=args.budget,
+                          with_timing=args.timing)
     _emit(report, args)
     if not report["passed"]:
         failed = [k for k, v in report["results"].items()
@@ -237,8 +234,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit the full JSON report on stdout")
     p.add_argument("--out", metavar="FILE", help="write JSON report to FILE")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="thread budget (results are thread-count invariant)")
     p.add_argument("--budget", type=int, default=2**20,
                    help="connection-set budget for exhaustive verdicts")
     p.add_argument("--limit-graph", type=int, default=DEFAULT_GRAPH_LIMIT,
@@ -288,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_triple)
 
     p = sub.add_parser("reproduce", help="run the acceptance matrix")
-    p.add_argument("--suite", default="paper", choices=["paper"])
     p.add_argument("--only", metavar="LIST",
                    help="comma-separated criteria, e.g. 'criterion_3' or '3,4'")
     _add_common(p)

@@ -8,6 +8,18 @@ tree: at a tree edge of colour {s, s^-1} the image of the new vertex must
 be an {s, s^-1}-neighbour of the image of its parent, and every edge back
 into the assigned region prunes the branch.  The graph is CCA exactly when
 every stab1 element acts as a group automorphism.
+
+The automorphism check needs no group arithmetic.  A stab1 element alpha
+fixes vertex 0 and preserves colours, and vertex s is the {s, s^-1}-
+neighbour s * 1 of vertex 0, so alpha(s) is s or s^-1.  The row of
+alpha(s) is therefore already one of the graph's left-multiplication rows,
+and alpha is a group automorphism exactly when alpha(s * v) =
+alpha(s) * alpha(v) holds as alpha[row[v]] == arow[alpha[v]] for every s
+in S and every vertex v (S generates G).
+
+There is one decision path.  is_cca_graph decides a single graph;
+the exhaustive group verdict is is_cca_graph applied to every graph that
+ConnectedClassGraphs yields.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .cayley import ColouredCayleyGraph, ConnectionSet, build
-from .fgroup import DEFAULT_GRAPH_LIMIT, FiniteGroup, LimitExceeded
+from .fgroup import FiniteGroup, LimitExceeded
 
 STAB1_ORACLE_MAX = 8
 
@@ -37,11 +49,11 @@ class VertexStabilizer:
         return n >= 1 and (n & (n - 1)) == 0
 
 
-def _iter_stab1(n: int, cn, order, parent):
+def _iter_stab1(graph: ColouredCayleyGraph):
     """Yield colour-preserving vertex bijections fixing vertex 0.
 
-    cn[v][c] is the tuple of c-coloured neighbours of v; order/parent give
-    a BFS spanning tree rooted at vertex 0 covering all n vertices.
+    The search assigns vertices along the graph's BFS spanning tree, so the
+    graph must be connected.
 
     Every assignment is propagated to a fixpoint before branching: an
     involution-class edge forces the image of the far endpoint, and a
@@ -50,6 +62,9 @@ def _iter_stab1(n: int, cn, order, parent):
     inverse-closed), so processing each vertex once when it is assigned
     checks every edge constraint from at least one side.
     """
+    n = graph.n
+    cn = graph.cn
+    order, parent = graph.bfs_order()
     if len(order) != n:
         raise ValueError("stab1 requires a connected graph")
     ncolours = len(cn[0]) if n else 0
@@ -135,18 +150,19 @@ def _iter_stab1(n: int, cn, order, parent):
     trail = [0]
     alpha[0] = 0
     used[0] = True
-    if propagate([0], trail):
-        yield from search(1)
-
-
-def _enumerate_stab1(n: int, cn, order, parent) -> list[tuple]:
-    return sorted(_iter_stab1(n, cn, order, parent))
+    try:
+        if propagate([0], trail):
+            yield from search(1)
+    finally:
+        # search reaches itself through its closure cell; emptying the cell
+        # breaks that cycle, so cn and the search state are freed when the
+        # generator ends rather than at some later cyclic collection
+        del search
 
 
 def stab1(graph: ColouredCayleyGraph) -> VertexStabilizer:
-    """Identity-vertex stabilizer of Aut_c, as explicit vertex maps."""
-    order, parent = graph.bfs_order()
-    return VertexStabilizer(_enumerate_stab1(graph.n, graph.cn, order, parent))
+    """Identity-vertex stabilizer of Aut_c, as sorted explicit vertex maps."""
+    return VertexStabilizer(sorted(_iter_stab1(graph)))
 
 
 def stab1_oracle(graph: ColouredCayleyGraph) -> VertexStabilizer:
@@ -169,17 +185,20 @@ def stab1_oracle(graph: ColouredCayleyGraph) -> VertexStabilizer:
 
 
 def _automorphism_violation(graph: ColouredCayleyGraph, alpha) -> tuple | None:
-    """First (s, v) where alpha(s*v) != alpha(s)*alpha(v), or None."""
-    g = graph.group
-    elems = graph.elems
-    idx = graph.index
-    for c, cls in enumerate(graph.colours):
-        for m, s in enumerate(cls):
-            row = graph.left_rows[c][m]
-            a_s = elems[alpha[idx[s]]]
-            for v in range(graph.n):
-                if alpha[row[v]] != idx[g.multiply(a_s, elems[alpha[v]])]:
-                    return (s, elems[v])
+    """First (s, v) where alpha(s*v) != alpha(s)*alpha(v), or None.
+
+    alpha must be a stab1 element, so that alpha(s) is s or s^-1 and its
+    left-multiplication row is one of the rows of s's colour class.
+    """
+    n = graph.n
+    for cls, rows in zip(graph.colours, graph.left_rows):
+        # row[0] = index(s * 1) = index(s)
+        members = [row[0] for row in rows]
+        for s, row in zip(cls, rows):
+            arow = rows[members.index(alpha[row[0]])]
+            for v in range(n):
+                if alpha[row[v]] != arow[alpha[v]]:
+                    return (s, graph.elems[v])
     return None
 
 
@@ -310,23 +329,18 @@ def is_cca_graph(graph: ColouredCayleyGraph,
     """
     if not graph.is_connected():
         raise ValueError("is_cca_graph requires a connected graph")
+    alphas = stab1(graph).elements if full_stab else _iter_stab1(graph)
     witness = None
+    checked = 0
+    for alpha in alphas:
+        checked += 1
+        if _automorphism_violation(graph, alpha) is not None:
+            witness = alpha
+            break
+    stab_order: int | None
     if full_stab:
-        stab = stab1(graph)
-        for alpha in stab.elements:
-            if _automorphism_violation(graph, alpha) is not None:
-                witness = alpha
-                break
-        stab_order: int | None = stab.order
-        checked = stab.order
+        stab_order = checked = len(alphas)
     else:
-        order, parent = graph.bfs_order()
-        checked = 0
-        for alpha in _iter_stab1(graph.n, graph.cn, order, parent):
-            checked += 1
-            if _automorphism_violation(graph, alpha) is not None:
-                witness = alpha
-                break
         stab_order = checked if witness is None else None
     apm1 = None
     if with_aut_pm1:
@@ -366,96 +380,72 @@ class GroupCCAVerdict:
         return d
 
 
+class ConnectedClassGraphs:
+    """The connected coloured Cayley graphs of G, one per connection set.
+
+    A connection set is a union of colour classes {s, s^-1}.  Classes are
+    ordered by representative index; sets are examined by (class count,
+    lexicographic class indices), and only the connected ones are yielded.
+    sets_checked and connected_checked count the sets examined and the
+    connected ones; examining stops after `budget` sets, and over_budget
+    then tells that sets were left unexamined.  The rows are those of the
+    group's multiplication table, so G must have order at most
+    MULT_TABLE_LIMIT.
+    """
+
+    def __init__(self, group: FiniteGroup, budget: int | None = None):
+        self.group = group
+        self.budget = budget
+        self.sets_checked = 0
+        self.connected_checked = 0
+        self.over_budget = False
+
+    def __iter__(self):
+        group = self.group
+        elems = group.elements()
+        index = group.element_index()
+        mt = group.mult_table()
+        classes = ConnectionSet.from_elements(
+            group, elems[1:]).colour_classes()
+        class_indices = [[index[s] for s in cls] for cls in classes]
+        class_rows = [[mt[i] for i in cls] for cls in class_indices]
+        for size in range(1, len(classes) + 1):
+            for combo in itertools.combinations(range(len(classes)), size):
+                if (self.budget is not None
+                        and self.sets_checked >= self.budget):
+                    self.over_budget = True
+                    return
+                self.sets_checked += 1
+                conn = ConnectionSet(group, tuple(
+                    elems[i] for i in sorted(
+                        i for c in combo for i in class_indices[c])))
+                graph = ColouredCayleyGraph._from_rows(
+                    group, conn, [classes[c] for c in combo],
+                    [class_rows[c] for c in combo])
+                if graph.is_connected():
+                    self.connected_checked += 1
+                    yield graph
+
+
 def is_cca_group_exhaustive(group: FiniteGroup, budget: int = 2**20,
                             ) -> GroupCCAVerdict:
     """Check every inverse-closed identity-free connection set of G.
 
-    Enumeration order: colour classes sorted by representative index;
-    subsets by (class count, lexicographic class indices).  The first
-    connected non-CCA set found is the witness.  Exceeding the budget
-    yields the three-valued 'unknown'.
+    The sets are those of ConnectedClassGraphs, in its order.  The first
+    connected non-CCA set found is the witness; its elements are listed
+    class by class.  Exceeding the budget yields the three-valued
+    'unknown'.
     """
-    elems = group.elements()
-    n = len(elems)
-    mt = group.mult_table()
-    inv_idx = [group.element_index()[group.invert(x)] for x in elems]
-
-    classes: list[tuple[int, ...]] = []
-    done = set()
-    for i in range(1, n):
-        if i in done:
-            continue
-        j = inv_idx[i]
-        done.add(i)
-        if j == i:
-            classes.append((i,))
-        else:
-            done.add(j)
-            classes.append((i, j))
-
-    checked = 0
-    connected_checked = 0
-    for size in range(1, len(classes) + 1):
-        for combo in itertools.combinations(range(len(classes)), size):
-            checked += 1
-            if checked > budget:
-                return GroupCCAVerdict(status="unknown", sets_checked=checked - 1,
-                                       connected_checked=connected_checked)
-            chosen = [classes[c] for c in combo]
-            s_indices = [s for cls in chosen for s in cls]
-            # connectivity: BFS from identity over left multiplication
-            seen = bytearray(n)
-            seen[0] = 1
-            stack = [0]
-            reached = 1
-            while stack:
-                v = stack.pop()
-                for s in s_indices:
-                    u = mt[s][v]
-                    if not seen[u]:
-                        seen[u] = 1
-                        reached += 1
-                        stack.append(u)
-            if reached != n:
-                continue
-            connected_checked += 1
-            class_rows = [[mt[s] for s in cls] for cls in chosen]
-            cn = [tuple(tuple(sorted({row[v] for row in rows}))
-                        for rows in class_rows) for v in range(n)]
-            order, parent = _bfs_tree(n, class_rows)
-            for alpha in _enumerate_stab1(n, cn, order, parent):
-                bad = False
-                for s in s_indices:
-                    a_s = alpha[s]
-                    row = mt[s]
-                    arow = mt[a_s]
-                    if any(alpha[row[v]] != arow[alpha[v]] for v in range(n)):
-                        bad = True
-                        break
-                if bad:
-                    return GroupCCAVerdict(
-                        status="non-cca", sets_checked=checked,
-                        connected_checked=connected_checked,
-                        witness_set=tuple(elems[s] for s in s_indices),
-                        witness_alpha=alpha)
-    return GroupCCAVerdict(status="cca", sets_checked=checked,
-                           connected_checked=connected_checked)
-
-
-def _bfs_tree(n: int, class_rows):
-    parent: list = [None] * n
-    seen = [False] * n
-    order = [0]
-    seen[0] = True
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
-        for c, rows in enumerate(class_rows):
-            for row in rows:
-                u = row[v]
-                if not seen[u]:
-                    seen[u] = True
-                    parent[u] = (v, c)
-                    order.append(u)
-    return order, parent
+    graphs = ConnectedClassGraphs(group, budget)
+    for graph in graphs:
+        verdict = is_cca_graph(graph, with_aut_pm1=False)
+        if not verdict.is_cca:
+            return GroupCCAVerdict(
+                status="non-cca", sets_checked=graphs.sets_checked,
+                connected_checked=graphs.connected_checked,
+                witness_set=tuple(s for cls in graph.colours for s in cls),
+                witness_alpha=verdict.witness)
+    return GroupCCAVerdict(
+        status="unknown" if graphs.over_budget else "cca",
+        sets_checked=graphs.sets_checked,
+        connected_checked=graphs.connected_checked)

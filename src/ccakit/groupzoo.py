@@ -4,11 +4,12 @@ Grammar for group expressions (exact):
 
     EXPR := ATOM | EXPR "x" EXPR
     ATOM := ("S"|"A"|"C"|"D") INT
-          | "PSL2(" INT ")"
+          | "PSL2(" INT ")" | "M11" | "Q8"
           | "perm:" INT ":" CYCLES ("," CYCLES)*
           | "higman:" params            (inline "n=8,seed=42" or "@file.json")
 
-"D n" is the dihedral group of order 2n.  PSL2(q) acts on the q+1 points
+"D n" is the dihedral group of order 2n; Q8 is the quaternion group, the
+2-group of higman.quaternion_params().  PSL2(q) acts on the q+1 points
 of the projective line over GF(q) via unimodular Moebius maps modulo the
 centre; prime-power fields are built from a pinned irreducible polynomial
 stored in data/field_polys.json.
@@ -268,7 +269,7 @@ def direct_product(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup
 class GroupExpr:
     """AST for the group-expression grammar."""
 
-    kind: str                      # 'S','A','C','D','PSL2','perm','higman','product','M11'
+    kind: str                      # 'S','A','C','D','PSL2','perm','higman','product','M11','Q8'
     n: int = 0
     degree: int = 0
     cycles: tuple = ()             # for perm atoms: cycle strings
@@ -286,8 +287,8 @@ class GroupExpr:
             return f"perm:{self.degree}:{','.join(self.cycles)}"
         if self.kind == "higman":
             return f"higman:{self.params}"
-        if self.kind == "M11":
-            return "M11"
+        if self.kind in ("M11", "Q8"):
+            return self.kind
         raise GroupExprError(f"unknown expression kind {self.kind!r}")
 
 
@@ -310,8 +311,8 @@ def parse_group_expr(text: str) -> GroupExpr:
     m = _ATOM_PSL2.match(atom)
     if m:
         return GroupExpr(kind="PSL2", n=int(m.group(1)))
-    if atom == "M11":
-        return GroupExpr(kind="M11")
+    if atom in ("M11", "Q8"):
+        return GroupExpr(kind=atom)
     if atom.startswith("perm:"):
         body = atom[len("perm:"):]
         head, sep, rest = body.partition(":")
@@ -368,6 +369,9 @@ def construct(expr: GroupExpr | str,
     if expr.kind == "higman":
         from .higman import HigmanGroup, params_from_spec
         return HigmanGroup(params_from_spec(expr.params))
+    if expr.kind == "Q8":
+        from .higman import HigmanGroup, quaternion_params
+        return HigmanGroup(quaternion_params())
     raise GroupExprError(f"unknown expression kind {expr.kind!r}")
 
 

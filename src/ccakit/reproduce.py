@@ -3,9 +3,7 @@
 Each criterion_* function returns a plain dict with a "pass" flag and
 enough detail to audit the verdict.  run_suite assembles them into a
 report whose "results" subtree is byte-identical across runs with the same
-seed and limits, independent of the configured thread count (the current
-implementation is sequential; the thread knob is accepted for interface
-stability and echoed in the config section only).
+seed and limits.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from . import higman as hi
 from . import triples as tr
 from .cayley import ConnectionSet, build
 from .colourauts import (
-    aut_pm1,
+    ConnectedClassGraphs,
     is_cca_graph,
     is_cca_group_exhaustive,
     right_regular_preserves_colours,
@@ -87,11 +85,11 @@ def criterion_2(graph_registry: list | None = None) -> dict:
         G, trip = _alt_sym_triple(kind, n)
         row = {"group": f"{kind}{n}"} | trip.to_json_dict()
         if kind == "A" and n == 6:
-            rep, graph = _crosscheck_with_graph(G, trip)
+            rep = tr.crosscheck_prop22(G, trip)
             row["crosscheck"] = rep.to_json_dict()
             ok = ok and rep.ok
             if graph_registry is not None:
-                graph_registry.append(("criterion_2:A6", graph))
+                graph_registry.append(("criterion_2:A6", rep.graph))
         ok = ok and trip.valid
         rows.append(row)
 
@@ -108,23 +106,15 @@ def criterion_2(graph_registry: list | None = None) -> dict:
         row = {"group": "S5", "reading": reading,
                "H_order": H.order()} | trip.to_json_dict()
         if trip.valid and not any_valid:
-            rep, graph = _crosscheck_with_graph(S5, trip)
+            rep = tr.crosscheck_prop22(S5, trip)
             row["crosscheck"] = rep.to_json_dict()
             ok = ok and rep.ok
             if graph_registry is not None:
-                graph_registry.append(("criterion_2:S5", graph))
+                graph_registry.append(("criterion_2:S5", rep.graph))
         any_valid = any_valid or trip.valid
         s5_rows.append(row)
     ok = ok and any_valid
     return {"pass": ok, "triples": rows, "s5_readings": s5_rows}
-
-
-def _crosscheck_with_graph(G, trip):
-    conn = ConnectionSet.from_elements(
-        G, list(trip.S) + list(trip.T), close_inverses=True)
-    graph = build(G, conn)
-    rep = tr.crosscheck_prop22(G, trip)
-    return rep, graph
 
 
 # ---------------------------------------------------------------------------
@@ -242,19 +232,9 @@ def criterion_7(seed: int, count: int = 50, max_order: int = 64,
                 graph_registry: list | None = None) -> dict:
     rng = random.Random(seed)
     corpus = gz.zoo_corpus(max_order)
-    class_lists = []
-    for _, G in corpus:
-        e = G.identity()
-        classes = []
-        done = set()
-        for x in G.elements():
-            if x == e or x in done:
-                continue
-            xi = G.invert(x)
-            done.add(x)
-            done.add(xi)
-            classes.append((x,) if xi == x else (x, xi))
-        class_lists.append(classes)
+    class_lists = [
+        ConnectionSet.from_elements(G, G.elements()[1:]).colour_classes()
+        for _, G in corpus]
     rows = []
     ok = True
     made = 0
@@ -285,39 +265,21 @@ def criterion_7(seed: int, count: int = 50, max_order: int = 64,
 # ---------------------------------------------------------------------------
 
 def criterion_8(graph_registry: list | None = None) -> dict:
-    import itertools
-
     rows = []
     ok = True
     total = 0
     for expr, G in gz.zoo_corpus(8):
-        e = G.identity()
-        classes = []
-        done = set()
-        for x in G.elements():
-            if x == e or x in done:
-                continue
-            xi = G.invert(x)
-            done.add(x)
-            done.add(xi)
-            classes.append((x,) if xi == x else (x, xi))
         agree = True
         n_graphs = 0
-        for size in range(1, len(classes) + 1):
-            for combo in itertools.combinations(range(len(classes)), size):
-                S = [s for ci in combo for s in classes[ci]]
-                conn = ConnectionSet.from_elements(G, S)
-                graph = build(G, conn)
-                if not graph.is_connected():
-                    continue
-                n_graphs += 1
-                fast = stab1(graph).elements
-                slow = stab1_oracle(graph).elements
-                if fast != slow:
-                    agree = False
-                if graph_registry is not None:
-                    graph_registry.append(
-                        (f"criterion_8:{expr}:{n_graphs}", graph))
+        for graph in ConnectedClassGraphs(G):
+            n_graphs += 1
+            fast = stab1(graph).elements
+            slow = stab1_oracle(graph).elements
+            if fast != slow:
+                agree = False
+            if graph_registry is not None:
+                graph_registry.append(
+                    (f"criterion_8:{expr}:{n_graphs}", graph))
         total += n_graphs
         rows.append({"group": expr, "connected_graphs": n_graphs,
                      "pass": agree})
@@ -380,62 +342,56 @@ def criterion_9(graph_registry: list, seed: int) -> dict:
 # suite runner
 # ---------------------------------------------------------------------------
 
-def run_criteria_1_to_9(seed: int, budget: int = 2**20) -> dict:
+def _criteria_1_to_9(seed: int, budget: int) -> dict:
+    """Criteria 1-9 by name, in run order.
+
+    Criteria 2, 7 and 8 register the graphs they build, and criterion 9
+    checks them, so it must run after them to see any.
+    """
     registry: list = []
-    results = {}
-    results["criterion_1"] = criterion_1(budget)
-    results["criterion_2"] = criterion_2(registry)
-    results["criterion_3"] = criterion_3()
-    results["criterion_4"] = criterion_4()
-    results["criterion_5"] = criterion_5()
-    results["criterion_6"] = criterion_6()
-    results["criterion_7"] = criterion_7(seed, graph_registry=registry)
-    results["criterion_8"] = criterion_8(graph_registry=registry)
-    results["criterion_9"] = criterion_9(registry, seed)
-    return results
+    return {
+        "criterion_1": lambda: criterion_1(budget),
+        "criterion_2": lambda: criterion_2(registry),
+        "criterion_3": criterion_3,
+        "criterion_4": criterion_4,
+        "criterion_5": criterion_5,
+        "criterion_6": criterion_6,
+        "criterion_7": lambda: criterion_7(seed, graph_registry=registry),
+        "criterion_8": lambda: criterion_8(graph_registry=registry),
+        "criterion_9": lambda: criterion_9(registry, seed),
+    }
 
 
-def run_suite(only: list[str] | None = None, threads: int = 1,
-              seed: int = 12345, budget: int = 2**20,
-              with_timing: bool = False) -> dict:
+def run_suite(only: list[str] | None = None, seed: int = 12345,
+              budget: int = 2**20, with_timing: bool = False) -> dict:
     """Run the acceptance matrix and assemble the report.
 
-    Criterion 10 re-runs criteria 1-9 with a different thread setting and
-    compares the canonical JSON bytes of the results subtrees; it is
-    skipped when a criterion subset is requested.
+    Criterion 10 runs criteria 1-9 a second time and compares the
+    canonical JSON bytes of the two results subtrees; it is skipped when a
+    criterion subset is requested.
     """
     t0 = time.monotonic()
     timing: dict[str, float] = {}
+    criteria = _criteria_1_to_9(seed, budget)
     if only:
-        registry: list = []
         results = {}
-        fns = {
-            "criterion_1": lambda: criterion_1(budget),
-            "criterion_2": lambda: criterion_2(registry),
-            "criterion_3": criterion_3,
-            "criterion_4": criterion_4,
-            "criterion_5": criterion_5,
-            "criterion_6": criterion_6,
-            "criterion_7": lambda: criterion_7(seed, graph_registry=registry),
-            "criterion_8": lambda: criterion_8(graph_registry=registry),
-            "criterion_9": lambda: criterion_9(registry, seed),
-        }
         for name in only:
-            if name not in fns:
+            if name not in criteria:
                 raise ValueError(f"unknown criterion: {name}")
             tstep = time.monotonic()
-            results[name] = fns[name]()
+            results[name] = criteria[name]()
             timing[name] = round(time.monotonic() - tstep, 3)
     else:
         tstep = time.monotonic()
-        results = run_criteria_1_to_9(seed, budget)
+        results = {name: run() for name, run in criteria.items()}
         timing["criteria_1_to_9"] = round(time.monotonic() - tstep, 3)
         tstep = time.monotonic()
         first = canonical_json(results)
-        second = canonical_json(run_criteria_1_to_9(seed, budget))
+        second = canonical_json({
+            name: run()
+            for name, run in _criteria_1_to_9(seed, budget).items()})
         results["criterion_10"] = {
             "pass": first == second,
-            "thread_counts": [threads, 4 if threads != 4 else 1],
             "results_bytes": len(first.encode()),
             "identical": first == second,
         }
@@ -446,7 +402,6 @@ def run_suite(only: list[str] | None = None, threads: int = 1,
         "command": "reproduce",
         "config": {
             "seed": seed,
-            "threads": threads,
             "budget": budget,
             "only": sorted(only) if only else None,
         },

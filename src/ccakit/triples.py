@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cayley import ConnectionSet, build
+from .cayley import ColouredCayleyGraph, ConnectionSet, build
 from .colourauts import CCAVerdict, is_cca_graph
 from .fgroup import DEFAULT_ENUM_LIMIT, DEFAULT_GRAPH_LIMIT, FiniteGroup
 
@@ -181,6 +181,7 @@ class CrosscheckReport:
     connected: bool
     verdict: CCAVerdict
     ok: bool
+    graph: ColouredCayleyGraph = field(repr=False)   # not serialised
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,7 +212,8 @@ def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
     connected = graph.is_connected()
     verdict = is_cca_graph(graph, with_aut_pm1=False, full_stab=False)
     ok = connected and not verdict.is_cca
-    report = CrosscheckReport(connected=connected, verdict=verdict, ok=ok)
+    report = CrosscheckReport(connected=connected, verdict=verdict, ok=ok,
+                              graph=graph)
     if not ok:
         raise CrosscheckError(
             "validated triple failed the graph cross-check: "

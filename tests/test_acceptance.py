@@ -15,7 +15,7 @@ from ccakit.higman import HigmanGroup, multiply, sample_params
 
 @pytest.fixture(scope="session")
 def suite_report():
-    return rp.run_suite(seed=12345, threads=1)
+    return rp.run_suite(seed=12345)
 
 
 def _announce(name, result):

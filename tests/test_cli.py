@@ -157,6 +157,5 @@ class TestReproduceCommand:
 
     def test_config_echoed(self, capsys):
         rc, rep = run_json(capsys, ["reproduce", "--only", "criterion_4",
-                                    "--seed", "7", "--threads", "2"])
+                                    "--seed", "7"])
         assert rep["config"]["seed"] == 7
-        assert rep["config"]["threads"] == 2

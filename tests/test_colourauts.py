@@ -4,8 +4,11 @@ import random
 import pytest
 
 from ccakit import groupzoo as gz
+from ccakit import triples as tr
 from ccakit.cayley import ConnectionSet, build
 from ccakit.colourauts import (
+    ConnectedClassGraphs,
+    _automorphism_violation,
     aut_pm1,
     is_cca_graph,
     is_cca_group_exhaustive,
@@ -34,6 +37,31 @@ def connected_class_graphs(G, close=False):
             graph = build(G, ConnectionSet.from_elements(G, S))
             if graph.is_connected():
                 yield graph
+
+
+def automorphism_violation_by_multiply(graph, alpha):
+    """Reference check by group arithmetic: the first (s, v) with
+    alpha(s*v) != alpha(s)*alpha(v), multiplying elements for every v."""
+    g = graph.group
+    elems = graph.elems
+    idx = graph.index
+    for c, cls in enumerate(graph.colours):
+        for m, s in enumerate(cls):
+            row = graph.left_rows[c][m]
+            a_s = elems[alpha[idx[s]]]
+            for v in range(graph.n):
+                if alpha[row[v]] != idx[g.multiply(a_s, elems[alpha[v]])]:
+                    return (s, elems[v])
+    return None
+
+
+def triple_graph(expr, t_text, subgroup):
+    """Cay(G, S u T) of the triple (S_H(tau), {t}, t^2)."""
+    G = gz.construct(expr)
+    t = G.elem_parse(t_text)
+    S = tr.s_tau(subgroup(G), G.multiply(t, t)).elements
+    return build(G, ConnectionSet.from_elements(G, S + [t],
+                                                close_inverses=True))
 
 
 def automorphisms_bruteforce(G):
@@ -161,6 +189,53 @@ class TestAutPm1:
                     assert a in st
 
 
+class TestAutomorphismCheck:
+    """The left-row check against the reference by group arithmetic."""
+
+    def test_zoo_class_graphs_up_to_order_16(self):
+        for expr, G in gz.zoo_corpus(16):
+            for graph in ConnectedClassGraphs(G):
+                for alpha in stab1(graph).elements:
+                    assert (_automorphism_violation(graph, alpha)
+                            == automorphism_violation_by_multiply(
+                                graph, alpha)), expr
+
+    @pytest.mark.parametrize("expr,t,subgroup", [
+        ("S5", "(1 4 2 5)", lambda G: gz.setwise_stabilizer(G, [3, 4])),
+        ("A6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0)),
+    ], ids=["S5-setwise", "A6"])
+    def test_triple_graphs(self, expr, t, subgroup):
+        graph = triple_graph(expr, t, subgroup)
+        violations = 0
+        for alpha in stab1(graph).elements:
+            got = _automorphism_violation(graph, alpha)
+            assert got == automorphism_violation_by_multiply(graph, alpha)
+            violations += got is not None
+        assert violations > 0      # the graphs are non-CCA
+
+
+class TestConnectedClassGraphs:
+    def test_matches_independent_enumeration(self):
+        for expr, G in gz.zoo_corpus(12):
+            graphs = ConnectedClassGraphs(G)
+            got = [(g.conn.elements, g.colours, g.cn) for g in graphs]
+            want = [(g.conn.elements, g.colours, g.cn)
+                    for g in connected_class_graphs(G)]
+            assert got == want, expr
+            k = len(ConnectionSet.from_elements(
+                G, G.elements()[1:]).colour_classes())
+            assert graphs.sets_checked == 2 ** k - 1, expr
+            assert graphs.connected_checked == len(want), expr
+            assert not graphs.over_budget
+
+    def test_budget_stops_examining(self):
+        G = gz.symmetric_group(4)
+        graphs = ConnectedClassGraphs(G, budget=40)
+        assert len(list(graphs)) == graphs.connected_checked
+        assert graphs.sets_checked == 40
+        assert graphs.over_budget
+
+
 class TestIsCcaGraph:
     def test_s3_all_graphs_cca(self):
         G = gz.symmetric_group(3)
@@ -229,6 +304,28 @@ class TestExhaustiveGroupVerdicts:
         graph = build(G, conn)
         assert graph.is_connected()
         assert not is_cca_graph(graph).is_cca
+
+    @pytest.mark.parametrize("expr,sets,connected,witness_S,witness_alpha", [
+        ("S4", 35, 7,
+         ["(1 2 3 4)", "(1 4 3 2)", "(1 3 4 2)", "(1 2 4 3)"],
+         [0, 1, 2, 3, 11, 5, 8, 7, 6, 9, 10, 4, 12, 13, 22, 15, 19, 17,
+          18, 16, 20, 21, 14, 23]),
+        ("C2 x C4", 10, 3,
+         ["(3 4 5 6)", "(3 6 5 4)", "(1 2)(3 4 5 6)", "(1 2)(3 6 5 4)"],
+         [0, 1, 2, 7, 4, 5, 6, 3]),
+        ("higman:n=4,seed=1", 121, 1,
+         ["h2", "g1", "g1*h1", "g2", "g2*h1"],
+         [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 15, 14]),
+    ], ids=["S4", "C2 x C4", "higman:n=4,seed=1"])
+    def test_golden_witness(self, expr, sets, connected, witness_S,
+                            witness_alpha):
+        G = gz.construct(expr)
+        rep = is_cca_group_exhaustive(G).to_json_dict(G)
+        assert rep["status"] == "non-cca"
+        assert rep["sets_checked"] == sets
+        assert rep["connected_checked"] == connected
+        assert rep["witness_S"] == witness_S
+        assert rep["witness_alpha"] == witness_alpha
 
     def test_deterministic(self):
         G = gz.symmetric_group(4)

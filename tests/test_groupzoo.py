@@ -1,9 +1,35 @@
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from ccakit import groupzoo as gz
+from ccakit.higman import sample_params
 from ccakit.permcore import parse_cycles
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# the README's grammar templates, each with one instance
+README_TEMPLATES = {"Sn": "S4", "An": "A4", "Cn": "C4", "Dn": "D4",
+                    "PSL2(q)": "PSL2(7)",
+                    "higman:n=N,seed=K": "higman:n=4,seed=1"}
+
+
+def readme_group_expressions() -> list[str]:
+    """Every group expression README.md writes: the command-line examples,
+    the library example and the grammar paragraph (templates instantiated).
+    """
+    text = README.read_text()
+    exprs = re.findall(
+        r'^ccakit (?:group|cca|triple \w+) ("[^"]+"|\S+)', text, re.M)
+    exprs += re.findall(r'construct\("([^"]+)"\)', text)
+    grammar = text.split("Group expressions:", 1)[1].split("\n\n", 1)[0]
+    exprs += [README_TEMPLATES.get(tok, tok)
+              for tok in re.findall(r"`([^`]+)`", grammar)
+              if tok not in ("x", "2n")]
+    return [e.strip('"') for e in exprs]
 
 
 class TestFieldTables:
@@ -85,7 +111,7 @@ class TestParser:
     def test_round_trip_corpus(self):
         corpus = ["S5", "A6", "C12", "D4", "PSL2(7)", "C2 x C2",
                   "C2 x S3 x D4", "higman:n=6,seed=1",
-                  "perm:4:(1 2),(1 2 3 4)"]
+                  "perm:4:(1 2),(1 2 3 4)", "Q8", "C2 x Q8"]
         for text in corpus:
             expr = gz.parse_group_expr(text)
             again = gz.parse_group_expr(expr.to_str())
@@ -97,6 +123,17 @@ class TestParser:
         assert gz.construct("C2 x C2").order() == 4
         assert gz.construct("higman:n=6,seed=1").order() == 64
         assert gz.construct("perm:4:(1 2),(1 2 3 4)").order() == 24
+        assert gz.construct("Q8").order() == 8
+        assert gz.construct("Q8 x C3").order() == 24
+
+    def test_every_readme_expression_builds(self, tmp_path, monkeypatch):
+        exprs = readme_group_expressions()
+        assert {"Q8", "M11", "C2 x D4", "higman:@params.json"} <= set(exprs)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "params.json").write_text(
+            json.dumps(sample_params(4, 1).to_json_dict()))
+        for text in exprs:
+            assert gz.construct(text).order() > 1, text
 
     def test_bad_expressions(self):
         for text in ["", "X5", "PSL2(6)", "S", "C0"]:
