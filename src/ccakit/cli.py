@@ -217,6 +217,9 @@ def cmd_reproduce(args) -> int:
                 part = f"criterion_{part}"
             if part not in rp.CRITERIA:
                 raise CLIError(f"unknown criterion {part!r}")
+            if part == "criterion_10":
+                raise CLIError("criterion_10 reruns criteria 1-9 in full; "
+                               "run reproduce without --only")
             names.append(part)
         only = names
     report = rp.run_suite(only=only, seed=args.seed, budget=args.budget,

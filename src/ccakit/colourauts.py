@@ -15,7 +15,10 @@ neighbour s * 1 of vertex 0, so alpha(s) is s or s^-1.  The row of
 alpha(s) is therefore already one of the graph's left-multiplication rows,
 and alpha is a group automorphism exactly when alpha(s * v) =
 alpha(s) * alpha(v) holds as alpha[row[v]] == arow[alpha[v]] for every s
-in S and every vertex v (S generates G).
+in S and every vertex v (S generates G).  The stab1 elements that pass
+are exactly aut_pm1, the automorphisms of G sending every s to s or s^-1
+(such an automorphism fixes 1 and keeps colours, so it lies in stab1), and
+one pass over stab1 gives both the verdict and |aut_pm1|.
 
 There is one decision path.  is_cca_graph decides a single graph;
 the exhaustive group verdict is is_cca_graph applied to every graph that
@@ -206,57 +209,18 @@ def aut_pm1(group: FiniteGroup, conn: ConnectionSet,
             graph: ColouredCayleyGraph | None = None) -> list[tuple]:
     """Automorphisms of G sending every s in S to s or s^-1.
 
-    S must generate G.  Found by branching over per-colour-class sign
-    choices and extending each choice to a homomorphism along the Cayley
-    graph; returned as index arrays over group.elements().
+    S must generate G.  Such an automorphism fixes the identity and keeps
+    every colour, so it lies in stab1; conversely a stab1 element that is
+    a group automorphism sends s to s or s^-1.  aut_pm1 is therefore the
+    stab1 elements that pass the automorphism check, returned sorted as
+    index arrays over group.elements().
     """
     if graph is None:
         graph = build(group, conn, graph_limit=10**9)
     if not graph.is_connected():
         raise ValueError("aut_pm1 requires S to generate G")
-    n = graph.n
-    classes = graph.colours
-    order, _ = graph.bfs_order()
-    # per class, per sign: the left-mult row of each member's image
-    # (plus sign keeps s; minus sign swaps s and s^-1)
-    sign_options = []
-    for c, cls in enumerate(classes):
-        rows = graph.left_rows[c]
-        if len(cls) == 1:
-            sign_options.append(((rows[0],),))
-        else:
-            sign_options.append(((rows[0], rows[1]), (rows[1], rows[0])))
-    out = []
-    for choice in itertools.product(*sign_options):
-        phi = [-1] * n
-        taken = [False] * n
-        phi[0] = 0
-        taken[0] = True
-        ok = True
-        for v in order:
-            pv = phi[v]
-            for c in range(len(classes)):
-                srows = graph.left_rows[c]
-                img_rows = choice[c]
-                for m in range(len(srows)):
-                    w = srows[m][v]
-                    expected = img_rows[m][pv]
-                    if phi[w] == -1:
-                        if taken[expected]:
-                            ok = False
-                            break
-                        phi[w] = expected
-                        taken[expected] = True
-                    elif phi[w] != expected:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(tuple(phi))
-    return sorted(out)
+    return [a for a in stab1(graph).elements
+            if _automorphism_violation(graph, a) is None]
 
 
 def right_regular_preserves_colours(graph: ColouredCayleyGraph,
@@ -290,6 +254,8 @@ class CCAVerdict:
     stab1_order and autc_order are None when the decision was streamed and
     stopped at a witness before the (possibly enormous) stabilizer was
     fully generated; stab1_checked counts the elements generated.
+    aut_pm1_order and stab1 (the stabilizer itself, not serialised) are
+    None whenever the stabilizer was streamed.
     """
 
     is_cca: bool
@@ -299,6 +265,7 @@ class CCAVerdict:
     stab1_checked: int = 0
     aut_pm1_order: int | None = None
     witness: tuple | None = None      # violating vertex map, if any
+    stab1: VertexStabilizer | None = field(default=None, repr=False)
 
     def to_json_dict(self, graph: ColouredCayleyGraph) -> dict:
         g = graph.group
@@ -317,42 +284,41 @@ class CCAVerdict:
 
 
 def is_cca_graph(graph: ColouredCayleyGraph,
-                 with_aut_pm1: bool = True,
                  full_stab: bool = True) -> CCAVerdict:
     """Decide whether a connected coloured Cayley graph is CCA.
 
-    With full_stab the whole vertex stabilizer is materialized and exact
-    orders reported.  Without it the stabilizer is streamed in search
-    order and the decision stops at the first non-automorphism; a far-
-    from-CCA graph can have a stabilizer far too large to list, but its
-    first few elements already contain a witness.
+    With full_stab the whole vertex stabilizer is materialized and every
+    element checked in sorted order: the witness is the first violating
+    element, and the elements that pass are aut_pm1 (see aut_pm1), so the
+    verdict carries exact stab1, Aut_c and aut_pm1 orders.  Without it the
+    stabilizer is streamed in search order and the decision stops at the
+    first non-automorphism; a far-from-CCA graph can have a stabilizer far
+    too large to list, but its first few elements already contain a
+    witness.
     """
     if not graph.is_connected():
         raise ValueError("is_cca_graph requires a connected graph")
-    alphas = stab1(graph).elements if full_stab else _iter_stab1(graph)
+    st = stab1(graph) if full_stab else None
     witness = None
-    checked = 0
-    for alpha in alphas:
+    checked = passed = 0
+    for alpha in st.elements if st is not None else _iter_stab1(graph):
         checked += 1
-        if _automorphism_violation(graph, alpha) is not None:
+        if _automorphism_violation(graph, alpha) is None:
+            passed += 1
+        elif witness is None:
             witness = alpha
-            break
-    stab_order: int | None
-    if full_stab:
-        stab_order = checked = len(alphas)
-    else:
-        stab_order = checked if witness is None else None
-    apm1 = None
-    if with_aut_pm1:
-        apm1 = len(aut_pm1(graph.group, graph.conn, graph))
+            if st is None:
+                break
+    stab_order = checked if st is not None or witness is None else None
     return CCAVerdict(
         is_cca=witness is None,
         connected=True,
         stab1_order=stab_order,
         autc_order=graph.n * stab_order if stab_order is not None else None,
         stab1_checked=checked,
-        aut_pm1_order=apm1,
+        aut_pm1_order=passed if st is not None else None,
         witness=witness,
+        stab1=st,
     )
 
 
@@ -438,7 +404,7 @@ def is_cca_group_exhaustive(group: FiniteGroup, budget: int = 2**20,
     """
     graphs = ConnectedClassGraphs(group, budget)
     for graph in graphs:
-        verdict = is_cca_graph(graph, with_aut_pm1=False)
+        verdict = is_cca_graph(graph)
         if not verdict.is_cca:
             return GroupCCAVerdict(
                 status="non-cca", sets_checked=graphs.sets_checked,

@@ -313,8 +313,8 @@ def criterion_9(graph_registry: list, seed: int) -> dict:
     rows = []
     ok = True
     for label, graph in graph_registry:
-        st = stab1(graph)
-        verdict = is_cca_graph(graph, with_aut_pm1=True)
+        verdict = is_cca_graph(graph)
+        st = verdict.stab1
         autc = graph.n * st.order
         grr_ok = right_regular_preserves_colours(graph)
         closed = _stab1_closed(st.elements, rng)

@@ -210,7 +210,7 @@ def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
         G, list(triple.S) + list(triple.T), close_inverses=True)
     graph = build(G, conn, graph_limit)
     connected = graph.is_connected()
-    verdict = is_cca_graph(graph, with_aut_pm1=False, full_stab=False)
+    verdict = is_cca_graph(graph, full_stab=False)
     ok = connected and not verdict.is_cca
     report = CrosscheckReport(connected=connected, verdict=verdict, ok=ok,
                               graph=graph)

@@ -147,6 +147,12 @@ class TestReproduceCommand:
     def test_unknown_criterion_exit_2(self):
         assert main(["reproduce", "--only", "criterion_99"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("only", ["10", "criterion_10", "4,10"])
+    def test_only_criterion_10_is_usage_error(self, capsys, only):
+        # criterion 10 compares two full runs, so it cannot run alone
+        assert main(["reproduce", "--only", only]) == EXIT_USAGE
+        assert "criterion_10" in capsys.readouterr().err
+
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["reproduce", "--only", "criterion_4",

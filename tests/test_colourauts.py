@@ -55,6 +55,46 @@ def automorphism_violation_by_multiply(graph, alpha):
     return None
 
 
+def aut_pm1_by_sign_choices(graph):
+    """Reference aut_pm1 by a search of its own: branch over a sign per
+    pair class (keep s, or swap s and s^-1) and extend each choice to a
+    homomorphism along the BFS order of the connected graph."""
+    n = graph.n
+    order, _ = graph.bfs_order()
+    # per class, per sign: the left-mult row of each member's image
+    sign_options = []
+    for rows in graph.left_rows:
+        if len(rows) == 1:
+            sign_options.append(((rows[0],),))
+        else:
+            sign_options.append(((rows[0], rows[1]), (rows[1], rows[0])))
+    out = []
+    for choice in itertools.product(*sign_options):
+        phi = [-1] * n
+        taken = [False] * n
+        phi[0] = 0
+        taken[0] = True
+
+        def extends():
+            for v in order:
+                pv = phi[v]
+                for srows, img_rows in zip(graph.left_rows, choice):
+                    for row, img_row in zip(srows, img_rows):
+                        w, expected = row[v], img_row[pv]
+                        if phi[w] == -1:
+                            if taken[expected]:
+                                return False
+                            phi[w] = expected
+                            taken[expected] = True
+                        elif phi[w] != expected:
+                            return False
+            return True
+
+        if extends():
+            out.append(tuple(phi))
+    return sorted(out)
+
+
 def triple_graph(expr, t_text, subgroup):
     """Cay(G, S u T) of the triple (S_H(tau), {t}, t^2)."""
     G = gz.construct(expr)
@@ -185,12 +225,32 @@ class TestAutPm1:
             G = gz.construct(expr)
             for graph in connected_class_graphs(G):
                 st = set(stab1(graph).elements)
-                for a in aut_pm1(G, graph.conn, graph):
+                for a in aut_pm1_by_sign_choices(graph):
                     assert a in st
+
+    def test_matches_sign_choice_search_zoo(self):
+        for expr, G in gz.zoo_corpus(12):
+            for graph in ConnectedClassGraphs(G):
+                want = aut_pm1_by_sign_choices(graph)
+                assert aut_pm1(G, graph.conn, graph) == want, expr
+                assert is_cca_graph(graph).aut_pm1_order == len(want), expr
+
+    def test_matches_sign_choice_search_14_pair_classes(self):
+        G = gz.construct("C8 x C8")
+        classes = ConnectionSet.from_elements(
+            G, G.elements()[1:]).colour_classes()
+        pairs = [cls for cls in classes if len(cls) == 2][:14]
+        graph = build(G, ConnectionSet.from_elements(
+            G, [s for cls in pairs for s in cls]))
+        assert graph.is_connected() and len(graph.colours) == 14
+        want = aut_pm1_by_sign_choices(graph)
+        assert aut_pm1(G, graph.conn, graph) == want
+        assert is_cca_graph(graph).aut_pm1_order == len(want)
 
 
 class TestAutomorphismCheck:
-    """The left-row check against the reference by group arithmetic."""
+    """The left-row check against the reference by group arithmetic, and
+    the CCA verdict and aut_pm1 it decides on non-CCA triple graphs."""
 
     def test_zoo_class_graphs_up_to_order_16(self):
         for expr, G in gz.zoo_corpus(16):
@@ -200,18 +260,25 @@ class TestAutomorphismCheck:
                             == automorphism_violation_by_multiply(
                                 graph, alpha)), expr
 
-    @pytest.mark.parametrize("expr,t,subgroup", [
-        ("S5", "(1 4 2 5)", lambda G: gz.setwise_stabilizer(G, [3, 4])),
-        ("A6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0)),
-    ], ids=["S5-setwise", "A6"])
-    def test_triple_graphs(self, expr, t, subgroup):
+    @pytest.mark.parametrize("expr,t,subgroup,stab1_order,aut_pm1_order", [
+        ("S5", "(1 4 2 5)", lambda G: gz.setwise_stabilizer(G, [3, 4]),
+         2048, 4),
+        ("A6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0), 64, 2),
+        ("S6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0), 64, 2),
+    ], ids=["S5-setwise", "A6", "S6"])
+    def test_triple_graphs(self, expr, t, subgroup, stab1_order,
+                           aut_pm1_order):
         graph = triple_graph(expr, t, subgroup)
-        violations = 0
-        for alpha in stab1(graph).elements:
-            got = _automorphism_violation(graph, alpha)
-            assert got == automorphism_violation_by_multiply(graph, alpha)
-            violations += got is not None
-        assert violations > 0      # the graphs are non-CCA
+        v = is_cca_graph(graph)
+        assert v.is_cca is False
+        assert v.stab1_order == stab1_order
+        assert v.aut_pm1_order == aut_pm1_order
+        for alpha in v.stab1.elements:
+            assert (_automorphism_violation(graph, alpha)
+                    == automorphism_violation_by_multiply(graph, alpha))
+        want = aut_pm1_by_sign_choices(graph)
+        assert len(want) == aut_pm1_order
+        assert aut_pm1(graph.group, graph.conn, graph) == want
 
 
 class TestConnectedClassGraphs:
@@ -263,9 +330,8 @@ class TestIsCcaGraph:
         for expr in ["C6", "S3", "D4"]:
             G = gz.construct(expr)
             for graph in connected_class_graphs(G):
-                full = is_cca_graph(graph, with_aut_pm1=False)
-                lazy = is_cca_graph(graph, with_aut_pm1=False,
-                                    full_stab=False)
+                full = is_cca_graph(graph)
+                lazy = is_cca_graph(graph, full_stab=False)
                 assert full.is_cca == lazy.is_cca
 
     def test_witness_is_not_homomorphism(self):
