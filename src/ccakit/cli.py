@@ -4,7 +4,10 @@ Subcommands: group (construct and describe), cca (single-graph or
 exhaustive group verdict), triple validate / triple search, reproduce
 (the acceptance matrix).  Reports are plain dicts rendered as text or
 JSON; exit codes: 0 success, 1 criterion failure, 2 usage or parse error,
-3 resource limit exceeded.
+3 resource limit exceeded, 4 internal error (a failed self-check).
+
+--limit-enum is set once, on the group the command constructs, and bounds
+every element listing of that group and of every subgroup taken from it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ EXIT_OK = 0
 EXIT_CRITERION = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 class CLIError(ValueError):
@@ -72,13 +76,13 @@ def _parse_subgroup(G, spec: str):
     raise CLIError(f"unknown subgroup spec kind {kind!r}")
 
 
-def _construct(expr: str):
+def _construct(args):
     try:
-        return gz.construct(expr)
+        return gz.construct(args.expr, args.limit_enum)
     except LimitExceeded:
         raise
     except Exception as ex:
-        raise CLIError(f"cannot construct group {expr!r}: {ex}") from ex
+        raise CLIError(f"cannot construct group {args.expr!r}: {ex}") from ex
 
 
 def _emit(report: dict, args) -> None:
@@ -127,22 +131,22 @@ def _base_report(args, command: str) -> dict:
 
 
 def cmd_group(args) -> int:
-    G = _construct(args.expr)
+    G = _construct(args)
     report = _base_report(args, "group")
     degree = getattr(G, "degree", None)
     report["results"] = {
         "expr": args.expr,
         "order": G.order(),
         "degree": degree,
-        "has_element_of_order4": gz.has_element_of_order4(G, args.limit_enum),
-        "involution_count": len(G.involutions(args.limit_enum)),
+        "has_element_of_order4": gz.has_element_of_order4(G),
+        "involution_count": len(G.involutions()),
     }
     _emit(report, args)
     return EXIT_OK
 
 
 def cmd_cca(args) -> int:
-    G = _construct(args.expr)
+    G = _construct(args)
     report = _base_report(args, "cca")
     if args.exhaustive:
         verdict = is_cca_group_exhaustive(G, args.budget)
@@ -167,7 +171,7 @@ def cmd_cca(args) -> int:
 
 
 def cmd_triple(args) -> int:
-    G = _construct(args.expr)
+    G = _construct(args)
     report = _base_report(args, f"triple {args.action}")
     if args.action == "validate":
         if args.tau is None:
@@ -178,7 +182,7 @@ def cmd_triple(args) -> int:
         if len(tau) != 1:
             raise CLIError("--tau must be a single element")
         try:
-            trip = tr.validate_triple(G, S, T, tau[0], args.limit_enum)
+            trip = tr.validate_triple(G, S, T, tau[0])
         except ValueError as ex:
             raise CLIError(str(ex)) from ex
         report["results"] = trip.to_json_dict()
@@ -192,7 +196,7 @@ def cmd_triple(args) -> int:
         if not args.subgroup:
             raise CLIError("triple search requires --subgroup")
         H = _parse_subgroup(G, args.subgroup)
-        trip = tr.search_triple_subgroup_strategy(G, H, limit=args.limit_enum)
+        trip = tr.search_triple_subgroup_strategy(G, H)
         if trip is None:
             report["results"] = {"found": False,
                                  "subgroup_order": H.order()}
@@ -242,7 +246,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--limit-graph", type=int, default=DEFAULT_GRAPH_LIMIT,
                    help="max vertex count for graph construction")
     p.add_argument("--limit-enum", type=int, default=DEFAULT_ENUM_LIMIT,
-                   help="max element count for enumeration")
+                   help="max element count of any group or subgroup the "
+                        "command lists (exit 3 when exceeded)")
     p.add_argument("--seed", type=int, default=12345,
                    help="seed for the randomized property suites")
     p.add_argument("--timing", action="store_true",
@@ -307,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except LimitExceeded as ex:
         print(f"limit exceeded: {ex}", file=sys.stderr)
         return EXIT_LIMIT
+    except AssertionError as ex:
+        print(f"internal error: {ex}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

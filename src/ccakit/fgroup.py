@@ -50,7 +50,15 @@ def closure(identity: Any, gens: Iterable[Any], mul: Callable[[Any, Any], Any],
 
 
 class FiniteGroup(abc.ABC):
-    """Finite group given by generators and element arithmetic."""
+    """Finite group given by generators and element arithmetic.
+
+    ``enum_limit`` bounds every listing of the group's elements: `elements`
+    is the one place it is checked, and raises LimitExceeded once a group
+    would list more.  `groupzoo.construct` sets it on the group it returns,
+    and every subgroup takes its parent's limit.
+    """
+
+    enum_limit = DEFAULT_ENUM_LIMIT
 
     @abc.abstractmethod
     def identity(self):
@@ -70,27 +78,34 @@ class FiniteGroup(abc.ABC):
 
     # -- element enumeration ------------------------------------------------
 
-    def elements(self, limit: int = DEFAULT_ENUM_LIMIT) -> list:
+    def elements(self) -> list:
         """All elements, identity first, deterministic order.  Cached."""
         cached = getattr(self, "_elements", None)
         if cached is None:
             cached = closure(self.identity(), self.generators(),
-                             self.multiply, limit)
+                             self.multiply, self.enum_limit)
             self._elements = cached
         return cached
 
-    def element_set(self, limit: int = DEFAULT_ENUM_LIMIT) -> frozenset:
+    def _check_enum_limit(self, order: int) -> None:
+        """Refuse, before listing, a group whose known order is too big."""
+        if order > self.enum_limit:
+            raise LimitExceeded(
+                f"group order {order} exceeds enumeration limit "
+                f"{self.enum_limit}")
+
+    def element_set(self) -> frozenset:
         cached = getattr(self, "_element_set", None)
         if cached is None:
-            cached = frozenset(self.elements(limit))
+            cached = frozenset(self.elements())
             self._element_set = cached
         return cached
 
-    def element_index(self, limit: int = DEFAULT_ENUM_LIMIT) -> dict:
+    def element_index(self) -> dict:
         """Map element -> position in `elements()`."""
         cached = getattr(self, "_element_index", None)
         if cached is None:
-            cached = {x: i for i, x in enumerate(self.elements(limit))}
+            cached = {x: i for i, x in enumerate(self.elements())}
             self._element_index = cached
         return cached
 
@@ -139,9 +154,9 @@ class FiniteGroup(abc.ABC):
         e = self.identity()
         return x != e and self.multiply(x, x) == e
 
-    def involutions(self, limit: int = DEFAULT_ENUM_LIMIT) -> list:
+    def involutions(self) -> list:
         e = self.identity()
-        return [x for x in self.elements(limit)
+        return [x for x in self.elements()
                 if x != e and self.multiply(x, x) == e]
 
     def is_central(self, x) -> bool:
@@ -149,9 +164,8 @@ class FiniteGroup(abc.ABC):
 
     # -- subgroups -----------------------------------------------------------
 
-    def generated_subgroup(self, gens: Iterable,
-                           limit: int = DEFAULT_ENUM_LIMIT) -> "FiniteGroup":
-        return GeneratedSubgroup(self, list(gens), limit=limit)
+    def generated_subgroup(self, gens: Iterable) -> "FiniteGroup":
+        return GeneratedSubgroup(self, list(gens))
 
     # -- element I/O ---------------------------------------------------------
 
@@ -165,9 +179,9 @@ class FiniteGroup(abc.ABC):
 class GeneratedSubgroup(FiniteGroup):
     """Subgroup of a parent group, realized as a closure of generators."""
 
-    def __init__(self, parent: FiniteGroup, gens: list,
-                 limit: int = DEFAULT_ENUM_LIMIT):
+    def __init__(self, parent: FiniteGroup, gens: list):
         self.parent = parent
+        self.enum_limit = parent.enum_limit
         e = parent.identity()
         seen = set()
         uniq = []
@@ -176,7 +190,6 @@ class GeneratedSubgroup(FiniteGroup):
                 seen.add(g)
                 uniq.append(g)
         self._gens = uniq
-        self._limit = limit
 
     def identity(self):
         return self.parent.identity()
@@ -190,22 +203,9 @@ class GeneratedSubgroup(FiniteGroup):
     def generators(self) -> list:
         return list(self._gens)
 
-    def elements(self, limit: int | None = None) -> list:
-        return super().elements(limit if limit is not None else self._limit)
-
     def elem_str(self, x) -> str:
         return self.parent.elem_str(x)
 
     def elem_parse(self, text: str):
         return self.parent.elem_parse(text)
 
-
-def subgroup_index(G: FiniteGroup, H: FiniteGroup) -> int:
-    """|G : H|.  H must be given by generators lying in G."""
-    for h in H.generators():
-        if not G.contains(h):
-            raise ValueError("H is not a subgroup of G: generator outside G")
-    og, oh = G.order(), H.order()
-    if og % oh != 0:
-        raise ValueError("inconsistent subgroup orders")  # defensive; cannot happen
-    return og // oh

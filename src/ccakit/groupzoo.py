@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from pathlib import Path
 
-from .fgroup import DEFAULT_ENUM_LIMIT, FiniteGroup, LimitExceeded
+from .fgroup import DEFAULT_ENUM_LIMIT, FiniteGroup
 from .permcore import Permutation, PermutationGroup, parse_cycles
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -66,15 +66,6 @@ class FieldTable:
     neg: list = field(repr=False)
     inv: list = field(repr=False)
     primitive: int = 0
-
-    def pow(self, x: int, k: int) -> int:
-        r = 1
-        while k:
-            if k & 1:
-                r = self.mul[r][x]
-            x = self.mul[x][x]
-            k >>= 1
-        return r
 
 
 def _poly_coeffs(x: int, p: int, f: int) -> list[int]:
@@ -336,11 +327,21 @@ def parse_group_expr(text: str) -> GroupExpr:
 
 def construct(expr: GroupExpr | str,
               enum_limit: int = DEFAULT_ENUM_LIMIT) -> FiniteGroup:
-    """Build the group named by a GroupExpr (or expression string)."""
+    """Build the group named by a GroupExpr (or expression string).
+
+    The group, and every subgroup taken from it, lists at most
+    ``enum_limit`` elements (see FiniteGroup.enum_limit).
+    """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
+    G = _build(expr)
+    G.enum_limit = enum_limit
+    return G
+
+
+def _build(expr: GroupExpr) -> FiniteGroup:
     if expr.kind == "product":
-        factors = [construct(f, enum_limit) for f in expr.factors]
+        factors = [construct(f) for f in expr.factors]
         perm_factors = []
         for g in factors:
             if not isinstance(g, PermutationGroup):
@@ -379,35 +380,31 @@ def construct(expr: GroupExpr | str,
 # predicates and stabilizers
 
 
-def has_element_of_order4(G: FiniteGroup,
-                          limit: int = DEFAULT_ENUM_LIMIT) -> bool:
+def has_element_of_order4(G: FiniteGroup) -> bool:
     """Exact verdict by full element scan."""
-    for x in G.elements(limit):
+    for x in G.elements():
         if G.element_order(x) == 4:
             return True
     return False
 
 
-def pointwise_stabilizer(G: PermutationGroup, points,
-                         limit: int = DEFAULT_ENUM_LIMIT) -> PermutationGroup:
+def pointwise_stabilizer(G: PermutationGroup, points) -> PermutationGroup:
     pts = sorted(set(points))
-    elems = [g for g in G.elements(limit) if all(g[p] == p for p in pts)]
-    return PermutationGroup(G.degree, elems)
+    elems = [g for g in G.elements() if all(g[p] == p for p in pts)]
+    return G.generated_subgroup(elems)
 
 
-def setwise_stabilizer(G: PermutationGroup, points,
-                       limit: int = DEFAULT_ENUM_LIMIT) -> PermutationGroup:
+def setwise_stabilizer(G: PermutationGroup, points) -> PermutationGroup:
     pts = set(points)
-    elems = [g for g in G.elements(limit) if {g[p] for p in pts} == pts]
-    return PermutationGroup(G.degree, elems)
+    elems = [g for g in G.elements() if {g[p] for p in pts} == pts]
+    return G.generated_subgroup(elems)
 
 
-def cyclic_subgroups_of_order(G: FiniteGroup, m: int,
-                              limit: int = DEFAULT_ENUM_LIMIT) -> list:
+def cyclic_subgroups_of_order(G: FiniteGroup, m: int) -> list:
     """All cyclic subgroups of order m, deduplicated, deterministic order."""
     seen = set()
     out = []
-    for x in G.elements(limit):
+    for x in G.elements():
         if G.element_order(x) != m:
             continue
         powers = [x]
@@ -422,12 +419,11 @@ def cyclic_subgroups_of_order(G: FiniteGroup, m: int,
     return out
 
 
-def normalizer_bruteforce(G: FiniteGroup, H: FiniteGroup,
-                          limit: int = DEFAULT_ENUM_LIMIT) -> FiniteGroup:
+def normalizer_bruteforce(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Normalizer of H in G by full scan; returned as a generated subgroup."""
     hset = H.element_set()
     hgens = H.generators()
-    elems = [g for g in G.elements(limit)
+    elems = [g for g in G.elements()
              if all(G.conjugate(h, g) in hset for h in hgens)]
     return G.generated_subgroup(elems)
 

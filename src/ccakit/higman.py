@@ -179,9 +179,10 @@ class HigmanGroup(FiniteGroup):
             raise IndexError(f"h index {j} outside 1..{self.params.s}")
         return (0, 1 << (j - 1))
 
-    def elements(self, limit: int | None = None) -> list[Element]:
+    def elements(self) -> list[Element]:
         cached = getattr(self, "_elements", None)
         if cached is None:
+            self._check_enum_limit(self.order())
             p = self.params
             cached = [(e, f) for e in range(1 << p.r)
                       for f in range(1 << p.s)]

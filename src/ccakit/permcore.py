@@ -20,13 +20,10 @@ from __future__ import annotations
 import re
 from math import lcm
 
-from .fgroup import (DEFAULT_ENUM_LIMIT, FiniteGroup, LimitExceeded, closure,
-                     subgroup_index)
+from .fgroup import FiniteGroup
 
 __all__ = [
-    "Permutation", "PermutationGroup", "StabilizerChain",
-    "parse_cycles", "subgroup_index", "is_normal", "normal_closure",
-    "centralizer_bruteforce",
+    "Permutation", "PermutationGroup", "StabilizerChain", "parse_cycles",
 ]
 
 
@@ -235,10 +232,6 @@ class StabilizerChain:
             p = p * trans[x].inverse()
         return p, len(self.transversals)
 
-    def sift(self, p: Permutation):
-        """Strip p through the chain; identity residue means membership."""
-        return self._sift(p)
-
     def order(self) -> int:
         n = 1
         for t in self.transversals:
@@ -302,21 +295,15 @@ class PermutationGroup(FiniteGroup):
     def contains(self, p) -> bool:
         return isinstance(p, Permutation) and self.chain.contains(p)
 
-    def elements(self, limit: int = DEFAULT_ENUM_LIMIT) -> list[Permutation]:
-        cached = getattr(self, "_elements", None)
-        if cached is None:
-            if self.order() > limit:
-                raise LimitExceeded(
-                    f"group order {self.order()} exceeds enumeration "
-                    f"limit {limit}")
-            cached = closure(self.identity(), self._gens, self.multiply,
-                             limit)
-            self._elements = cached
-        return cached
+    def elements(self) -> list[Permutation]:
+        if getattr(self, "_elements", None) is None:
+            self._check_enum_limit(self.order())
+        return super().elements()
 
-    def generated_subgroup(self, gens,
-                           limit: int = DEFAULT_ENUM_LIMIT) -> "PermutationGroup":
-        return PermutationGroup(self.degree, gens)
+    def generated_subgroup(self, gens) -> "PermutationGroup":
+        H = PermutationGroup(self.degree, gens)
+        H.enum_limit = self.enum_limit
+        return H
 
     def elem_str(self, x: Permutation) -> str:
         return x.cycle_str()
@@ -334,43 +321,9 @@ class PermutationGroup(FiniteGroup):
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside degree {self.degree}")
         chain = StabilizerChain(self.degree, self._gens, base_hint=(point,))
-        return PermutationGroup(self.degree, chain.stabilizer_gens(1))
+        return self.generated_subgroup(chain.stabilizer_gens(1))
 
     def __repr__(self) -> str:
         return (f"PermutationGroup(degree={self.degree}, "
                 f"ngens={len(self._gens)})")
 
-
-def is_normal(G: PermutationGroup, H: FiniteGroup) -> bool:
-    """True iff H is normal in G (H given by generators inside G)."""
-    for h in H.generators():
-        if not G.contains(h):
-            raise ValueError("H is not a subgroup of G")
-    for g in G.generators():
-        for h in H.generators():
-            if not H.contains(G.conjugate(h, g)):
-                return False
-    return True
-
-
-def normal_closure(G: PermutationGroup, xs) -> PermutationGroup:
-    """Smallest normal subgroup of G containing the elements xs."""
-    gens = [x for x in xs if not x.is_identity()]
-    H = PermutationGroup(G.degree, gens)
-    queue = list(gens)
-    while queue:
-        x = queue.pop()
-        for g in G.generators():
-            c = G.conjugate(x, g)
-            if not H.contains(c):
-                gens.append(c)
-                H = PermutationGroup(G.degree, gens)
-                queue.append(c)
-    return H
-
-
-def centralizer_bruteforce(G: FiniteGroup, p,
-                           limit: int = DEFAULT_ENUM_LIMIT) -> FiniteGroup:
-    """Centralizer of p in G by full element scan (desk scale only)."""
-    elems = [x for x in G.elements(limit) if G.commutes(x, p)]
-    return G.generated_subgroup(elems)

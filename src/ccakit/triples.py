@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .cayley import ColouredCayleyGraph, ConnectionSet, build
 from .colourauts import CCAVerdict, is_cca_graph
-from .fgroup import DEFAULT_ENUM_LIMIT, DEFAULT_GRAPH_LIMIT, FiniteGroup
+from .fgroup import DEFAULT_GRAPH_LIMIT, FiniteGroup
 
 
 class CrosscheckError(AssertionError):
@@ -45,8 +45,7 @@ class STauSet:
         return self.carrier.generated_subgroup(self.elements)
 
 
-def s_tau(carrier: FiniteGroup, tau,
-          limit: int = DEFAULT_ENUM_LIMIT) -> STauSet:
+def s_tau(carrier: FiniteGroup, tau) -> STauSet:
     """Compute S(tau) over the carrier by the conjugation filter.
 
     tau must be an involution; it may lie outside the carrier (conjugation
@@ -57,7 +56,7 @@ def s_tau(carrier: FiniteGroup, tau,
     e = G.identity()
     if tau == e or G.multiply(tau, tau) != e:
         raise ValueError("tau must be an involution")
-    elems = G.elements(limit)
+    elems = G.elements()
     filt = [x for x in elems
             if x != e and G.conjugate(x, tau) in (x, G.invert(x))]
     if tau in G.element_set():
@@ -97,8 +96,7 @@ class NonCCATriple:
         return d
 
 
-def validate_triple(G: FiniteGroup, S, T, tau,
-                    limit: int = DEFAULT_ENUM_LIMIT) -> NonCCATriple:
+def validate_triple(G: FiniteGroup, S, T, tau) -> NonCCATriple:
     """Test Definition-style conditions (Ai)-(Av) literally.
 
     Failed conditions are verdicts, not errors; only malformed input
@@ -115,11 +113,11 @@ def validate_triple(G: FiniteGroup, S, T, tau,
 
     order_g = G.order()
     checks: dict[str, bool] = {}
-    checks["Ai"] = G.generated_subgroup(S + T, limit).order() == order_g
+    checks["Ai"] = G.generated_subgroup(S + T).order() == order_g
     checks["Aii"] = all(
         G.conjugate(s, tau) in (s, G.invert(s)) for s in S)
     checks["Aiii"] = all(G.multiply(t, t) == tau for t in T)
-    X = G.generated_subgroup(S + [tau], limit)
+    X = G.generated_subgroup(S + [tau])
     order_x = X.order()
     index = order_g // order_x
     checks["Aiv"] = order_x != order_g
@@ -129,10 +127,9 @@ def validate_triple(G: FiniteGroup, S, T, tau,
                         index=index)
 
 
-def square_roots(X: FiniteGroup, tau,
-                 limit: int = DEFAULT_ENUM_LIMIT) -> list:
+def square_roots(X: FiniteGroup, tau) -> list:
     """All t in X with t^2 = tau, by full scan in enumeration order."""
-    return [t for t in X.elements(limit) if X.multiply(t, t) == tau]
+    return [t for t in X.elements() if X.multiply(t, t) == tau]
 
 
 def _normalizes(G: FiniteGroup, H: FiniteGroup, x) -> bool:
@@ -142,7 +139,6 @@ def _normalizes(G: FiniteGroup, H: FiniteGroup, x) -> bool:
 
 def search_triple_subgroup_strategy(G: FiniteGroup, H: FiniteGroup,
                                     tau_candidates=None,
-                                    limit: int = DEFAULT_ENUM_LIMIT,
                                     ) -> NonCCATriple | None:
     """Search for a triple of the form (S_H(tau), {t}, tau).
 
@@ -152,23 +148,23 @@ def search_triple_subgroup_strategy(G: FiniteGroup, H: FiniteGroup,
     valid triple in this deterministic order wins.
     """
     if tau_candidates is None:
-        cands = list(H.involutions(limit))
+        cands = list(H.involutions())
         hset = H.element_set()
-        cands += [x for x in G.involutions(limit)
+        cands += [x for x in G.involutions()
                   if x not in hset and _normalizes(G, H, x)]
     else:
         cands = list(tau_candidates)
 
     order_g = G.order()
     for tau in cands:
-        S = s_tau(H, tau, limit).elements
-        X = G.generated_subgroup(S + [tau], limit)
+        S = s_tau(H, tau).elements
+        X = G.generated_subgroup(S + [tau])
         if X.order() == order_g:
             continue   # (Aiv) can never hold for this tau
-        for t in G.elements(limit):
+        for t in G.elements():
             if G.multiply(t, t) != tau or X.contains(t):
                 continue
-            triple = validate_triple(G, S, [t], tau, limit)
+            triple = validate_triple(G, S, [t], tau)
             if triple.valid:
                 return triple
     return None

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from ccakit import groupzoo as gz
+from ccakit import triples as tr
 from ccakit.cli import (
     EXIT_CRITERION,
+    EXIT_INTERNAL,
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_USAGE,
@@ -130,6 +132,39 @@ class TestTripleCommand:
         r = rep["results"]
         for s in r["S"] + r["T"] + [r["tau"]]:
             assert G.elem_str(G.elem_parse(s)) == s
+
+
+# Each command lists a group or subgroup with more elements than the limit.
+LIMIT_PROBES = [
+    ["group", "higman:n=10,seed=1", "--limit-enum", "10"],
+    ["cca", "S4", "--exhaustive", "--limit-enum", "10"],
+    ["cca", "C4", "--set", "(1 2 3 4)", "--limit-enum", "3"],
+    ["triple", "search", "S5", "--subgroup", "setwise:4,5",
+     "--limit-enum", "13"],
+    ["triple", "search", "S5", "--subgroup", "point:5", "--limit-enum", "13"],
+    ["triple", "validate", "higman:n=8,seed=1", "--S", "g1,g2,g3,h1,h2,h3",
+     "--T", "g4,g5", "--tau", "h1", "--limit-enum", "10"],
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", LIMIT_PROBES,
+                             ids=lambda argv: " ".join(argv[:-2]))
+    def test_enum_limit_bounds_every_listing(self, capsys, argv):
+        assert main(argv) == EXIT_LIMIT
+        assert "limit exceeded" in capsys.readouterr().err
+        # the same command runs to completion under the default limit
+        assert main(argv[:-2]) == EXIT_OK
+
+    def test_internal_error_exit_4(self, capsys, monkeypatch):
+        def failing_crosscheck(G, triple, graph_limit):
+            raise tr.CrosscheckError("injected disagreement")
+
+        monkeypatch.setattr(tr, "crosscheck_prop22", failing_crosscheck)
+        rc = main(["triple", "search", "S5", "--subgroup", "setwise:4,5"])
+        assert rc == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err == "internal error: injected disagreement\n"
 
 
 class TestReproduceCommand:

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ccakit import groupzoo as gz
+from ccakit.fgroup import LimitExceeded
 from ccakit.higman import sample_params
 from ccakit.permcore import parse_cycles
 
@@ -176,6 +177,22 @@ class TestStabilizers:
         H = gz.setwise_stabilizer(S5, [3, 4])
         assert H.order() == 12
         assert all({g[3], g[4]} == {3, 4} for g in H.elements())
+
+    def test_subgroups_take_the_parent_enum_limit(self):
+        S5 = gz.construct("S5", enum_limit=13)
+        H = S5.point_stabilizer(4)
+        assert H.enum_limit == 13
+        with pytest.raises(LimitExceeded):
+            H.elements()                      # |S4| = 24 > 13
+        with pytest.raises(LimitExceeded):
+            gz.setwise_stabilizer(S5, [3, 4])
+        Q = gz.construct("higman:n=6,seed=1", enum_limit=10)
+        sub = Q.generated_subgroup(Q.generators())
+        assert sub.enum_limit == 10
+        with pytest.raises(LimitExceeded):
+            sub.elements()
+        with pytest.raises(LimitExceeded):
+            Q.elements()
 
 
 class TestNormalizers:
