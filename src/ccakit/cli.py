@@ -94,7 +94,7 @@ def _emit(report: dict, args) -> None:
         print(text if args.json else _render_text(report))
 
 
-def _render_text(report: dict, indent: str = "") -> str:
+def _render_text(report: dict) -> str:
     lines = []
 
     def walk(obj, pad):
@@ -113,26 +113,22 @@ def _render_text(report: dict, indent: str = "") -> str:
                 else:
                     lines.append(f"{pad}- {v}")
 
-    walk(report, indent)
+    walk(report, "")
     return "\n".join(lines)
 
 
-def _base_report(args, command: str) -> dict:
+def _base_report(command: str, **config) -> dict:
+    """Report head; config echoes the settings the command accepts."""
     return {
         "schema_version": rp.SCHEMA_VERSION,
         "command": command,
-        "config": {
-            "seed": args.seed,
-            "budget": args.budget,
-            "graph_limit": args.limit_graph,
-            "enum_limit": args.limit_enum,
-        },
+        "config": config,
     }
 
 
 def cmd_group(args) -> int:
     G = _construct(args)
-    report = _base_report(args, "group")
+    report = _base_report("group", enum_limit=args.limit_enum)
     degree = getattr(G, "degree", None)
     report["results"] = {
         "expr": args.expr,
@@ -147,7 +143,9 @@ def cmd_group(args) -> int:
 
 def cmd_cca(args) -> int:
     G = _construct(args)
-    report = _base_report(args, "cca")
+    report = _base_report("cca", budget=args.budget,
+                          graph_limit=args.limit_graph,
+                          enum_limit=args.limit_enum)
     if args.exhaustive:
         verdict = is_cca_group_exhaustive(G, args.budget)
         report["results"] = verdict.to_json_dict(G)
@@ -172,7 +170,9 @@ def cmd_cca(args) -> int:
 
 def cmd_triple(args) -> int:
     G = _construct(args)
-    report = _base_report(args, f"triple {args.action}")
+    report = _base_report(f"triple {args.action}",
+                          graph_limit=args.limit_graph,
+                          enum_limit=args.limit_enum)
     if args.action == "validate":
         if args.tau is None:
             raise CLIError("triple validate requires --tau")
@@ -187,11 +187,8 @@ def cmd_triple(args) -> int:
             raise CLIError(str(ex)) from ex
         report["results"] = trip.to_json_dict()
         if trip.valid and args.crosscheck:
-            if G.order() > args.limit_graph:
-                report["results"]["crosscheck"] = "skipped: over graph limit"
-            else:
-                rep = tr.crosscheck_prop22(G, trip, args.limit_graph)
-                report["results"]["crosscheck"] = rep.to_json_dict()
+            rep = tr.crosscheck_prop22(G, trip, args.limit_graph)
+            report["results"]["crosscheck"] = rep.to_json_dict()
     else:
         if not args.subgroup:
             raise CLIError("triple search requires --subgroup")
@@ -237,21 +234,29 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# Settings flags; each subcommand takes only those its handler reads.
+_FLAGS = {
+    "--budget": dict(type=int, default=2**20,
+                     help="connection sets an exhaustive sweep may examine"),
+    "--limit-enum": dict(type=int, default=DEFAULT_ENUM_LIMIT,
+                         help="max element count of any group or subgroup "
+                              "the command lists (exit 3 when exceeded)"),
+    "--limit-graph": dict(type=int, default=DEFAULT_GRAPH_LIMIT,
+                          help="max vertex count for graph construction "
+                               "(exit 3 when exceeded)"),
+    "--seed": dict(type=int, default=12345,
+                   help="seed for the randomized property suites"),
+    "--timing": dict(action="store_true",
+                     help="include wall-clock timing in the report"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit the full JSON report on stdout")
     p.add_argument("--out", metavar="FILE", help="write JSON report to FILE")
-    p.add_argument("--budget", type=int, default=2**20,
-                   help="connection-set budget for exhaustive verdicts")
-    p.add_argument("--limit-graph", type=int, default=DEFAULT_GRAPH_LIMIT,
-                   help="max vertex count for graph construction")
-    p.add_argument("--limit-enum", type=int, default=DEFAULT_ENUM_LIMIT,
-                   help="max element count of any group or subgroup the "
-                        "command lists (exit 3 when exceeded)")
-    p.add_argument("--seed", type=int, default=12345,
-                   help="seed for the randomized property suites")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall-clock timing in the report")
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group", help="construct a group and describe it")
     p.add_argument("expr", help="group expression, e.g. 'S5', 'PSL2(17)', "
                    "'C2 x D4', 'higman:n=6,seed=1'")
-    _add_common(p)
+    _add_flags(p, "--limit-enum")
     p.set_defaults(fn=cmd_group)
 
     p = sub.add_parser("cca", help="CCA verdict for a graph or a group")
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated connection set (inverses added)")
     p.add_argument("--exhaustive", action="store_true",
                    help="check every connected Cayley graph of the group")
-    _add_common(p)
+    _add_flags(p, "--limit-enum", "--limit-graph", "--budget")
     p.set_defaults(fn=cmd_cca)
 
     p = sub.add_parser("triple", help="validate or search non-CCA triples")
@@ -287,13 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "dihedral:M | gens:ELEMS (points 1-based)")
     p.add_argument("--crosscheck", action="store_true",
                    help="also verify the graph is connected and non-CCA")
-    _add_common(p)
+    _add_flags(p, "--limit-enum", "--limit-graph")
     p.set_defaults(fn=cmd_triple)
 
     p = sub.add_parser("reproduce", help="run the acceptance matrix")
     p.add_argument("--only", metavar="LIST",
                    help="comma-separated criteria, e.g. 'criterion_3' or '3,4'")
-    _add_common(p)
+    _add_flags(p, "--seed", "--budget", "--timing")
     p.set_defaults(fn=cmd_reproduce)
     return ap
 

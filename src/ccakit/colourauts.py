@@ -31,7 +31,7 @@ import itertools
 import sys
 from dataclasses import dataclass, field
 
-from .cayley import ColouredCayleyGraph, ConnectionSet, build
+from .cayley import ColouredCayleyGraph, ConnectionSet
 from .fgroup import FiniteGroup, LimitExceeded
 
 STAB1_ORACLE_MAX = 8
@@ -205,37 +205,38 @@ def _automorphism_violation(graph: ColouredCayleyGraph, alpha) -> tuple | None:
     return None
 
 
-def aut_pm1(group: FiniteGroup, conn: ConnectionSet,
-            graph: ColouredCayleyGraph | None = None) -> list[tuple]:
+def aut_pm1(graph: ColouredCayleyGraph) -> list[tuple]:
     """Automorphisms of G sending every s in S to s or s^-1.
 
-    S must generate G.  Such an automorphism fixes the identity and keeps
-    every colour, so it lies in stab1; conversely a stab1 element that is
-    a group automorphism sends s to s or s^-1.  aut_pm1 is therefore the
-    stab1 elements that pass the automorphism check, returned sorted as
-    index arrays over group.elements().
+    S must generate G, i.e. the graph must be connected.  Such an
+    automorphism fixes the identity and keeps every colour, so it lies in
+    stab1; conversely a stab1 element that is a group automorphism sends s
+    to s or s^-1.  aut_pm1 is therefore the stab1 elements that pass the
+    automorphism check, returned sorted as index arrays over the graph's
+    vertices (group.elements()).
     """
-    if graph is None:
-        graph = build(group, conn, graph_limit=10**9)
     if not graph.is_connected():
         raise ValueError("aut_pm1 requires S to generate G")
     return [a for a in stab1(graph).elements
             if _automorphism_violation(graph, a) is None]
 
 
-def right_regular_preserves_colours(graph: ColouredCayleyGraph,
-                                    exhaustive_max: int = 128) -> bool:
+RIGHT_REGULAR_CHECK_ALL_MAX = 128
+
+
+def right_regular_preserves_colours(graph: ColouredCayleyGraph) -> bool:
     """Check G_R <= Aut_c: every map v -> v*x preserves every colour class.
 
     rho_{xy} = rho_y o rho_x, so checking the maps of the group generators
-    covers all of G_R; small graphs are checked over every x regardless.
+    covers all of G_R; graphs of at most RIGHT_REGULAR_CHECK_ALL_MAX
+    vertices are checked over every x regardless.
     """
     g = graph.group
     elems = graph.elems
     idx = graph.index
     n = graph.n
     cn = graph.cn
-    xs = elems if n <= exhaustive_max else list(g.generators())
+    xs = elems if n <= RIGHT_REGULAR_CHECK_ALL_MAX else list(g.generators())
     for x in xs:
         rho = [idx[g.multiply(v, x)] for v in elems]
         for v in range(n):

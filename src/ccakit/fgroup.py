@@ -25,11 +25,12 @@ class LimitExceeded(Exception):
 
 
 def closure(identity: Any, gens: Iterable[Any], mul: Callable[[Any, Any], Any],
-            limit: int = DEFAULT_ENUM_LIMIT) -> list:
+            limit: int) -> list:
     """Breadth-first closure of ``gens`` under left multiplication.
 
     Returns every product exactly once, identity first, in a deterministic
-    order fixed by the generator list.
+    order fixed by the generator list; raises LimitExceeded past ``limit``
+    elements.
     """
     elems = [identity]
     seen = {identity}

@@ -334,19 +334,19 @@ def construct(expr: GroupExpr | str,
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
-    G = _build(expr)
+    G = _build(expr, enum_limit)
     G.enum_limit = enum_limit
     return G
 
 
-def _build(expr: GroupExpr) -> FiniteGroup:
+def _build(expr: GroupExpr, enum_limit: int) -> FiniteGroup:
     if expr.kind == "product":
-        factors = [construct(f) for f in expr.factors]
         perm_factors = []
-        for g in factors:
+        for f in expr.factors:
+            g = construct(f, enum_limit)
             if not isinstance(g, PermutationGroup):
                 from .higman import regular_representation
-                g = regular_representation(g.params)
+                g = regular_representation(g)
             perm_factors.append(g)
         out = perm_factors[0]
         for g in perm_factors[1:]:

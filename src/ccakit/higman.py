@@ -335,11 +335,13 @@ def theorem3_triple(params: HigmanParams):
     return G, triple
 
 
-def regular_representation(params: HigmanParams) -> PermutationGroup:
-    """Degree-2^n permutation group via the right-multiplication action."""
-    G = HigmanGroup(params)
+def regular_representation(G: HigmanGroup) -> PermutationGroup:
+    """Degree-2^n permutation group via the right-multiplication action.
+
+    Lists G's elements, so G's enum_limit bounds the construction.
+    """
     elems = G.elements()
-    idx = {x: i for i, x in enumerate(elems)}
+    idx = G.element_index()
     perms = [Permutation([idx[G.multiply(v, x)] for v in elems])
              for x in G.generators()]
     P = PermutationGroup(len(elems), perms)

@@ -244,15 +244,11 @@ class StabilizerChain:
         residue, _ = self._sift(p)
         return residue.is_identity()
 
-    def stabilizer_gens(self, levels: int = 1) -> list[Permutation]:
-        """Strong generators fixing the first `levels` base points."""
-        return self._level_gens(levels)
-
 
 class PermutationGroup(FiniteGroup):
     """Group of permutations of a fixed degree, given by generators."""
 
-    def __init__(self, degree: int, generators=(), base_hint=()):
+    def __init__(self, degree: int, generators=()):
         self.degree = degree
         seen = set()
         gens = []
@@ -265,7 +261,6 @@ class PermutationGroup(FiniteGroup):
                 seen.add(g)
                 gens.append(g)
         self._gens = gens
-        self._base_hint = tuple(base_hint)
         self._chain: StabilizerChain | None = None
 
     # -- FiniteGroup contract -----------------------------------------------
@@ -285,8 +280,7 @@ class PermutationGroup(FiniteGroup):
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self._gens,
-                                          self._base_hint)
+            self._chain = StabilizerChain(self.degree, self._gens)
         return self._chain
 
     def order(self) -> int:
@@ -321,7 +315,8 @@ class PermutationGroup(FiniteGroup):
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside degree {self.degree}")
         chain = StabilizerChain(self.degree, self._gens, base_hint=(point,))
-        return self.generated_subgroup(chain.stabilizer_gens(1))
+        # the strong generators fixing the first base point, `point`
+        return self.generated_subgroup(chain._level_gens(1))
 
     def __repr__(self) -> str:
         return (f"PermutationGroup(degree={self.degree}, "

@@ -3,7 +3,7 @@
 Each criterion_* function returns a plain dict with a "pass" flag and
 enough detail to audit the verdict.  run_suite assembles them into a
 report whose "results" subtree is byte-identical across runs with the same
-seed and limits.
+seed and budget.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def _alt_sym_triple(kind: str, n: int):
     return G, tr.validate_triple(G, S, [t], tau)
 
 
-def criterion_2(graph_registry: list | None = None) -> dict:
+def criterion_2(graph_registry: list) -> dict:
     rows = []
     ok = True
     for kind, n in [("A", 6), ("A", 7), ("A", 8), ("S", 6), ("S", 7)]:
@@ -88,8 +88,7 @@ def criterion_2(graph_registry: list | None = None) -> dict:
             rep = tr.crosscheck_prop22(G, trip)
             row["crosscheck"] = rep.to_json_dict()
             ok = ok and rep.ok
-            if graph_registry is not None:
-                graph_registry.append(("criterion_2:A6", rep.graph))
+            graph_registry.append(("criterion_2:A6", rep.graph))
         ok = ok and trip.valid
         rows.append(row)
 
@@ -109,8 +108,7 @@ def criterion_2(graph_registry: list | None = None) -> dict:
             rep = tr.crosscheck_prop22(S5, trip)
             row["crosscheck"] = rep.to_json_dict()
             ok = ok and rep.ok
-            if graph_registry is not None:
-                graph_registry.append(("criterion_2:S5", rep.graph))
+            graph_registry.append(("criterion_2:S5", rep.graph))
         any_valid = any_valid or trip.valid
         s5_rows.append(row)
     ok = ok and any_valid
@@ -121,11 +119,14 @@ def criterion_2(graph_registry: list | None = None) -> dict:
 # criterion 3: the 2-group family over n in {3..10}, 20 seeds each
 # ---------------------------------------------------------------------------
 
-def criterion_3(seeds: int = 20, crosscheck_max_n: int = 8) -> dict:
+CRITERION_3_SEEDS = 20
+
+
+def criterion_3() -> dict:
     rows = []
     ok = True
     for n in range(3, 11):
-        for seed in range(1, seeds + 1):
+        for seed in range(1, CRITERION_3_SEEDS + 1):
             params = hi.sample_params(n, seed)
             G, trip = hi.theorem3_triple(params)
             violations = hi.relation_audit(G)
@@ -138,15 +139,14 @@ def criterion_3(seeds: int = 20, crosscheck_max_n: int = 8) -> dict:
                 "triple_valid": trip.valid,
                 "index": trip.index,
             }
-            if n <= crosscheck_max_n:
-                rep = tr.crosscheck_prop22(G, trip)
-                entry["crosscheck"] = rep.to_json_dict()
-                entry_ok = entry_ok and rep.ok
+            rep = tr.crosscheck_prop22(G, trip)
+            entry["crosscheck"] = rep.to_json_dict()
+            entry_ok = entry_ok and rep.ok
             ok = ok and entry_ok
             if not entry_ok or seed == 1:
                 # keep the report small: first seed per n plus any failure
                 rows.append(entry)
-    return {"pass": ok, "n_range": [3, 10], "seeds_per_n": seeds,
+    return {"pass": ok, "n_range": [3, 10], "seeds_per_n": CRITERION_3_SEEDS,
             "sampled_rows": rows}
 
 
@@ -204,11 +204,11 @@ def criterion_5() -> dict:
 # criterion 6: both S_G(tau) forms agree; span contains all involutions
 # ---------------------------------------------------------------------------
 
-def criterion_6(max_order: int = 48) -> dict:
+def criterion_6() -> dict:
     rows = []
     ok = True
     checked = 0
-    for expr, G in gz.zoo_corpus(max_order):
+    for expr, G in gz.zoo_corpus(48):
         invs = G.involutions()
         group_ok = True
         for tau in invs:
@@ -228,17 +228,16 @@ def criterion_6(max_order: int = 48) -> dict:
 # criterion 7: |stab1| is a power of two on random connected graphs
 # ---------------------------------------------------------------------------
 
-def criterion_7(seed: int, count: int = 50, max_order: int = 64,
-                graph_registry: list | None = None) -> dict:
+def criterion_7(seed: int, graph_registry: list) -> dict:
     rng = random.Random(seed)
-    corpus = gz.zoo_corpus(max_order)
+    corpus = gz.zoo_corpus(64)
     class_lists = [
         ConnectionSet.from_elements(G, G.elements()[1:]).colour_classes()
         for _, G in corpus]
     rows = []
     ok = True
     made = 0
-    while made < count:
+    while made < 50:
         gi = rng.randrange(len(corpus))
         expr, G = corpus[gi]
         classes = class_lists[gi]
@@ -254,8 +253,7 @@ def criterion_7(seed: int, count: int = 50, max_order: int = 64,
                      "stab1_order": st.order,
                      "pass": _power_of_two(st.order)})
         ok = ok and _power_of_two(st.order)
-        if graph_registry is not None:
-            graph_registry.append((f"criterion_7:{made}:{expr}", graph))
+        graph_registry.append((f"criterion_7:{made}:{expr}", graph))
         made += 1
     return {"pass": ok, "seed": seed, "graphs": rows}
 
@@ -264,7 +262,7 @@ def criterion_7(seed: int, count: int = 50, max_order: int = 64,
 # criterion 8: stab1 equals the brute-force oracle on every tiny graph
 # ---------------------------------------------------------------------------
 
-def criterion_8(graph_registry: list | None = None) -> dict:
+def criterion_8(graph_registry: list) -> dict:
     rows = []
     ok = True
     total = 0
@@ -277,9 +275,7 @@ def criterion_8(graph_registry: list | None = None) -> dict:
             slow = stab1_oracle(graph).elements
             if fast != slow:
                 agree = False
-            if graph_registry is not None:
-                graph_registry.append(
-                    (f"criterion_8:{expr}:{n_graphs}", graph))
+            graph_registry.append((f"criterion_8:{expr}:{n_graphs}", graph))
         total += n_graphs
         rows.append({"group": expr, "connected_graphs": n_graphs,
                      "pass": agree})
@@ -291,16 +287,19 @@ def criterion_8(graph_registry: list | None = None) -> dict:
 # criterion 9: structural identities on every graph collected above
 # ---------------------------------------------------------------------------
 
-def _stab1_closed(elements: list[tuple], rng: random.Random,
-                  sample_cap: int = 1000) -> bool:
-    """Closure of stab1 under composition (full for small, sampled else)."""
+STAB1_CLOSURE_PAIRS = 1000
+
+
+def _stab1_closed(elements: list[tuple], rng: random.Random) -> bool:
+    """Closure of stab1 under composition: every pair when there are at
+    most STAB1_CLOSURE_PAIRS, else that many sampled pairs."""
     eset = set(elements)
     k = len(elements)
-    if k * k <= sample_cap:
+    if k * k <= STAB1_CLOSURE_PAIRS:
         pairs = [(a, b) for a in elements for b in elements]
     else:
         pairs = [(elements[rng.randrange(k)], elements[rng.randrange(k)])
-                 for _ in range(sample_cap)]
+                 for _ in range(STAB1_CLOSURE_PAIRS)]
     for a, b in pairs:
         comp = tuple(b[x] for x in a)       # apply a, then b
         if comp not in eset:
@@ -356,8 +355,8 @@ def _criteria_1_to_9(seed: int, budget: int) -> dict:
         "criterion_4": criterion_4,
         "criterion_5": criterion_5,
         "criterion_6": criterion_6,
-        "criterion_7": lambda: criterion_7(seed, graph_registry=registry),
-        "criterion_8": lambda: criterion_8(graph_registry=registry),
+        "criterion_7": lambda: criterion_7(seed, registry),
+        "criterion_8": lambda: criterion_8(registry),
         "criterion_9": lambda: criterion_9(registry, seed),
     }
 

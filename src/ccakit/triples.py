@@ -137,23 +137,19 @@ def _normalizes(G: FiniteGroup, H: FiniteGroup, x) -> bool:
     return all(G.conjugate(h, x) in hset for h in H.generators())
 
 
-def search_triple_subgroup_strategy(G: FiniteGroup, H: FiniteGroup,
-                                    tau_candidates=None,
-                                    ) -> NonCCATriple | None:
+def search_triple_subgroup_strategy(G: FiniteGroup,
+                                    H: FiniteGroup) -> NonCCATriple | None:
     """Search for a triple of the form (S_H(tau), {t}, tau).
 
-    tau ranges over the candidates (default: involutions of H in
-    enumeration order, then involutions of G normalizing H from outside);
-    t over square roots of tau in G outside <S u {tau}>.  The first fully
-    valid triple in this deterministic order wins.
+    tau ranges over the involutions of H in enumeration order, then the
+    involutions of G normalizing H from outside; t over square roots of
+    tau in G outside <S u {tau}>.  The first fully valid triple in this
+    deterministic order wins.
     """
-    if tau_candidates is None:
-        cands = list(H.involutions())
-        hset = H.element_set()
-        cands += [x for x in G.involutions()
-                  if x not in hset and _normalizes(G, H, x)]
-    else:
-        cands = list(tau_candidates)
+    cands = list(H.involutions())
+    hset = H.element_set()
+    cands += [x for x in G.involutions()
+              if x not in hset and _normalizes(G, H, x)]
 
     order_g = G.order()
     for tau in cands:

@@ -53,6 +53,10 @@ def test_criterion_03_higman_family(suite_report):
     _announce("criterion 3 (2-group family)", r)
     assert r["pass"]
     assert r["seeds_per_n"] == 20
+    # every n is cross-checked on its graph, not only n <= 8
+    assert sorted(row["n"] for row in r["sampled_rows"]) == list(range(3, 11))
+    for row in r["sampled_rows"]:
+        assert row["crosscheck"]["ok"] is True, row["n"]
     # closed form vs the literal word-rewriting collector, >=100 random
     # products for every instance in the same n/seed grid
     for n in range(3, 11):

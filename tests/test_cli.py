@@ -1,7 +1,14 @@
+import argparse
+import ast
+import inspect
 import json
+import re
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from ccakit import cli
 from ccakit import groupzoo as gz
 from ccakit import triples as tr
 from ccakit.cli import (
@@ -10,8 +17,11 @@ from ccakit.cli import (
     EXIT_LIMIT,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_json(capsys, argv):
@@ -156,6 +166,16 @@ class TestExitCodes:
         # the same command runs to completion under the default limit
         assert main(argv[:-2]) == EXIT_OK
 
+    def test_crosscheck_over_graph_limit_exit_3(self, capsys):
+        argv = ["triple", "validate", "higman:n=8,seed=1",
+                "--S", "g1,g2,g3,h1,h2,h3", "--T", "g4,g5", "--tau", "h1",
+                "--crosscheck"]
+        assert main(argv + ["--limit-graph", "100"]) == EXIT_LIMIT
+        assert "graph limit 100" in capsys.readouterr().err
+        rc, rep = run_json(capsys, argv)
+        assert rc == EXIT_OK
+        assert rep["results"]["crosscheck"]["ok"] is True
+
     def test_internal_error_exit_4(self, capsys, monkeypatch):
         def failing_crosscheck(G, triple, graph_limit):
             raise tr.CrosscheckError("injected disagreement")
@@ -200,3 +220,84 @@ class TestReproduceCommand:
         rc, rep = run_json(capsys, ["reproduce", "--only", "criterion_4",
                                     "--seed", "7"])
         assert rep["config"]["seed"] == 7
+
+
+def subcommands() -> dict:
+    ap = build_parser()
+    action = next(a for a in ap._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def args_read(fn) -> set:
+    """Attributes of `args` that fn reads, following the cli functions it
+    passes args to.  A read inside a _base_report call only echoes the
+    value into the report's config, so it does not count."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    echoed = {id(node)
+              for call in ast.walk(tree)
+              if isinstance(call, ast.Call)
+              and getattr(call.func, "id", None) == "_base_report"
+              for node in ast.walk(call)}
+    reads = set()
+    for node in ast.walk(tree):
+        if id(node) in echoed:
+            continue
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"):
+            reads.add(node.attr)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and any(isinstance(a, ast.Name) and a.id == "args"
+                        for a in node.args)):
+            reads |= args_read(getattr(cli, node.func.id))
+    return reads
+
+
+class TestFlags:
+    @pytest.mark.parametrize("name", sorted(subcommands()))
+    def test_every_flag_is_read(self, name):
+        parser = subcommands()[name]
+        accepted = {a.dest for a in parser._actions if a.dest != "help"}
+        assert accepted <= args_read(parser.get_default("fn"))
+
+    @pytest.mark.parametrize("argv", [
+        ["group", "S4", "--seed", "3"],
+        ["group", "S4", "--timing"],
+        ["cca", "S4", "--exhaustive", "--seed", "1"],
+        ["triple", "search", "S5", "--subgroup", "point:5", "--budget", "3"],
+        ["reproduce", "--only", "4", "--limit-enum", "10"],
+    ], ids=" ".join)
+    def test_removed_flag_is_usage_error(self, capsys, argv):
+        assert main(argv) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_lists_each_commands_flags(self):
+        text = README.read_text()
+        section = text.split("Flags by command", 1)[1].split("\n\n", 2)[1]
+        listed = {}
+        for item in re.split(r"^- ", section, flags=re.M)[1:]:
+            command = re.match(r"`(\w+)", item).group(1)
+            listed[command] = set(re.findall(r"--[\w-]+", item))
+        accepted = {
+            name: {s for a in parser._actions for s in a.option_strings}
+            - {"-h", "--help"}
+            for name, parser in subcommands().items()}
+        # every command takes --json and --out, listed once above the list
+        assert listed == {name: flags - {"--json", "--out"}
+                          for name, flags in accepted.items()}
+        assert all({"--json", "--out"} <= flags
+                   for flags in accepted.values())
+
+    @pytest.mark.parametrize("argv,config", [
+        (["group", "S4"], {"enum_limit"}),
+        (["cca", "C4", "--set", "(1 2 3 4)"],
+         {"budget", "graph_limit", "enum_limit"}),
+        (["triple", "search", "S5", "--subgroup", "setwise:4,5"],
+         {"graph_limit", "enum_limit"}),
+        (["reproduce", "--only", "4"], {"seed", "budget", "only"}),
+    ], ids=["group", "cca", "triple", "reproduce"])
+    def test_config_echoes_the_accepted_settings(self, capsys, argv, config):
+        rc, rep = run_json(capsys, argv)
+        assert rc == EXIT_OK
+        assert set(rep["config"]) == config

@@ -183,19 +183,19 @@ class TestAutPm1:
             G = gz.cyclic_group(n)
             g = G.generators()[0]
             conn = ConnectionSet.from_elements(G, [g], close_inverses=True)
-            assert len(aut_pm1(G, conn)) == 2
+            assert len(aut_pm1(build(G, conn))) == 2
 
     def test_s3_transpositions(self):
         G = gz.symmetric_group(3)
         ts = [x for x in G.elements() if G.is_involution(x)]
         conn = ConnectionSet.from_elements(G, ts)
-        assert len(aut_pm1(G, conn)) == 1
+        assert len(aut_pm1(build(G, conn))) == 1
 
     def test_q8_order_four(self):
         G = HigmanGroup(quaternion_params())
         conn = ConnectionSet.from_elements(G, [G.g(1), G.g(2)],
                                            close_inverses=True)
-        assert len(aut_pm1(G, conn)) == 4
+        assert len(aut_pm1(build(G, conn))) == 4
 
     def test_against_bruteforce_automorphisms(self):
         for expr in ["C4", "C5", "C6", "S3", "C2 x C2",
@@ -211,14 +211,14 @@ class TestAutPm1:
                     a for a in autos
                     if all(a[i] in (i, idx[G.invert(elems[i])])
                            for i in sidx))
-                assert aut_pm1(G, conn, graph) == expected, expr
+                assert aut_pm1(graph) == expected, expr
 
     def test_requires_generating_set(self):
         G = gz.symmetric_group(3)
         t = G.elem_parse("(1 2)")
         conn = ConnectionSet.from_elements(G, [t])
         with pytest.raises(ValueError):
-            aut_pm1(G, conn)
+            aut_pm1(build(G, conn))
 
     def test_restriction_lies_in_stab1(self):
         for expr in ["C6", "S3", "D4", "higman:n=3,seed=1"]:
@@ -232,7 +232,7 @@ class TestAutPm1:
         for expr, G in gz.zoo_corpus(12):
             for graph in ConnectedClassGraphs(G):
                 want = aut_pm1_by_sign_choices(graph)
-                assert aut_pm1(G, graph.conn, graph) == want, expr
+                assert aut_pm1(graph) == want, expr
                 assert is_cca_graph(graph).aut_pm1_order == len(want), expr
 
     def test_matches_sign_choice_search_14_pair_classes(self):
@@ -244,7 +244,7 @@ class TestAutPm1:
             G, [s for cls in pairs for s in cls]))
         assert graph.is_connected() and len(graph.colours) == 14
         want = aut_pm1_by_sign_choices(graph)
-        assert aut_pm1(G, graph.conn, graph) == want
+        assert aut_pm1(graph) == want
         assert is_cca_graph(graph).aut_pm1_order == len(want)
 
 
@@ -278,7 +278,7 @@ class TestAutomorphismCheck:
                     == automorphism_violation_by_multiply(graph, alpha))
         want = aut_pm1_by_sign_choices(graph)
         assert len(want) == aut_pm1_order
-        assert aut_pm1(graph.group, graph.conn, graph) == want
+        assert aut_pm1(graph) == want
 
 
 class TestConnectedClassGraphs:

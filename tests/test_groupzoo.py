@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from ccakit import fgroup
 from ccakit import groupzoo as gz
 from ccakit.fgroup import LimitExceeded
-from ccakit.higman import sample_params
+from ccakit.higman import HigmanGroup, sample_params
 from ccakit.permcore import parse_cycles
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -193,6 +194,30 @@ class TestStabilizers:
             sub.elements()
         with pytest.raises(LimitExceeded):
             Q.elements()
+
+    def test_product_factors_obey_the_enum_limit(self, monkeypatch):
+        listed = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                listed.append(len(out))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(fgroup, "closure", spy(fgroup.closure))
+        monkeypatch.setattr(HigmanGroup, "elements",
+                            spy(HigmanGroup.elements))
+        with pytest.raises(LimitExceeded):
+            gz.construct("C2 x higman:n=12,seed=1", enum_limit=10)
+        assert all(n <= 10 for n in listed), listed
+
+    @pytest.mark.parametrize("expr,order", [("C2 x higman:n=4,seed=1", 32),
+                                            ("Q8 x C3", 24)])
+    def test_product_at_the_limit_is_unchanged(self, expr, order):
+        G = gz.construct(expr, enum_limit=order)
+        assert G.generators() == gz.construct(expr).generators()
+        assert len(G.elements()) == order
 
 
 class TestNormalizers:

@@ -254,7 +254,7 @@ class TestTheoremTriple:
 
 class TestRegularRepresentation:
     def test_q8_pattern(self):
-        P = regular_representation(quaternion_params())
+        P = regular_representation(HigmanGroup(quaternion_params()))
         assert P.degree == 8
         assert P.order() == 8
         # transitive: the orbit of point 0 is everything
@@ -271,14 +271,14 @@ class TestRegularRepresentation:
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_order_matches(self, n):
-        P = regular_representation(sample_params(n, 6))
+        P = regular_representation(HigmanGroup(sample_params(n, 6)))
         assert P.order() == 2 ** n
         assert P.degree == 2 ** n
 
     def test_isomorphic_multiplication(self):
         params = sample_params(4, 2)
         G = HigmanGroup(params)
-        P = regular_representation(params)
+        P = regular_representation(G)
         elems = G.elements()
         idx = {x: i for i, x in enumerate(elems)}
 

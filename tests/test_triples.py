@@ -142,13 +142,6 @@ class TestSearch:
         H = G.point_stabilizer(0)
         assert search_triple_subgroup_strategy(G, H) is None
 
-    def test_explicit_tau_candidates(self):
-        G = gz.alternating_group(6)
-        H = G.point_stabilizer(0)
-        tau = parse_cycles("(3 5)(4 6)", 6)
-        trip = search_triple_subgroup_strategy(G, H, tau_candidates=[tau])
-        assert trip is not None and trip.tau == tau
-
 
 class TestSquareRoots:
     def test_c4(self):
