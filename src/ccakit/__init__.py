@@ -19,6 +19,7 @@ from .colourauts import (
     CCAVerdict,
     GroupCCAVerdict,
     aut_pm1,
+    enumerate_stab1,
     is_cca_graph,
     is_cca_group_exhaustive,
     stab1,

@@ -201,9 +201,8 @@ def cmd_triple(args) -> int:
             report["results"] = {"found": True,
                                  "subgroup_order": H.order()}
             report["results"].update(trip.to_json_dict())
-            if G.order() <= args.limit_graph:
-                rep = tr.crosscheck_prop22(G, trip, args.limit_graph)
-                report["results"]["crosscheck"] = rep.to_json_dict()
+            rep = tr.crosscheck_prop22(G, trip, args.limit_graph)
+            report["results"]["crosscheck"] = rep.to_json_dict()
     _emit(report, args)
     return EXIT_OK
 

@@ -3,11 +3,20 @@
 For a connected coloured Cayley graph the full colour-preserving group
 Aut_c is transitive (it contains the right-regular representation), so
 |Aut_c| = |G| * |stab1| where stab1 is the stabilizer of the identity
-vertex.  stab1 is computed by depth-first assignment along a BFS spanning
-tree: at a tree edge of colour {s, s^-1} the image of the new vertex must
-be an {s, s^-1}-neighbour of the image of its parent, and every edge back
-into the assigned region prunes the branch.  The graph is CCA exactly when
-every stab1 element acts as a group automorphism.
+vertex.  The graph is CCA exactly when every stab1 element acts as a group
+automorphism; stab1 is a group, so checking its generators is enough.
+
+stab1 is searched by depth-first assignment along a BFS spanning tree: at a
+tree edge of colour {s, s^-1} the image of the new vertex must be an
+{s, s^-1}-neighbour of the image of its parent.  With the BFS order as
+base, each basic orbit therefore has size 1 or 2.  stab1 keeps the
+identity on the base and unwinds it deepest level first; one
+first-solution search per level finds a strong generator or proves the
+orbit trivial (Sims 1970; Seress, Permutation Group Algorithms, ch. 4), so
+|stab1| = 2^m for m generators.  The order matters: on the PSL(2, 17)
+dihedral:16 triple graph the shallowest search alone runs past 150 s on a
+2-core machine, the deepest takes 5 ms.  enumerate_stab1 lists every
+element, as an oracle.
 
 The automorphism check needs no group arithmetic.  A stab1 element alpha
 fixes vertex 0 and preserves colours, and vertex s is the {s, s^-1}-
@@ -15,10 +24,8 @@ neighbour s * 1 of vertex 0, so alpha(s) is s or s^-1.  The row of
 alpha(s) is therefore already one of the graph's left-multiplication rows,
 and alpha is a group automorphism exactly when alpha(s * v) =
 alpha(s) * alpha(v) holds as alpha[row[v]] == arow[alpha[v]] for every s
-in S and every vertex v (S generates G).  The stab1 elements that pass
-are exactly aut_pm1, the automorphisms of G sending every s to s or s^-1
-(such an automorphism fixes 1 and keeps colours, so it lies in stab1), and
-one pass over stab1 gives both the verdict and |aut_pm1|.
+in S and every vertex v (S generates G).  The stab1 elements that pass are
+exactly aut_pm1, the automorphisms of G sending every s to s or s^-1.
 
 There is one decision path.  is_cca_graph decides a single graph;
 the exhaustive group verdict is is_cca_graph applied to every graph that
@@ -28,163 +35,200 @@ ConnectedClassGraphs yields.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cayley import ColouredCayleyGraph, ConnectionSet
-from .fgroup import FiniteGroup, LimitExceeded
+from .fgroup import DEFAULT_ENUM_LIMIT, FiniteGroup, LimitExceeded, closure
 
 STAB1_ORACLE_MAX = 8
 
 
-@dataclass
-class VertexStabilizer:
-    """All colour-preserving automorphisms fixing the identity vertex."""
+class _MapSearch:
+    """A partial colour-preserving vertex map fixing vertex 0, grown along
+    the BFS base (so the graph must be connected).
 
-    elements: list = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def order_is_power_of_two(self) -> bool:
-        n = self.order
-        return n >= 1 and (n & (n - 1)) == 0
-
-
-def _iter_stab1(graph: ColouredCayleyGraph):
-    """Yield colour-preserving vertex bijections fixing vertex 0.
-
-    The search assigns vertices along the graph's BFS spanning tree, so the
-    graph must be connected.
-
-    Every assignment is propagated to a fixpoint before branching: an
-    involution-class edge forces the image of the far endpoint, and a
-    pair-class edge forces the partner vertex onto the remaining target
-    once one member is placed.  c-adjacency is symmetric (the class is
+    Every assignment is propagated to a fixpoint, and every edge back into
+    the assigned region prunes.  c-adjacency is symmetric (the class is
     inverse-closed), so processing each vertex once when it is assigned
     checks every edge constraint from at least one side.
     """
-    n = graph.n
-    cn = graph.cn
-    order, parent = graph.bfs_order()
-    if len(order) != n:
-        raise ValueError("stab1 requires a connected graph")
-    ncolours = len(cn[0]) if n else 0
-    alpha = [-1] * n
-    used = [False] * n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 1000))
 
-    def propagate(queue: list[int], trail: list[int]) -> bool:
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            cnv = cn[v]
-            cna = cn[alpha[v]]
-            for c in range(ncolours):
-                nv = cnv[c]
-                na = cna[c]
+    def __init__(self, graph: ColouredCayleyGraph):
+        self.n = graph.n
+        self.cn = graph.cn
+        self.order, self.parent = graph.bfs_order()
+        if len(self.order) != self.n:
+            raise ValueError("stab1 requires a connected graph")
+        self.alpha = [-1] * self.n
+        self.used = [False] * self.n
+        self.assign(0, 0)
+
+    def assign(self, w: int, target: int) -> list[int] | None:
+        """Map w to target and propagate: the vertices assigned (the
+        trail), or None, with the map unchanged, on a conflict."""
+        trail = [w]
+        if not self.used[target]:
+            self.alpha[w] = target
+            self.used[target] = True
+            if self._propagate(trail):
+                return trail
+            self.undo(trail)
+        return None
+
+    def _propagate(self, trail: list[int]) -> bool:
+        alpha, used, cn = self.alpha, self.used, self.cn
+        for v in trail:             # the trail grows as vertices are forced
+            for nv, na in zip(cn[v], cn[alpha[v]]):
                 if len(nv) == 1:
                     u = nv[0]
                     tgt = na[0]
-                    au = alpha[u]
-                    if au == -1:
-                        if used[tgt]:
-                            return False
-                        alpha[u] = tgt
-                        used[tgt] = True
-                        trail.append(u)
-                        queue.append(u)
-                    elif au != tgt:
-                        return False
                 else:
+                    # one placed member of the pair forces the other
                     u1, u2 = nv
-                    t1, t2 = na
-                    a1 = alpha[u1]
-                    a2 = alpha[u2]
-                    if a1 != -1 and a2 != -1:
-                        if not ((a1 == t1 and a2 == t2)
-                                or (a1 == t2 and a2 == t1)):
-                            return False
-                    elif a1 != -1 or a2 != -1:
-                        if a1 != -1:
-                            known, free = a1, u2
-                        else:
-                            known, free = a2, u1
-                        if known == t1:
-                            tgt = t2
-                        elif known == t2:
-                            tgt = t1
-                        else:
-                            return False
-                        if used[tgt]:
-                            return False
-                        alpha[free] = tgt
-                        used[tgt] = True
-                        trail.append(free)
-                        queue.append(free)
+                    if alpha[u2] != -1:
+                        known, u = alpha[u2], u1
+                    elif alpha[u1] != -1:
+                        known, u = alpha[u1], u2
+                    else:
+                        continue
+                    if known == na[0]:
+                        tgt = na[1]
+                    elif known == na[1]:
+                        tgt = na[0]
+                    else:
+                        return False
+                if alpha[u] != -1:
+                    if alpha[u] != tgt:
+                        return False
+                elif used[tgt]:
+                    return False
+                else:
+                    alpha[u] = tgt
+                    used[tgt] = True
+                    trail.append(u)
         return True
 
-    def search(start_k: int):
-        k = start_k
-        while k < n and alpha[order[k]] != -1:
-            k += 1
-        if k == n:
-            yield tuple(alpha)
-            return
-        w = order[k]
-        v, c = parent[w]
-        # try the identity-consistent image first: the DFS then reaches the
-        # identity map without backtracking and explores deviations from the
-        # deepest branch points outward, where subtrees are smallest
-        for cand in sorted(cn[alpha[v]][c], key=lambda x: x != w):
-            if used[cand]:
-                continue
-            trail = [w]
-            alpha[w] = cand
-            used[cand] = True
-            if propagate([w], trail):
-                yield from search(k + 1)
-            for u in trail:
-                used[alpha[u]] = False
-                alpha[u] = -1
+    def undo(self, trail: list[int]) -> None:
+        for u in trail:
+            self.used[self.alpha[u]] = False
+            self.alpha[u] = -1
 
-    trail = [0]
-    alpha[0] = 0
-    used[0] = True
-    try:
-        if propagate([0], trail):
-            yield from search(1)
-    finally:
-        # search reaches itself through its closure cell; emptying the cell
-        # breaks that cycle, so cn and the search state are freed when the
-        # generator ends rather than at some later cyclic collection
-        del search
+    def completions(self, k: int):
+        """Yield every completion of the map, branching from base level k.
+
+        An explicit-stack DFS that tries the identity-consistent image
+        first at each branch point.  The map is restored when the
+        generator ends or is closed.
+        """
+        alpha, order = self.alpha, self.order
+        stack: list[list] = []    # branch points: [level, untried, trail]
+        try:
+            while True:
+                while k < self.n and alpha[order[k]] != -1:
+                    k += 1
+                if k == self.n:
+                    yield tuple(alpha)
+                else:
+                    w = order[k]
+                    v, c = self.parent[w]
+                    stack.append([k, sorted(self.cn[alpha[v]][c],
+                                            key=lambda x: x != w), []])
+                while stack:        # next image at the deepest branch point
+                    frame = stack[-1]
+                    self.undo(frame[2])
+                    frame[2] = []
+                    while frame[1] and not frame[2]:
+                        frame[2] = self.assign(order[frame[0]],
+                                               frame[1].pop(0)) or []
+                    if frame[2]:
+                        k = frame[0] + 1
+                        break
+                    stack.pop()
+                else:
+                    return
+        finally:
+            for frame in stack:
+                self.undo(frame[2])
+
+
+def enumerate_stab1(graph: ColouredCayleyGraph) -> list[tuple]:
+    """Every element of stab1, as sorted vertex maps (the search oracle)."""
+    return sorted(_MapSearch(graph).completions(1))
+
+
+def _strong_generators(graph: ColouredCayleyGraph):
+    """Yield strong generators of stab1 along the BFS base, deepest first.
+
+    The identity is assigned level by level, keeping each level's trail.
+    Unwinding from the deepest level, each trail is undone and the level's
+    base point sent to its other same-colour neighbour; the first
+    completion found, if any, is the level's generator.
+    """
+    search = _MapSearch(graph)
+    levels = []
+    for k, w in enumerate(search.order):
+        if search.alpha[w] == -1:       # the identity never conflicts
+            levels.append((k, search.assign(w, w)))
+    for k, trail in reversed(levels):
+        search.undo(trail)
+        w = search.order[k]
+        v, c = search.parent[w]
+        for cand in search.cn[v][c]:
+            branch = search.assign(w, cand) if cand != w else None
+            if branch is not None:
+                completions = search.completions(k + 1)
+                generator = next(completions, None)
+                completions.close()
+                search.undo(branch)
+                if generator is not None:
+                    yield generator
+
+
+@dataclass
+class VertexStabilizer:
+    """stab1 as a group given by strong generators along the BFS base.
+
+    Each basic orbit has size 1 or 2 and contributes at most one
+    generator, so the order is 2^m for m generators.
+    """
+
+    n: int
+    generators: list = field(repr=False)
+
+    @property
+    def order(self) -> int:
+        return 2 ** len(self.generators)
+
+    @cached_property
+    def elements(self) -> list[tuple]:
+        """The group the generators generate, as sorted vertex maps."""
+        return sorted(closure(tuple(range(self.n)), self.generators,
+                              lambda g, a: tuple(map(g.__getitem__, a)),
+                              DEFAULT_ENUM_LIMIT))
 
 
 def stab1(graph: ColouredCayleyGraph) -> VertexStabilizer:
-    """Identity-vertex stabilizer of Aut_c, as sorted explicit vertex maps."""
-    return VertexStabilizer(sorted(_iter_stab1(graph)))
+    """Identity-vertex stabilizer of Aut_c, by strong generators."""
+    return VertexStabilizer(graph.n, list(_strong_generators(graph)))
 
 
-def stab1_oracle(graph: ColouredCayleyGraph) -> VertexStabilizer:
+def preserves_colours(graph: ColouredCayleyGraph, alpha) -> bool:
+    """Whether the vertex map alpha keeps every coloured edge."""
+    cn = graph.cn
+    return all(alpha[u] in cn[alpha[v]][c]
+               for v in range(graph.n)
+               for c, nbrs in enumerate(cn[v])
+               for u in nbrs)
+
+
+def stab1_oracle(graph: ColouredCayleyGraph) -> list[tuple]:
     """Anti-drift oracle: filter all (n-1)! bijections fixing vertex 0."""
-    n = graph.n
-    if n > STAB1_ORACLE_MAX:
+    if graph.n > STAB1_ORACLE_MAX:
         raise LimitExceeded(
             f"stab1_oracle limited to {STAB1_ORACLE_MAX} vertices")
-    cn = graph.cn
-    ncolours = len(graph.colours)
-    out = []
-    for rest in itertools.permutations(range(1, n)):
-        alpha = (0,) + rest
-        if all(alpha[u] in cn[alpha[v]][c]
-               for v in range(n)
-               for c in range(ncolours)
-               for u in cn[v][c]):
-            out.append(alpha)
-    return VertexStabilizer(sorted(out))
+    maps = ((0,) + rest for rest in itertools.permutations(range(1, graph.n)))
+    return [alpha for alpha in maps if preserves_colours(graph, alpha)]
 
 
 def _automorphism_violation(graph: ColouredCayleyGraph, alpha) -> tuple | None:
@@ -206,19 +250,47 @@ def _automorphism_violation(graph: ColouredCayleyGraph, alpha) -> tuple | None:
 
 
 def aut_pm1(graph: ColouredCayleyGraph) -> list[tuple]:
-    """Automorphisms of G sending every s in S to s or s^-1.
+    """Automorphisms of G sending every s in S to s or s^-1, sorted, as
+    index arrays over the graph's vertices.  S must generate G.
 
-    S must generate G, i.e. the graph must be connected.  Such an
-    automorphism fixes the identity and keeps every colour, so it lies in
-    stab1; conversely a stab1 element that is a group automorphism sends s
-    to s or s^-1.  aut_pm1 is therefore the stab1 elements that pass the
-    automorphism check, returned sorted as index arrays over the graph's
-    vertices (group.elements()).
+    Colour classes are picked while they enlarge the subgroup the picked
+    ones generate, at most log2|G| of them.  Each choice of s or s^-1 for
+    each picked representative fixes a map along a spanning tree of their
+    rows; the maps that keep every class at vertex 0 and pass the
+    automorphism check are homomorphisms onto a subgroup containing S.
     """
     if not graph.is_connected():
         raise ValueError("aut_pm1 requires S to generate G")
-    return [a for a in stab1(graph).elements
-            if _automorphism_violation(graph, a) is None]
+    picked: list = []
+    tree: list = []       # (u, v, i): u = s_i * v, s_i the i-th picked rep
+    reached = {0}
+    for rows in graph.left_rows:
+        if rows[0][0] in reached:
+            continue
+        picked.append(rows)
+        reached = {0}
+        tree = []
+        queue = [0]
+        for v in queue:
+            for i, prow in enumerate(picked):
+                u = prow[0][v]
+                if u not in reached:
+                    reached.add(u)
+                    tree.append((u, v, i))
+                    queue.append(u)
+        if len(reached) == graph.n:
+            break
+    members = [{row[0] for row in rows} for rows in graph.left_rows]
+    out = []
+    for images in itertools.product(*picked):
+        phi = [0] * graph.n
+        for u, v, i in tree:
+            phi[u] = images[i][phi[v]]
+        if (all(phi[row[0]] in m
+                for rows, m in zip(graph.left_rows, members) for row in rows)
+                and _automorphism_violation(graph, phi) is None):
+            out.append(tuple(phi))
+    return sorted(out)
 
 
 RIGHT_REGULAR_CHECK_ALL_MAX = 128
@@ -234,29 +306,21 @@ def right_regular_preserves_colours(graph: ColouredCayleyGraph) -> bool:
     g = graph.group
     elems = graph.elems
     idx = graph.index
-    n = graph.n
-    cn = graph.cn
-    xs = elems if n <= RIGHT_REGULAR_CHECK_ALL_MAX else list(g.generators())
-    for x in xs:
-        rho = [idx[g.multiply(v, x)] for v in elems]
-        for v in range(n):
-            rv = cn[rho[v]]
-            for c, nbrs in enumerate(cn[v]):
-                target = rv[c]
-                if any(rho[u] not in target for u in nbrs):
-                    return False
-    return True
+    xs = elems if graph.n <= RIGHT_REGULAR_CHECK_ALL_MAX else list(
+        g.generators())
+    return all(preserves_colours(graph, [idx[g.multiply(v, x)]
+                                         for v in elems])
+               for x in xs)
 
 
 @dataclass
 class CCAVerdict:
     """Per-graph CCA verdict with order diagnostics.
 
-    stab1_order and autc_order are None when the decision was streamed and
-    stopped at a witness before the (possibly enormous) stabilizer was
-    fully generated; stab1_checked counts the elements generated.
-    aut_pm1_order and stab1 (the stabilizer itself, not serialised) are
-    None whenever the stabilizer was streamed.
+    stab1_checked counts the strong generators examined, up to the first
+    that is not a group automorphism (the witness).  generators (not
+    serialised) and aut_pm1_order are None when the generators were
+    streamed, and so are stab1_order and autc_order unless it is CCA.
     """
 
     is_cca: bool
@@ -266,7 +330,7 @@ class CCAVerdict:
     stab1_checked: int = 0
     aut_pm1_order: int | None = None
     witness: tuple | None = None      # violating vertex map, if any
-    stab1: VertexStabilizer | None = field(default=None, repr=False)
+    generators: list | None = field(default=None, repr=False)
 
     def to_json_dict(self, graph: ColouredCayleyGraph) -> dict:
         g = graph.group
@@ -288,38 +352,37 @@ def is_cca_graph(graph: ColouredCayleyGraph,
                  full_stab: bool = True) -> CCAVerdict:
     """Decide whether a connected coloured Cayley graph is CCA.
 
-    With full_stab the whole vertex stabilizer is materialized and every
-    element checked in sorted order: the witness is the first violating
-    element, and the elements that pass are aut_pm1 (see aut_pm1), so the
-    verdict carries exact stab1, Aut_c and aut_pm1 orders.  Without it the
-    stabilizer is streamed in search order and the decision stops at the
-    first non-automorphism; a far-from-CCA graph can have a stabilizer far
-    too large to list, but its first few elements already contain a
-    witness.
+    It is CCA exactly when every strong generator of stab1 is a group
+    automorphism; the witness is the first that is not.  With full_stab
+    every generator is found first and the verdict carries exact orders
+    (|aut_pm1| = |stab1| when CCA).  Without it the generators are
+    streamed and the decision stops at the witness, usually the first.
     """
     if not graph.is_connected():
         raise ValueError("is_cca_graph requires a connected graph")
     st = stab1(graph) if full_stab else None
     witness = None
-    checked = passed = 0
-    for alpha in st.elements if st is not None else _iter_stab1(graph):
+    checked = 0
+    for alpha in st.generators if full_stab else _strong_generators(graph):
         checked += 1
-        if _automorphism_violation(graph, alpha) is None:
-            passed += 1
-        elif witness is None:
+        if _automorphism_violation(graph, alpha) is not None:
             witness = alpha
-            if st is None:
-                break
-    stab_order = checked if st is not None or witness is None else None
+            break
+    if full_stab:
+        stab_order = st.order
+        apm1_order = stab_order if witness is None else len(aut_pm1(graph))
+    else:
+        stab_order = 2 ** checked if witness is None else None
+        apm1_order = None
     return CCAVerdict(
         is_cca=witness is None,
         connected=True,
         stab1_order=stab_order,
         autc_order=graph.n * stab_order if stab_order is not None else None,
         stab1_checked=checked,
-        aut_pm1_order=passed if st is not None else None,
+        aut_pm1_order=apm1_order,
         witness=witness,
-        stab1=st,
+        generators=st.generators if full_stab else None,
     )
 
 

@@ -18,8 +18,11 @@ from . import triples as tr
 from .cayley import ConnectionSet, build
 from .colourauts import (
     ConnectedClassGraphs,
+    VertexStabilizer,
+    enumerate_stab1,
     is_cca_graph,
     is_cca_group_exhaustive,
+    preserves_colours,
     right_regular_preserves_colours,
     stab1,
     stab1_oracle,
@@ -33,10 +36,6 @@ CRITERIA = [f"criterion_{i}" for i in range(1, 11)]
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +224,8 @@ def criterion_6() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# criterion 7: |stab1| is a power of two on random connected graphs
+# criterion 7: |stab1| is a power of two on random connected graphs: the
+# enumerated stab1 has the 2^m elements its m strong generators promise
 # ---------------------------------------------------------------------------
 
 def criterion_7(seed: int, graph_registry: list) -> dict:
@@ -249,17 +249,18 @@ def criterion_7(seed: int, graph_registry: list) -> dict:
         if not graph.is_connected():
             continue
         st = stab1(graph)
+        row_ok = len(enumerate_stab1(graph)) == st.order
         rows.append({"group": expr, "S_size": len(S),
-                     "stab1_order": st.order,
-                     "pass": _power_of_two(st.order)})
-        ok = ok and _power_of_two(st.order)
+                     "stab1_order": st.order, "pass": row_ok})
+        ok = ok and row_ok
         graph_registry.append((f"criterion_7:{made}:{expr}", graph))
         made += 1
     return {"pass": ok, "seed": seed, "graphs": rows}
 
 
 # ---------------------------------------------------------------------------
-# criterion 8: stab1 equals the brute-force oracle on every tiny graph
+# criterion 8: stab1, both enumerated and generated from its strong
+# generators, equals the brute-force oracle on every tiny graph
 # ---------------------------------------------------------------------------
 
 def criterion_8(graph_registry: list) -> dict:
@@ -271,9 +272,8 @@ def criterion_8(graph_registry: list) -> dict:
         n_graphs = 0
         for graph in ConnectedClassGraphs(G):
             n_graphs += 1
-            fast = stab1(graph).elements
-            slow = stab1_oracle(graph).elements
-            if fast != slow:
+            slow = stab1_oracle(graph)
+            if not enumerate_stab1(graph) == stab1(graph).elements == slow:
                 agree = False
             graph_registry.append((f"criterion_8:{expr}:{n_graphs}", graph))
         total += n_graphs
@@ -308,19 +308,23 @@ def _stab1_closed(elements: list[tuple], rng: random.Random) -> bool:
 
 
 def criterion_9(graph_registry: list, seed: int) -> dict:
+    """The verdict's strong generators keep colours and generate a group
+    of exactly 2^m elements, closed under composition."""
     rng = random.Random(seed + 9)
     rows = []
     ok = True
     for label, graph in graph_registry:
         verdict = is_cca_graph(graph)
-        st = verdict.stab1
+        st = VertexStabilizer(graph.n, verdict.generators)
         autc = graph.n * st.order
         grr_ok = right_regular_preserves_colours(graph)
-        closed = _stab1_closed(st.elements, rng)
+        closed = (len(st.elements) == st.order
+                  and _stab1_closed(st.elements, rng))
         divisible = autc % (graph.n * verdict.aut_pm1_order) == 0
         iff_ok = verdict.is_cca == (autc == graph.n * verdict.aut_pm1_order)
         row_ok = (grr_ok and closed and divisible and iff_ok
-                  and verdict.autc_order == autc)
+                  and verdict.autc_order == autc
+                  and all(preserves_colours(graph, a) for a in st.generators))
         rows.append({
             "graph": label, "n": graph.n,
             "stab1_order": st.order,

@@ -190,11 +190,12 @@ def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
     """Build Cay(G, S u T) and confirm it is connected and non-CCA.
 
     The connection set is the inverse closure of S u T (the graph does not
-    change, but the colouring needs both t and t^-1).  The vertex
-    stabilizer is streamed, not materialized: its order grows with the
-    index of <S u {tau}> and can be astronomically large, but a witness
-    appears among its first elements.  A failure here is a fatal
-    correctness bug and raises CrosscheckError with full state.
+    change, but the colouring needs both t and t^-1).  The strong
+    generators of the vertex stabilizer are streamed and the decision
+    stops at the first one that is not a group automorphism: their number
+    grows with the index of <S u {tau}>, but the first one found is
+    usually a witness.  A failure here is a fatal correctness bug and
+    raises CrosscheckError with full state.
     """
     if not triple.valid:
         raise ValueError("crosscheck requires a valid triple")

@@ -176,6 +176,16 @@ class TestExitCodes:
         assert rc == EXIT_OK
         assert rep["results"]["crosscheck"]["ok"] is True
 
+    def test_search_crosscheck_over_graph_limit_exit_3(self, capsys):
+        argv = ["triple", "search", "S5", "--subgroup", "setwise:4,5"]
+        assert main(argv + ["--limit-graph", "10", "--json"]) == EXIT_LIMIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "graph limit 10" in captured.err
+        rc, rep = run_json(capsys, argv)
+        assert rc == EXIT_OK
+        assert rep["results"]["crosscheck"]["ok"] is True
+
     def test_internal_error_exit_4(self, capsys, monkeypatch):
         def failing_crosscheck(G, triple, graph_limit):
             raise tr.CrosscheckError("injected disagreement")

@@ -1,5 +1,8 @@
+import functools
 import itertools
 import random
+import signal
+import sys
 
 import pytest
 
@@ -8,8 +11,10 @@ from ccakit import triples as tr
 from ccakit.cayley import ConnectionSet, build
 from ccakit.colourauts import (
     ConnectedClassGraphs,
+    VertexStabilizer,
     _automorphism_violation,
     aut_pm1,
+    enumerate_stab1,
     is_cca_graph,
     is_cca_group_exhaustive,
     right_regular_preserves_colours,
@@ -17,7 +22,8 @@ from ccakit.colourauts import (
     stab1_oracle,
 )
 from ccakit.fgroup import LimitExceeded
-from ccakit.higman import HigmanGroup, quaternion_params
+from ccakit.higman import HigmanGroup, quaternion_params, sample_params, \
+    theorem3_triple
 
 
 def connected_class_graphs(G, close=False):
@@ -104,6 +110,51 @@ def triple_graph(expr, t_text, subgroup):
                                                 close_inverses=True))
 
 
+# Non-CCA triple graphs: (group, t, H).  Criterion 2 cross-checks the
+# S5-pointwise and A6 ones.
+TRIPLE_GRAPHS = {
+    "S5-pointwise": ("S5", "(1 4 2 5)",
+                     lambda G: gz.pointwise_stabilizer(G, [3, 4])),
+    "S5-setwise": ("S5", "(1 4 2 5)",
+                   lambda G: gz.setwise_stabilizer(G, [3, 4])),
+    "A6": ("A6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0)),
+    "S6": ("S6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated_triple_graph(name):
+    """A triple graph and its enumerated stab1, built once per session."""
+    graph = triple_graph(*TRIPLE_GRAPHS[name])
+    return graph, enumerate_stab1(graph)
+
+
+def check_against_enumeration(graph, listed, label):
+    """stab1 from strong generators, the verdict and aut_pm1 against the
+    enumerated stab1 and the reference automorphism check on each of its
+    elements."""
+    full = is_cca_graph(graph)
+    st = VertexStabilizer(graph.n, full.generators)
+    assert st.order == len(listed), label
+    assert st.elements == listed, label
+    passing = []
+    for alpha in listed:
+        violation = _automorphism_violation(graph, alpha)
+        assert violation == automorphism_violation_by_multiply(
+            graph, alpha), label
+        if violation is None:
+            passing.append(alpha)
+    streamed = is_cca_graph(graph, full_stab=False)
+    assert full.is_cca == streamed.is_cca == (passing == listed), label
+    assert full.stab1_order == len(listed), label
+    assert full.aut_pm1_order == len(passing), label
+    for v in (full, streamed):
+        if v.witness is not None:
+            assert v.witness in listed, label
+            assert _automorphism_violation(graph, v.witness) is not None
+    assert aut_pm1(graph) == aut_pm1_by_sign_choices(graph) == passing, label
+
+
 def automorphisms_bruteforce(G):
     """All automorphisms of a small group, as element-index arrays."""
     elems = G.elements()
@@ -148,9 +199,9 @@ class TestStab1:
                      "higman:n=3,seed=1"]:
             G = gz.construct(expr)
             for graph in connected_class_graphs(G):
-                fast = stab1(graph).elements
-                slow = stab1_oracle(graph).elements
-                assert fast == slow, expr
+                slow = stab1_oracle(graph)
+                assert stab1(graph).elements == slow, expr
+                assert enumerate_stab1(graph) == slow, expr
 
     def test_oracle_size_guard(self):
         G = gz.symmetric_group(4)
@@ -172,8 +223,9 @@ class TestStab1:
             graph = build(G, conn)
             if not graph.is_connected():
                 continue
-            st = stab1(graph)
-            assert st.order_is_power_of_two(), expr
+            listed = len(enumerate_stab1(graph))
+            assert listed & (listed - 1) == 0, expr
+            assert stab1(graph).order == listed, expr
             done += 1
 
 
@@ -250,30 +302,27 @@ class TestAutPm1:
 
 class TestAutomorphismCheck:
     """The left-row check against the reference by group arithmetic, and
-    the CCA verdict and aut_pm1 it decides on non-CCA triple graphs."""
+    the CCA verdict and aut_pm1 it decides, against the enumerated stab1
+    of every zoo class graph and of non-CCA triple graphs."""
 
     def test_zoo_class_graphs_up_to_order_16(self):
         for expr, G in gz.zoo_corpus(16):
             for graph in ConnectedClassGraphs(G):
-                for alpha in stab1(graph).elements:
-                    assert (_automorphism_violation(graph, alpha)
-                            == automorphism_violation_by_multiply(
-                                graph, alpha)), expr
+                check_against_enumeration(graph, enumerate_stab1(graph),
+                                          expr)
+        for name in ("S5-pointwise", "A6", "S6"):
+            check_against_enumeration(*enumerated_triple_graph(name), name)
 
-    @pytest.mark.parametrize("expr,t,subgroup,stab1_order,aut_pm1_order", [
-        ("S5", "(1 4 2 5)", lambda G: gz.setwise_stabilizer(G, [3, 4]),
-         2048, 4),
-        ("A6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0), 64, 2),
-        ("S6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0), 64, 2),
+    @pytest.mark.parametrize("name,stab1_order,aut_pm1_order", [
+        ("S5-setwise", 2048, 4), ("A6", 64, 2), ("S6", 64, 2),
     ], ids=["S5-setwise", "A6", "S6"])
-    def test_triple_graphs(self, expr, t, subgroup, stab1_order,
-                           aut_pm1_order):
-        graph = triple_graph(expr, t, subgroup)
+    def test_triple_graphs(self, name, stab1_order, aut_pm1_order):
+        graph, listed = enumerated_triple_graph(name)
         v = is_cca_graph(graph)
         assert v.is_cca is False
-        assert v.stab1_order == stab1_order
+        assert v.stab1_order == stab1_order == len(listed)
         assert v.aut_pm1_order == aut_pm1_order
-        for alpha in v.stab1.elements:
+        for alpha in listed:
             assert (_automorphism_violation(graph, alpha)
                     == automorphism_violation_by_multiply(graph, alpha))
         want = aut_pm1_by_sign_choices(graph)
@@ -374,11 +423,11 @@ class TestExhaustiveGroupVerdicts:
     @pytest.mark.parametrize("expr,sets,connected,witness_S,witness_alpha", [
         ("S4", 35, 7,
          ["(1 2 3 4)", "(1 4 3 2)", "(1 3 4 2)", "(1 2 4 3)"],
-         [0, 1, 2, 3, 11, 5, 8, 7, 6, 9, 10, 4, 12, 13, 22, 15, 19, 17,
-          18, 16, 20, 21, 14, 23]),
+         [0, 7, 2, 3, 14, 5, 6, 1, 8, 20, 10, 22, 12, 13, 4, 15, 16, 17,
+          18, 19, 9, 21, 11, 23]),
         ("C2 x C4", 10, 3,
          ["(3 4 5 6)", "(3 6 5 4)", "(1 2)(3 4 5 6)", "(1 2)(3 6 5 4)"],
-         [0, 1, 2, 7, 4, 5, 6, 3]),
+         [0, 5, 2, 3, 4, 1, 6, 7]),
         ("higman:n=4,seed=1", 121, 1,
          ["h2", "g1", "g1*h1", "g2", "g2*h1"],
          [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 15, 14]),
@@ -392,6 +441,12 @@ class TestExhaustiveGroupVerdicts:
         assert rep["connected_checked"] == connected
         assert rep["witness_S"] == witness_S
         assert rep["witness_alpha"] == witness_alpha
+        # the witness is a stab1 element of the witness graph that is not
+        # a group automorphism
+        graph = build(G, ConnectionSet.from_elements(G, [
+            G.elem_parse(x) for x in witness_S]))
+        assert tuple(witness_alpha) in enumerate_stab1(graph)
+        assert _automorphism_violation(graph, witness_alpha) is not None
 
     def test_deterministic(self):
         G = gz.symmetric_group(4)
@@ -416,7 +471,9 @@ class TestStabilizerIsTwoGroup:
             graph = build(G, conn)
             if not graph.is_connected():
                 continue
-            assert stab1(graph).order_is_power_of_two(), expr
+            listed = len(enumerate_stab1(graph))
+            assert listed & (listed - 1) == 0, expr
+            assert stab1(graph).order == listed, expr
             done += 1
 
 
@@ -426,3 +483,42 @@ class TestRightRegular:
             G = gz.construct(expr)
             for graph in connected_class_graphs(G):
                 assert right_regular_preserves_colours(graph)
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError("the generator search ran past its time limit")
+
+
+def psl2_17_dihedral_16_triple():
+    G = gz.psl2(17)
+    H = gz.normalizer_bruteforce(G, gz.cyclic_subgroups_of_order(G, 8)[0])
+    return G, tr.search_triple_subgroup_strategy(G, H)
+
+
+def higman_12_triple():
+    return theorem3_triple(sample_params(12, 1))
+
+
+class TestStrongGenerators:
+    """The generator search unwinds the base deepest level first: on these
+    crosscheck graphs the deepest generator is already a witness, so the
+    streamed decision stops after one, in well under a second.  Shallow
+    first, the PSL2(17) search runs for minutes, so the test has a time
+    limit.  The search needs no recursion."""
+
+    @pytest.mark.parametrize("make", [psl2_17_dihedral_16_triple,
+                                      higman_12_triple],
+                             ids=["PSL2(17) dihedral:16", "higman:n=12"])
+    def test_crosscheck_stops_at_first_generator(self, make):
+        G, trip = make()
+        limit = sys.getrecursionlimit()
+        previous = signal.signal(signal.SIGALRM, _out_of_time)
+        signal.alarm(60)
+        try:
+            rep = tr.crosscheck_prop22(G, trip)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert rep.ok
+        assert rep.verdict.stab1_checked == 1
+        assert sys.getrecursionlimit() == limit
