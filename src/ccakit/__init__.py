@@ -13,7 +13,7 @@ power-commutator presentations.
 
 from .fgroup import DEFAULT_ENUM_LIMIT, DEFAULT_GRAPH_LIMIT, FiniteGroup, LimitExceeded
 from .permcore import Permutation, PermutationGroup, parse_cycles
-from .groupzoo import GroupExpr, construct, has_element_of_order4, parse_group_expr
+from .groupzoo import construct, has_element_of_order4
 from .cayley import ColouredCayleyGraph, ConnectionSet, build
 from .colourauts import (
     CCAVerdict,

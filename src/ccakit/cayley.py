@@ -8,12 +8,13 @@ identity at vertex 0.
 
 ColouredCayleyGraph is the one graph type: every verdict, single graph or
 exhaustive sweep, is taken on it.  It holds index rows only: left_rows[c]
-has one row per member s of colour c, row[v] = index(s * v).  A graph
-built from a ConnectionSet computes its rows with group.multiply; the
-exhaustive sweep, which builds thousands of graphs of one group, hands in
-rows of the cached multiplication table instead.  The colour-neighbour
-sets cn and the BFS tree are computed from the rows on first use and
-cached, so a disconnected set costs a single BFS.
+has one row per member s of colour c, row[v] = index(s * v).  Its one
+constructor takes the rows.  build() checks the group and the graph limit
+and computes the rows of a ConnectionSet with group.multiply; the
+exhaustive sweep, which builds thousands of graphs of one group, passes
+rows of the cached multiplication table to the constructor instead.  The
+colour-neighbour sets cn and the BFS tree are computed from the rows on
+first use and cached, so a disconnected set costs a single BFS.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class ConnectionSet:
         Each class is a 1-tuple (involution) or 2-tuple (s, s^-1) with the
         lower-indexed element first.
         """
-        idx = self.group.element_index()
         done = set()
         classes = []
         for s in self.elements:          # already sorted by index
@@ -76,44 +76,19 @@ class ConnectionSet:
             else:
                 done.add(si)
                 classes.append((s, si))
-        classes.sort(key=lambda c: idx[c[0]])
         return classes
 
 
 class ColouredCayleyGraph:
-    """Cay(G, S) with the canonical {s, s^-1} edge colouring."""
+    """Cay(G, S) with the canonical {s, s^-1} edge colouring.
+
+    colours must equal conn.colour_classes(), and left_rows[c][m] must be
+    the row of colours[c][m]; the rows are shared, not copied.  build()
+    makes the graph of a ConnectionSet.
+    """
 
     def __init__(self, group: FiniteGroup, conn: ConnectionSet,
-                 graph_limit: int = DEFAULT_GRAPH_LIMIT):
-        if conn.group is not group:
-            raise ValueError("connection set belongs to a different group")
-        n = group.order()
-        if n > graph_limit:
-            raise LimitExceeded(
-                f"group order {n} exceeds graph limit {graph_limit}")
-        index = group.element_index()
-        mul = group.multiply
-        elems = group.elements()
-        colours = conn.colour_classes()
-        self._attach(group, conn, colours, [
-            [[index[mul(s, v)] for v in elems] for s in cls]
-            for cls in colours
-        ])
-
-    @classmethod
-    def _from_rows(cls, group: FiniteGroup, conn: ConnectionSet,
-                   colours: list[tuple], left_rows: list[list[list[int]]],
-                   ) -> "ColouredCayleyGraph":
-        """Graph whose left-multiplication rows the caller already holds.
-
-        colours must equal conn.colour_classes() and left_rows[c][m] must
-        be the row of colours[c][m]; the rows are shared, not copied.
-        """
-        graph = cls.__new__(cls)
-        graph._attach(group, conn, colours, left_rows)
-        return graph
-
-    def _attach(self, group, conn, colours, left_rows) -> None:
+                 colours: list[tuple], left_rows: list[list[list[int]]]):
         self.group = group
         self.conn = conn
         self.n = group.order()
@@ -171,28 +146,19 @@ class ColouredCayleyGraph:
         H = self.group.generated_subgroup(self.conn.elements)
         return H.order() == self.n
 
-    # -- export ------------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        g = self.group
-        edges = []
-        seen = set()
-        for v in range(self.n):
-            for c, nbrs in enumerate(self.cn[v]):
-                for u in nbrs:
-                    key = (min(u, v), max(u, v), c)
-                    if key not in seen:
-                        seen.add(key)
-                        edges.append([key[0], key[1], c])
-        edges.sort()
-        return {
-            "vertices": [g.elem_str(x) for x in self.elems],
-            "colours": {str(c): [g.elem_str(s) for s in cls]
-                        for c, cls in enumerate(self.colours)},
-            "edges": edges,
-        }
-
 
 def build(group: FiniteGroup, conn: ConnectionSet,
           graph_limit: int = DEFAULT_GRAPH_LIMIT) -> ColouredCayleyGraph:
-    return ColouredCayleyGraph(group, conn, graph_limit)
+    """The graph of conn, its rows computed with group.multiply."""
+    if conn.group is not group:
+        raise ValueError("connection set belongs to a different group")
+    n = group.order()
+    if n > graph_limit:
+        raise LimitExceeded(
+            f"group order {n} exceeds graph limit {graph_limit}")
+    index = group.element_index()
+    mul = group.multiply
+    elems = group.elements()
+    colours = conn.colour_classes()
+    return ColouredCayleyGraph(group, conn, colours, [
+        [[index[mul(s, v)] for v in elems] for s in cls] for cls in colours])

@@ -221,6 +221,10 @@ def cmd_reproduce(args) -> int:
                 raise CLIError("criterion_10 reruns criteria 1-9 in full; "
                                "run reproduce without --only")
             names.append(part)
+        graph_makers = {"criterion_2", "criterion_7", "criterion_8"}
+        if "criterion_9" in names and graph_makers.isdisjoint(names):
+            raise CLIError("criterion_9 checks the graphs criteria 2, 7 and 8 "
+                           "build; add one of them to --only")
         only = names
     report = rp.run_suite(only=only, seed=args.seed, budget=args.budget,
                           with_timing=args.timing)

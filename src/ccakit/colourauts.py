@@ -449,7 +449,7 @@ class ConnectedClassGraphs:
                 conn = ConnectionSet(group, tuple(
                     elems[i] for i in sorted(
                         i for c in combo for i in class_indices[c])))
-                graph = ColouredCayleyGraph._from_rows(
+                graph = ColouredCayleyGraph(
                     group, conn, [classes[c] for c in combo],
                     [class_rows[c] for c in combo])
                 if graph.is_connected():

@@ -151,10 +151,6 @@ class FiniteGroup(abc.ABC):
             k += 1
         return k
 
-    def is_involution(self, x) -> bool:
-        e = self.identity()
-        return x != e and self.multiply(x, x) == e
-
     def involutions(self) -> list:
         e = self.identity()
         return [x for x in self.elements()

@@ -13,10 +13,16 @@ Grammar for group expressions (exact):
 of the projective line over GF(q) via unimodular Moebius maps modulo the
 centre; prime-power fields are built from a pinned irreducible polynomial
 stored in data/field_polys.json.
+
+construct parses an expression and builds its group in the same pass;
+there is no separate syntax tree.  The point and set stabilizers and the
+normalizer are one filter over the group's elements, which passes every
+element that it keeps, in element order, as a generator.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -24,6 +30,8 @@ from math import gcd
 from pathlib import Path
 
 from .fgroup import DEFAULT_ENUM_LIMIT, FiniteGroup
+from .higman import (HigmanGroup, params_from_spec, quaternion_params,
+                     regular_representation)
 from .permcore import Permutation, PermutationGroup, parse_cycles
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -256,124 +264,60 @@ def direct_product(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup
 # group expressions
 
 
-@dataclass(frozen=True)
-class GroupExpr:
-    """AST for the group-expression grammar."""
-
-    kind: str                      # 'S','A','C','D','PSL2','perm','higman','product','M11','Q8'
-    n: int = 0
-    degree: int = 0
-    cycles: tuple = ()             # for perm atoms: cycle strings
-    params: str = ""               # for higman atoms: normalized param text
-    factors: tuple = ()            # for products
-
-    def to_str(self) -> str:
-        if self.kind == "product":
-            return " x ".join(f.to_str() for f in self.factors)
-        if self.kind in ("S", "A", "C", "D"):
-            return f"{self.kind}{self.n}"
-        if self.kind == "PSL2":
-            return f"PSL2({self.n})"
-        if self.kind == "perm":
-            return f"perm:{self.degree}:{','.join(self.cycles)}"
-        if self.kind == "higman":
-            return f"higman:{self.params}"
-        if self.kind in ("M11", "Q8"):
-            return self.kind
-        raise GroupExprError(f"unknown expression kind {self.kind!r}")
-
-
 _ATOM_SADC = re.compile(r"^([SACD])\s*(\d+)$")
 _ATOM_PSL2 = re.compile(r"^PSL2\(\s*(\d+)\s*\)$")
+_SADC = {"S": symmetric_group, "A": alternating_group, "C": cyclic_group,
+         "D": dihedral_group}
 
 
-def parse_group_expr(text: str) -> GroupExpr:
-    parts = re.split(r"\s+x\s+", text.strip())
-    if len(parts) > 1:
-        return GroupExpr(kind="product",
-                         factors=tuple(parse_group_expr(p) for p in parts))
-    atom = parts[0].strip()
-    m = _ATOM_SADC.match(atom)
-    if m:
-        n = int(m.group(2))
-        if n < 1:
-            raise GroupExprError(f"{atom}: n must be >= 1")
-        return GroupExpr(kind=m.group(1), n=n)
-    m = _ATOM_PSL2.match(atom)
-    if m:
-        return GroupExpr(kind="PSL2", n=int(m.group(1)))
-    if atom in ("M11", "Q8"):
-        return GroupExpr(kind=atom)
-    if atom.startswith("perm:"):
-        body = atom[len("perm:"):]
-        head, sep, rest = body.partition(":")
-        if not sep or not head.strip().isdigit():
-            raise GroupExprError(f"malformed perm atom: {atom!r}")
-        degree = int(head)
-        cycles = tuple(c.strip() for c in rest.split(",") if c.strip())
-        if not cycles:
-            raise GroupExprError(f"perm atom needs at least one generator: {atom!r}")
-        for c in cycles:
-            parse_cycles(c, degree)   # validate early
-        norm = tuple(parse_cycles(c, degree).cycle_str() for c in cycles)
-        return GroupExpr(kind="perm", degree=degree, cycles=norm)
-    if atom.startswith("higman:"):
-        params = atom[len("higman:"):].strip()
-        if not params:
-            raise GroupExprError("higman atom needs parameters")
-        return GroupExpr(kind="higman", params=params)
-    raise GroupExprError(f"cannot parse group expression: {text!r}")
+def construct(text: str, enum_limit: int = DEFAULT_ENUM_LIMIT) -> FiniteGroup:
+    """Parse a group expression and build the group it names, in one pass.
 
-
-def construct(expr: GroupExpr | str,
-              enum_limit: int = DEFAULT_ENUM_LIMIT) -> FiniteGroup:
-    """Build the group named by a GroupExpr (or expression string).
-
+    Each factor of a product is built by construct in turn, and a factor
+    that is not a permutation group enters by its regular representation.
     The group, and every subgroup taken from it, lists at most
     ``enum_limit`` elements (see FiniteGroup.enum_limit).
     """
-    if isinstance(expr, str):
-        expr = parse_group_expr(expr)
-    G = _build(expr, enum_limit)
+    parts = re.split(r"\s+x\s+", text.strip())
+    atom = parts[0].strip()
+    if len(parts) > 1:
+        factors = []
+        for part in parts:
+            g = construct(part, enum_limit)
+            if not isinstance(g, PermutationGroup):
+                g = regular_representation(g)
+            factors.append(g)
+        G = functools.reduce(direct_product, factors)
+    elif m := _ATOM_SADC.match(atom):
+        n = int(m.group(2))
+        if n < 1:
+            raise GroupExprError(f"{atom}: n must be >= 1")
+        G = _SADC[m.group(1)](n)
+    elif m := _ATOM_PSL2.match(atom):
+        G = psl2(int(m.group(1)))
+    elif atom == "M11":
+        G = m11_group()
+    elif atom == "Q8":
+        G = HigmanGroup(quaternion_params())
+    elif atom.startswith("perm:"):
+        head, sep, rest = atom[len("perm:"):].partition(":")
+        if not sep or not head.strip().isdigit():
+            raise GroupExprError(f"malformed perm atom: {atom!r}")
+        degree = int(head)
+        cycles = [c for c in rest.split(",") if c.strip()]
+        if not cycles:
+            raise GroupExprError(
+                f"perm atom needs at least one generator: {atom!r}")
+        G = PermutationGroup(degree, [parse_cycles(c, degree) for c in cycles])
+    elif atom.startswith("higman:"):
+        params = atom[len("higman:"):].strip()
+        if not params:
+            raise GroupExprError("higman atom needs parameters")
+        G = HigmanGroup(params_from_spec(params))
+    else:
+        raise GroupExprError(f"cannot parse group expression: {text!r}")
     G.enum_limit = enum_limit
     return G
-
-
-def _build(expr: GroupExpr, enum_limit: int) -> FiniteGroup:
-    if expr.kind == "product":
-        perm_factors = []
-        for f in expr.factors:
-            g = construct(f, enum_limit)
-            if not isinstance(g, PermutationGroup):
-                from .higman import regular_representation
-                g = regular_representation(g)
-            perm_factors.append(g)
-        out = perm_factors[0]
-        for g in perm_factors[1:]:
-            out = direct_product(out, g)
-        return out
-    if expr.kind == "S":
-        return symmetric_group(expr.n)
-    if expr.kind == "A":
-        return alternating_group(expr.n)
-    if expr.kind == "C":
-        return cyclic_group(expr.n)
-    if expr.kind == "D":
-        return dihedral_group(expr.n)
-    if expr.kind == "PSL2":
-        return psl2(expr.n)
-    if expr.kind == "M11":
-        return m11_group()
-    if expr.kind == "perm":
-        return PermutationGroup(
-            expr.degree, [parse_cycles(c, expr.degree) for c in expr.cycles])
-    if expr.kind == "higman":
-        from .higman import HigmanGroup, params_from_spec
-        return HigmanGroup(params_from_spec(expr.params))
-    if expr.kind == "Q8":
-        from .higman import HigmanGroup, quaternion_params
-        return HigmanGroup(quaternion_params())
-    raise GroupExprError(f"unknown expression kind {expr.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -388,16 +332,38 @@ def has_element_of_order4(G: FiniteGroup) -> bool:
     return False
 
 
+def _subgroup_where(G: FiniteGroup, keep) -> FiniteGroup:
+    """Subgroup generated by every element of G that keep accepts.
+
+    All of them are passed as generators, in G's element order, so the
+    generator list, and every listing of the subgroup, is fixed by G.
+    """
+    return G.generated_subgroup([g for g in G.elements() if keep(g)])
+
+
+def _points(G: PermutationGroup, points) -> frozenset:
+    """The points as a set, each checked to lie in 0..degree-1."""
+    pts = frozenset(points)
+    for p in sorted(pts):
+        if not 0 <= p < G.degree:
+            raise ValueError(f"point {p} outside degree {G.degree}")
+    return pts
+
+
+def normalizes(G: FiniteGroup, H: FiniteGroup):
+    """Predicate on x in G: conjugation by x maps H's generators into H."""
+    hset, hgens = H.element_set(), H.generators()
+    return lambda x: all(G.conjugate(h, x) in hset for h in hgens)
+
+
 def pointwise_stabilizer(G: PermutationGroup, points) -> PermutationGroup:
-    pts = sorted(set(points))
-    elems = [g for g in G.elements() if all(g[p] == p for p in pts)]
-    return G.generated_subgroup(elems)
+    pts = _points(G, points)
+    return _subgroup_where(G, lambda g: all(g[p] == p for p in pts))
 
 
 def setwise_stabilizer(G: PermutationGroup, points) -> PermutationGroup:
-    pts = set(points)
-    elems = [g for g in G.elements() if {g[p] for p in pts} == pts]
-    return G.generated_subgroup(elems)
+    pts = _points(G, points)
+    return _subgroup_where(G, lambda g: {g[p] for p in pts} == pts)
 
 
 def cyclic_subgroups_of_order(G: FiniteGroup, m: int) -> list:
@@ -421,11 +387,7 @@ def cyclic_subgroups_of_order(G: FiniteGroup, m: int) -> list:
 
 def normalizer_bruteforce(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Normalizer of H in G by full scan; returned as a generated subgroup."""
-    hset = H.element_set()
-    hgens = H.generators()
-    elems = [g for g in G.elements()
-             if all(G.conjugate(h, g) in hset for h in hgens)]
-    return G.generated_subgroup(elems)
+    return _subgroup_where(G, normalizes(G, H))
 
 
 # ---------------------------------------------------------------------------

@@ -62,18 +62,6 @@ class Permutation:
             inv[j] = i
         return Permutation(inv)
 
-    def __pow__(self, k: int) -> "Permutation":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Permutation.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 

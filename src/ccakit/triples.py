@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from .cayley import ColouredCayleyGraph, ConnectionSet, build
 from .colourauts import CCAVerdict, is_cca_graph
 from .fgroup import DEFAULT_GRAPH_LIMIT, FiniteGroup
+from .groupzoo import normalizes
 
 
 class CrosscheckError(AssertionError):
@@ -132,11 +133,6 @@ def square_roots(X: FiniteGroup, tau) -> list:
     return [t for t in X.elements() if X.multiply(t, t) == tau]
 
 
-def _normalizes(G: FiniteGroup, H: FiniteGroup, x) -> bool:
-    hset = H.element_set()
-    return all(G.conjugate(h, x) in hset for h in H.generators())
-
-
 def search_triple_subgroup_strategy(G: FiniteGroup,
                                     H: FiniteGroup) -> NonCCATriple | None:
     """Search for a triple of the form (S_H(tau), {t}, tau).
@@ -148,8 +144,9 @@ def search_triple_subgroup_strategy(G: FiniteGroup,
     """
     cands = list(H.involutions())
     hset = H.element_set()
+    normalizes_h = normalizes(G, H)
     cands += [x for x in G.involutions()
-              if x not in hset and _normalizes(G, H, x)]
+              if x not in hset and normalizes_h(x)]
 
     order_g = G.order()
     for tau in cands:
@@ -203,14 +200,15 @@ def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
         G, list(triple.S) + list(triple.T), close_inverses=True)
     graph = build(G, conn, graph_limit)
     connected = graph.is_connected()
-    verdict = is_cca_graph(graph, full_stab=False)
+    verdict = is_cca_graph(graph, full_stab=False) if connected else None
     ok = connected and not verdict.is_cca
     report = CrosscheckReport(connected=connected, verdict=verdict, ok=ok,
                               graph=graph)
     if not ok:
         raise CrosscheckError(
             "validated triple failed the graph cross-check: "
-            f"connected={connected}, is_cca={verdict.is_cca}, "
+            f"connected={connected}, "
+            f"is_cca={verdict and verdict.is_cca}, "
             f"triple={triple.to_json_dict()}, "
-            f"stab1_checked={verdict.stab1_checked}")
+            f"stab1_checked={verdict and verdict.stab1_checked}")
     return report

@@ -73,7 +73,7 @@ class TestBuild:
 
     def test_s3_transpositions_three_matchings(self):
         G = gz.symmetric_group(3)
-        ts = [x for x in G.elements() if G.is_involution(x)]
+        ts = G.involutions()
         conn = ConnectionSet.from_elements(G, ts)
         graph = build(G, conn)
         assert graph.n == 6
@@ -94,13 +94,13 @@ class TestBuild:
 
     def test_identity_is_vertex_zero(self):
         G = gz.symmetric_group(3)
-        ts = [x for x in G.elements() if G.is_involution(x)]
+        ts = G.involutions()
         graph = build(G, ConnectionSet.from_elements(G, ts))
         assert graph.elems[0] == G.identity()
 
     def test_graph_limit(self):
         G = gz.symmetric_group(5)
-        ts = [x for x in G.elements() if G.is_involution(x)][:2]
+        ts = G.involutions()[:2]
         conn = ConnectionSet.from_elements(G, ts)
         with pytest.raises(LimitExceeded):
             build(G, conn, graph_limit=100)
@@ -108,16 +108,13 @@ class TestBuild:
     def test_edge_count_matches_valency(self):
         G = gz.dihedral_group(4)
         for S in class_subsets(G):
-            conn = ConnectionSet.from_elements(G, S)
-            graph = build(G, conn)
-            d = graph.to_json_dict()
-            # |S|-regular: sum of degrees = n * |S|, each edge counted twice
-            # (involution colours give single edges)
-            deg = [0] * graph.n
-            for u, v, _c in d["edges"]:
-                deg[u] += 1
-                deg[v] += 1
-            assert all(x == len(S) for x in deg)
+            graph = build(G, ConnectionSet.from_elements(G, S))
+            for v in range(graph.n):
+                # |S|-regular, and u is a c-neighbour of v iff v is one of u
+                assert sum(len(nbrs) for nbrs in graph.cn[v]) == len(S)
+                assert all(v in graph.cn[u][c]
+                           for c, nbrs in enumerate(graph.cn[v])
+                           for u in nbrs)
 
 
 class TestConnectivity:

@@ -135,6 +135,13 @@ class TestTripleCommand:
         assert main(["triple", "search", "A6",
                      "--subgroup", "wat:1"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("spec", ["pointwise:0", "setwise:0,5",
+                                      "pointwise:9", "setwise:4,6"])
+    def test_subgroup_point_out_of_range_exit_2(self, capsys, spec):
+        assert main(["triple", "search", "S5", "--subgroup", spec]) \
+            == EXIT_USAGE
+        assert "outside degree 5" in capsys.readouterr().err
+
     def test_elements_round_trip(self, capsys):
         rc, rep = run_json(capsys, [
             "triple", "search", "A6", "--subgroup", "point:1"])
@@ -196,6 +203,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "internal error: injected disagreement\n"
 
+    def test_disconnected_crosscheck_exit_4(self, capsys, monkeypatch):
+        # a triple wrongly marked valid whose S u T does not generate S4
+        validate = tr.validate_triple
+
+        def forged(G, S, T, tau):
+            trip = validate(G, S, T, tau)
+            trip.valid = True
+            return trip
+
+        monkeypatch.setattr(tr, "validate_triple", forged)
+        rc = main(["triple", "validate", "S4", "--S", "(1 2)",
+                   "--tau", "(1 2)", "--crosscheck"])
+        assert rc == EXIT_INTERNAL
+        assert "connected=False" in capsys.readouterr().err
+
 
 class TestReproduceCommand:
     def test_only_subset(self, capsys):
@@ -217,6 +239,20 @@ class TestReproduceCommand:
         # criterion 10 compares two full runs, so it cannot run alone
         assert main(["reproduce", "--only", only]) == EXIT_USAGE
         assert "criterion_10" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("only", ["9", "criterion_9", "4,9"])
+    def test_only_criterion_9_without_its_graphs_is_usage_error(
+            self, capsys, only):
+        # criterion 9 checks the graphs that criteria 2, 7 and 8 build
+        assert main(["reproduce", "--only", only]) == EXIT_USAGE
+        assert "criterion_9" in capsys.readouterr().err
+
+    def test_only_runs_in_canonical_order(self, capsys):
+        rc, late = run_json(capsys, ["reproduce", "--only", "2,9"])
+        rc_early, early = run_json(capsys, ["reproduce", "--only", "9,2"])
+        assert rc == rc_early == EXIT_OK
+        assert early["results"]["criterion_9"]["graphs_checked"] == 2
+        assert early["results"] == late["results"]
 
     def test_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from ccakit import colourauts
 from ccakit import groupzoo as gz
 from ccakit import triples as tr
 from ccakit.cayley import ConnectionSet, build
@@ -181,7 +182,7 @@ class TestStab1:
 
     def test_contains_identity_map(self):
         G = gz.symmetric_group(3)
-        ts = [x for x in G.elements() if G.is_involution(x)]
+        ts = G.involutions()
         graph = build(G, ConnectionSet.from_elements(G, ts))
         st = stab1(graph)
         assert tuple(range(6)) in st.elements
@@ -239,7 +240,7 @@ class TestAutPm1:
 
     def test_s3_transpositions(self):
         G = gz.symmetric_group(3)
-        ts = [x for x in G.elements() if G.is_involution(x)]
+        ts = G.involutions()
         conn = ConnectionSet.from_elements(G, ts)
         assert len(aut_pm1(build(G, conn))) == 1
 
@@ -394,6 +395,25 @@ class TestIsCcaGraph:
         assert v.witness is not None
         # the witness fixes the identity vertex but is not right translation
         assert v.witness[0] == 0
+
+    @pytest.mark.parametrize("full_stab", [True, False])
+    def test_every_generator_is_checked(self, monkeypatch, full_stab):
+        # a witness behind a generator that passes must still be found
+        G = gz.symmetric_group(4)
+        S = is_cca_group_exhaustive(G).witness_set
+        graph = build(G, ConnectionSet.from_elements(G, list(S)))
+        failing = is_cca_graph(graph).witness
+        identity = tuple(range(graph.n))
+
+        def strong_generators(_graph):
+            yield identity
+            yield failing
+
+        monkeypatch.setattr(colourauts, "_strong_generators",
+                            strong_generators)
+        v = is_cca_graph(graph, full_stab=full_stab)
+        assert v.witness == failing
+        assert v.stab1_checked == 2
 
 
 class TestExhaustiveGroupVerdicts:

@@ -59,12 +59,6 @@ class TestPermutation:
         assert parse_cycles("(1 2)(3 4 5 6)", 6).order() == 4
         assert parse_cycles("(1 2)(3 4 5)", 5).order() == 6
 
-    def test_pow(self):
-        p = parse_cycles("(1 2 3 4 5)", 5)
-        assert p ** 5 == Permutation.identity(5)
-        assert p ** -1 == p.inverse()
-        assert p ** 3 == p * p * p
-
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))

@@ -188,6 +188,15 @@ class TestCrosscheck:
         with pytest.raises(ValueError):
             crosscheck_prop22(G, trip)
 
+    def test_disconnected_graph_raises_crosscheck_error(self):
+        # S u T = {(1 2)} does not generate S4, so the graph is disconnected
+        G = gz.symmetric_group(4)
+        t = G.elem_parse("(1 2)")
+        trip = validate_triple(G, [t], [], t)
+        trip.valid = True               # deliberate forgery
+        with pytest.raises(CrosscheckError, match="connected=False"):
+            crosscheck_prop22(G, trip)
+
     def test_failure_raises_crosscheck_error(self):
         # a forged 'valid' triple on a CCA graph must be caught
         G = gz.cyclic_group(4)
