@@ -7,20 +7,20 @@ The vertex order is the group's deterministic element enumeration with the
 identity at vertex 0.
 
 ColouredCayleyGraph is the one graph type: every verdict, single graph or
-exhaustive sweep, is taken on it.  It holds index rows only: left_rows[c]
-has one row per member s of colour c, row[v] = index(s * v).  Its one
+exhaustive sweep, is taken on it.  Its one adjacency is index rows:
+left_rows[c] has one row per member s of colour c, row[v] = index(s * v),
+so the c-neighbours of v are row[v] for row in left_rows[c].  Its one
 constructor takes the rows.  build() checks the group and the graph limit
 and computes the rows of a ConnectionSet with group.multiply; the
 exhaustive sweep, which builds thousands of graphs of one group, passes
 rows of the cached multiplication table to the constructor instead.  The
-colour-neighbour sets cn and the BFS tree are computed from the rows on
-first use and cached, so a disconnected set costs a single BFS.
+BFS tree is computed from the rows on first use and cached, so a
+disconnected set costs a single BFS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .fgroup import DEFAULT_GRAPH_LIMIT, FiniteGroup, LimitExceeded
 
@@ -82,15 +82,15 @@ class ConnectionSet:
 class ColouredCayleyGraph:
     """Cay(G, S) with the canonical {s, s^-1} edge colouring.
 
-    colours must equal conn.colour_classes(), and left_rows[c][m] must be
-    the row of colours[c][m]; the rows are shared, not copied.  build()
-    makes the graph of a ConnectionSet.
+    colours are the colour classes of S, as ConnectionSet.colour_classes()
+    orders them, and left_rows[c][m] must be the row of colours[c][m]; the
+    rows are shared, not copied.  build() makes the graph of a
+    ConnectionSet.
     """
 
-    def __init__(self, group: FiniteGroup, conn: ConnectionSet,
-                 colours: list[tuple], left_rows: list[list[list[int]]]):
+    def __init__(self, group: FiniteGroup, colours: list[tuple],
+                 left_rows: list[list[list[int]]]):
         self.group = group
-        self.conn = conn
         self.n = group.order()
         self.elems = group.elements()
         self.index = group.element_index()
@@ -98,15 +98,6 @@ class ColouredCayleyGraph:
         self.left_rows = left_rows
 
     # -- basic queries ---------------------------------------------------------
-
-    @cached_property
-    def cn(self) -> list[tuple[tuple[int, ...], ...]]:
-        """Colour-neighbour sets: cn[v][c] = sorted tuple of c-neighbours."""
-        return [
-            tuple(tuple(sorted({row[v] for row in rows}))
-                  for rows in self.left_rows)
-            for v in range(self.n)
-        ]
 
     def bfs_order(self) -> tuple[list[int], list[tuple[int, int] | None]]:
         """BFS order from the identity vertex and (parent, colour) per vertex.
@@ -143,7 +134,8 @@ class ColouredCayleyGraph:
 
         Must (and does, see tests) agree with BFS reachability.
         """
-        H = self.group.generated_subgroup(self.conn.elements)
+        H = self.group.generated_subgroup(
+            [s for cls in self.colours for s in cls])
         return H.order() == self.n
 
 
@@ -160,5 +152,5 @@ def build(group: FiniteGroup, conn: ConnectionSet,
     mul = group.multiply
     elems = group.elements()
     colours = conn.colour_classes()
-    return ColouredCayleyGraph(group, conn, colours, [
+    return ColouredCayleyGraph(group, colours, [
         [[index[mul(s, v)] for v in elems] for s in cls] for cls in colours])

@@ -48,6 +48,14 @@ def _parse_elements(G, text: str) -> list:
     return out
 
 
+def _spec_point(G, text: str) -> int:
+    """A 1-based spec point, checked against 1..degree, made 0-based."""
+    p = int(text)
+    if not 1 <= p <= G.degree:
+        raise CLIError(f"point {p} outside 1..{G.degree}")
+    return p - 1
+
+
 def _parse_subgroup(G, spec: str):
     """Subgroup specs: point:K | pointwise:PTS | setwise:PTS |
     dihedral:M | gens:ELEMS.  Points are 1-based, matching cycle notation.
@@ -55,12 +63,12 @@ def _parse_subgroup(G, spec: str):
     kind, _, arg = spec.partition(":")
     try:
         if kind == "point":
-            return G.point_stabilizer(int(arg) - 1)
+            return G.point_stabilizer(_spec_point(G, arg))
         if kind == "pointwise":
-            pts = [int(p) - 1 for p in arg.split(",")]
+            pts = [_spec_point(G, p) for p in arg.split(",")]
             return gz.pointwise_stabilizer(G, pts)
         if kind == "setwise":
-            pts = [int(p) - 1 for p in arg.split(",")]
+            pts = [_spec_point(G, p) for p in arg.split(",")]
             return gz.setwise_stabilizer(G, pts)
         if kind == "dihedral":
             cyc = gz.cyclic_subgroups_of_order(G, int(arg))

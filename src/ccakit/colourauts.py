@@ -8,15 +8,16 @@ automorphism; stab1 is a group, so checking its generators is enough.
 
 stab1 is searched by depth-first assignment along a BFS spanning tree: at a
 tree edge of colour {s, s^-1} the image of the new vertex must be an
-{s, s^-1}-neighbour of the image of its parent.  With the BFS order as
-base, each basic orbit therefore has size 1 or 2.  stab1 keeps the
-identity on the base and unwinds it deepest level first; one
-first-solution search per level finds a strong generator or proves the
-orbit trivial (Sims 1970; Seress, Permutation Group Algorithms, ch. 4), so
-|stab1| = 2^m for m generators.  The order matters: on the PSL(2, 17)
-dihedral:16 triple graph the shallowest search alone runs past 150 s on a
-2-core machine, the deepest takes 5 ms.  enumerate_stab1 lists every
-element, as an oracle.
+{s, s^-1}-neighbour of the image of its parent.  The search, like every
+check here, reads the neighbours off the graph's left-multiplication rows
+and builds no other adjacency.  With the BFS order as base, each basic
+orbit therefore has size 1 or 2.  stab1 keeps the identity on the base
+and unwinds it deepest level first; one first-solution search per level
+finds a strong generator or proves the orbit trivial (Sims 1970; Seress,
+Permutation Group Algorithms, ch. 4), so |stab1| = 2^m for m generators.
+The order matters: on the PSL(2, 17) dihedral:16 triple graph the
+shallowest search alone runs past 150 s on a 2-core machine, the deepest
+takes 5 ms.  enumerate_stab1 lists every element, as an oracle.
 
 The automorphism check needs no group arithmetic.  A stab1 element alpha
 fixes vertex 0 and preserves colours, and vertex s is the {s, s^-1}-
@@ -48,15 +49,17 @@ class _MapSearch:
     """A partial colour-preserving vertex map fixing vertex 0, grown along
     the BFS base (so the graph must be connected).
 
-    Every assignment is propagated to a fixpoint, and every edge back into
-    the assigned region prunes.  c-adjacency is symmetric (the class is
+    The c-neighbours of v are row[v] for the one or two rows of colour c,
+    and alpha must send them onto the c-neighbours of alpha[v].  Every
+    assignment is propagated to a fixpoint, and every edge back into the
+    assigned region prunes.  c-adjacency is symmetric (the class is
     inverse-closed), so processing each vertex once when it is assigned
     checks every edge constraint from at least one side.
     """
 
     def __init__(self, graph: ColouredCayleyGraph):
         self.n = graph.n
-        self.cn = graph.cn
+        self.rows = graph.left_rows
         self.order, self.parent = graph.bfs_order()
         if len(self.order) != self.n:
             raise ValueError("stab1 requires a connected graph")
@@ -77,25 +80,27 @@ class _MapSearch:
         return None
 
     def _propagate(self, trail: list[int]) -> bool:
-        alpha, used, cn = self.alpha, self.used, self.cn
+        alpha, used = self.alpha, self.used
         for v in trail:             # the trail grows as vertices are forced
-            for nv, na in zip(cn[v], cn[alpha[v]]):
-                if len(nv) == 1:
-                    u = nv[0]
-                    tgt = na[0]
+            a = alpha[v]
+            for rows in self.rows:
+                if len(rows) == 1:
+                    u = rows[0][v]
+                    tgt = rows[0][a]
                 else:
                     # one placed member of the pair forces the other
-                    u1, u2 = nv
+                    r1, r2 = rows
+                    u1, u2 = r1[v], r2[v]
                     if alpha[u2] != -1:
                         known, u = alpha[u2], u1
                     elif alpha[u1] != -1:
                         known, u = alpha[u1], u2
                     else:
                         continue
-                    if known == na[0]:
-                        tgt = na[1]
-                    elif known == na[1]:
-                        tgt = na[0]
+                    if known == r1[a]:
+                        tgt = r2[a]
+                    elif known == r2[a]:
+                        tgt = r1[a]
                     else:
                         return False
                 if alpha[u] != -1:
@@ -118,8 +123,8 @@ class _MapSearch:
         """Yield every completion of the map, branching from base level k.
 
         An explicit-stack DFS that tries the identity-consistent image
-        first at each branch point.  The map is restored when the
-        generator ends or is closed.
+        first at each branch point, then the others by vertex index.  The
+        map is restored when the generator ends or is closed.
         """
         alpha, order = self.alpha, self.order
         stack: list[list] = []    # branch points: [level, untried, trail]
@@ -132,8 +137,9 @@ class _MapSearch:
                 else:
                     w = order[k]
                     v, c = self.parent[w]
-                    stack.append([k, sorted(self.cn[alpha[v]][c],
-                                            key=lambda x: x != w), []])
+                    stack.append([k, sorted(
+                        (row[alpha[v]] for row in self.rows[c]),
+                        key=lambda x: (x != w, x)), []])
                 while stack:        # next image at the deepest branch point
                     frame = stack[-1]
                     self.undo(frame[2])
@@ -174,7 +180,8 @@ def _strong_generators(graph: ColouredCayleyGraph):
         search.undo(trail)
         w = search.order[k]
         v, c = search.parent[w]
-        for cand in search.cn[v][c]:
+        for row in search.rows[c]:
+            cand = row[v]
             branch = search.assign(w, cand) if cand != w else None
             if branch is not None:
                 completions = search.completions(k + 1)
@@ -214,12 +221,15 @@ def stab1(graph: ColouredCayleyGraph) -> VertexStabilizer:
 
 
 def preserves_colours(graph: ColouredCayleyGraph, alpha) -> bool:
-    """Whether the vertex map alpha keeps every coloured edge."""
-    cn = graph.cn
-    return all(alpha[u] in cn[alpha[v]][c]
+    """Whether the vertex map alpha keeps every coloured edge.
+
+    Each c-neighbour of v must go to a c-neighbour of alpha[v]: its image
+    under the first or the last of the colour's one or two rows.
+    """
+    return all(alpha[row[v]] in (rows[0][alpha[v]], rows[-1][alpha[v]])
                for v in range(graph.n)
-               for c, nbrs in enumerate(cn[v])
-               for u in nbrs)
+               for rows in graph.left_rows
+               for row in rows)
 
 
 def stab1_oracle(graph: ColouredCayleyGraph) -> list[tuple]:
@@ -324,7 +334,6 @@ class CCAVerdict:
     """
 
     is_cca: bool
-    connected: bool
     stab1_order: int | None
     autc_order: int | None
     stab1_checked: int = 0
@@ -336,8 +345,10 @@ class CCAVerdict:
         g = graph.group
         d = {
             "group_order": graph.n,
-            "S": [g.elem_str(s) for s in graph.conn.elements],
-            "connected": self.connected,
+            "S": [g.elem_str(s) for s in sorted(
+                (s for cls in graph.colours for s in cls),
+                key=graph.index.__getitem__)],
+            "connected": True,        # is_cca_graph requires it
             "stab1_order": self.stab1_order,
             "autc_order": self.autc_order,
             "aut_pm1_order": self.aut_pm1_order,
@@ -376,7 +387,6 @@ def is_cca_graph(graph: ColouredCayleyGraph,
         apm1_order = None
     return CCAVerdict(
         is_cca=witness is None,
-        connected=True,
         stab1_order=stab_order,
         autc_order=graph.n * stab_order if stab_order is not None else None,
         stab1_checked=checked,
@@ -432,13 +442,11 @@ class ConnectedClassGraphs:
 
     def __iter__(self):
         group = self.group
-        elems = group.elements()
         index = group.element_index()
         mt = group.mult_table()
         classes = ConnectionSet.from_elements(
-            group, elems[1:]).colour_classes()
-        class_indices = [[index[s] for s in cls] for cls in classes]
-        class_rows = [[mt[i] for i in cls] for cls in class_indices]
+            group, group.elements()[1:]).colour_classes()
+        class_rows = [[mt[index[s]] for s in cls] for cls in classes]
         for size in range(1, len(classes) + 1):
             for combo in itertools.combinations(range(len(classes)), size):
                 if (self.budget is not None
@@ -446,11 +454,8 @@ class ConnectedClassGraphs:
                     self.over_budget = True
                     return
                 self.sets_checked += 1
-                conn = ConnectionSet(group, tuple(
-                    elems[i] for i in sorted(
-                        i for c in combo for i in class_indices[c])))
                 graph = ColouredCayleyGraph(
-                    group, conn, [classes[c] for c in combo],
+                    group, [classes[c] for c in combo],
                     [class_rows[c] for c in combo])
                 if graph.is_connected():
                     self.connected_checked += 1

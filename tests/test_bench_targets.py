@@ -4,7 +4,9 @@
 ``vars(owner)[attr]``, so a target that is renamed, moved to another owner
 or only inherited breaks every traced benchmark run.  This guard loads the
 tracer module from its file (without writing bytecode next to it) and
-checks each entry in well under a second.
+checks each entry in well under a second.  A target answered from a cache
+is recorded only while its cache attribute is unset; the guard also checks
+that each such predicate reads the attribute the method really sets.
 """
 
 import importlib.util
@@ -12,6 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from ccakit import groupzoo as gz
+from ccakit.cayley import ConnectionSet, build
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -36,3 +41,24 @@ TARGETS = load_tracing().TARGETS
     ids=[f"{t[0].__name__}.{t[1]}" for t in TARGETS])
 def test_target_is_defined_on_its_owner(owner, attr):
     assert attr in vars(owner)
+
+
+def small_instance(owner):
+    """A fresh instance of a cached target's owner, nothing yet cached."""
+    G = gz.symmetric_group(3)
+    if owner.__name__ == "ColouredCayleyGraph":
+        return build(G, ConnectionSet.from_elements(G, G.involutions()))
+    return G
+
+
+@pytest.mark.parametrize(
+    "owner, attr, when", [(t[0], t[1], t[4]) for t in TARGETS if t[4]],
+    ids=[f"{t[0].__name__}.{t[1]}" for t in TARGETS if t[4]])
+def test_cache_predicate_records_the_first_call_only(owner, attr, when):
+    # A predicate that reads a renamed cache attribute stays true, so every
+    # cached call would be recorded and inflate the layer's time.
+    obj = small_instance(owner)
+    assert isinstance(obj, owner)
+    assert when((obj,))
+    getattr(obj, attr)()
+    assert not when((obj,))

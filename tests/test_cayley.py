@@ -26,6 +26,11 @@ def class_subsets(G):
             yield [s for cls in combo for s in cls]
 
 
+def neighbours(graph, v, c):
+    """The c-neighbours of vertex v, read off the colour's left rows."""
+    return {row[v] for row in graph.left_rows[c]}
+
+
 class TestConnectionSet:
     def test_rejects_identity(self):
         G = gz.cyclic_group(4)
@@ -68,7 +73,7 @@ class TestBuild:
         assert graph.n == 4
         assert len(graph.colours) == 1
         # 4-cycle: every vertex has exactly two neighbours of the colour
-        assert all(len(graph.cn[v][0]) == 2 for v in range(4))
+        assert all(len(neighbours(graph, v, 0)) == 2 for v in range(4))
         assert graph.is_connected()
 
     def test_s3_transpositions_three_matchings(self):
@@ -78,9 +83,11 @@ class TestBuild:
         graph = build(G, conn)
         assert graph.n == 6
         assert len(graph.colours) == 3
-        for c in range(3):
-            # each involution colour is a perfect matching
-            assert all(len(graph.cn[v][c]) == 1 for v in range(6))
+        for rows in graph.left_rows:
+            # each involution colour is a fixed-point-free perfect matching
+            assert len(rows) == 1
+            row = rows[0]
+            assert all(row[row[v]] == v != row[v] for v in range(6))
         assert graph.is_connected()
 
     def test_q8_two_pair_classes(self):
@@ -109,12 +116,14 @@ class TestBuild:
         G = gz.dihedral_group(4)
         for S in class_subsets(G):
             graph = build(G, ConnectionSet.from_elements(G, S))
+            colours = range(len(graph.colours))
             for v in range(graph.n):
                 # |S|-regular, and u is a c-neighbour of v iff v is one of u
-                assert sum(len(nbrs) for nbrs in graph.cn[v]) == len(S)
-                assert all(v in graph.cn[u][c]
-                           for c, nbrs in enumerate(graph.cn[v])
-                           for u in nbrs)
+                assert sum(len(neighbours(graph, v, c))
+                           for c in colours) == len(S)
+                assert all(v in neighbours(graph, u, c)
+                           for c in colours
+                           for u in neighbours(graph, v, c))
 
 
 class TestConnectivity:

@@ -136,11 +136,15 @@ class TestTripleCommand:
                      "--subgroup", "wat:1"]) == EXIT_USAGE
 
     @pytest.mark.parametrize("spec", ["pointwise:0", "setwise:0,5",
-                                      "pointwise:9", "setwise:4,6"])
+                                      "pointwise:9", "setwise:4,6",
+                                      "point:0", "point:6"])
     def test_subgroup_point_out_of_range_exit_2(self, capsys, spec):
+        # the first bad point as typed, against the spec's 1-based range
+        point = next(p for p in spec.split(":")[1].split(",")
+                     if not 1 <= int(p) <= 5)
         assert main(["triple", "search", "S5", "--subgroup", spec]) \
             == EXIT_USAGE
-        assert "outside degree 5" in capsys.readouterr().err
+        assert f"point {point} outside 1..5" in capsys.readouterr().err
 
     def test_elements_round_trip(self, capsys):
         rc, rep = run_json(capsys, [

@@ -11,6 +11,7 @@ from ccakit import groupzoo as gz
 from ccakit import triples as tr
 from ccakit.cayley import ConnectionSet, build
 from ccakit.colourauts import (
+    CCAVerdict,
     ConnectedClassGraphs,
     VertexStabilizer,
     _automorphism_violation,
@@ -18,6 +19,7 @@ from ccakit.colourauts import (
     enumerate_stab1,
     is_cca_graph,
     is_cca_group_exhaustive,
+    preserves_colours,
     right_regular_preserves_colours,
     stab1,
     stab1_oracle,
@@ -258,8 +260,7 @@ class TestAutPm1:
             idx = G.element_index()
             elems = G.elements()
             for graph in connected_class_graphs(G):
-                conn = graph.conn
-                sidx = [idx[s] for s in conn.elements]
+                sidx = [idx[s] for cls in graph.colours for s in cls]
                 expected = sorted(
                     a for a in autos
                     if all(a[i] in (i, idx[G.invert(elems[i])])
@@ -335,8 +336,12 @@ class TestConnectedClassGraphs:
     def test_matches_independent_enumeration(self):
         for expr, G in gz.zoo_corpus(12):
             graphs = ConnectedClassGraphs(G)
-            got = [(g.conn.elements, g.colours, g.cn) for g in graphs]
-            want = [(g.conn.elements, g.colours, g.cn)
+            # S as reports print it, against the built connection set
+            got = [(CCAVerdict(True, None, None).to_json_dict(g)["S"],
+                    g.colours, g.left_rows) for g in graphs]
+            want = [([G.elem_str(s) for s in ConnectionSet.from_elements(
+                          G, [s for cls in g.colours for s in cls]).elements],
+                     g.colours, g.left_rows)
                     for g in connected_class_graphs(G)]
             assert got == want, expr
             k = len(ConnectionSet.from_elements(
@@ -503,6 +508,27 @@ class TestRightRegular:
             G = gz.construct(expr)
             for graph in connected_class_graphs(G):
                 assert right_regular_preserves_colours(graph)
+
+
+class TestPreservesColours:
+    def test_rejects_a_colour_swapping_graph_automorphism(self):
+        # Cay(C2 x C2, {a, b}) is the 4-cycle 1 - a - ab - b - 1 with the
+        # colours alternating; fixing 1 and ab while swapping a and b
+        # keeps every edge but swaps the two colours.
+        G = gz.construct("C2 x C2")
+        a, b = G.involutions()[:2]
+        graph = build(G, ConnectionSet.from_elements(G, [a, b]))
+        idx = graph.index
+        assert len(graph.colours) == 2
+        assert idx[G.multiply(a, b)] not in (0, idx[a], idx[b])
+        swap = list(range(4))
+        swap[idx[a]], swap[idx[b]] = idx[b], idx[a]
+        edges = {frozenset((v, row[v])) for rows in graph.left_rows
+                 for row in rows for v in range(4)}
+        assert {frozenset(swap[v] for v in e) for e in edges} == edges
+        assert not preserves_colours(graph, swap)
+        assert preserves_colours(graph, list(range(4)))
+        assert stab1_oracle(graph) == [(0, 1, 2, 3)]
 
 
 def _out_of_time(signum, frame):
