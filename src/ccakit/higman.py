@@ -14,6 +14,13 @@ Both correction terms are bilinear in the e-parts, so the closed form is a
 2-cocycle and the product is associative by construction; the test tree
 certifies it against a literal word-rewriting collector anyway.
 
+Bilinearity also makes the correction cheap: each HigmanParams holds, for
+every 4-bit nibble of the right e-part and 8-bit byte of the left one, a
+4096-entry table of that block's correction word, built once when the
+params are made.  gamma is then one lookup per block, and the tables stay
+at ceil(r/4) * ceil(r/8) * 4096 entries or fewer for every r (two tables
+for r <= 8), whatever the enumeration limit.
+
 The "constrained" flavour forces g_r^2 = g_{r-1}^2 = h_1, which pins rows
 r-1 and r of the b-matrix and makes (S, T, tau) with S = {g_1..g_{r-2},
 h_1..h_s}, T = {g_{r-1}, g_r}, tau = h_1 a non-CCA triple with
@@ -25,7 +32,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fgroup import FiniteGroup
@@ -51,6 +58,9 @@ class HigmanParams:
     c: tuple
     constrained: bool = False
     seed: int | None = None
+    # (right shift, left shift, table) per block with a nonzero word; see
+    # gamma.  Derived from b and c, so not compared, hashed or printed.
+    _gamma_tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 1 or self.s < 1:
@@ -68,6 +78,7 @@ class HigmanParams:
             if self.b[self.r - 1] != 1 or self.b[self.r - 2] != 1:
                 raise ValueError(
                     "constrained params require g_r^2 = g_{r-1}^2 = h_1")
+        object.__setattr__(self, "_gamma_tables", self._build_gamma_tables())
 
     @property
     def n(self) -> int:
@@ -78,6 +89,30 @@ class HigmanParams:
         if not 0 <= i < j < self.r:
             raise IndexError(f"bad pair ({i}, {j})")
         return i * self.r - i * (i + 1) // 2 + (j - i - 1)
+
+    def _word(self, i: int, k: int) -> int:
+        """Correction word for right-factor bit i and left-factor bit k."""
+        if i >= self.r or k >= self.r or k < i:
+            return 0
+        return self.b[i] if k == i else self.c[self.pair_index(i, k)]
+
+    def _build_gamma_tables(self) -> tuple:
+        tables = []
+        for rlo in range(0, self.r, 4):
+            for llo in range(0, self.r, 8):
+                # table[rn << 8 | lb]: the word of right nibble rn against
+                # left byte lb, built by doubling one bit at a time
+                table = [0] * 256
+                for i in range(rlo, rlo + 4):
+                    row = [0]
+                    for k in range(llo, llo + 8):
+                        w = self._word(i, k)
+                        row += [x ^ w for x in row]
+                    table += [x ^ y for x, y in
+                              zip(table, row * (len(table) >> 8))]
+                if any(table):
+                    tables.append((rlo, llo, table))
+        return tuple(tables)
 
     # -- JSON interchange ----------------------------------------------------
 
@@ -119,15 +154,13 @@ def gamma(params: HigmanParams, left_e: int, right_e: int) -> int:
     One c(i,j) word for every pair i < j where the right factor carries g_i
     and the left factor carries g_j (moving g_i leftwards past g_j), plus
     one b-row for every index carried by both factors (g_i^2 collapses).
+    The sum is bilinear, so it is the XOR of one precomputed table entry
+    per (nibble of right_e, byte of left_e) block; bits at or above r
+    count for nothing.
     """
     f = 0
-    for i in range(params.r):
-        if right_e >> i & 1:
-            for j in range(i + 1, params.r):
-                if left_e >> j & 1:
-                    f ^= params.c[params.pair_index(i, j)]
-        if (left_e >> i & 1) and (right_e >> i & 1):
-            f ^= params.b[i]
+    for rlo, llo, table in params._gamma_tables:
+        f ^= table[(right_e >> rlo & 15) << 8 | (left_e >> llo & 255)]
     return f
 
 
@@ -338,13 +371,37 @@ def theorem3_triple(params: HigmanParams):
 def regular_representation(G: HigmanGroup) -> PermutationGroup:
     """Degree-2^n permutation group via the right-multiplication action.
 
-    Lists G's elements, so G's enum_limit bounds the construction.
+    Lists G's elements, so G's enum_limit bounds the construction.  The
+    action is checked to be regular (see _is_regular) before it is returned.
     """
     elems = G.elements()
     idx = G.element_index()
     perms = [Permutation([idx[G.multiply(v, x)] for v in elems])
              for x in G.generators()]
     P = PermutationGroup(len(elems), perms)
-    if P.order() != len(elems):
+    if not _is_regular(P.degree, P.generators()):
         raise AssertionError("regular representation is not faithful/regular")
     return P
+
+
+def _is_regular(degree: int, gens) -> bool:
+    """Whether <gens> acts regularly on 0..degree-1, without Schreier-Sims.
+
+    A breadth-first search from point 0 gives a t[v] in the group mapping 0
+    to v.  If the orbit is every point and t[v] * g == t[g(v)] for every v
+    and generator g, the degree maps t[v] are closed under the generators,
+    so they are the whole group, and its order is the degree.
+    """
+    t = {0: Permutation.identity(degree)}
+    queue = [0]
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for g in gens:
+            w = g[v]
+            if w not in t:
+                t[w] = t[v] * g
+                queue.append(w)
+    return (len(t) == degree
+            and all(t[v] * g == t[g[v]] for v in queue for g in gens))

@@ -10,6 +10,12 @@ is exactly this composition.  All user-facing cycle notation is 1-based,
 matching the classical notation "(1 2)(3 4 5 6)"; multiple cycles in one
 string are applied left to right (irrelevant for disjoint cycles).
 
+Validation happens where permutations enter: the ``Permutation``
+constructor checks that its images are a bijection, and ``parse_cycles``
+and ``PermutationGroup(degree, gens)`` build through it.  Products,
+inverses and identities are permutations by construction, so they skip
+that check (``Permutation._trusted``, private to this module).
+
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
 base point.  This makes orders, membership tests and reports reproducible.
@@ -28,7 +34,13 @@ __all__ = [
 
 
 class Permutation:
-    """Bijection of {0..degree-1}, stored as a tuple of images."""
+    """Immutable bijection of {0..degree-1}, stored as a tuple of images.
+
+    ``Permutation(images)`` checks that the images are a bijection and
+    raises ValueError if not; it is the one way in for outside data.
+    ``*``, ``inverse`` and ``identity`` build their results unchecked,
+    since products and inverses of permutations are permutations.
+    """
 
     __slots__ = ("images",)
 
@@ -40,8 +52,24 @@ class Permutation:
         object.__setattr__(self, "images", images)
 
     @classmethod
+    def _trusted(cls, images: tuple) -> "Permutation":
+        """Wrap a tuple known to be a bijection, without checking it."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Permutation is immutable")
+
+    def __reduce__(self):
+        return (Permutation, (self.images,))
+
+    @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return cls._trusted(tuple(range(degree)))
 
     @property
     def degree(self) -> int:
@@ -54,13 +82,13 @@ class Permutation:
         if len(self.images) != len(other.images):
             raise ValueError("degree mismatch in composition")
         o = other.images
-        return Permutation(o[i] for i in self.images)
+        return Permutation._trusted(tuple([o[i] for i in self.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(inv)
+        return Permutation._trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

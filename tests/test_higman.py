@@ -9,6 +9,7 @@ from ccakit import triples as tr
 from ccakit.higman import (
     HigmanGroup,
     HigmanParams,
+    _is_regular,
     gamma,
     inverse,
     multiply,
@@ -19,6 +20,7 @@ from ccakit.higman import (
     sample_params,
     theorem3_triple,
 )
+from ccakit.permcore import parse_cycles
 
 
 def hand_built_q8_table():
@@ -145,6 +147,45 @@ class TestMultiplication:
                 gamma(params, a, b) ^ gamma(params, a, c)
 
 
+class TestGammaTables:
+    """gamma reads precomputed block tables; the collector is the oracle."""
+
+    @staticmethod
+    def collected_gamma(params, left_e, right_e):
+        e, f = multiply_oracle(params, (left_e, 0), (right_e, 0))
+        assert e == left_e ^ right_e
+        return f
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_equals_collector_on_all_pairs(self, n):
+        for seed in (1, 2, 3):
+            params = sample_params(n, seed)
+            top = 1 << params.r
+            for left in range(top):
+                for right in range(top):
+                    assert gamma(params, left, right) == \
+                        self.collected_gamma(params, left, right)
+
+    @pytest.mark.parametrize("n", [9, 12, 14])
+    def test_equals_collector_on_sampled_pairs(self, n):
+        params = sample_params(n, 7)
+        rng = random.Random(n)
+        top = 1 << params.r
+        for _ in range(2000):
+            left, right = rng.randrange(top), rng.randrange(top)
+            assert gamma(params, left, right) == \
+                self.collected_gamma(params, left, right)
+
+    def test_tables_stay_small_for_large_r(self):
+        params = sample_params(60, 1)        # r = 40: 2^40 e-parts
+        assert params.r == 40
+        blocks = ((params.r + 3) // 4) * ((params.r + 7) // 8)
+        assert len(params._gamma_tables) <= blocks
+        assert all(len(t) == 4096 for _, _, t in params._gamma_tables)
+        x = (1 << 39) | 5
+        assert multiply(params, (x, 0), inverse(params, (x, 0))) == (0, 0)
+
+
 class TestRelations:
     @pytest.mark.parametrize("n", range(3, 11))
     def test_relation_audit_clean(self, n):
@@ -268,6 +309,17 @@ class TestRegularRepresentation:
                     orbit.add(g[v])
                     frontier.append(g[v])
         assert len(orbit) == 8
+
+    @pytest.mark.parametrize("degree, gens, regular", [
+        (3, ["(1 2 3)"], True),                       # C3
+        (3, ["(1 2 3)", "(1 2)"], False),             # S3: transitive
+        (3, ["(1 2)"], False),                        # not transitive
+        (4, ["(1 2)(3 4)", "(1 3)(2 4)"], True),      # Klein four-group
+        (4, ["(1 2 3 4)", "(1 3)"], False),           # D4 on 4 points
+    ])
+    def test_is_regular(self, degree, gens, regular):
+        perms = [parse_cycles(g, degree) for g in gens]
+        assert _is_regular(degree, perms) is regular
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_order_matches(self, n):

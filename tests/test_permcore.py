@@ -1,8 +1,15 @@
+import ast
+import copy
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
+from ccakit import groupzoo
 from ccakit.permcore import Permutation, PermutationGroup, parse_cycles
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def brute_closure(gens):
@@ -62,6 +69,75 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation((0, 0, 1))
+
+    def test_immutable(self):
+        p = Permutation([1, 0, 2])
+        d = {p: 1}
+        with pytest.raises(AttributeError):
+            p.images = (0, 1, 2)
+        with pytest.raises(AttributeError):
+            del p.images
+        assert p.images == (1, 0, 2)
+        assert d[p] == 1 and Permutation([1, 0, 2]) in d
+
+    def test_pickle_and_copy_round_trip(self):
+        p = parse_cycles("(1 3 2)", 4)
+        for q in (pickle.loads(pickle.dumps(p)), copy.copy(p),
+                  copy.deepcopy(p)):
+            assert q == p and hash(q) == hash(p)
+
+
+class TestTrustedArithmetic:
+    """Products, inverses and identities skip validation; check that what
+    they build is exactly what the validating constructor would build."""
+
+    def test_results_equal_validated_permutations(self):
+        rng = random.Random(20261018)
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            p, q = (Permutation(rng.sample(range(n), n)) for _ in range(2))
+            pq = p * q
+            assert Permutation(pq.images) == pq
+            assert pq.images == tuple(q[p[i]] for i in range(n))
+            assert type(pq.images) is tuple
+            assert Permutation(p.inverse().images) == p.inverse()
+            assert (p * p.inverse()).is_identity()
+            assert p * p.inverse() == Permutation.identity(n)
+            assert Permutation.identity(n) == Permutation(range(n))
+            m = rng.choice([k for k in range(1, 13) if k != n])
+            with pytest.raises(ValueError):
+                p * Permutation.identity(m)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Permutation((1, 2)),
+        lambda: PermutationGroup(3, [[0, 0, 1]]),
+        lambda: PermutationGroup(3, [[1, 0]]),
+        lambda: parse_cycles("(1 2", 3),
+        lambda: groupzoo.construct("S5").elem_parse("(1 6)"),
+        lambda: groupzoo.construct("perm:3:(1 2 1)"),
+    ], ids=["short-images", "group-non-bijection", "group-degree",
+            "cycles-malformed", "elem-parse-range", "expr-repeated-point"])
+    def test_invalid_input_is_rejected_where_it_enters(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_unchecked_constructor_stays_private_to_permcore(self):
+        """Only permcore may build a Permutation without validation; every
+        other module, test and benchmark goes through Permutation(...)."""
+        allowed = REPO / "src" / "ccakit" / "permcore.py"
+        files = [f for d in ("src", "tests", "bench")
+                 for f in sorted((REPO / d).rglob("*.py"))]
+        assert allowed in files
+        offenders = []
+        for f in files:
+            if f == allowed:
+                continue
+            for node in ast.walk(ast.parse(f.read_text(), str(f))):
+                name = (node.attr if isinstance(node, ast.Attribute) else
+                        node.id if isinstance(node, ast.Name) else None)
+                if name == "_trusted":
+                    offenders.append(f"{f.relative_to(REPO)}:{node.lineno}")
+        assert offenders == []
 
 
 class TestCycleNotation:
