@@ -11,7 +11,7 @@ exhaustive sweep, is taken on it.  Its one adjacency is index rows:
 left_rows[c] has one row per member s of colour c, row[v] = index(s * v),
 so the c-neighbours of v are row[v] for row in left_rows[c].  Its one
 constructor takes the rows.  build() checks the group and the graph limit
-and computes the rows of a ConnectionSet with group.multiply; the
+and computes the rows of a ConnectionSet with group.left_row; the
 exhaustive sweep, which builds thousands of graphs of one group, passes
 rows of the cached multiplication table to the constructor instead.  The
 BFS tree is computed from the rows on first use and cached, so a
@@ -141,16 +141,13 @@ class ColouredCayleyGraph:
 
 def build(group: FiniteGroup, conn: ConnectionSet,
           graph_limit: int = DEFAULT_GRAPH_LIMIT) -> ColouredCayleyGraph:
-    """The graph of conn, its rows computed with group.multiply."""
+    """The graph of conn, its rows computed by group.left_row."""
     if conn.group is not group:
         raise ValueError("connection set belongs to a different group")
     n = group.order()
     if n > graph_limit:
         raise LimitExceeded(
             f"group order {n} exceeds graph limit {graph_limit}")
-    index = group.element_index()
-    mul = group.multiply
-    elems = group.elements()
     colours = conn.colour_classes()
     return ColouredCayleyGraph(group, colours, [
-        [[index[mul(s, v)] for v in elems] for s in cls] for cls in colours])
+        [group.left_row(s) for s in cls] for cls in colours])

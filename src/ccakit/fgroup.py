@@ -6,6 +6,10 @@ values.  Two realizations exist: permutation-backed groups (permcore) and
 bitvector-backed 2-groups (higman).  Enumeration order is deterministic:
 identity first, then breadth-first closure over the generator list, so
 reports and witnesses are reproducible across runs.
+
+Index arithmetic goes through one method: ``left_row(s)`` lists the index
+of s*v for every element v, by ``multiply`` unless a realization has a
+faster way, and ``mult_table`` is the list of every element's row.
 """
 
 from __future__ import annotations
@@ -127,11 +131,15 @@ class FiniteGroup(abc.ABC):
             if len(elems) > MULT_TABLE_LIMIT:
                 raise LimitExceeded(
                     f"mult_table limited to order {MULT_TABLE_LIMIT}")
-            idx = self.element_index()
-            mul = self.multiply
-            cached = [[idx[mul(a, b)] for b in elems] for a in elems]
+            cached = [self.left_row(a) for a in elems]
             self._mult_table = cached
         return cached
+
+    def left_row(self, s) -> list[int]:
+        """Row of s in the multiplication table: index of s*v per element v."""
+        idx = self.element_index()
+        mul = self.multiply
+        return [idx[mul(s, v)] for v in self.elements()]
 
     # -- derived element arithmetic -----------------------------------------
 

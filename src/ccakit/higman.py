@@ -177,6 +177,8 @@ def multiply(params: HigmanParams, a: Element, b: Element) -> Element:
 
 def inverse(params: HigmanParams, a: Element) -> Element:
     ae, af = a
+    if not (0 <= ae < 1 << params.r and 0 <= af < 1 << params.s):
+        raise ValueError("element does not fit the parameter dimensions")
     return (ae, af ^ gamma(params, ae, ae))
 
 

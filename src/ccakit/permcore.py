@@ -16,6 +16,21 @@ and ``PermutationGroup(degree, gens)`` build through it.  Products,
 inverses and identities are permutations by construction, so they skip
 that check (``Permutation._trusted``, private to this module).
 
+A permutation group lists its elements and computes its Cayley-graph rows
+on image tuples: ``p * x`` has images ``itemgetter(*p.images)(x.images)``,
+one C-level call, so a product builds no Permutation, hash or comparison.
+The listing is still ``fgroup.closure``, in the same breadth-first order,
+and each listed tuple is wrapped once.  Listing checks the enumeration
+limit against the group's order first, which takes a stabilizer chain,
+except for a subgroup (``generated_subgroup``, ``point_stabilizer``) of a
+group whose order is known and within the limit: the parent's order bounds
+the subgroup's, so the subgroup lists without a chain of its own (Seress,
+*Permutation Group Algorithms*, 2003, ch. 4).  An order is known once the
+group's chain is built, and passes down from such a bounded subgroup to its
+subgroups.  It passes only to generators that lie in the parent, checked
+by a sift through the parent's chain or a lookup among its listed images;
+other generators may span a larger group, which checks its own order.
+
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
 base point.  This makes orders, membership tests and reports reproducible.
@@ -25,7 +40,9 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 
+from . import fgroup
 from .fgroup import FiniteGroup
 
 __all__ = [
@@ -131,6 +148,22 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_str()} deg {self.degree}]"
+
+
+def _apply(f, x):
+    """``f(x)``: closure's product when its generators are left factors."""
+    return f(x)
+
+
+def _left_factor(p: Permutation):
+    """The map x.images -> (p * x).images, one C-level call for degree >= 2.
+
+    ``itemgetter`` of a single index returns a scalar, not a tuple, so
+    degrees 0 and 1 take a plain tuple comprehension instead.
+    """
+    if len(p.images) >= 2:
+        return itemgetter(*p.images)
+    return lambda x: tuple([x[i] for i in p.images])
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -278,6 +311,10 @@ class PermutationGroup(FiniteGroup):
                 gens.append(g)
         self._gens = gens
         self._chain: StabilizerChain | None = None
+        self._elements: list[Permutation] | None = None
+        # set by generated_subgroup: the parent's order when it was known
+        self._order_bound: int | None = None
+        self._images_index: dict[tuple, int] | None = None
 
     # -- FiniteGroup contract -----------------------------------------------
 
@@ -306,13 +343,52 @@ class PermutationGroup(FiniteGroup):
         return isinstance(p, Permutation) and self.chain.contains(p)
 
     def elements(self) -> list[Permutation]:
-        if getattr(self, "_elements", None) is None:
-            self._check_enum_limit(self.order())
-        return super().elements()
+        """The closure over the generators, listed on image tuples.
+
+        A subgroup whose parent's order is known and within the limit needs
+        no chain of its own; otherwise the order is checked first.
+        """
+        if self._elements is None:
+            if not self._bounded():
+                self._check_enum_limit(self.order())
+            trusted = Permutation._trusted
+            self._elements = [trusted(t) for t in fgroup.closure(
+                tuple(range(self.degree)),
+                [_left_factor(g) for g in self._gens],
+                _apply, self.enum_limit)]
+        return self._elements
+
+    def _bounded(self) -> bool:
+        """Whether a parent's order bounds this group's within the limit."""
+        bound = self._order_bound
+        return bound is not None and bound <= self.enum_limit
+
+    def _index_by_images(self) -> dict[tuple, int]:
+        """Element index keyed by the image tuples the elements hold."""
+        index = self._images_index
+        if index is None:
+            index = {x.images: i for i, x in enumerate(self.elements())}
+            self._images_index = index
+        return index
+
+    def left_row(self, s: Permutation) -> list[int]:
+        index = self._index_by_images()       # iterates in element order
+        return list(map(index.__getitem__, map(_left_factor(s), index)))
 
     def generated_subgroup(self, gens) -> "PermutationGroup":
+        """<gens>, bounded by this group's known order if gens lie in it."""
         H = PermutationGroup(self.degree, gens)
         H.enum_limit = self.enum_limit
+        chain = self._chain
+        if chain is not None and self._elements is None:
+            bound, member = chain.order(), chain.contains
+        elif chain is not None or self._bounded():
+            index = self._index_by_images()
+            bound, member = len(index), lambda g: g.images in index
+        else:
+            return H
+        if all(map(member, H._gens)):
+            H._order_bound = bound
         return H
 
     def elem_str(self, x: Permutation) -> str:
@@ -331,8 +407,12 @@ class PermutationGroup(FiniteGroup):
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside degree {self.degree}")
         chain = StabilizerChain(self.degree, self._gens, base_hint=(point,))
-        # the strong generators fixing the first base point, `point`
-        return self.generated_subgroup(chain._level_gens(1))
+        # the strong generators fixing the first base point, `point`, span
+        # the stabilizer, whose order the chain gives: |G| / |orbit|
+        H = PermutationGroup(self.degree, chain._level_gens(1))
+        H.enum_limit = self.enum_limit
+        H._order_bound = chain.order() // len(chain.transversals[0])
+        return H
 
     def __repr__(self) -> str:
         return (f"PermutationGroup(degree={self.degree}, "

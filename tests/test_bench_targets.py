@@ -6,7 +6,9 @@ or only inherited breaks every traced benchmark run.  This guard loads the
 tracer module from its file (without writing bytecode next to it) and
 checks each entry in well under a second.  A target answered from a cache
 is recorded only while its cache attribute is unset; the guard also checks
-that each such predicate reads the attribute the method really sets.
+that each such predicate reads the attribute the method really sets, and
+that listing a permutation group still goes through the traced
+`fgroup.closure`.
 """
 
 import importlib.util
@@ -62,3 +64,10 @@ def test_cache_predicate_records_the_first_call_only(owner, attr, when):
     assert when((obj,))
     getattr(obj, attr)()
     assert not when((obj,))
+
+
+def test_permutation_listing_stays_inside_fgroup_closure(closure_calls):
+    # The `fgroup.elements` span and its `fgroup.elements_n` count wrap the
+    # module attribute; a listing that stopped calling it would drop out.
+    assert len(gz.symmetric_group(4).elements()) == 24
+    assert len(closure_calls) == 1

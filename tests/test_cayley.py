@@ -4,7 +4,8 @@ import pytest
 
 from ccakit import groupzoo as gz
 from ccakit.cayley import ConnectionSet, InvalidConnectionSet, build
-from ccakit.colourauts import right_regular_preserves_colours
+from ccakit.colourauts import (is_cca_group_exhaustive,
+                               right_regular_preserves_colours)
 from ccakit.fgroup import LimitExceeded
 from ccakit.higman import HigmanGroup, quaternion_params
 
@@ -124,6 +125,26 @@ class TestBuild:
                 assert all(v in neighbours(graph, u, c)
                            for c in colours
                            for u in neighbours(graph, v, c))
+
+
+class TestSmallDegrees:
+    """Degrees 1 and 2, where a row maps tuples of one or two images."""
+
+    @pytest.mark.parametrize("expr", ["C1", "S1"])
+    def test_trivial_group(self, expr):
+        G = gz.construct(expr)
+        assert G.mult_table() == [[0]]
+        assert is_cca_group_exhaustive(G).status == "cca"
+
+    @pytest.mark.parametrize("expr", ["C2", "S2"])
+    def test_order_two_rows_equal_generic_rows(self, expr):
+        G = gz.construct(expr)
+        graph = build(G, ConnectionSet.from_elements(G, G.elements()[1:]))
+        idx = G.element_index()
+        assert graph.left_rows == [
+            [[idx[G.multiply(s, v)] for v in G.elements()] for s in cls]
+            for cls in graph.colours]
+        assert graph.left_rows == [[[1, 0]]]
 
 
 class TestConnectivity:

@@ -177,6 +177,15 @@ class TestExitCodes:
         # the same command runs to completion under the default limit
         assert main(argv[:-2]) == EXIT_OK
 
+    def test_subgroup_gens_outside_the_group_checked_by_order(self, capsys):
+        # (1 2) and a 10-cycle span S10, not a subgroup of PSL2(9); it is
+        # refused by its order before any element is listed
+        argv = ["triple", "search", "PSL2(9)", "--subgroup",
+                "gens:(1 2),(1 2 3 4 5 6 7 8 9 10)"]
+        assert main(argv) == EXIT_LIMIT
+        assert "group order 3628800 exceeds enumeration limit" \
+            in capsys.readouterr().err
+
     def test_crosscheck_over_graph_limit_exit_3(self, capsys):
         argv = ["triple", "validate", "higman:n=8,seed=1",
                 "--S", "g1,g2,g3,h1,h2,h3", "--T", "g4,g5", "--tau", "h1",

@@ -105,6 +105,19 @@ class TestMultiplication:
             assert G.multiply(x, G.invert(x)) == G.identity()
             assert G.multiply(G.invert(x), x) == G.identity()
 
+    @pytest.mark.parametrize("x", [(1 << 10, 1 << 7), (-3, 0)])
+    def test_inverse_rejects_what_multiply_rejects(self, x):
+        # n = 6 gives r = 4, s = 2: neither element fits those dimensions
+        params = sample_params(6, 1)
+        G = HigmanGroup(params)
+        assert not G.contains(x)
+        with pytest.raises(ValueError):
+            multiply(params, x, G.identity())
+        with pytest.raises(ValueError):
+            inverse(params, x)
+        with pytest.raises(ValueError):
+            G.invert(x)
+
     @pytest.mark.parametrize("n", range(3, 11))
     def test_associativity(self, n):
         params = sample_params(n, 17)

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from ccakit import groupzoo
+from ccakit import fgroup, groupzoo
+from ccakit.fgroup import LimitExceeded
 from ccakit.permcore import Permutation, PermutationGroup, parse_cycles
+from ccakit.triples import s_tau
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -229,3 +231,147 @@ class TestSubgroups:
         H = self.S4.point_stabilizer(0)
         assert H.order() == 6
         assert all(g[0] == 0 for g in H.elements())
+
+
+def generic_listing(G):
+    """The closure over Permutation products, as FiniteGroup lists it."""
+    return fgroup.closure(G.identity(), G.generators(), G.multiply,
+                          G.enum_limit)
+
+
+def generic_row(G, s):
+    index = G.element_index()
+    return [index[G.multiply(s, v)] for v in G.elements()]
+
+
+def psl2_17_point_stabilizer():
+    return groupzoo.construct("PSL2(17)").point_stabilizer(17)
+
+
+def s6_setwise_stabilizer():
+    return groupzoo.setwise_stabilizer(groupzoo.construct("S6"), [4, 5])
+
+
+def psl2_7_s_tau_span():
+    """The span of S_G(tau) for the first involution tau of G."""
+    G = groupzoo.construct("PSL2(7)")
+    return s_tau(G, G.involutions()[0]).span()
+
+
+IMAGE_TUPLE_CASES = {
+    **{expr: (lambda expr=expr: groupzoo.construct(expr))
+       for expr in ("PSL2(7)", "PSL2(8)", "PSL2(9)", "PSL2(16)", "PSL2(17)",
+                    "M11", "C2 x S3")},
+    "PSL2(17) point stabilizer": psl2_17_point_stabilizer,
+    "S6 setwise {5, 6}": s6_setwise_stabilizer,
+    "PSL2(7) S(tau) span": psl2_7_s_tau_span,
+}
+
+# rows of every element up to this order; above it, generators and a sample
+ALL_ROWS_UP_TO = 504
+
+
+class TestImageTupleArithmetic:
+    """Listing and rows on image tuples against the Permutation-product path.
+
+    The tuple path must give the same elements in the same order, and the
+    same row for every element, as closure and multiply on Permutations.
+    """
+
+    def check(self, G):
+        assert isinstance(G, PermutationGroup)
+        elems = G.elements()
+        assert elems == generic_listing(G)
+        if len(elems) <= ALL_ROWS_UP_TO:
+            sample = elems
+        else:
+            sample = G.generators() + random.Random(5).sample(elems, 12)
+        for s in sample:
+            assert G.left_row(s) == generic_row(G, s)
+
+    def test_zoo_corpus(self):
+        groups = [G for _, G in groupzoo.zoo_corpus(48)
+                  if isinstance(G, PermutationGroup)]
+        assert len(groups) > 30
+        for G in groups:
+            self.check(G)
+
+    @pytest.mark.parametrize("name", IMAGE_TUPLE_CASES)
+    def test_named_group(self, name):
+        self.check(IMAGE_TUPLE_CASES[name]())
+
+    def test_mult_table_is_the_rows(self):
+        G = groupzoo.symmetric_group(4)
+        assert G.mult_table() == [generic_row(G, a) for a in G.elements()]
+
+
+class TestSubgroupOrderBound:
+    """A subgroup of a group of known order lists without its own chain."""
+
+    def test_subgroup_of_an_ordered_group_builds_no_chain(self):
+        S5 = groupzoo.symmetric_group(5)
+        assert S5.order() == 120
+        H = groupzoo.setwise_stabilizer(S5, [3, 4])
+        assert len(H.elements()) == 12
+        assert H._chain is None
+        # a bounded subgroup bounds its own subgroups in turn
+        K = H.generated_subgroup([parse_cycles("(4 5)", 5)])
+        assert len(K.elements()) == 2
+        assert K._chain is None
+
+    def test_subgroup_of_an_unordered_group_checks_its_order(self):
+        S5 = groupzoo.symmetric_group(5)
+        H = S5.generated_subgroup([parse_cycles("(1 2 3)", 5)])
+        assert len(H.elements()) == 3
+        assert H._chain is not None
+
+    def test_lowered_subgroup_limit_still_refuses(self, closure_calls):
+        S5 = groupzoo.symmetric_group(5)
+        S5.order()
+        H = S5.point_stabilizer(4)
+        H.enum_limit = 10
+        del closure_calls[:]
+        with pytest.raises(LimitExceeded, match="group order 24"):
+            H.elements()                      # |S4| = 24 > 10
+        assert closure_calls == []
+
+    def test_parent_over_the_limit_refuses_before_listing(self,
+                                                          closure_calls):
+        S5 = groupzoo.construct("S5", enum_limit=13)
+        with pytest.raises(LimitExceeded):
+            S5.elements()
+        H = S5.point_stabilizer(4)
+        del closure_calls[:]
+        with pytest.raises(LimitExceeded, match="group order 24"):
+            H.elements()
+        assert closure_calls == []
+        # a subgroup within the limit still lists, after its own order check
+        C3 = S5.generated_subgroup([parse_cycles("(1 2 3)", 5)])
+        assert len(C3.elements()) == 3
+        assert C3._chain is not None
+
+    def test_generators_outside_the_parent_get_no_bound(self, closure_calls):
+        # <(1 2), (1 2 3 4 5)> is S5, of order 120, though A5 has order 60
+        A5 = groupzoo.construct("A5", enum_limit=100)
+        assert A5.order() == 60
+        outside = [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)]
+        H = A5.generated_subgroup(outside)
+        with pytest.raises(LimitExceeded, match="group order 120"):
+            H.elements()
+        assert closure_calls == []
+        # the same from a bounded subgroup whose elements are listed
+        K = A5.generated_subgroup([parse_cycles("(1 2 3)", 5)])
+        assert len(K.elements()) == 3
+        assert K._chain is None
+        L = K.generated_subgroup(outside)
+        del closure_calls[:]
+        with pytest.raises(LimitExceeded, match="group order 120"):
+            L.elements()
+        assert closure_calls == []
+
+    def test_point_stabilizer_is_bounded_by_its_own_order(self):
+        S6 = groupzoo.construct("S6", enum_limit=200)
+        H = S6.point_stabilizer(0)
+        assert H._order_bound == 120
+        assert len(H.elements()) == 120
+        assert H._chain is None
