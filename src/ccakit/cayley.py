@@ -129,15 +129,6 @@ class ColouredCayleyGraph:
         order, _ = self.bfs_order()
         return len(order) == self.n
 
-    def generates(self) -> bool:
-        """Group-theoretic connectivity test: <S> = G.
-
-        Must (and does, see tests) agree with BFS reachability.
-        """
-        H = self.group.generated_subgroup(
-            [s for cls in self.colours for s in cls])
-        return H.order() == self.n
-
 
 def build(group: FiniteGroup, conn: ConnectionSet,
           graph_limit: int = DEFAULT_GRAPH_LIMIT) -> ColouredCayleyGraph:

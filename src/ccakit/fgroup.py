@@ -10,12 +10,15 @@ reports and witnesses are reproducible across runs.
 Index arithmetic goes through one method: ``left_row(s)`` lists the index
 of s*v for every element v, by ``multiply`` unless a realization has a
 faster way, and ``mult_table`` is the list of every element's row.
+
+A listed group keeps one index, ``element_index`` (element -> position);
+``element_set`` is a view of that index's keys, not a second copy.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, KeysView
 
 DEFAULT_ENUM_LIMIT = 10**6
 DEFAULT_GRAPH_LIMIT = 4096
@@ -99,12 +102,9 @@ class FiniteGroup(abc.ABC):
                 f"group order {order} exceeds enumeration limit "
                 f"{self.enum_limit}")
 
-    def element_set(self) -> frozenset:
-        cached = getattr(self, "_element_set", None)
-        if cached is None:
-            cached = frozenset(self.elements())
-            self._element_set = cached
-        return cached
+    def element_set(self) -> KeysView:
+        """The elements as a set: a view of `element_index`'s keys."""
+        return self.element_index().keys()
 
     def element_index(self) -> dict:
         """Map element -> position in `elements()`."""

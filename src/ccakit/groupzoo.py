@@ -254,9 +254,9 @@ def direct_product(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup
     da, db = A.degree, B.degree
     gens = []
     for g in A.generators():
-        gens.append(Permutation(list(g.images) + [da + i for i in range(db)]))
+        gens.append(Permutation(list(g) + [da + i for i in range(db)]))
     for g in B.generators():
-        gens.append(Permutation(list(range(da)) + [da + i for i in g.images]))
+        gens.append(Permutation(list(range(da)) + [da + i for i in g]))
     return PermutationGroup(da + db, gens)
 
 

@@ -228,7 +228,8 @@ class HigmanGroup(FiniteGroup):
         return 1 << self.params.n
 
     def contains(self, x) -> bool:
-        if not (isinstance(x, tuple) and len(x) == 2):
+        # a plain (e, f) pair only: a degree-2 Permutation is a tuple too
+        if not (type(x) is tuple and len(x) == 2):
             return False
         e, f = x
         return (isinstance(e, int) and isinstance(f, int)

@@ -17,10 +17,12 @@ inverses and identities are permutations by construction, so they skip
 that check (``Permutation._trusted``, private to this module).
 
 A permutation group lists its elements and computes its Cayley-graph rows
-on image tuples: ``p * x`` has images ``itemgetter(*p.images)(x.images)``,
-one C-level call, so a product builds no Permutation, hash or comparison.
-The listing is still ``fgroup.closure``, in the same breadth-first order,
-and each listed tuple is wrapped once.  Listing checks the enumeration
+on image tuples: ``p * x`` has images ``itemgetter(*p)(x)``, one C-level
+call, so a product builds no Permutation, hash or comparison.  The listing
+is still ``fgroup.closure``, in the same breadth-first order, and each
+listed tuple is wrapped once, in place.  A Permutation is the tuple of its
+images, so the group's one element index answers a lookup by a Permutation
+or by the plain tuple a row product returns.  Listing checks the enumeration
 limit against the group's order first, which takes a stabilizer chain,
 except for a subgroup (``generated_subgroup``, ``point_stabilizer``) of a
 group whose order is known and within the limit: the parent's order bounds
@@ -28,7 +30,7 @@ the subgroup's, so the subgroup lists without a chain of its own (Seress,
 *Permutation Group Algorithms*, 2003, ch. 4).  An order is known once the
 group's chain is built, and passes down from such a bounded subgroup to its
 subgroups.  It passes only to generators that lie in the parent, checked
-by a sift through the parent's chain or a lookup among its listed images;
+by a sift through the parent's chain or a lookup in its element index;
 other generators may span a larger group, which checks its own order.
 
 Stabilizer chains use deterministic base selection: base-hint points
@@ -50,82 +52,70 @@ __all__ = [
 ]
 
 
-class Permutation:
-    """Immutable bijection of {0..degree-1}, stored as a tuple of images.
+class Permutation(tuple):
+    """Immutable bijection of {0..degree-1}: the tuple of its images.
 
     ``Permutation(images)`` checks that the images are a bijection and
-    raises ValueError if not; it is the one way in for outside data.
-    ``*``, ``inverse`` and ``identity`` build their results unchecked,
-    since products and inverses of permutations are permutations.
+    raises ValueError if not; it is the one way in for outside data, and
+    copying and unpickling (protocol 2 and up) come back through it.
+    ``*``, ``inverse`` and ``identity`` build their results unchecked, since
+    products and inverses of permutations are permutations.  Hashing,
+    equality, indexing by point and immutability are the tuple's, so a
+    permutation and its plain image tuple are one dict key.
     """
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images):
+    def __new__(cls, images):
         images = tuple(images)
         n = len(images)
         if sorted(images) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
-        object.__setattr__(self, "images", images)
+        return tuple.__new__(cls, images)
 
     @classmethod
-    def _trusted(cls, images: tuple) -> "Permutation":
-        """Wrap a tuple known to be a bijection, without checking it."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Permutation is immutable")
-
-    def __reduce__(self):
-        return (Permutation, (self.images,))
+    def _trusted(cls, images) -> "Permutation":
+        """Wrap images known to be a bijection, without checking them."""
+        return tuple.__new__(cls, images)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._trusted(tuple(range(degree)))
+        return cls._trusted(range(degree))
 
     @property
     def degree(self) -> int:
-        return len(self.images)
-
-    def __getitem__(self, point: int) -> int:
-        return self.images[point]
+        return len(self)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if len(self.images) != len(other.images):
+        if len(self) != len(other):
             raise ValueError("degree mismatch in composition")
-        o = other.images
-        return Permutation._trusted(tuple([o[i] for i in self.images]))
+        return Permutation._trusted([other[i] for i in self])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return Permutation._trusted(tuple(inv))
+        return Permutation._trusted(inv)
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return all(i == j for i, j in enumerate(self))
 
     def moved_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i != j]
+        return [i for i, j in enumerate(self) if i != j]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, 0-based, each starting at its smallest point."""
         seen = set()
         out = []
-        for i in range(len(self.images)):
-            if i in seen or self.images[i] == i:
+        for i in range(len(self)):
+            if i in seen or self[i] == i:
                 continue
             cyc = [i]
-            j = self.images[i]
+            j = self[i]
             while j != i:
                 seen.add(j)
                 cyc.append(j)
-                j = self.images[j]
+                j = self[j]
             out.append(tuple(cyc))
         return out
 
@@ -140,12 +130,6 @@ class Permutation:
         return "".join(
             "(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_str()} deg {self.degree}]"
 
@@ -156,14 +140,15 @@ def _apply(f, x):
 
 
 def _left_factor(p: Permutation):
-    """The map x.images -> (p * x).images, one C-level call for degree >= 2.
+    """The map x -> p * x on image tuples, ``itemgetter(*p)(x)`` for degree
+    >= 2, one C-level call.
 
     ``itemgetter`` of a single index returns a scalar, not a tuple, so
     degrees 0 and 1 take a plain tuple comprehension instead.
     """
-    if len(p.images) >= 2:
-        return itemgetter(*p.images)
-    return lambda x: tuple([x[i] for i in p.images])
+    if len(p) >= 2:
+        return itemgetter(*p)
+    return lambda x: tuple([x[i] for i in p])
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -314,7 +299,6 @@ class PermutationGroup(FiniteGroup):
         self._elements: list[Permutation] | None = None
         # set by generated_subgroup: the parent's order when it was known
         self._order_bound: int | None = None
-        self._images_index: dict[tuple, int] | None = None
 
     # -- FiniteGroup contract -----------------------------------------------
 
@@ -351,11 +335,15 @@ class PermutationGroup(FiniteGroup):
         if self._elements is None:
             if not self._bounded():
                 self._check_enum_limit(self.order())
-            trusted = Permutation._trusted
-            self._elements = [trusted(t) for t in fgroup.closure(
+            elems = fgroup.closure(
                 tuple(range(self.degree)),
                 [_left_factor(g) for g in self._gens],
-                _apply, self.enum_limit)]
+                _apply, self.enum_limit)
+            # in place: a second list would hold every element twice at once
+            trusted = Permutation._trusted
+            for i, t in enumerate(elems):
+                elems[i] = trusted(t)
+            self._elements = elems
         return self._elements
 
     def _bounded(self) -> bool:
@@ -363,16 +351,8 @@ class PermutationGroup(FiniteGroup):
         bound = self._order_bound
         return bound is not None and bound <= self.enum_limit
 
-    def _index_by_images(self) -> dict[tuple, int]:
-        """Element index keyed by the image tuples the elements hold."""
-        index = self._images_index
-        if index is None:
-            index = {x.images: i for i, x in enumerate(self.elements())}
-            self._images_index = index
-        return index
-
     def left_row(self, s: Permutation) -> list[int]:
-        index = self._index_by_images()       # iterates in element order
+        index = self.element_index()          # iterates in element order
         return list(map(index.__getitem__, map(_left_factor(s), index)))
 
     def generated_subgroup(self, gens) -> "PermutationGroup":
@@ -383,8 +363,8 @@ class PermutationGroup(FiniteGroup):
         if chain is not None and self._elements is None:
             bound, member = chain.order(), chain.contains
         elif chain is not None or self._bounded():
-            index = self._index_by_images()
-            bound, member = len(index), lambda g: g.images in index
+            index = self.element_index()
+            bound, member = len(index), index.__contains__
         else:
             return H
         if all(map(member, H._gens)):

@@ -5,6 +5,7 @@ import pytest
 
 from oracle_collect import collect_word, element_to_word, multiply_oracle
 
+from ccakit import groupzoo
 from ccakit import triples as tr
 from ccakit.higman import (
     HigmanGroup,
@@ -20,7 +21,7 @@ from ccakit.higman import (
     sample_params,
     theorem3_triple,
 )
-from ccakit.permcore import parse_cycles
+from ccakit.permcore import Permutation, parse_cycles
 
 
 def hand_built_q8_table():
@@ -117,6 +118,15 @@ class TestMultiplication:
             inverse(params, x)
         with pytest.raises(ValueError):
             G.invert(x)
+
+    @pytest.mark.parametrize("expr", ["Q8", "higman:n=6,seed=1"])
+    def test_contains_takes_pairs_not_permutations(self, expr):
+        # a degree-2 Permutation is a tuple of two ints, but no element
+        G = groupzoo.construct(expr)
+        assert isinstance(G, HigmanGroup)
+        assert all(map(G.contains, G.elements()))
+        assert not G.contains(Permutation((0, 1)))
+        assert not G.contains(Permutation((1, 0)))
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_associativity(self, n):

@@ -1,5 +1,6 @@
 import ast
 import copy
+import itertools
 import pickle
 import random
 from pathlib import Path
@@ -79,7 +80,7 @@ class TestPermutation:
             p.images = (0, 1, 2)
         with pytest.raises(AttributeError):
             del p.images
-        assert p.images == (1, 0, 2)
+        assert tuple(p) == (1, 0, 2)
         assert d[p] == 1 and Permutation([1, 0, 2]) in d
 
     def test_pickle_and_copy_round_trip(self):
@@ -87,6 +88,19 @@ class TestPermutation:
         for q in (pickle.loads(pickle.dumps(p)), copy.copy(p),
                   copy.deepcopy(p)):
             assert q == p and hash(q) == hash(p)
+            assert type(q) is Permutation
+
+    @pytest.mark.parametrize("protocol",
+                             range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_forged_pickle_is_validated(self, protocol):
+        """Unpickling rebuilds through the validating constructor, so a
+        pickle whose images are no bijection is refused."""
+        data = pickle.dumps(Permutation((2, 0, 1)), protocol=protocol)
+        # the images are pickled as three one-byte ints (BININT1, "K")
+        forged = data.replace(b"K\x02K\x00K\x01", b"K\x02K\x02K\x01")
+        assert forged != data
+        with pytest.raises(ValueError, match="not a permutation"):
+            pickle.loads(forged)
 
 
 class TestTrustedArithmetic:
@@ -99,10 +113,10 @@ class TestTrustedArithmetic:
             n = rng.randint(1, 12)
             p, q = (Permutation(rng.sample(range(n), n)) for _ in range(2))
             pq = p * q
-            assert Permutation(pq.images) == pq
-            assert pq.images == tuple(q[p[i]] for i in range(n))
-            assert type(pq.images) is tuple
-            assert Permutation(p.inverse().images) == p.inverse()
+            assert Permutation(tuple(pq)) == pq
+            assert tuple(pq) == tuple(q[p[i]] for i in range(n))
+            assert type(pq) is Permutation and isinstance(pq, tuple)
+            assert Permutation(tuple(p.inverse())) == p.inverse()
             assert (p * p.inverse()).is_identity()
             assert p * p.inverse() == Permutation.identity(n)
             assert Permutation.identity(n) == Permutation(range(n))
@@ -124,8 +138,9 @@ class TestTrustedArithmetic:
             make()
 
     def test_unchecked_constructor_stays_private_to_permcore(self):
-        """Only permcore may build a Permutation without validation; every
-        other module, test and benchmark goes through Permutation(...)."""
+        """Only permcore may build a Permutation without validation, by
+        ``_trusted`` or ``tuple.__new__``; every other module, test and
+        benchmark goes through Permutation(...)."""
         allowed = REPO / "src" / "ccakit" / "permcore.py"
         files = [f for d in ("src", "tests", "bench")
                  for f in sorted((REPO / d).rglob("*.py"))]
@@ -137,7 +152,10 @@ class TestTrustedArithmetic:
             for node in ast.walk(ast.parse(f.read_text(), str(f))):
                 name = (node.attr if isinstance(node, ast.Attribute) else
                         node.id if isinstance(node, ast.Name) else None)
-                if name == "_trusted":
+                tuple_new = (name == "__new__"
+                             and isinstance(node.value, ast.Name)
+                             and node.value.id == "tuple")
+                if name == "_trusted" or tuple_new:
                     offenders.append(f"{f.relative_to(REPO)}:{node.lineno}")
         assert offenders == []
 
@@ -303,6 +321,42 @@ class TestImageTupleArithmetic:
     def test_mult_table_is_the_rows(self):
         G = groupzoo.symmetric_group(4)
         assert G.mult_table() == [generic_row(G, a) for a in G.elements()]
+
+
+def permutation_groups():
+    """The permutation groups of the order-48 zoo corpus, and PSL2(17)."""
+    groups = [G for _, G in groupzoo.zoo_corpus(48)
+              if isinstance(G, PermutationGroup)]
+    return groups + [groupzoo.construct("PSL2(17)")]
+
+
+def non_member(G):
+    """A permutation outside G, of G's degree unless G is all of S_n."""
+    members = G.element_set()
+    for images in itertools.permutations(range(G.degree)):
+        if images not in members:
+            return Permutation(images)
+    return Permutation.identity(G.degree + 1)
+
+
+class TestOneIndex:
+    """A listed group keeps one object per element and one index: the keys
+    of element_index are the listed elements, and element_set views them."""
+
+    def test_index_keys_are_the_listed_elements(self):
+        for G in permutation_groups():
+            elems = G.elements()
+            keys = list(G.element_index())
+            assert len(keys) == len(elems)
+            assert all(k is x for k, x in zip(keys, elems))
+
+    def test_element_set_agrees_with_contains(self):
+        for G in permutation_groups():
+            members = G.element_set()
+            for x in G.elements() + [non_member(G)]:
+                assert (x in members) == G.contains(x)
+            # a plain image tuple is found in the same index
+            assert tuple(G.elements()[-1]) in members
 
 
 class TestSubgroupOrderBound:
