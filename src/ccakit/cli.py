@@ -218,22 +218,12 @@ def cmd_triple(args) -> int:
 def cmd_reproduce(args) -> int:
     only = None
     if args.only:
-        names = []
-        for part in args.only.split(","):
-            part = part.strip()
-            if part.isdigit():
-                part = f"criterion_{part}"
-            if part not in rp.CRITERIA:
-                raise CLIError(f"unknown criterion {part!r}")
-            if part == "criterion_10":
-                raise CLIError("criterion_10 reruns criteria 1-9 in full; "
-                               "run reproduce without --only")
-            names.append(part)
-        graph_makers = {"criterion_2", "criterion_7", "criterion_8"}
-        if "criterion_9" in names and graph_makers.isdisjoint(names):
-            raise CLIError("criterion_9 checks the graphs criteria 2, 7 and 8 "
-                           "build; add one of them to --only")
-        only = names
+        only = [f"criterion_{part}" if part.isdigit() else part
+                for part in map(str.strip, args.only.split(","))]
+    try:
+        rp.check_selection(only)
+    except ValueError as ex:
+        raise CLIError(str(ex)) from ex
     report = rp.run_suite(only=only, seed=args.seed, budget=args.budget,
                           with_timing=args.timing)
     _emit(report, args)

@@ -28,9 +28,11 @@ alpha(s) * alpha(v) holds as alpha[row[v]] == arow[alpha[v]] for every s
 in S and every vertex v (S generates G).  The stab1 elements that pass are
 exactly aut_pm1, the automorphisms of G sending every s to s or s^-1.
 
-There is one decision path.  is_cca_graph decides a single graph;
-the exhaustive group verdict is is_cca_graph applied to every graph that
-ConnectedClassGraphs yields.
+There is one decision path.  is_cca_graph decides a single graph by
+streaming the strong generators and stopping at the first that fails; its
+verdict finishes the same stream only when stab1 or an order is read.  The
+exhaustive group verdict is is_cca_graph applied to every graph that
+ConnectedClassGraphs yields, and reads only the decision.
 """
 
 from __future__ import annotations
@@ -325,21 +327,41 @@ def right_regular_preserves_colours(graph: ColouredCayleyGraph) -> bool:
 
 @dataclass
 class CCAVerdict:
-    """Per-graph CCA verdict with order diagnostics.
+    """Per-graph CCA verdict; stab1 and the orders are found on first read.
 
-    stab1_checked counts the strong generators examined, up to the first
-    that is not a group automorphism (the witness).  generators (not
-    serialised) and aut_pm1_order are None when the generators were
-    streamed, and so are stab1_order and autc_order unless it is CCA.
+    is_cca_graph streams the strong generators of stab1 and stops at the
+    first that is not a group automorphism (the witness); stab1_checked
+    counts the generators examined.  The first read of stab1 or of an order
+    finishes that same stream, so a caller that reads only is_cca and
+    witness never pays for the rest of the search.
     """
 
-    is_cca: bool
-    stab1_order: int | None
-    autc_order: int | None
-    stab1_checked: int = 0
-    aut_pm1_order: int | None = None
-    witness: tuple | None = None      # violating vertex map, if any
-    generators: list | None = field(default=None, repr=False)
+    graph: ColouredCayleyGraph = field(repr=False)
+    witness: tuple | None           # violating vertex map, if any
+    stab1_checked: int
+    # the generators examined, then the suspended rest of the stream
+    _generators: itertools.chain = field(repr=False)
+
+    @property
+    def is_cca(self) -> bool:
+        return self.witness is None
+
+    @cached_property
+    def stab1(self) -> VertexStabilizer:
+        return VertexStabilizer(self.graph.n, list(self._generators))
+
+    @property
+    def stab1_order(self) -> int:
+        return self.stab1.order
+
+    @property
+    def autc_order(self) -> int:
+        return self.graph.n * self.stab1.order
+
+    @cached_property
+    def aut_pm1_order(self) -> int:
+        """|aut_pm1|, which is |stab1| exactly when the graph is CCA."""
+        return self.stab1.order if self.is_cca else len(aut_pm1(self.graph))
 
     def to_json_dict(self, graph: ColouredCayleyGraph) -> dict:
         g = graph.group
@@ -359,41 +381,25 @@ class CCAVerdict:
         return d
 
 
-def is_cca_graph(graph: ColouredCayleyGraph,
-                 full_stab: bool = True) -> CCAVerdict:
+def is_cca_graph(graph: ColouredCayleyGraph) -> CCAVerdict:
     """Decide whether a connected coloured Cayley graph is CCA.
 
     It is CCA exactly when every strong generator of stab1 is a group
-    automorphism; the witness is the first that is not.  With full_stab
-    every generator is found first and the verdict carries exact orders
-    (|aut_pm1| = |stab1| when CCA).  Without it the generators are
-    streamed and the decision stops at the witness, usually the first.
+    automorphism.  The generators are streamed and the decision stops at
+    the first that is not, the witness, usually the first; the verdict
+    keeps the rest of the stream for its orders.  The search raises
+    ValueError on a disconnected graph.
     """
-    if not graph.is_connected():
-        raise ValueError("is_cca_graph requires a connected graph")
-    st = stab1(graph) if full_stab else None
+    stream = _strong_generators(graph)
+    found = []
     witness = None
-    checked = 0
-    for alpha in st.generators if full_stab else _strong_generators(graph):
-        checked += 1
+    for alpha in stream:
+        found.append(alpha)
         if _automorphism_violation(graph, alpha) is not None:
             witness = alpha
             break
-    if full_stab:
-        stab_order = st.order
-        apm1_order = stab_order if witness is None else len(aut_pm1(graph))
-    else:
-        stab_order = 2 ** checked if witness is None else None
-        apm1_order = None
-    return CCAVerdict(
-        is_cca=witness is None,
-        stab1_order=stab_order,
-        autc_order=graph.n * stab_order if stab_order is not None else None,
-        stab1_checked=checked,
-        aut_pm1_order=apm1_order,
-        witness=witness,
-        generators=st.generators if full_stab else None,
-    )
+    return CCAVerdict(graph, witness, len(found),
+                      itertools.chain(found, stream))
 
 
 @dataclass

@@ -43,6 +43,14 @@ Element = tuple  # (e_bits, f_bits) as a pair of ints
 IDENTITY: Element = (0, 0)
 
 
+def _pair_index(r: int, i: int, j: int) -> int:
+    """Index of the 0-based pair i < j among the pairs of 0..r-1 listed in
+    lexicographic order."""
+    if not 0 <= i < j < r:
+        raise IndexError(f"bad pair ({i}, {j})")
+    return i * r - i * (i + 1) // 2 + (j - i - 1)
+
+
 @dataclass(frozen=True)
 class HigmanParams:
     """(r, s, b-matrix, c-tensor) defining a group of order 2^(r+s).
@@ -86,9 +94,7 @@ class HigmanParams:
 
     def pair_index(self, i: int, j: int) -> int:
         """Index into c for the 0-based pair i < j."""
-        if not 0 <= i < j < self.r:
-            raise IndexError(f"bad pair ({i}, {j})")
-        return i * self.r - i * (i + 1) // 2 + (j - i - 1)
+        return _pair_index(self.r, i, j)
 
     def _word(self, i: int, k: int) -> int:
         """Correction word for right-factor bit i and left-factor bit k."""
@@ -140,9 +146,12 @@ class HigmanParams:
         b = tuple(sum(bit << k for k, bit in enumerate(row)) for row in d["b"])
         c = [0] * (r * (r - 1) // 2)
         for entry in d["c"]:
-            i, j, k = entry["i"] - 1, entry["j"] - 1, entry["k"] - 1
+            i, j, k = entry["i"], entry["j"], entry["k"]
+            if not (1 <= i < j <= r and 1 <= k <= s):
+                raise ValueError(f"c entry (i={i}, j={j}, k={k}) outside "
+                                 f"1 <= i < j <= {r}, 1 <= k <= {s}")
             if entry["bit"]:
-                c[i * r - i * (i + 1) // 2 + (j - i - 1)] |= 1 << k
+                c[_pair_index(r, i - 1, j - 1)] |= 1 << (k - 1)
         return cls(r=r, s=s, b=b, c=tuple(c),
                    constrained=bool(d.get("constrained", False)),
                    seed=d.get("seed"))

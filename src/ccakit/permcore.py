@@ -57,7 +57,7 @@ class Permutation(tuple):
 
     ``Permutation(images)`` checks that the images are a bijection and
     raises ValueError if not; it is the one way in for outside data, and
-    copying and unpickling (protocol 2 and up) come back through it.
+    copying and unpickling (every protocol) come back through it.
     ``*``, ``inverse`` and ``identity`` build their results unchecked, since
     products and inverses of permutations are permutations.  Hashing,
     equality, indexing by point and immutability are the tuple's, so a
@@ -72,6 +72,10 @@ class Permutation(tuple):
         if sorted(images) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
         return tuple.__new__(cls, images)
+
+    def __reduce__(self):
+        # every pickle protocol rebuilds through the validating __new__
+        return (Permutation, (tuple(self),))
 
     @classmethod
     def _trusted(cls, images) -> "Permutation":

@@ -18,7 +18,6 @@ from . import triples as tr
 from .cayley import ConnectionSet, build
 from .colourauts import (
     ConnectedClassGraphs,
-    VertexStabilizer,
     enumerate_stab1,
     is_cca_graph,
     is_cca_group_exhaustive,
@@ -32,6 +31,7 @@ from .permcore import parse_cycles
 SCHEMA_VERSION = 1
 
 CRITERIA = [f"criterion_{i}" for i in range(1, 11)]
+_GRAPH_MAKERS = {"criterion_2", "criterion_7", "criterion_8"}
 
 
 def canonical_json(obj) -> str:
@@ -315,7 +315,7 @@ def criterion_9(graph_registry: list, seed: int) -> dict:
     ok = True
     for label, graph in graph_registry:
         verdict = is_cca_graph(graph)
-        st = VertexStabilizer(graph.n, verdict.generators)
+        st = verdict.stab1
         autc = graph.n * st.order
         grr_ok = right_regular_preserves_colours(graph)
         closed = (len(st.elements) == st.order
@@ -365,32 +365,42 @@ def _criteria_1_to_9(seed: int, budget: int) -> dict:
     }
 
 
+def check_selection(only: list[str] | None) -> None:
+    """Raise ValueError unless `only` is a runnable subset of criteria.
+
+    Criterion 10 reruns criteria 1-9 in full, so it cannot be selected,
+    and criterion 9 alone would pass having checked no graph.
+    """
+    for name in only or ():
+        if name not in CRITERIA:
+            raise ValueError(f"unknown criterion {name!r}")
+        if name == "criterion_10":
+            raise ValueError("criterion_10 reruns criteria 1-9 in full; "
+                             "run reproduce without --only")
+    if only and "criterion_9" in only and _GRAPH_MAKERS.isdisjoint(only):
+        raise ValueError("criterion_9 checks the graphs criteria 2, 7 and 8 "
+                         "build; add one of them to --only")
+
+
 def run_suite(only: list[str] | None = None, seed: int = 12345,
               budget: int = 2**20, with_timing: bool = False) -> dict:
     """Run the acceptance matrix and assemble the report.
 
-    Criterion 10 runs criteria 1-9 a second time and compares the
-    canonical JSON bytes of the two results subtrees; it is skipped when a
-    criterion subset is requested.  A subset runs in canonical order, so
-    criterion 9 sees the graphs of the criteria 2, 7 and 8 it is given.
+    A subset `only` must pass check_selection, and runs in canonical
+    order, so criterion 9 sees the graphs of the criteria 2, 7 and 8 it
+    is given.  Without one, criterion 10 runs criteria 1-9 a second time
+    and compares the canonical JSON bytes of the two results subtrees.
     """
+    check_selection(only)
     t0 = time.monotonic()
     timing: dict[str, float] = {}
-    criteria = _criteria_1_to_9(seed, budget)
-    if only:
-        for name in only:
-            if name not in criteria:
-                raise ValueError(f"unknown criterion: {name}")
-        results = {}
-        for name, run in criteria.items():
-            if name in only:
-                tstep = time.monotonic()
-                results[name] = run()
-                timing[name] = round(time.monotonic() - tstep, 3)
-    else:
-        tstep = time.monotonic()
-        results = {name: run() for name, run in criteria.items()}
-        timing["criteria_1_to_9"] = round(time.monotonic() - tstep, 3)
+    results = {}
+    for name, run in _criteria_1_to_9(seed, budget).items():
+        if not only or name in only:
+            tstep = time.monotonic()
+            results[name] = run()
+            timing[name] = round(time.monotonic() - tstep, 3)
+    if not only:
         tstep = time.monotonic()
         first = canonical_json(results)
         second = canonical_json({

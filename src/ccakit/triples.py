@@ -187,11 +187,12 @@ def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
     """Build Cay(G, S u T) and confirm it is connected and non-CCA.
 
     The connection set is the inverse closure of S u T (the graph does not
-    change, but the colouring needs both t and t^-1).  The strong
-    generators of the vertex stabilizer are streamed and the decision
-    stops at the first one that is not a group automorphism: their number
-    grows with the index of <S u {tau}>, but the first one found is
-    usually a witness.  A failure here is a fatal correctness bug and
+    change, but the colouring needs both t and t^-1).  is_cca_graph
+    streams the strong generators of the vertex stabilizer and stops at
+    the first one that is not a group automorphism: their number grows
+    with the index of <S u {tau}>, but the first one found is usually a
+    witness.  The report reads only the decision, so the rest of the
+    search never runs.  A failure here is a fatal correctness bug and
     raises CrosscheckError with full state.
     """
     if not triple.valid:
@@ -200,7 +201,7 @@ def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
         G, list(triple.S) + list(triple.T), close_inverses=True)
     graph = build(G, conn, graph_limit)
     connected = graph.is_connected()
-    verdict = is_cca_graph(graph, full_stab=False) if connected else None
+    verdict = is_cca_graph(graph) if connected else None
     ok = connected and not verdict.is_cca
     report = CrosscheckReport(connected=connected, verdict=verdict, ok=ok,
                               graph=graph)

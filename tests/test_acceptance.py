@@ -18,6 +18,17 @@ def suite_report():
     return rp.run_suite(seed=12345)
 
 
+@pytest.mark.parametrize("only,message", [
+    (["criterion_99"], "unknown criterion"),
+    (["criterion_4", "criterion_10"], "criterion_10 reruns"),
+    (["criterion_9"], "criterion_9 checks"),
+], ids=["unknown", "criterion_10", "criterion_9 alone"])
+def test_run_suite_refuses_unrunnable_selection(only, message):
+    # criterion 9 alone would pass having checked no graph
+    with pytest.raises(ValueError, match=message):
+        rp.run_suite(only=only)
+
+
 def _announce(name, result):
     status = "PASS" if result["pass"] else "FAIL"
     print(f"{name}: {status}")

@@ -6,9 +6,10 @@ or only inherited breaks every traced benchmark run.  This guard loads the
 tracer module from its file (without writing bytecode next to it) and
 checks each entry in well under a second.  A target answered from a cache
 is recorded only while its cache attribute is unset; the guard also checks
-that each such predicate reads the attribute the method really sets, and
-that listing a permutation group still goes through the traced
-`fgroup.closure`.
+that each such predicate reads the attribute the method really sets, that
+listing a permutation group still goes through the traced `fgroup.closure`,
+and that the benchmark's decisions never call the traced `stab1` or
+`aut_pm1`.
 """
 
 import importlib.util
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from ccakit import colourauts, higman, triples
 from ccakit import groupzoo as gz
 from ccakit.cayley import ConnectionSet, build
 
@@ -71,3 +73,25 @@ def test_permutation_listing_stays_inside_fgroup_closure(closure_calls):
     # module attribute; a listing that stopped calling it would drop out.
     assert len(gz.symmetric_group(4).elements()) == 24
     assert len(closure_calls) == 1
+
+
+def test_decisions_do_not_call_stab1_or_aut_pm1(monkeypatch):
+    # The tracer reads `.order` off the result of `colourauts.stab1`, which
+    # runs the whole generator search: on the PSL2(17) dihedral:16
+    # cross-check graph that takes minutes.  An exhaustive sweep and a
+    # cross-check read only the decision, so they must call neither.
+    def refuse(graph):
+        raise AssertionError("a decision called stab1 or aut_pm1")
+
+    monkeypatch.setattr(colourauts, "stab1", refuse)
+    monkeypatch.setattr(colourauts, "aut_pm1", refuse)
+    G = gz.symmetric_group(4)
+    rep = colourauts.is_cca_group_exhaustive(G).to_json_dict(G)
+    assert rep["witness_S"] == ["(1 2 3 4)", "(1 4 3 2)", "(1 3 4 2)",
+                                "(1 2 4 3)"]
+    assert rep["witness_alpha"] == [0, 7, 2, 3, 14, 5, 6, 1, 8, 20, 10, 22,
+                                    12, 13, 4, 15, 16, 17, 18, 19, 9, 21, 11,
+                                    23]
+    G = gz.construct("higman:n=12,seed=1")
+    _, trip = higman.theorem3_triple(G.params)
+    assert triples.crosscheck_prop22(G, trip).verdict.stab1_checked == 1

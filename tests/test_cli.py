@@ -20,6 +20,7 @@ from ccakit.cli import (
     build_parser,
     main,
 )
+from ccakit.higman import sample_params
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -47,6 +48,15 @@ class TestGroupCommand:
         rc, rep = run_json(capsys, ["group", "higman:n=6,seed=1"])
         assert rc == EXIT_OK
         assert rep["results"]["order"] == 64
+
+    @pytest.mark.parametrize("i,j", [(3, 1), (2, 2), (1, 4)])
+    def test_higman_file_bad_pair_exit_2(self, capsys, tmp_path, i, j):
+        d = sample_params(5, 1).to_json_dict()      # r = 3
+        d["c"] = [{"i": i, "j": j, "k": 1, "bit": 1}]
+        f = tmp_path / "params.json"
+        f.write_text(json.dumps(d))
+        assert main(["group", f"higman:@{f}"]) == EXIT_USAGE
+        assert "c entry" in capsys.readouterr().err
 
     def test_bad_expression_exit_2(self, capsys):
         assert main(["group", "Z99"]) == EXIT_USAGE

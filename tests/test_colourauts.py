@@ -13,7 +13,6 @@ from ccakit.cayley import ConnectionSet, build
 from ccakit.colourauts import (
     CCAVerdict,
     ConnectedClassGraphs,
-    VertexStabilizer,
     _automorphism_violation,
     aut_pm1,
     enumerate_stab1,
@@ -136,10 +135,6 @@ def check_against_enumeration(graph, listed, label):
     """stab1 from strong generators, the verdict and aut_pm1 against the
     enumerated stab1 and the reference automorphism check on each of its
     elements."""
-    full = is_cca_graph(graph)
-    st = VertexStabilizer(graph.n, full.generators)
-    assert st.order == len(listed), label
-    assert st.elements == listed, label
     passing = []
     for alpha in listed:
         violation = _automorphism_violation(graph, alpha)
@@ -147,14 +142,14 @@ def check_against_enumeration(graph, listed, label):
             graph, alpha), label
         if violation is None:
             passing.append(alpha)
-    streamed = is_cca_graph(graph, full_stab=False)
-    assert full.is_cca == streamed.is_cca == (passing == listed), label
-    assert full.stab1_order == len(listed), label
-    assert full.aut_pm1_order == len(passing), label
-    for v in (full, streamed):
-        if v.witness is not None:
-            assert v.witness in listed, label
-            assert _automorphism_violation(graph, v.witness) is not None
+    v = is_cca_graph(graph)
+    assert v.is_cca == (passing == listed), label
+    if v.witness is not None:
+        assert v.witness in listed, label
+        assert _automorphism_violation(graph, v.witness) is not None
+    assert v.stab1.order == v.stab1_order == len(listed), label
+    assert v.stab1.elements == listed, label
+    assert v.aut_pm1_order == len(passing), label
     assert aut_pm1(graph) == aut_pm1_by_sign_choices(graph) == passing, label
 
 
@@ -336,9 +331,11 @@ class TestConnectedClassGraphs:
     def test_matches_independent_enumeration(self):
         for expr, G in gz.zoo_corpus(12):
             graphs = ConnectedClassGraphs(G)
-            # S as reports print it, against the built connection set
-            got = [(CCAVerdict(True, None, None).to_json_dict(g)["S"],
-                    g.colours, g.left_rows) for g in graphs]
+            # S as reports print it, against the built connection set; a
+            # verdict with no generators renders it without a stab1 search
+            got = [(CCAVerdict(g, None, 0, itertools.chain())
+                    .to_json_dict(g)["S"], g.colours, g.left_rows)
+                   for g in graphs]
             want = [([G.elem_str(s) for s in ConnectionSet.from_elements(
                           G, [s for cls in g.colours for s in cls]).elements],
                      g.colours, g.left_rows)
@@ -382,12 +379,22 @@ class TestIsCcaGraph:
                     v.autc_order == graph.n * v.aut_pm1_order)
 
     def test_streamed_matches_full(self):
+        # the decision stops at the first failing generator of the full set
         for expr in ["C6", "S3", "D4"]:
             G = gz.construct(expr)
             for graph in connected_class_graphs(G):
-                full = is_cca_graph(graph)
-                lazy = is_cca_graph(graph, full_stab=False)
-                assert full.is_cca == lazy.is_cca
+                gens = stab1(graph).generators
+                failing = [a for a in gens
+                           if _automorphism_violation(graph, a) is not None]
+                v = is_cca_graph(graph)
+                assert v.is_cca == (not failing)
+                if failing:
+                    assert v.witness == failing[0]
+                    assert v.stab1_checked == gens.index(failing[0]) + 1
+                else:
+                    assert v.witness is None
+                    assert v.stab1_checked == len(gens)
+                assert v.stab1.generators == gens
 
     def test_witness_is_not_homomorphism(self):
         G = gz.symmetric_group(4)
@@ -401,8 +408,7 @@ class TestIsCcaGraph:
         # the witness fixes the identity vertex but is not right translation
         assert v.witness[0] == 0
 
-    @pytest.mark.parametrize("full_stab", [True, False])
-    def test_every_generator_is_checked(self, monkeypatch, full_stab):
+    def test_every_generator_is_checked(self, monkeypatch):
         # a witness behind a generator that passes must still be found
         G = gz.symmetric_group(4)
         S = is_cca_group_exhaustive(G).witness_set
@@ -416,9 +422,34 @@ class TestIsCcaGraph:
 
         monkeypatch.setattr(colourauts, "_strong_generators",
                             strong_generators)
-        v = is_cca_graph(graph, full_stab=full_stab)
+        v = is_cca_graph(graph)
         assert v.witness == failing
         assert v.stab1_checked == 2
+        # the orders continue the same stream, not a new search
+        assert v.stab1_order == 4
+        assert v.stab1.generators == [identity, failing]
+
+    def test_orders_finish_the_decision_stream(self, monkeypatch):
+        G = gz.symmetric_group(4)
+        S = is_cca_group_exhaustive(G).witness_set
+        graph = build(G, ConnectionSet.from_elements(G, list(S)))
+        st = stab1(graph)
+        want_apm1 = len(aut_pm1(graph))
+        calls = []
+        search = colourauts._strong_generators
+
+        def counted(g):
+            calls.append(g)
+            return search(g)
+
+        monkeypatch.setattr(colourauts, "_strong_generators", counted)
+        v = is_cca_graph(graph)
+        assert not v.is_cca and v.stab1_checked < len(st.generators)
+        assert v.stab1.generators == st.generators
+        assert v.stab1_order == st.order
+        assert v.autc_order == graph.n * st.order
+        assert v.aut_pm1_order == want_apm1 < st.order
+        assert len(calls) == 1
 
 
 class TestExhaustiveGroupVerdicts:

@@ -290,6 +290,15 @@ class TestParamsIO:
         f.write_text(json.dumps(p.to_json_dict()))
         assert params_from_spec(f"@{f}") == p
 
+    @pytest.mark.parametrize("i,j,k", [(3, 1, 1), (2, 2, 1), (1, 4, 1),
+                                       (1, 2, 0), (1, 2, 3)])
+    def test_c_entry_outside_range_refused(self, i, j, k):
+        # r = 3, s = 2: each entry would land on some other pair or bit
+        d = sample_params(5, 1).to_json_dict()
+        d["c"] = [{"i": i, "j": j, "k": k, "bit": 1}]
+        with pytest.raises(ValueError, match="c entry"):
+            HigmanParams.from_json_dict(d)
+
 
 class TestTheoremTriple:
     @pytest.mark.parametrize("n", range(3, 11))
