@@ -408,26 +408,37 @@ class TestIsCcaGraph:
         # the witness fixes the identity vertex but is not right translation
         assert v.witness[0] == 0
 
-    def test_every_generator_is_checked(self, monkeypatch):
+    @pytest.mark.parametrize("more_after_witness", [True, False])
+    def test_every_generator_is_checked(self, monkeypatch,
+                                        more_after_witness):
         # a witness behind a generator that passes must still be found
         G = gz.symmetric_group(4)
         S = is_cca_group_exhaustive(G).witness_set
         graph = build(G, ConnectionSet.from_elements(G, list(S)))
         failing = is_cca_graph(graph).witness
         identity = tuple(range(graph.n))
+        gens = [identity, failing]
+        if more_after_witness:
+            gens.append(tuple(failing[i] for i in failing))
+        pulled = []
 
         def strong_generators(_graph):
-            yield identity
-            yield failing
+            for alpha in gens:
+                pulled.append(alpha)
+                yield alpha
 
         monkeypatch.setattr(colourauts, "_strong_generators",
                             strong_generators)
         v = is_cca_graph(graph)
         assert v.witness == failing
         assert v.stab1_checked == 2
-        # the orders continue the same stream, not a new search
-        assert v.stab1_order == 4
-        assert v.stab1.generators == [identity, failing]
+        # the decision stops at the witness and leaves the rest unpulled
+        assert pulled == [identity, failing]
+        # the orders continue the same stream, not a new search: each
+        # streamed generator is taken as strong, so the order is 2^m
+        assert v.stab1_order == 2 ** len(gens)
+        assert v.stab1.generators == gens
+        assert pulled == gens
 
     def test_orders_finish_the_decision_stream(self, monkeypatch):
         G = gz.symmetric_group(4)
