@@ -15,7 +15,10 @@ and computes the rows of a ConnectionSet with group.left_row; the
 exhaustive sweep, which builds thousands of graphs of one group, passes
 rows of the cached multiplication table to the constructor instead.  The
 BFS tree is computed from the rows on first use and cached, so a
-disconnected set costs a single BFS.
+disconnected set costs a single BFS.  ``bfs`` is the one BFS over rows:
+the graph's tree and aut_pm1's tree over the picked classes (colourauts)
+both come from it.  A graph has one vertex per element of the listing it
+indexes, and ``check_graph_limit`` is the one graph-size check.
 """
 
 from __future__ import annotations
@@ -91,8 +94,8 @@ class ColouredCayleyGraph:
     def __init__(self, group: FiniteGroup, colours: list[tuple],
                  left_rows: list[list[list[int]]]):
         self.group = group
-        self.n = group.order()
         self.elems = group.elements()
+        self.n = len(self.elems)
         self.index = group.element_index()
         self.colours = colours
         self.left_rows = left_rows
@@ -106,23 +109,7 @@ class ColouredCayleyGraph:
         """
         cached = getattr(self, "_bfs", None)
         if cached is None:
-            parent: list[tuple[int, int] | None] = [None] * self.n
-            seen = [False] * self.n
-            order = [0]
-            seen[0] = True
-            qi = 0
-            while qi < len(order):
-                v = order[qi]
-                qi += 1
-                for c, rows in enumerate(self.left_rows):
-                    for row in rows:
-                        u = row[v]
-                        if not seen[u]:
-                            seen[u] = True
-                            parent[u] = (v, c)
-                            order.append(u)
-            cached = (order, parent)
-            self._bfs = cached
+            cached = self._bfs = bfs(self.n, self.left_rows)
         return cached
 
     def is_connected(self) -> bool:
@@ -130,15 +117,43 @@ class ColouredCayleyGraph:
         return len(order) == self.n
 
 
+def bfs(n: int, left_rows: list[list[list[int]]],
+        ) -> tuple[list[int], list[tuple[int, int] | None]]:
+    """BFS from vertex 0 over rows grouped by colour: the order in which
+    vertices are reached and, per vertex, (parent, colour) or None.
+
+    Colours are scanned in order, then the rows of each; a vertex that is
+    not reached has parent None and is not in the order.
+    """
+    parent: list[tuple[int, int] | None] = [None] * n
+    seen = [False] * n
+    order = [0]
+    seen[0] = True
+    for v in order:             # the order grows as vertices are reached
+        for c, rows in enumerate(left_rows):
+            for row in rows:
+                u = row[v]
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = (v, c)
+                    order.append(u)
+    return order, parent
+
+
+def check_graph_limit(group: FiniteGroup, graph_limit: int) -> None:
+    """Refuse a graph on more than graph_limit vertices (LimitExceeded)."""
+    n = group.order()
+    if n > graph_limit:
+        raise LimitExceeded(
+            f"group order {n} exceeds graph limit {graph_limit}")
+
+
 def build(group: FiniteGroup, conn: ConnectionSet,
           graph_limit: int = DEFAULT_GRAPH_LIMIT) -> ColouredCayleyGraph:
     """The graph of conn, its rows computed by group.left_row."""
     if conn.group is not group:
         raise ValueError("connection set belongs to a different group")
-    n = group.order()
-    if n > graph_limit:
-        raise LimitExceeded(
-            f"group order {n} exceeds graph limit {graph_limit}")
+    check_graph_limit(group, graph_limit)
     colours = conn.colour_classes()
     return ColouredCayleyGraph(group, colours, [
         [group.left_row(s) for s in cls] for cls in colours])

@@ -19,7 +19,8 @@ import sys
 from . import groupzoo as gz
 from . import reproduce as rp
 from . import triples as tr
-from .cayley import ConnectionSet, InvalidConnectionSet, build
+from .cayley import (ConnectionSet, InvalidConnectionSet, build,
+                     check_graph_limit)
 from .colourauts import is_cca_graph, is_cca_group_exhaustive
 from .fgroup import DEFAULT_ENUM_LIMIT, DEFAULT_GRAPH_LIMIT, LimitExceeded
 
@@ -76,7 +77,11 @@ def _parse_subgroup(G, spec: str):
                 raise CLIError(f"no cyclic subgroup of order {arg}")
             return gz.normalizer_bruteforce(G, cyc[0])
         if kind == "gens":
-            return G.generated_subgroup(_parse_elements(G, arg))
+            gens = _parse_elements(G, arg)
+            for g in gens:
+                if not G.contains(g):
+                    raise CLIError(f"element {G.elem_str(g)} not in G")
+            return G.generated_subgroup(gens)
     except (ValueError, AttributeError) as ex:
         if isinstance(ex, CLIError):
             raise
@@ -155,6 +160,7 @@ def cmd_cca(args) -> int:
                           graph_limit=args.limit_graph,
                           enum_limit=args.limit_enum)
     if args.exhaustive:
+        check_graph_limit(G, args.limit_graph)
         verdict = is_cca_group_exhaustive(G, args.budget)
         report["results"] = verdict.to_json_dict(G)
     else:

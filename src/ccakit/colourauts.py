@@ -40,8 +40,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
-from .cayley import ColouredCayleyGraph, ConnectionSet
+from .cayley import ColouredCayleyGraph, ConnectionSet, bfs
 from .fgroup import DEFAULT_ENUM_LIMIT, FiniteGroup, LimitExceeded, closure
 
 STAB1_ORACLE_MAX = 8
@@ -212,8 +213,8 @@ class VertexStabilizer:
     @cached_property
     def elements(self) -> list[tuple]:
         """The group the generators generate, as sorted vertex maps."""
-        return sorted(closure(tuple(range(self.n)), self.generators,
-                              lambda g, a: tuple(map(g.__getitem__, a)),
+        return sorted(closure(tuple(range(self.n)),
+                              [itemgetter(*g) for g in self.generators],
                               DEFAULT_ENUM_LIMIT))
 
 
@@ -267,31 +268,22 @@ def aut_pm1(graph: ColouredCayleyGraph) -> list[tuple]:
 
     Colour classes are picked while they enlarge the subgroup the picked
     ones generate, at most log2|G| of them.  Each choice of s or s^-1 for
-    each picked representative fixes a map along a spanning tree of their
-    rows; the maps that keep every class at vertex 0 and pass the
+    each picked representative fixes a map along the BFS tree (cayley.bfs)
+    of their rows; the maps that keep every class at vertex 0 and pass the
     automorphism check are homomorphisms onto a subgroup containing S.
     """
     if not graph.is_connected():
         raise ValueError("aut_pm1 requires S to generate G")
     picked: list = []
-    tree: list = []       # (u, v, i): u = s_i * v, s_i the i-th picked rep
-    reached = {0}
+    order, parent = [0], [None] * graph.n
     for rows in graph.left_rows:
-        if rows[0][0] in reached:
-            continue
-        picked.append(rows)
-        reached = {0}
-        tree = []
-        queue = [0]
-        for v in queue:
-            for i, prow in enumerate(picked):
-                u = prow[0][v]
-                if u not in reached:
-                    reached.add(u)
-                    tree.append((u, v, i))
-                    queue.append(u)
-        if len(reached) == graph.n:
-            break
+        if parent[rows[0][0]] is None:
+            picked.append(rows)
+            order, parent = bfs(graph.n, [[prow[0]] for prow in picked])
+            if len(order) == graph.n:
+                break
+    # (u, v, i): u = s_i * v, s_i the i-th picked rep
+    tree = [(u, *parent[u]) for u in order[1:]]
     members = [{row[0] for row in rows} for rows in graph.left_rows]
     out = []
     for images in itertools.product(*picked):

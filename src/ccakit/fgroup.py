@@ -5,7 +5,10 @@ arithmetic (identity, multiply, invert) over immutable, hashable element
 values.  Two realizations exist: permutation-backed groups (permcore) and
 bitvector-backed 2-groups (higman).  Enumeration order is deterministic:
 identity first, then breadth-first closure over the generator list, so
-reports and witnesses are reproducible across runs.
+reports and witnesses are reproducible across runs.  ``closure`` is the one
+listing loop.  It takes one left-multiplication map x -> g*x per generator
+g: ``partial(multiply, g)`` here, a C-level product on image tuples for
+permutation groups and for stab1 (colourauts).
 
 Index arithmetic goes through one method: ``left_row(s)`` lists the index
 of s*v for every element v, by ``multiply`` unless a realization has a
@@ -18,6 +21,7 @@ A listed group keeps one index, ``element_index`` (element -> position);
 from __future__ import annotations
 
 import abc
+from functools import partial
 from typing import Any, Callable, Iterable, KeysView
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -31,23 +35,19 @@ class LimitExceeded(Exception):
     """An enumeration, graph-size or search budget limit was hit."""
 
 
-def closure(identity: Any, gens: Iterable[Any], mul: Callable[[Any, Any], Any],
+def closure(identity: Any, maps: list[Callable[[Any], Any]],
             limit: int) -> list:
-    """Breadth-first closure of ``gens`` under left multiplication.
+    """Breadth-first closure of ``identity`` under left-multiplication maps.
 
-    Returns every product exactly once, identity first, in a deterministic
-    order fixed by the generator list; raises LimitExceeded past ``limit``
-    elements.
+    Each map sends x to g*x for one generator g.  Returns every product
+    exactly once, identity first, in a deterministic order fixed by the
+    list of maps; raises LimitExceeded past ``limit`` elements.
     """
     elems = [identity]
     seen = {identity}
-    i = 0
-    gens = list(gens)
-    while i < len(elems):
-        x = elems[i]
-        i += 1
-        for g in gens:
-            y = mul(g, x)
+    for x in elems:             # the list grows as products are found
+        for f in maps:
+            y = f(x)
             if y not in seen:
                 seen.add(y)
                 elems.append(y)
@@ -90,8 +90,10 @@ class FiniteGroup(abc.ABC):
         """All elements, identity first, deterministic order.  Cached."""
         cached = getattr(self, "_elements", None)
         if cached is None:
-            cached = closure(self.identity(), self.generators(),
-                             self.multiply, self.enum_limit)
+            cached = closure(self.identity(),
+                             [partial(self.multiply, g)
+                              for g in self.generators()],
+                             self.enum_limit)
             self._elements = cached
         return cached
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .fgroup import FiniteGroup
-from .permcore import Permutation, PermutationGroup
+from .permcore import Permutation, PermutationGroup, orbit_transversal
 
 Element = tuple  # (e_bits, f_bits) as a pair of ints
 
@@ -399,21 +399,11 @@ def regular_representation(G: HigmanGroup) -> PermutationGroup:
 def _is_regular(degree: int, gens) -> bool:
     """Whether <gens> acts regularly on 0..degree-1, without Schreier-Sims.
 
-    A breadth-first search from point 0 gives a t[v] in the group mapping 0
+    The orbit transversal of point 0 gives a t[v] in the group mapping 0
     to v.  If the orbit is every point and t[v] * g == t[g(v)] for every v
     and generator g, the degree maps t[v] are closed under the generators,
     so they are the whole group, and its order is the degree.
     """
-    t = {0: Permutation.identity(degree)}
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for g in gens:
-            w = g[v]
-            if w not in t:
-                t[w] = t[v] * g
-                queue.append(w)
+    t = orbit_transversal(degree, 0, gens)
     return (len(t) == degree
-            and all(t[v] * g == t[g[v]] for v in queue for g in gens))
+            and all(t[v] * g == t[g[v]] for v in t for g in gens))

@@ -19,23 +19,28 @@ that check (``Permutation._trusted``, private to this module).
 A permutation group lists its elements and computes its Cayley-graph rows
 on image tuples: ``p * x`` has images ``itemgetter(*p)(x)``, one C-level
 call, so a product builds no Permutation, hash or comparison.  The listing
-is still ``fgroup.closure``, in the same breadth-first order, and each
-listed tuple is wrapped once, in place.  A Permutation is the tuple of its
-images, so the group's one element index answers a lookup by a Permutation
-or by the plain tuple a row product returns.  Listing checks the enumeration
-limit against the group's order first, which takes a stabilizer chain,
-except for a subgroup (``generated_subgroup``, ``point_stabilizer``) of a
-group whose order is known and within the limit: the parent's order bounds
-the subgroup's, so the subgroup lists without a chain of its own (Seress,
-*Permutation Group Algorithms*, 2003, ch. 4).  An order is known once the
-group's chain is built, and passes down from such a bounded subgroup to its
-subgroups.  It passes only to generators that lie in the parent, checked
-by a sift through the parent's chain or a lookup in its element index;
-other generators may span a larger group, which checks its own order.
+is ``fgroup.closure`` over these maps, one per generator, in the same
+breadth-first order, and each listed tuple is wrapped once, in place.  A
+Permutation is the tuple of its images, so the group's one element index
+answers a lookup by a Permutation or by the plain tuple a row product
+returns.
+
+Listing checks the enumeration limit against the group's order first,
+which takes a stabilizer chain, except for a subgroup
+(``generated_subgroup``, ``point_stabilizer``) of a group whose order is
+known and within the limit: the parent's order bounds the subgroup's, so
+the subgroup lists without a chain of its own (Seress, *Permutation Group
+Algorithms*, 2003, ch. 4).  An order is known once the group's chain is
+built, and passes down from such a bounded subgroup to its subgroups.  It
+passes only to generators that lie in the parent, checked by a sift
+through the parent's chain or a lookup in its element index; other
+generators may span a larger group, which checks its own order.
 
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
 base point.  This makes orders, membership tests and reports reproducible.
+A chain's basic transversals come from ``orbit_transversal``, the one
+orbit search, which ``higman``'s regularity check also uses.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ from . import fgroup
 from .fgroup import FiniteGroup
 
 __all__ = [
-    "Permutation", "PermutationGroup", "StabilizerChain", "parse_cycles",
+    "Permutation", "PermutationGroup", "StabilizerChain", "orbit_transversal",
+    "parse_cycles",
 ]
 
 
@@ -138,11 +144,6 @@ class Permutation(tuple):
         return f"Permutation[{self.cycle_str()} deg {self.degree}]"
 
 
-def _apply(f, x):
-    """``f(x)``: closure's product when its generators are left factors."""
-    return f(x)
-
-
 def _left_factor(p: Permutation):
     """The map x -> p * x on image tuples, ``itemgetter(*p)(x)`` for degree
     >= 2, one C-level call.
@@ -153,6 +154,23 @@ def _left_factor(p: Permutation):
     if len(p) >= 2:
         return itemgetter(*p)
     return lambda x: tuple([x[i] for i in p])
+
+
+def orbit_transversal(degree: int, point: int,
+                      gens) -> dict[int, Permutation]:
+    """Map each point x of the orbit of ``point`` under <gens> to a t with
+    t[point] == x, the keys in breadth-first order over the generators.
+    """
+    trans = {point: Permutation.identity(degree)}
+    queue = [point]
+    for x in queue:             # the queue grows as the orbit is found
+        tx = trans[x]
+        for g in gens:
+            y = g[x]
+            if y not in trans:
+                trans[y] = tx * g
+                queue.append(y)
+    return trans
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -197,7 +215,6 @@ class StabilizerChain:
         self.strong: list[Permutation] = []
         self.transversals: list[dict[int, Permutation]] = []
         self._strong_set: set[Permutation] = set()
-        self._id = Permutation.identity(degree)
         for g in generators:
             if not g.is_identity():
                 self._insert(g)
@@ -218,24 +235,9 @@ class StabilizerChain:
         prefix = self.base[:i]
         return [g for g in self.strong if all(g[b] == b for b in prefix)]
 
-    def _orbit_transversal(self, b: int, gens) -> dict[int, Permutation]:
-        trans = {b: self._id}
-        queue = [b]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            tx = trans[x]
-            for g in gens:
-                y = g[x]
-                if y not in trans:
-                    trans[y] = tx * g
-                    queue.append(y)
-        return trans
-
     def _recompute(self):
         self.transversals = [
-            self._orbit_transversal(b, self._level_gens(i))
+            orbit_transversal(self.degree, b, self._level_gens(i))
             for i, b in enumerate(self.base)
         ]
 
@@ -341,8 +343,7 @@ class PermutationGroup(FiniteGroup):
                 self._check_enum_limit(self.order())
             elems = fgroup.closure(
                 tuple(range(self.degree)),
-                [_left_factor(g) for g in self._gens],
-                _apply, self.enum_limit)
+                [_left_factor(g) for g in self._gens], self.enum_limit)
             # in place: a second list would hold every element twice at once
             trusted = Permutation._trusted
             for i, t in enumerate(elems):

@@ -154,8 +154,8 @@ def search_triple_subgroup_strategy(G: FiniteGroup,
         X = G.generated_subgroup(S + [tau])
         if X.order() == order_g:
             continue   # (Aiv) can never hold for this tau
-        for t in G.elements():
-            if G.multiply(t, t) != tau or X.contains(t):
+        for t in square_roots(G, tau):
+            if X.contains(t):
                 continue
             triple = validate_triple(G, S, [t], tau)
             if triple.valid:

@@ -1,4 +1,5 @@
-"""The benchmark's tracer can wrap every function it names.
+"""The benchmark's tracer can wrap every function it names, and every
+benchmark job kind runs.
 
 `bench/tracing.py` wraps each TARGETS entry by reading
 ``vars(owner)[attr]``, so a target that is renamed, moved to another owner
@@ -10,6 +11,11 @@ that each such predicate reads the attribute the method really sets, that
 listing a permutation group still goes through the traced `fgroup.closure`,
 and that the benchmark's decisions never call the traced `stab1` or
 `aut_pm1`.
+
+`bench/workloads.py` is loaded the same way.  The first job of each kind
+in one pass of each workload, drawn at seed 12345, runs through the
+benchmark's RUNNERS and passes its CHECKS, so a library change that breaks
+a benchmark job path fails here.
 """
 
 import importlib.util
@@ -22,12 +28,16 @@ from ccakit import colourauts, higman, triples
 from ccakit import groupzoo as gz
 from ccakit.cayley import ConnectionSet, build
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    """The module bench/<name>.py, loaded without writing bytecode."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # registered first, as an import does: dataclasses look the module up
+    sys.modules[spec.name] = module
     write_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     try:
@@ -37,7 +47,8 @@ def load_tracing():
     return module
 
 
-TARGETS = load_tracing().TARGETS
+TARGETS = load_bench("tracing").TARGETS
+WORKLOADS = load_bench("workloads")
 
 
 @pytest.mark.parametrize(
@@ -95,3 +106,25 @@ def test_decisions_do_not_call_stab1_or_aut_pm1(monkeypatch):
     G = gz.construct("higman:n=12,seed=1")
     _, trip = higman.theorem3_triple(G.params)
     assert triples.crosscheck_prop22(G, trip).verdict.stab1_checked == 1
+
+
+@pytest.fixture(scope="module")
+def first_job_of_each_kind():
+    jobs = {}
+    for workload in ("cca_verdict", "triple_certify"):
+        for job in WORKLOADS.generate(workload, 12345, 1)[0]:
+            jobs.setdefault(job.kind, job)
+    return jobs
+
+
+def test_the_workloads_draw_every_job_kind(first_job_of_each_kind):
+    assert set(first_job_of_each_kind) == set(WORKLOADS.RUNNERS) \
+        == set(WORKLOADS.CHECKS)
+
+
+@pytest.mark.parametrize("kind", sorted(WORKLOADS.RUNNERS))
+def test_benchmark_job_runs_and_passes_its_check(first_job_of_each_kind,
+                                                  kind):
+    job = first_job_of_each_kind[kind]
+    G, out = WORKLOADS.RUNNERS[kind](*job.args)
+    WORKLOADS.CHECKS[kind](G, out, *job.args)

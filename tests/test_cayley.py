@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ccakit import groupzoo as gz
-from ccakit.cayley import ConnectionSet, InvalidConnectionSet, build
+from ccakit.cayley import ConnectionSet, InvalidConnectionSet, bfs, build
 from ccakit.colourauts import (is_cca_group_exhaustive,
                                right_regular_preserves_colours)
 from ccakit.fgroup import LimitExceeded
@@ -174,6 +174,20 @@ class TestConnectivity:
             for S in class_subsets(G):
                 graph = build(G, ConnectionSet.from_elements(G, S))
                 assert graph.is_connected() == generates(graph)
+                assert graph.bfs_order() == bfs(graph.n, graph.left_rows)
+
+    def test_bfs_of_a_disconnected_set(self):
+        # <(1 2 3)> has index 2 in S3: the other coset is never reached
+        G = gz.symmetric_group(3)
+        graph = build(G, ConnectionSet.from_elements(
+            G, [G.elem_parse("(1 2 3)")], close_inverses=True))
+        order, parent = bfs(graph.n, graph.left_rows)
+        reached = {graph.index[x] for x in G.elements() if x.order() != 2}
+        assert sorted(order) == sorted(reached)
+        assert order[0] == 0
+        assert parent[0] is None
+        assert all((parent[v] is None) == (v not in reached)
+                   for v in range(1, graph.n))
 
     def test_higman_triple_set_connects(self):
         from ccakit.higman import sample_params, theorem3_triple

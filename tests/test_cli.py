@@ -187,14 +187,30 @@ class TestExitCodes:
         # the same command runs to completion under the default limit
         assert main(argv[:-2]) == EXIT_OK
 
-    def test_subgroup_gens_outside_the_group_checked_by_order(self, capsys):
-        # (1 2) and a 10-cycle span S10, not a subgroup of PSL2(9); it is
-        # refused by its order before any element is listed
+    def test_subgroup_gens_outside_the_group_checked_by_order(
+            self, capsys, closure_calls):
+        # (1 2) and a 10-cycle span S10, not a subgroup of PSL2(9); the odd
+        # (1 2) is refused where it enters, before any element is listed
         argv = ["triple", "search", "PSL2(9)", "--subgroup",
                 "gens:(1 2),(1 2 3 4 5 6 7 8 9 10)"]
-        assert main(argv) == EXIT_LIMIT
-        assert "group order 3628800 exceeds enumeration limit" \
-            in capsys.readouterr().err
+        assert main(argv) == EXIT_USAGE
+        assert "element (1 2) not in G" in capsys.readouterr().err
+        assert closure_calls == []
+
+    @pytest.mark.parametrize("expr", ["PSL2(9)", "A5"])
+    def test_subgroup_gens_outside_the_group_exit_2(self, capsys, expr):
+        # in A5, <(1 2)> has order 2 but is no subgroup of A5
+        argv = ["triple", "search", expr, "--subgroup", "gens:(1 2)"]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "element (1 2) not in G" in captured.err
+
+    def test_exhaustive_over_graph_limit_exit_3(self, capsys):
+        argv = ["cca", "S4", "--exhaustive"]
+        assert main(argv + ["--limit-graph", "10"]) == EXIT_LIMIT
+        assert "graph limit 10" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
 
     def test_crosscheck_over_graph_limit_exit_3(self, capsys):
         argv = ["triple", "validate", "higman:n=8,seed=1",

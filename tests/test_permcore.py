@@ -3,13 +3,15 @@ import copy
 import itertools
 import pickle
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 from ccakit import fgroup, groupzoo
 from ccakit.fgroup import LimitExceeded
-from ccakit.permcore import Permutation, PermutationGroup, parse_cycles
+from ccakit.permcore import (Permutation, PermutationGroup, StabilizerChain,
+                             orbit_transversal, parse_cycles)
 from ccakit.triples import s_tau
 
 REPO = Path(__file__).resolve().parents[1]
@@ -255,9 +257,40 @@ class TestSubgroups:
         assert all(g[0] == 0 for g in H.elements())
 
 
+def point_bfs(point, gens):
+    """The orbit of point, in the order a breadth-first search reaches it."""
+    orbit = [point]
+    for x in orbit:
+        for g in gens:
+            if g[x] not in orbit:
+                orbit.append(g[x])
+    return orbit
+
+
+class TestOrbitTransversal:
+    S4_GENS = [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)]
+
+    @pytest.mark.parametrize("point", range(4))
+    def test_sym4_from_every_point(self, point):
+        t = orbit_transversal(4, point, self.S4_GENS)
+        assert list(t) == point_bfs(point, self.S4_GENS)
+        assert all(tx[point] == x for x, tx in t.items())
+        chain = StabilizerChain(4, self.S4_GENS, base_hint=(point,))
+        assert orbit_transversal(4, point, chain.strong) \
+            == chain.transversals[0]
+
+    def test_orbit_of_an_intransitive_group(self):
+        gens = [parse_cycles("(1 2)(4 5)", 5), parse_cycles("(2 3)", 5)]
+        t = orbit_transversal(5, 2, gens)
+        assert list(t) == [2, 1, 0]
+        assert all(tx[2] == x for x, tx in t.items())
+        assert list(orbit_transversal(5, 3, gens)) == [3, 4]
+
+
 def generic_listing(G):
     """The closure over Permutation products, as FiniteGroup lists it."""
-    return fgroup.closure(G.identity(), G.generators(), G.multiply,
+    return fgroup.closure(G.identity(),
+                          [partial(G.multiply, g) for g in G.generators()],
                           G.enum_limit)
 
 
