@@ -31,8 +31,10 @@ exactly aut_pm1, the automorphisms of G sending every s to s or s^-1.
 There is one decision path.  is_cca_graph decides a single graph by
 streaming the strong generators and stopping at the first that fails; its
 verdict finishes the same stream only when stab1 or an order is read.  The
-exhaustive group verdict is is_cca_graph applied to every graph that
-ConnectedClassGraphs yields, and reads only the decision.
+exhaustive group verdict applies is_cca_graph to the connected class
+graphs in ConnectedClassGraphs' order and reads only the decision; a
+superset of a connected CCA set is CCA, so it is counted but neither built
+nor decided.
 """
 
 from __future__ import annotations
@@ -429,6 +431,13 @@ class ConnectedClassGraphs:
     then tells that sets were left unexamined.  The rows are those of the
     group's multiplication table, so G must have order at most
     MULT_TABLE_LIMIT.
+
+    mark_cca() marks the graph last yielded as CCA.  A set that holds a
+    marked set is then counted as examined and connected, but not yielded.
+    Sets go by size, so a set holds a marked set exactly when removing one
+    of its classes leaves a set that is marked or holds one; only those of
+    the size just below are kept.  A caller that never marks sees every
+    connected graph.
     """
 
     def __init__(self, group: FiniteGroup, budget: int | None = None):
@@ -437,6 +446,12 @@ class ConnectedClassGraphs:
         self.sets_checked = 0
         self.connected_checked = 0
         self.over_budget = False
+        self._marked: set[int] = set()
+        self._last = 0
+
+    def mark_cca(self) -> None:
+        """Skip every superset of the set last yielded from now on."""
+        self._marked.add(self._last)
 
     def __iter__(self):
         group = self.group
@@ -445,16 +460,24 @@ class ConnectedClassGraphs:
         classes = ConnectionSet.from_elements(
             group, group.elements()[1:]).colour_classes()
         class_rows = [[mt[index[s]] for s in cls] for cls in classes]
+        bits = [1 << c for c in range(len(classes))]
         for size in range(1, len(classes) + 1):
-            for combo in itertools.combinations(range(len(classes)), size):
+            below, self._marked = self._marked, set()
+            for combo in itertools.combinations(bits, size):
                 if (self.budget is not None
                         and self.sets_checked >= self.budget):
                     self.over_budget = True
                     return
                 self.sets_checked += 1
+                self._last = sum(combo)
+                if below and any(self._last - b in below for b in combo):
+                    self.connected_checked += 1
+                    self._marked.add(self._last)
+                    continue
+                cs = [b.bit_length() - 1 for b in combo]
                 graph = ColouredCayleyGraph(
-                    group, [classes[c] for c in combo],
-                    [class_rows[c] for c in combo])
+                    group, [classes[c] for c in cs],
+                    [class_rows[c] for c in cs])
                 if graph.is_connected():
                     self.connected_checked += 1
                     yield graph
@@ -464,15 +487,21 @@ def is_cca_group_exhaustive(group: FiniteGroup, budget: int = 2**20,
                             ) -> GroupCCAVerdict:
     """Check every inverse-closed identity-free connection set of G.
 
-    The sets are those of ConnectedClassGraphs, in its order.  The first
-    connected non-CCA set found is the witness; its elements are listed
-    class by class.  Exceeding the budget yields the three-valued
-    'unknown'.
+    The sets are those of ConnectedClassGraphs, in its order.  A
+    colour-preserving automorphism of Cay(G, S u T) keeps the S-coloured
+    edges, so for connected S, stab1(S u T) lies in stab1(S): every
+    superset of a connected CCA set is connected and CCA.  Each CCA graph
+    is therefore marked, and its supersets are counted without being built
+    or decided.  The first connected non-CCA set is still decided, so it
+    is the witness; its elements are listed class by class.  Exceeding the
+    budget yields the three-valued 'unknown'.
     """
     graphs = ConnectedClassGraphs(group, budget)
     for graph in graphs:
         verdict = is_cca_graph(graph)
-        if not verdict.is_cca:
+        if verdict.is_cca:
+            graphs.mark_cca()
+        else:
             return GroupCCAVerdict(
                 status="non-cca", sets_checked=graphs.sets_checked,
                 connected_checked=graphs.connected_checked,

@@ -128,9 +128,9 @@ def validate_triple(G: FiniteGroup, S, T, tau) -> NonCCATriple:
                         index=index)
 
 
-def square_roots(X: FiniteGroup, tau) -> list:
-    """All t in X with t^2 = tau, by full scan in enumeration order."""
-    return [t for t in X.elements() if X.multiply(t, t) == tau]
+def square_roots(X: FiniteGroup, tau):
+    """Yield every t in X with t^2 = tau, scanning in enumeration order."""
+    return (t for t in X.elements() if X.multiply(t, t) == tau)
 
 
 def search_triple_subgroup_strategy(G: FiniteGroup,

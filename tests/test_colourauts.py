@@ -3,6 +3,7 @@ import itertools
 import random
 import signal
 import sys
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from ccakit.cayley import ConnectionSet, build
 from ccakit.colourauts import (
     CCAVerdict,
     ConnectedClassGraphs,
+    GroupCCAVerdict,
     _automorphism_violation,
     aut_pm1,
     enumerate_stab1,
@@ -134,7 +136,7 @@ def enumerated_triple_graph(name):
 def check_against_enumeration(graph, listed, label):
     """stab1 from strong generators, the verdict and aut_pm1 against the
     enumerated stab1 and the reference automorphism check on each of its
-    elements."""
+    elements.  Returns the verdict."""
     passing = []
     for alpha in listed:
         violation = _automorphism_violation(graph, alpha)
@@ -151,6 +153,22 @@ def check_against_enumeration(graph, listed, label):
     assert v.stab1.elements == listed, label
     assert v.aut_pm1_order == len(passing), label
     assert aut_pm1(graph) == aut_pm1_by_sign_choices(graph) == passing, label
+    return v
+
+
+def unpruned_group_verdict(decided, total, budget):
+    """The exhaustive verdict from deciding every connected class graph:
+    decided holds (sets_checked, connected_checked, graph, witness) per
+    graph of an unmarked ConnectedClassGraphs sweep of total sets."""
+    within = [d for d in decided if budget is None or d[0] <= budget]
+    for sets, connected, graph, witness in within:
+        if witness is not None:
+            return GroupCCAVerdict(
+                "non-cca", sets, connected,
+                tuple(s for cls in graph.colours for s in cls), witness)
+    if budget is not None and budget < total:
+        return GroupCCAVerdict("unknown", budget, len(within))
+    return GroupCCAVerdict("cca", total, len(within))
 
 
 def automorphisms_bruteforce(G):
@@ -304,9 +322,19 @@ class TestAutomorphismCheck:
 
     def test_zoo_class_graphs_up_to_order_16(self):
         for expr, G in gz.zoo_corpus(16):
-            for graph in ConnectedClassGraphs(G):
-                check_against_enumeration(graph, enumerate_stab1(graph),
-                                          expr)
+            graphs = ConnectedClassGraphs(G)     # never marked: every graph
+            decided = []
+            for graph in graphs:
+                v = check_against_enumeration(graph, enumerate_stab1(graph),
+                                              expr)
+                decided.append((graphs.sets_checked,
+                                graphs.connected_checked, graph, v.witness))
+            # the pruned sweep against the unpruned one, at every budget
+            for budget in (None, 1, 3, 10, 50, 300):
+                got = (is_cca_group_exhaustive(G) if budget is None
+                       else is_cca_group_exhaustive(G, budget))
+                assert got == unpruned_group_verdict(
+                    decided, graphs.sets_checked, budget), (expr, budget)
         for name in ("S5-pointwise", "A6", "S6"):
             check_against_enumeration(*enumerated_triple_graph(name), name)
 
@@ -346,6 +374,18 @@ class TestConnectedClassGraphs:
             assert graphs.sets_checked == 2 ** k - 1, expr
             assert graphs.connected_checked == len(want), expr
             assert not graphs.over_budget
+            # marking every graph leaves the minimal connected sets, and
+            # the counters as they were
+            sets = [frozenset(colours) for _, colours, _ in want]
+            marked = ConnectedClassGraphs(G)
+            got = []
+            for g in marked:
+                got.append(frozenset(g.colours))
+                marked.mark_cca()
+            assert got == [x for x in sets
+                           if not any(x - {c} in sets for c in x)], expr
+            assert marked.sets_checked == graphs.sets_checked, expr
+            assert marked.connected_checked == len(want), expr
 
     def test_budget_stops_examining(self):
         G = gz.symmetric_group(4)
@@ -522,6 +562,43 @@ class TestExhaustiveGroupVerdicts:
         assert a.witness_set == b.witness_set
         assert a.witness_alpha == b.witness_alpha
 
+    def test_supersets_of_cca_sets_are_not_decided(self, monkeypatch):
+        # D12 has 2^18 - 1 class subsets.  Deciding every connected one
+        # took 25 s on a 2-core machine, deciding the 120 with no
+        # connected CCA subset takes under a second: the time limit
+        # catches a lost pruning before the count does
+        G = gz.construct("D12")
+        decided = []
+
+        def counting_is_cca_graph(graph):
+            decided.append(graph)
+            return is_cca_graph(graph)
+
+        monkeypatch.setattr(colourauts, "is_cca_graph", counting_is_cca_graph)
+        previous = signal.signal(signal.SIGALRM, _out_of_time)
+        signal.alarm(10)
+        try:
+            v = is_cca_group_exhaustive(G)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (v.status, v.sets_checked, v.connected_checked) == (
+            "cca", 262143, 260928)
+        assert len(decided) == 120
+
+    def test_marks_do_not_grow_with_the_class_subsets(self):
+        # C2^5 has 31 classes: one mark per class subset would be 2^31
+        G = gz.construct("C2 x C2 x C2 x C2 x C2")
+        G.mult_table()
+        tracemalloc.start()
+        try:
+            v = is_cca_group_exhaustive(G, budget=5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (v.status, v.sets_checked) == ("unknown", 5000)
+        assert peak < 4 * 2**20
+
 
 class TestStabilizerIsTwoGroup:
     def test_random_connected_graphs_order_64(self):
@@ -574,7 +651,7 @@ class TestPreservesColours:
 
 
 def _out_of_time(signum, frame):
-    raise TimeoutError("the generator search ran past its time limit")
+    raise TimeoutError("the search ran past its time limit")
 
 
 def psl2_17_dihedral_16_triple():
