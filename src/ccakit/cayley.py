@@ -9,11 +9,13 @@ identity at vertex 0.
 ColouredCayleyGraph is the one graph type: every verdict, single graph or
 exhaustive sweep, is taken on it.  Its one adjacency is index rows:
 left_rows[c] has one row per member s of colour c, row[v] = index(s * v),
-so the c-neighbours of v are row[v] for row in left_rows[c].  Its one
-constructor takes the rows.  build() checks the group and the graph limit
-and computes the rows of a ConnectionSet with group.left_row; the
-exhaustive sweep, which builds thousands of graphs of one group, passes
-rows of the cached multiplication table to the constructor instead.  The
+so the c-neighbours of v are row[v] for row in left_rows[c].  The rows are
+also its colouring: row[0] = index(s * 1) names s, so the colour classes
+are read off them and never stored beside them.  Its one constructor
+takes the rows.  build() checks the group and the graph limit and
+computes the rows of a ConnectionSet with group.left_row; the exhaustive
+sweep, which builds thousands of graphs of one group, passes rows of the
+cached multiplication table to the constructor instead.  The
 BFS tree is computed from the rows on first use and cached, so a
 disconnected set costs a single BFS.  ``bfs`` is the one BFS over rows:
 the graph's tree and aut_pm1's tree over the picked classes (colourauts)
@@ -24,6 +26,7 @@ indexes, and ``check_graph_limit`` is the one graph-size check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .fgroup import DEFAULT_GRAPH_LIMIT, FiniteGroup, LimitExceeded
 
@@ -85,20 +88,25 @@ class ConnectionSet:
 class ColouredCayleyGraph:
     """Cay(G, S) with the canonical {s, s^-1} edge colouring.
 
-    colours are the colour classes of S, as ConnectionSet.colour_classes()
-    orders them, and left_rows[c][m] must be the row of colours[c][m]; the
-    rows are shared, not copied.  build() makes the graph of a
+    left_rows[c] holds the rows of the members of colour class c, in the
+    order ConnectionSet.colour_classes() gives the classes and their
+    members; the rows are shared, not copied.  colours, the classes as
+    group elements, is read off the rows.  build() makes the graph of a
     ConnectionSet.
     """
 
-    def __init__(self, group: FiniteGroup, colours: list[tuple],
-                 left_rows: list[list[list[int]]]):
+    def __init__(self, group: FiniteGroup, left_rows: list[list[list[int]]]):
         self.group = group
         self.elems = group.elements()
         self.n = len(self.elems)
         self.index = group.element_index()
-        self.colours = colours
         self.left_rows = left_rows
+
+    @cached_property
+    def colours(self) -> list[tuple]:
+        """The colour classes, member s of a class read as elems[row[0]]."""
+        return [tuple(self.elems[row[0]] for row in rows)
+                for rows in self.left_rows]
 
     # -- basic queries ---------------------------------------------------------
 
@@ -154,6 +162,5 @@ def build(group: FiniteGroup, conn: ConnectionSet,
     if conn.group is not group:
         raise ValueError("connection set belongs to a different group")
     check_graph_limit(group, graph_limit)
-    colours = conn.colour_classes()
-    return ColouredCayleyGraph(group, colours, [
-        [group.left_row(s) for s in cls] for cls in colours])
+    return ColouredCayleyGraph(group, [
+        [group.left_row(s) for s in cls] for cls in conn.colour_classes()])

@@ -130,18 +130,9 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def _base_report(command: str, **config) -> dict:
-    """Report head; config echoes the settings the command accepts."""
-    return {
-        "schema_version": rp.SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-    }
-
-
 def cmd_group(args) -> int:
     G = _construct(args)
-    report = _base_report("group", enum_limit=args.limit_enum)
+    report = rp.report_head("group", enum_limit=args.limit_enum)
     degree = getattr(G, "degree", None)
     report["results"] = {
         "expr": args.expr,
@@ -156,9 +147,9 @@ def cmd_group(args) -> int:
 
 def cmd_cca(args) -> int:
     G = _construct(args)
-    report = _base_report("cca", budget=args.budget,
-                          graph_limit=args.limit_graph,
-                          enum_limit=args.limit_enum)
+    report = rp.report_head("cca", budget=args.budget,
+                            graph_limit=args.limit_graph,
+                            enum_limit=args.limit_enum)
     if args.exhaustive:
         check_graph_limit(G, args.limit_graph)
         verdict = is_cca_group_exhaustive(G, args.budget)
@@ -184,9 +175,9 @@ def cmd_cca(args) -> int:
 
 def cmd_triple(args) -> int:
     G = _construct(args)
-    report = _base_report(f"triple {args.action}",
-                          graph_limit=args.limit_graph,
-                          enum_limit=args.limit_enum)
+    report = rp.report_head(f"triple {args.action}",
+                            graph_limit=args.limit_graph,
+                            enum_limit=args.limit_enum)
     if args.action == "validate":
         if args.tau is None:
             raise CLIError("triple validate requires --tau")

@@ -253,14 +253,14 @@ def _automorphism_violation(graph: ColouredCayleyGraph, alpha) -> tuple | None:
     left-multiplication row is one of the rows of s's colour class.
     """
     n = graph.n
-    for cls, rows in zip(graph.colours, graph.left_rows):
+    for rows in graph.left_rows:
         # row[0] = index(s * 1) = index(s)
         members = [row[0] for row in rows]
-        for s, row in zip(cls, rows):
+        for row in rows:
             arow = rows[members.index(alpha[row[0]])]
             for v in range(n):
                 if alpha[row[v]] != arow[alpha[v]]:
-                    return (s, graph.elems[v])
+                    return (graph.elems[row[0]], graph.elems[v])
     return None
 
 
@@ -457,11 +457,11 @@ class ConnectedClassGraphs:
         group = self.group
         index = group.element_index()
         mt = group.mult_table()
-        classes = ConnectionSet.from_elements(
-            group, group.elements()[1:]).colour_classes()
-        class_rows = [[mt[index[s]] for s in cls] for cls in classes]
-        bits = [1 << c for c in range(len(classes))]
-        for size in range(1, len(classes) + 1):
+        class_rows = [[mt[index[s]] for s in cls]
+                      for cls in ConnectionSet.from_elements(
+                          group, group.elements()[1:]).colour_classes()]
+        bits = [1 << c for c in range(len(class_rows))]
+        for size in range(1, len(class_rows) + 1):
             below, self._marked = self._marked, set()
             for combo in itertools.combinations(bits, size):
                 if (self.budget is not None
@@ -474,10 +474,8 @@ class ConnectedClassGraphs:
                     self.connected_checked += 1
                     self._marked.add(self._last)
                     continue
-                cs = [b.bit_length() - 1 for b in combo]
                 graph = ColouredCayleyGraph(
-                    group, [classes[c] for c in cs],
-                    [class_rows[c] for c in cs])
+                    group, [class_rows[b.bit_length() - 1] for b in combo])
                 if graph.is_connected():
                     self.connected_checked += 1
                     yield graph

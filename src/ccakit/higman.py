@@ -142,14 +142,27 @@ class HigmanParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "HigmanParams":
+        """Read the to_json_dict form, refusing data it cannot have made:
+        a b row that is not s bits, a c bit that is not 0 or 1, a repeated
+        (i, j, k), or an n other than r + s (ValueError)."""
         r, s = d["r"], d["s"]
+        if d.get("n", r + s) != r + s:
+            raise ValueError(f"n = {d['n']} is not r + s = {r + s}")
+        if any(len(row) != s or any(x not in (0, 1) for x in row)
+               for row in d["b"]):
+            raise ValueError(f"every b row must be {s} bits, each 0 or 1")
         b = tuple(sum(bit << k for k, bit in enumerate(row)) for row in d["b"])
         c = [0] * (r * (r - 1) // 2)
+        seen = set()
         for entry in d["c"]:
-            i, j, k = entry["i"], entry["j"], entry["k"]
+            i, j, k = key = entry["i"], entry["j"], entry["k"]
             if not (1 <= i < j <= r and 1 <= k <= s):
                 raise ValueError(f"c entry (i={i}, j={j}, k={k}) outside "
                                  f"1 <= i < j <= {r}, 1 <= k <= {s}")
+            if key in seen or entry["bit"] not in (0, 1):
+                raise ValueError(f"c entry (i={i}, j={j}, k={k}) repeated "
+                                 f"or with a bit other than 0 or 1")
+            seen.add(key)
             if entry["bit"]:
                 c[_pair_index(r, i - 1, j - 1)] |= 1 << (k - 1)
         return cls(r=r, s=s, b=b, c=tuple(c),

@@ -207,6 +207,13 @@ class StabilizerChain:
     The construction loop recomputes transversals and sifts every Schreier
     generator until closure; it is not tuned for speed but is exact and
     deterministic, which is what the desk-scale groups here need.
+
+    Strong generators never repeat and each moves a base point, with no
+    guard to keep it so.  The given generators must be distinct (identities
+    are dropped).  A sifted residue fixes base[:j] and either maps base[j]
+    outside the level-j orbit, into which every strong generator fixing
+    base[:j] maps it, or fixes every base point, which no strong generator
+    does; so it is never a strong generator already.
     """
 
     def __init__(self, degree: int, generators, base_hint=()):
@@ -214,7 +221,6 @@ class StabilizerChain:
         self.base: list[int] = list(base_hint)
         self.strong: list[Permutation] = []
         self.transversals: list[dict[int, Permutation]] = []
-        self._strong_set: set[Permutation] = set()
         for g in generators:
             if not g.is_identity():
                 self._insert(g)
@@ -222,14 +228,10 @@ class StabilizerChain:
 
     # -- construction --------------------------------------------------------
 
-    def _insert(self, g: Permutation) -> bool:
-        if g in self._strong_set or g.is_identity():
-            return False
+    def _insert(self, g: Permutation) -> None:
         if all(g[b] == b for b in self.base):
             self.base.append(min(g.moved_points()))
         self.strong.append(g)
-        self._strong_set.add(g)
-        return True
 
     def _level_gens(self, i: int) -> list[Permutation]:
         prefix = self.base[:i]
@@ -255,7 +257,7 @@ class StabilizerChain:
                 for g in gens:
                     # Schreier generator for the stabilizer of base[:i+1]
                     sg = tx * g * self.transversals[i][g[x]].inverse()
-                    residue, _ = self._sift(sg, start=i + 1)
+                    residue = self._sift(sg, start=i + 1)
                     if not residue.is_identity():
                         self._insert(residue)
                         return True
@@ -263,14 +265,14 @@ class StabilizerChain:
 
     # -- queries ---------------------------------------------------------------
 
-    def _sift(self, p: Permutation, start: int = 0):
+    def _sift(self, p: Permutation, start: int = 0) -> Permutation:
         for i in range(start, len(self.transversals)):
             x = p[self.base[i]]
             trans = self.transversals[i]
             if x not in trans:
-                return p, i
+                return p
             p = p * trans[x].inverse()
-        return p, len(self.transversals)
+        return p
 
     def order(self) -> int:
         n = 1
@@ -281,8 +283,7 @@ class StabilizerChain:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        residue, _ = self._sift(p)
-        return residue.is_identity()
+        return self._sift(p).is_identity()
 
 
 class PermutationGroup(FiniteGroup):

@@ -38,12 +38,17 @@ class CrosscheckError(AssertionError):
 class STauSet:
     """Elements of the carrier centralised or inverted by tau."""
 
-    tau: object
     carrier: FiniteGroup
     elements: list = field(repr=False)
 
     def span(self) -> FiniteGroup:
         return self.carrier.generated_subgroup(self.elements)
+
+
+def _require_involution(G: FiniteGroup, tau) -> None:
+    e = G.identity()
+    if tau == e or G.multiply(tau, tau) != e:
+        raise ValueError("tau must be an involution")
 
 
 def s_tau(carrier: FiniteGroup, tau) -> STauSet:
@@ -54,9 +59,8 @@ def s_tau(carrier: FiniteGroup, tau) -> STauSet:
     form is computed as well and checked against the filter form.
     """
     G = carrier
+    _require_involution(G, tau)
     e = G.identity()
-    if tau == e or G.multiply(tau, tau) != e:
-        raise ValueError("tau must be an involution")
     elems = G.elements()
     filt = [x for x in elems
             if x != e and G.conjugate(x, tau) in (x, G.invert(x))]
@@ -68,7 +72,7 @@ def s_tau(carrier: FiniteGroup, tau) -> STauSet:
             raise AssertionError(
                 "S_G(tau): definitional and filter forms disagree "
                 "(correctness bug)")
-    return STauSet(tau=tau, carrier=carrier, elements=filt)
+    return STauSet(carrier=carrier, elements=filt)
 
 
 @dataclass
@@ -81,20 +85,18 @@ class NonCCATriple:
     tau: object
     checks: dict
     valid: bool
-    index: int | None = None          # |G : <S u {tau}>| when computable
+    index: int                        # |G : <S u {tau}>|
 
     def to_json_dict(self) -> dict:
         g = self.group
-        d = {
+        return {
             "S": [g.elem_str(s) for s in self.S],
             "T": [g.elem_str(t) for t in self.T],
             "tau": g.elem_str(self.tau),
             "checks": dict(self.checks),
             "valid": self.valid,
+            "index_S_tau": self.index,
         }
-        if self.index is not None:
-            d["index_S_tau"] = self.index
-        return d
 
 
 def validate_triple(G: FiniteGroup, S, T, tau) -> NonCCATriple:
@@ -105,12 +107,10 @@ def validate_triple(G: FiniteGroup, S, T, tau) -> NonCCATriple:
     """
     S = list(S)
     T = list(T)
-    e = G.identity()
     for x in [*S, *T, tau]:
         if not G.contains(x):
             raise ValueError(f"element {G.elem_str(x)} not in G")
-    if tau == e or G.multiply(tau, tau) != e:
-        raise ValueError("tau must be an involution")
+    _require_involution(G, tau)
 
     order_g = G.order()
     checks: dict[str, bool] = {}
@@ -165,26 +165,30 @@ def search_triple_subgroup_strategy(G: FiniteGroup,
 
 @dataclass
 class CrosscheckReport:
-    """Direct graph-level confirmation of a validated triple."""
+    """Direct graph-level confirmation of a validated triple.
 
-    connected: bool
+    crosscheck_prop22 returns a report only when the graph is connected
+    and non-CCA, so a report always means confirmed; its JSON still names
+    both facts as "connected" and "ok".
+    """
+
     verdict: CCAVerdict
-    ok: bool
     graph: ColouredCayleyGraph = field(repr=False)   # not serialised
 
     def to_json_dict(self) -> dict:
         return {
-            "connected": self.connected,
+            "connected": True,
             "is_cca": self.verdict.is_cca,
             "stab1_checked": self.verdict.stab1_checked,
-            "ok": self.ok,
+            "ok": True,
         }
 
 
 def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
                       graph_limit: int = DEFAULT_GRAPH_LIMIT,
                       ) -> CrosscheckReport:
-    """Build Cay(G, S u T) and confirm it is connected and non-CCA.
+    """Build Cay(G, S u T) and confirm it is connected and non-CCA; the
+    report is returned only when both hold.
 
     The connection set is the inverse closure of S u T (the graph does not
     change, but the colouring needs both t and t^-1).  is_cca_graph
@@ -193,7 +197,7 @@ def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
     with the index of <S u {tau}>, but the first one found is usually a
     witness.  The report reads only the decision, so the rest of the
     search never runs.  A failure here is a fatal correctness bug and
-    raises CrosscheckError with full state.
+    raises CrosscheckError with full state, before any report is built.
     """
     if not triple.valid:
         raise ValueError("crosscheck requires a valid triple")
@@ -202,14 +206,11 @@ def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
     graph = build(G, conn, graph_limit)
     connected = graph.is_connected()
     verdict = is_cca_graph(graph) if connected else None
-    ok = connected and not verdict.is_cca
-    report = CrosscheckReport(connected=connected, verdict=verdict, ok=ok,
-                              graph=graph)
-    if not ok:
+    if not connected or verdict.is_cca:
         raise CrosscheckError(
             "validated triple failed the graph cross-check: "
             f"connected={connected}, "
             f"is_cca={verdict and verdict.is_cca}, "
             f"triple={triple.to_json_dict()}, "
             f"stab1_checked={verdict and verdict.stab1_checked}")
-    return report
+    return CrosscheckReport(verdict, graph)

@@ -58,6 +58,14 @@ class TestGroupCommand:
         assert main(["group", f"higman:@{f}"]) == EXIT_USAGE
         assert "c entry" in capsys.readouterr().err
 
+    def test_higman_file_malformed_b_row_exit_2(self, capsys, tmp_path):
+        d = sample_params(5, 1).to_json_dict()      # s = 2
+        d["b"][0] = [2, 0]
+        f = tmp_path / "params.json"
+        f.write_text(json.dumps(d))
+        assert main(["group", f"higman:@{f}"]) == EXIT_USAGE
+        assert "b row" in capsys.readouterr().err
+
     def test_bad_expression_exit_2(self, capsys):
         assert main(["group", "Z99"]) == EXIT_USAGE
 
@@ -316,13 +324,13 @@ def subcommands() -> dict:
 
 def args_read(fn) -> set:
     """Attributes of `args` that fn reads, following the cli functions it
-    passes args to.  A read inside a _base_report call only echoes the
+    passes args to.  A read inside a report_head call only echoes the
     value into the report's config, so it does not count."""
     tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
     echoed = {id(node)
               for call in ast.walk(tree)
               if isinstance(call, ast.Call)
-              and getattr(call.func, "id", None) == "_base_report"
+              and getattr(call.func, "attr", None) == "report_head"
               for node in ast.walk(call)}
     reads = set()
     for node in ast.walk(tree):
@@ -386,3 +394,47 @@ class TestFlags:
         rc, rep = run_json(capsys, argv)
         assert rc == EXIT_OK
         assert set(rep["config"]) == config
+
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
+
+
+class TestReportSchema:
+    """Every report matches docs/report.schema.json, and every results
+    record its $def, which lists the record's keys and no others."""
+
+    @pytest.mark.parametrize("argv,record", [
+        (["group", "A5"], "groupRecord"),
+        (["group", "higman:n=5,seed=1"], "groupRecord"),
+        (["cca", "C4", "--set", "(1 2 3 4)"], "ccaGraphVerdict"),
+        (["cca", "S3", "--set", "(1 2)"], "ccaGraphVerdict"),
+        (["cca", "S4", "--exhaustive"], "groupCcaVerdict"),
+        (["triple", "validate", "A6", "--T", "(1 2)(3 4 5 6)",
+          "--tau", "(3 5)(4 6)", "--S", "(3 5)(4 6),(2 3)(5 6)",
+          "--crosscheck"], "tripleRecord"),
+        (["triple", "search", "S5", "--subgroup", "setwise:4,5"],
+         "tripleRecord"),
+        (["triple", "search", "S4", "--subgroup", "point:1"],
+         "tripleRecord"),
+        (["reproduce", "--only", "4", "--timing"], None),
+    ], ids=["group", "group-higman", "cca-set", "cca-set-disconnected",
+            "cca-exhaustive", "triple-validate-crosscheck",
+            "triple-search-found", "triple-search-not-found", "reproduce"])
+    def test_report_matches_schema(self, capsys, argv, record):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA.read_text())
+        rc, rep = run_json(capsys, argv)
+        assert rc == EXIT_OK
+        jsonschema.validate(rep, schema)
+        if record is not None:
+            jsonschema.validate(rep["results"], {
+                "$defs": schema["$defs"], "$ref": f"#/$defs/{record}"})
+
+    def test_a_renamed_key_fails(self, capsys):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(SCHEMA.read_text())
+        _, rep = run_json(capsys, ["cca", "C4", "--set", "(1 2 3 4)"])
+        rep["results"]["stab1_size"] = rep["results"].pop("stab1_order")
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(rep["results"], {
+                "$defs": schema["$defs"], "$ref": "#/$defs/ccaGraphVerdict"})

@@ -299,6 +299,22 @@ class TestParamsIO:
         with pytest.raises(ValueError, match="c entry"):
             HigmanParams.from_json_dict(d)
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["b"].__setitem__(0, [2, 0]),
+        lambda d: d["b"].__setitem__(0, [1]),
+        lambda d: d["b"].__setitem__(0, [1, 0, 0]),
+        lambda d: d["c"][0].__setitem__("bit", 5),
+        lambda d: d["c"].append(dict(d["c"][1], bit=0)),
+        lambda d: d.__setitem__("n", 7),
+    ], ids=["b-entry-2", "b-row-short", "b-row-long", "c-bit-5",
+            "c-entry-repeated", "n-not-r-plus-s"])
+    def test_malformed_params_refused(self, edit):
+        # r = 3, s = 2; each edit was once read as some other group
+        d = sample_params(5, 1).to_json_dict()
+        edit(d)
+        with pytest.raises(ValueError):
+            HigmanParams.from_json_dict(d)
+
 
 class TestTheoremTriple:
     @pytest.mark.parametrize("n", range(3, 11))
@@ -317,7 +333,7 @@ class TestTheoremTriple:
     def test_crosscheck_small(self):
         for n in (3, 4, 5, 6):
             G, trip = theorem3_triple(sample_params(n, 4))
-            assert tr.crosscheck_prop22(G, trip).ok
+            assert not tr.crosscheck_prop22(G, trip).verdict.is_cca
 
     def test_rejects_unconstrained(self):
         p = HigmanParams(r=1, s=1, b=(1,), c=(), constrained=False)

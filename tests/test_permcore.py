@@ -194,6 +194,14 @@ class TestCycleNotation:
         assert parse_cycles("(1 2)(2 3)", 4).cycle_str() == "(1 3 2)"
 
 
+def assert_strong_generating_set(chain, order):
+    """What the chain keeps without a guard: no strong generator twice,
+    each moving a base point, and the group's order."""
+    assert len(set(chain.strong)) == len(chain.strong)
+    assert all(any(g[b] != b for b in chain.base) for g in chain.strong)
+    assert chain.order() == order
+
+
 class TestGroupOrder:
     def test_sym4(self):
         G = PermutationGroup(4, [parse_cycles("(1 2)", 4),
@@ -220,6 +228,20 @@ class TestGroupOrder:
         for gens in cases:
             G = PermutationGroup(gens[0].degree, gens)
             assert G.order() == len(brute_closure(gens))
+
+    @pytest.mark.parametrize("expr,order", [
+        ("PSL2(7)", 168), ("PSL2(8)", 504), ("PSL2(9)", 360),
+        ("PSL2(16)", 4080), ("PSL2(17)", 2448), ("M11", 7920)])
+    def test_strong_generators_distinct_and_each_moves_a_base_point(
+            self, expr, order):
+        assert_strong_generating_set(groupzoo.construct(expr).chain, order)
+
+    def test_zoo_strong_generators_distinct_and_each_moves_a_base_point(
+            self):
+        for expr, G in groupzoo.zoo_corpus(48):
+            if isinstance(G, PermutationGroup):
+                assert_strong_generating_set(
+                    G.chain, len(brute_closure(G.generators())))
 
     def test_membership(self):
         G = PermutationGroup(5, [parse_cycles("(1 2 3)", 5),

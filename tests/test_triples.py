@@ -174,12 +174,12 @@ class TestCrosscheck:
         trip = validate_triple(G, s_tau(H, tau).elements, [t], tau)
         assert trip.valid
         rep = crosscheck_prop22(G, trip)
-        assert rep.ok and rep.connected and not rep.verdict.is_cca
+        assert not rep.verdict.is_cca
 
     def test_higman_triple_graph_non_cca(self):
         G, trip = theorem3_triple(sample_params(6, 2))
         rep = crosscheck_prop22(G, trip)
-        assert rep.ok
+        assert not rep.verdict.is_cca
 
     def test_requires_valid_triple(self):
         G = gz.cyclic_group(4)
