@@ -20,7 +20,11 @@ BFS tree is computed from the rows on first use and cached, so a
 disconnected set costs a single BFS.  ``bfs`` is the one BFS over rows:
 the graph's tree and aut_pm1's tree over the picked classes (colourauts)
 both come from it.  A graph has one vertex per element of the listing it
-indexes, and ``check_graph_limit`` is the one graph-size check.
+indexes, and ``check_graph_limit`` is the one check against the graph
+limit.  An exhaustive sweep has a second bound: its rows come from the
+group's multiplication table, which fgroup builds only up to
+MULT_TABLE_LIMIT (1024) elements, so a sweep of a larger group raises
+LimitExceeded whatever the graph limit allows.
 """
 
 from __future__ import annotations
@@ -68,21 +72,14 @@ class ConnectionSet:
         """Colour classes {s, s^-1}, ordered by representative index.
 
         Each class is a 1-tuple (involution) or 2-tuple (s, s^-1) with the
-        lower-indexed element first.
+        lower-indexed element first.  The elements are sorted by index and
+        inverse-closed, so each class is emitted once, at its lower-indexed
+        member.
         """
-        done = set()
-        classes = []
-        for s in self.elements:          # already sorted by index
-            if s in done:
-                continue
-            si = self.group.invert(s)
-            done.add(s)
-            if si == s:
-                classes.append((s,))
-            else:
-                done.add(si)
-                classes.append((s, si))
-        return classes
+        group, idx = self.group, self.group.element_index()
+        pairs = [(s, group.invert(s)) for s in self.elements]
+        return [(s,) if s == si else (s, si)
+                for s, si in pairs if idx[s] <= idx[si]]
 
 
 class ColouredCayleyGraph:

@@ -101,8 +101,12 @@ def _construct(args):
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as ex:
+            raise CLIError(f"cannot write report to {args.out}: "
+                           f"{ex.strerror}") from ex
     if args.json or not args.out:
         print(text if args.json else _render_text(report))
 
@@ -232,14 +236,22 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(text: str) -> int:
+    """An int flag value that may not be negative (exit 2 if it is)."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 # Settings flags; each subcommand takes only those its handler reads.
 _FLAGS = {
-    "--budget": dict(type=int, default=2**20,
+    "--budget": dict(type=_non_negative, default=2**20,
                      help="connection sets an exhaustive sweep may examine"),
-    "--limit-enum": dict(type=int, default=DEFAULT_ENUM_LIMIT,
+    "--limit-enum": dict(type=_non_negative, default=DEFAULT_ENUM_LIMIT,
                          help="max element count of any group or subgroup "
                               "the command lists (exit 3 when exceeded)"),
-    "--limit-graph": dict(type=int, default=DEFAULT_GRAPH_LIMIT,
+    "--limit-graph": dict(type=_non_negative, default=DEFAULT_GRAPH_LIMIT,
                           help="max vertex count for graph construction "
                                "(exit 3 when exceeded)"),
     "--seed": dict(type=int, default=12345,

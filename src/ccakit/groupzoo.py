@@ -11,8 +11,15 @@ Grammar for group expressions (exact):
 "D n" is the dihedral group of order 2n; Q8 is the quaternion group, the
 2-group of higman.quaternion_params().  PSL2(q) acts on the q+1 points
 of the projective line over GF(q) via unimodular Moebius maps modulo the
-centre; prime-power fields are built from a pinned irreducible polynomial
-stored in data/field_polys.json.
+centre.  Every GF(q) is built by one rule, polynomials over GF(p) modulo
+a monic irreducible one of degree f (q = p^f): for a prime q that is x,
+and for a prime power the pinned polynomial in data/field_polys.json.
+
+The named constructors take one generating set each.  Where a generator
+is the identity or repeats another at a small n (C1, S2, A3, and the
+scaling of PSL2(2) and PSL2(3)), PermutationGroup drops it; S1, A1, A2,
+D1 and D2 keep their own cases, where the general generators would not
+parse or would give another group.
 
 construct parses an expression and builds its group in the same pass;
 there is no separate syntax tree.  The point and set stabilizers and the
@@ -63,7 +70,8 @@ class FieldTable:
     """GF(q) with exhaustively tabulated arithmetic, q <= 32.
 
     Elements are encoded as integers 0..q-1: the coefficient vector of the
-    residue polynomial read in base p (so 0 and 1 are the field's 0 and 1).
+    residue polynomial, constant term first, read as base-p digits, lowest
+    first (so 0 and 1 are the field's 0 and 1).
     """
 
     q: int
@@ -76,27 +84,21 @@ class FieldTable:
     primitive: int = 0
 
 
-def _poly_coeffs(x: int, p: int, f: int) -> list[int]:
-    out = []
-    for _ in range(f):
-        out.append(x % p)
-        x //= p
-    return out
-
-
-def _poly_index(coeffs, p: int) -> int:
-    out = 0
-    for c in reversed(coeffs):
-        out = out * p + c
-    return out
-
-
 def build_field(q: int) -> FieldTable:
+    """GF(q) = GF(p)[x] modulo a monic irreducible polynomial of degree f.
+
+    One rule serves every q: a prime q is the case f = 1 with modulus x,
+    and a prime power reads its modulus from data/field_polys.json.  The
+    digit vector of an element is its residue's coefficients.  add is the
+    digit-wise sum mod p and mul the schoolbook product reduced by the
+    modulus.  Every row of add, and every row of mul but row 0, is a
+    permutation of the field, so neg and inv are where 0 and 1 stand in it.
+    The primitive element is the smallest one of order q - 1.
+    """
     if q < 2 or q > MAX_PRIME_POWER_Q:
         raise GroupExprError(f"field order {q} outside supported range 2..32")
     if _is_prime(q):
-        p, f = q, 1
-        red = None
+        p, f, red = q, 1, [0, 1]
     else:
         polys = json.loads((_DATA_DIR / "field_polys.json").read_text())
         entry = polys.get(str(q))
@@ -105,34 +107,29 @@ def build_field(q: int) -> FieldTable:
         p, f, red = entry["p"], entry["f"], entry["poly"]
         if p**f != q:
             raise GroupExprError(f"bad field data for q={q}")
+    weights = [p**i for i in range(f)]
+    digits = [[a // w % p for w in weights] for a in range(q)]
 
-    def add(a, b):
-        ca = _poly_coeffs(a, p, f)
-        cb = _poly_coeffs(b, p, f)
-        return _poly_index([(x + y) % p for x, y in zip(ca, cb)], p)
+    def index(coeffs):
+        # the first f coefficients, each taken mod p, read in base p
+        return sum(c % p * w for c, w in zip(coeffs, weights))
 
-    def mul(a, b):
-        ca = _poly_coeffs(a, p, f)
-        cb = _poly_coeffs(b, p, f)
+    def mul(ca, cb):
         prod = [0] * (2 * f - 1)
         for i, x in enumerate(ca):
             for j, y in enumerate(cb):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce modulo the pinned irreducible polynomial
-        for top in range(len(prod) - 1, f - 1, -1):
-            c = prod[top]
-            if c:
-                prod[top] = 0
-                for k in range(f):
-                    # x^top = -sum red[k] x^(top-f+k) / red[f] (monic)
-                    prod[top - f + k] = (prod[top - f + k] - c * red[k]) % p
-        return _poly_index(prod[:f], p)
+                prod[i + j] += x * y
+        # x^top = -(red[0] x^(top-f) + ... + red[f-1] x^(top-1)), red monic
+        for top in range(2 * f - 2, f - 1, -1):
+            for k in range(f):
+                prod[top - f + k] -= prod[top] % p * red[k]
+        return index(prod)
 
-    add_t = [[add(a, b) for b in range(q)] for a in range(q)]
-    mul_t = [[mul(a, b) for b in range(q)] for a in range(q)]
-    neg_t = [next(b for b in range(q) if add_t[a][b] == 0) for a in range(q)]
-    inv_t = [0] + [next(b for b in range(1, q) if mul_t[a][b] == 1)
-                   for a in range(1, q)]
+    add_t = [[index([x + y for x, y in zip(da, db)]) for db in digits]
+             for da in digits]
+    mul_t = [[mul(da, db) for db in digits] for da in digits]
+    neg_t = [row.index(0) for row in add_t]
+    inv_t = [0] + [row.index(1) for row in mul_t[1:]]
 
     primitive = 1
     for cand in range(1, q):
@@ -155,8 +152,6 @@ def build_field(q: int) -> FieldTable:
 def cyclic_group(n: int) -> PermutationGroup:
     if n < 1:
         raise GroupExprError("C n requires n >= 1")
-    if n == 1:
-        return PermutationGroup(1, [])
     return PermutationGroup(n, [Permutation([(i + 1) % n for i in range(n)])])
 
 
@@ -165,10 +160,8 @@ def symmetric_group(n: int) -> PermutationGroup:
         raise GroupExprError("S n requires n >= 1")
     if n == 1:
         return PermutationGroup(1, [])
-    gens = [parse_cycles("(1 2)", n)]
-    if n > 2:
-        gens.append(Permutation([(i + 1) % n for i in range(n)]))
-    return PermutationGroup(n, gens)
+    return PermutationGroup(n, [parse_cycles("(1 2)", n),
+                                Permutation([(i + 1) % n for i in range(n)])])
 
 
 def alternating_group(n: int) -> PermutationGroup:
@@ -177,8 +170,6 @@ def alternating_group(n: int) -> PermutationGroup:
     if n <= 2:
         return PermutationGroup(max(n, 1), [])
     three = parse_cycles("(1 2 3)", n)
-    if n == 3:
-        return PermutationGroup(3, [three])
     if n % 2 == 1:
         big = Permutation([(i + 1) % n for i in range(n)])
     else:
@@ -207,7 +198,8 @@ def psl2(q: int) -> PermutationGroup:
     Generators: the translations x -> x + lambda^j (j < f, lambda primitive,
     whose shifts span GF(q) over its prime field), the square scaling
     x -> lambda^2 x, and the inversion x -> -1/x.  All lift to determinant-1
-    matrices.
+    matrices.  For q = 2 and 3 the scaling is the identity, which
+    PermutationGroup drops like any identity generator.
     """
     F = build_field(q)
     deg = q + 1
@@ -224,8 +216,7 @@ def psl2(q: int) -> PermutationGroup:
         gens.append(moebius(lambda x, c=c: INF if x == INF else F.add[x][c]))
         shift = F.mul[shift][lam]
     lam2 = F.mul[lam][lam]
-    if lam2 != 1:
-        gens.append(moebius(lambda x: INF if x == INF else F.mul[lam2][x]))
+    gens.append(moebius(lambda x: INF if x == INF else F.mul[lam2][x]))
     gens.append(moebius(
         lambda x: (0 if x == INF else (INF if x == 0 else F.neg[F.inv[x]]))))
     G = PermutationGroup(deg, gens)

@@ -179,8 +179,9 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse 1-based cycle notation, e.g. "(1 2)(3 4 5 6)".
 
-    Whitespace-insensitive; "()" (or an empty string) is the identity.
-    Cycles are applied left to right.
+    Whitespace-insensitive; "()" (or an empty string) is the identity, and
+    an empty cycle anywhere multiplies by it.  Cycles are applied left to
+    right.
     """
     stripped = _CYCLE_RE.sub("", text)
     if stripped.strip():
@@ -188,8 +189,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     perm = Permutation.identity(degree)
     for body in _CYCLE_RE.findall(text):
         pts = [int(tok) - 1 for tok in body.replace(",", " ").split()]
-        if not pts:
-            continue
         if len(set(pts)) != len(pts):
             raise ValueError(f"repeated point in cycle: {body!r}")
         if any(p < 0 or p >= degree for p in pts):

@@ -3,6 +3,7 @@ import ast
 import inspect
 import json
 import re
+import shlex
 import textwrap
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from ccakit import cli
 from ccakit import groupzoo as gz
+from ccakit import reproduce as rp
 from ccakit import triples as tr
 from ccakit.cli import (
     EXIT_CRITERION,
@@ -144,6 +146,46 @@ class TestTripleCommand:
             "triple", "search", "A6", "--subgroup", "point:1"])
         assert rc == EXIT_OK
         assert rep["results"]["found"]
+
+    def test_search_s5_pointwise(self, capsys):
+        rc, rep = run_json(capsys, ["triple", "search", "S5",
+                                    "--subgroup", "pointwise:4,5"])
+        assert rc == EXIT_OK
+        assert rep["results"]["found"] is True
+        assert rep["results"]["crosscheck"]["ok"] is True
+
+    def test_search_psl2_7_dihedral(self, capsys):
+        rc, rep = run_json(capsys, ["triple", "search", "PSL2(7)",
+                                    "--subgroup", "dihedral:3"])
+        assert rc == EXIT_OK
+        r = rep["results"]
+        assert r["found"] is True
+        assert r["index_S_tau"] == 28
+        assert r["crosscheck"]["ok"] is True
+
+    def test_search_gens_subgroup_not_found(self, capsys):
+        rc, rep = run_json(capsys, ["triple", "search", "S5",
+                                    "--subgroup", "gens:(1 2),(4 5)"])
+        assert rc == EXIT_OK
+        assert rep["results"] == {"found": False, "subgroup_order": 4}
+
+    def test_search_dihedral_without_cyclic_subgroup_exit_2(self, capsys):
+        rc = main(["triple", "search", "S5", "--subgroup", "dihedral:7"])
+        assert rc == EXIT_USAGE
+        assert "no cyclic subgroup of order 7" in capsys.readouterr().err
+
+    def test_search_requires_subgroup(self, capsys):
+        assert main(["triple", "search", "S5"]) == EXIT_USAGE
+        assert "requires --subgroup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["S5", "--S", "(1 2)"], "requires --tau"),
+        (["S5", "--S", "(1 2)", "--tau", "(1 2),(3 4)"], "single element"),
+        (["A4", "--S", "(1 2)", "--tau", "(1 2)(3 4)"], "not in G"),
+    ], ids=["no-tau", "two-taus", "outside-G"])
+    def test_validate_bad_input_exit_2(self, capsys, argv, message):
+        assert main(["triple", "validate"] + argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_bad_element_exit_2(self):
         assert main(["triple", "validate", "A6",
@@ -314,6 +356,52 @@ class TestReproduceCommand:
                                     "--seed", "7"])
         assert rep["config"]["seed"] == 7
 
+    def test_failed_criterion_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(rp, "criterion_4", lambda: {"pass": False})
+        assert main(["reproduce", "--only", "4"]) == EXIT_CRITERION
+        assert "FAILED criteria: criterion_4" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        assert main(["group", "S3", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report to {out}: ")
+        assert not out.exists()
+
+
+def readme_commands() -> list[str]:
+    """The lines of the README's command-line block, backslash
+    continuations joined; comments are left for shlex to drop."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
+def shell_words(line: str) -> list[str]:
+    """The words of a command line, with shell operators split off."""
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    return list(lexer)
+
+
+# the reproduce lines run in the session fixture and TestReproduceCommand
+README_RUNS = [argv for argv in (shlex.split(line, comments=True)
+                                for line in readme_commands())
+               if argv[1] != "reproduce"]
+
+
+class TestReadmeCommands:
+    def test_every_line_is_one_plain_command(self):
+        for line in readme_commands():
+            assert shell_words(line) == shlex.split(line, comments=True)
+            assert shell_words(line)[0] == "ccakit"
+
+    @pytest.mark.parametrize("argv", README_RUNS,
+                             ids=[" ".join(a[1:4]) for a in README_RUNS])
+    def test_runs(self, capsys, argv):
+        assert main(argv[1:]) == EXIT_OK
+
 
 def subcommands() -> dict:
     ap = build_parser()
@@ -364,6 +452,12 @@ class TestFlags:
     def test_removed_flag_is_usage_error(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--budget", "--limit-enum",
+                                      "--limit-graph"])
+    def test_negative_count_is_usage_error(self, capsys, flag):
+        assert main(["cca", "S3", "--exhaustive", flag, "-1"]) == EXIT_USAGE
+        assert f"argument {flag}: must be >= 0" in capsys.readouterr().err
 
     def test_readme_lists_each_commands_flags(self):
         text = README.read_text()
