@@ -7,8 +7,11 @@ bitvector-backed 2-groups (higman).  Enumeration order is deterministic:
 identity first, then breadth-first closure over the generator list, so
 reports and witnesses are reproducible across runs.  ``closure`` is the one
 listing loop.  It takes one left-multiplication map x -> g*x per generator
-g: ``partial(multiply, g)`` here, a C-level product on image tuples for
-permutation groups and for stab1 (colourauts).
+g, and a group hands out that map through one hook, ``left_map(g)``:
+``partial(multiply, g)`` by default, a C-level product on image tuples for
+permutation groups (and for stab1, in colourauts), one inlined table
+lookup per product for Higman groups, and the parent's map for a
+generated subgroup.  The involution scan squares through the same hook.
 
 Index arithmetic goes through one method: ``left_row(s)`` lists the index
 of s*v for every element v, by ``multiply`` unless a realization has a
@@ -91,8 +94,7 @@ class FiniteGroup(abc.ABC):
         cached = getattr(self, "_elements", None)
         if cached is None:
             cached = closure(self.identity(),
-                             [partial(self.multiply, g)
-                              for g in self.generators()],
+                             [self.left_map(g) for g in self.generators()],
                              self.enum_limit)
             self._elements = cached
         return cached
@@ -137,6 +139,10 @@ class FiniteGroup(abc.ABC):
             self._mult_table = cached
         return cached
 
+    def left_map(self, g) -> Callable[[Any], Any]:
+        """The map x -> g*x, for x in the group."""
+        return partial(self.multiply, g)
+
     def left_row(self, s) -> list[int]:
         """Row of s in the multiplication table: index of s*v per element v."""
         idx = self.element_index()
@@ -163,8 +169,9 @@ class FiniteGroup(abc.ABC):
 
     def involutions(self) -> list:
         e = self.identity()
+        left_map = self.left_map
         return [x for x in self.elements()
-                if x != e and self.multiply(x, x) == e]
+                if x != e and left_map(x)(x) == e]
 
     def is_central(self, x) -> bool:
         return all(self.commutes(x, g) for g in self.generators())
@@ -203,6 +210,9 @@ class GeneratedSubgroup(FiniteGroup):
 
     def multiply(self, a, b):
         return self.parent.multiply(a, b)
+
+    def left_map(self, g):
+        return self.parent.left_map(g)
 
     def invert(self, a):
         return self.parent.invert(a)

@@ -21,6 +21,13 @@ params are made.  gamma is then one lookup per block, and the tables stay
 at ceil(r/4) * ceil(r/8) * 4096 entries or fewer for every r (two tables
 for r <= 8), whatever the enumeration limit.
 
+Bulk products skip the gamma call too.  ``left_map(g)`` checks g once and
+fixes g's left bytes, so x -> g*x is one inlined lookup per table; the
+listings of generated subgroups close over these maps.  Elements are
+listed in natural order, so (e, f) sits at index e * 2^s + f, and
+``left_row(s)`` takes one gamma per e-part of v and XORs the f-parts into
+that block's base index: no dict, tuple or multiply per element.
+
 The "constrained" flavour forces g_r^2 = g_{r-1}^2 = h_1, which pins rows
 r-1 and r of the b-matrix and makes (S, T, tau) with S = {g_1..g_{r-2},
 h_1..h_s}, T = {g_{r-1}, g_r}, tau = h_1 a non-CCA triple with
@@ -197,10 +204,15 @@ def multiply(params: HigmanParams, a: Element, b: Element) -> Element:
     return (ae ^ be, af ^ bf ^ gamma(params, ae, be))
 
 
-def inverse(params: HigmanParams, a: Element) -> Element:
+def _check_fits(params: HigmanParams, a: Element) -> None:
     ae, af = a
     if not (0 <= ae < 1 << params.r and 0 <= af < 1 << params.s):
         raise ValueError("element does not fit the parameter dimensions")
+
+
+def inverse(params: HigmanParams, a: Element) -> Element:
+    _check_fits(params, a)
+    ae, af = a
     return (ae, af ^ gamma(params, ae, ae))
 
 
@@ -218,6 +230,39 @@ class HigmanGroup(FiniteGroup):
 
     def invert(self, a: Element) -> Element:
         return inverse(self.params, a)
+
+    def left_map(self, g: Element):
+        """x -> g*x for x in G: one lookup per gamma table, g's left bytes
+        fixed.  Only g is checked; an x outside G still gives a product
+        outside G, since the XOR keeps x's sign and its bits past r or s."""
+        p = self.params
+        _check_fits(p, g)
+        ge, gf = g
+        blocks = [(rlo, ge >> llo & 255, table)
+                  for rlo, llo, table in p._gamma_tables]
+
+        def left(x: Element) -> Element:
+            xe, xf = x
+            f = gf ^ xf
+            for rlo, lb, table in blocks:
+                f ^= table[(xe >> rlo & 15) << 8 | lb]
+            return (ge ^ xe, f)
+        return left
+
+    def left_row(self, s: Element) -> list[int]:
+        """Index of s*v for every v, one e-block of 2^s elements at a
+        time: v = (ve, vf) sits at ve * 2^s + vf, and s*v at base ^ vf
+        with base = (se ^ ve) * 2^s + (sf ^ gamma(se, ve))."""
+        self._check_enum_limit(self.order())
+        p = self.params
+        _check_fits(p, s)
+        se, sf = s
+        fs = range(1 << p.s)
+        row: list[int] = []
+        for ve in range(1 << p.r):
+            base = (se ^ ve) << p.s | (sf ^ gamma(p, se, ve))
+            row += map(base.__xor__, fs)
+        return row
 
     def generators(self) -> list[Element]:
         p = self.params

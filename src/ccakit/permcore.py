@@ -16,14 +16,15 @@ and ``PermutationGroup(degree, gens)`` build through it.  Products,
 inverses and identities are permutations by construction, so they skip
 that check (``Permutation._trusted``, private to this module).
 
-A permutation group lists its elements and computes its Cayley-graph rows
-on image tuples: ``p * x`` has images ``itemgetter(*p)(x)``, one C-level
-call, so a product builds no Permutation, hash or comparison.  The listing
-is ``fgroup.closure`` over these maps, one per generator, in the same
-breadth-first order, and each listed tuple is wrapped once, in place.  A
-Permutation is the tuple of its images, so the group's one element index
-answers a lookup by a Permutation or by the plain tuple a row product
-returns.
+A product is one C-level call: ``p * x`` has images ``itemgetter(*p)(x)``.
+A permutation group's ``left_map(p)`` is that map on image tuples, so a
+product through it builds no Permutation, hash or comparison.  The group
+lists its elements by ``fgroup.closure`` over these maps, one per
+generator, in the same breadth-first order, and wraps each listed tuple
+once, in place; its Cayley-graph rows and its involution scan use the same
+maps.  A Permutation is the tuple of its images, so the group's one
+element index answers a lookup by a Permutation or by the plain tuple a
+row product returns.
 
 Listing checks the enumeration limit against the group's order first,
 which takes a stabilizer chain, except for a subgroup
@@ -40,7 +41,10 @@ Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
 base point.  This makes orders, membership tests and reports reproducible.
 A chain's basic transversals come from ``orbit_transversal``, the one
-orbit search, which ``higman``'s regularity check also uses.
+orbit search, which ``higman``'s regularity check also uses.  The chain
+keeps the inverse of every transversal element beside it, so sifting and
+forming Schreier generators multiply by stored inverses instead of
+inverting at every step (Seress, ch. 4).
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ class Permutation(tuple):
     def __mul__(self, other: "Permutation") -> "Permutation":
         if len(self) != len(other):
             raise ValueError("degree mismatch in composition")
-        return Permutation._trusted([other[i] for i in self])
+        return Permutation._trusted(_left_factor(self)(other))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self)
@@ -220,6 +224,8 @@ class StabilizerChain:
         self.base: list[int] = list(base_hint)
         self.strong: list[Permutation] = []
         self.transversals: list[dict[int, Permutation]] = []
+        # inverses[i][x] is transversals[i][x].inverse()
+        self.inverses: list[dict[int, Permutation]] = []
         for g in generators:
             if not g.is_identity():
                 self._insert(g)
@@ -241,6 +247,8 @@ class StabilizerChain:
             orbit_transversal(self.degree, b, self._level_gens(i))
             for i, b in enumerate(self.base)
         ]
+        self.inverses = [{x: t.inverse() for x, t in trans.items()}
+                         for trans in self.transversals]
 
     def _close(self):
         while True:
@@ -251,11 +259,11 @@ class StabilizerChain:
     def _find_and_insert_residue(self) -> bool:
         for i in range(len(self.base)):
             gens = self._level_gens(i)
-            trans = self.transversals[i]
-            for x, tx in trans.items():
+            inv = self.inverses[i]
+            for x, tx in self.transversals[i].items():
                 for g in gens:
                     # Schreier generator for the stabilizer of base[:i+1]
-                    sg = tx * g * self.transversals[i][g[x]].inverse()
+                    sg = tx * g * inv[g[x]]
                     residue = self._sift(sg, start=i + 1)
                     if not residue.is_identity():
                         self._insert(residue)
@@ -265,12 +273,12 @@ class StabilizerChain:
     # -- queries ---------------------------------------------------------------
 
     def _sift(self, p: Permutation, start: int = 0) -> Permutation:
-        for i in range(start, len(self.transversals)):
+        for i in range(start, len(self.inverses)):
             x = p[self.base[i]]
-            trans = self.transversals[i]
-            if x not in trans:
+            inv = self.inverses[i]
+            if x not in inv:
                 return p
-            p = p * trans[x].inverse()
+            p = p * inv[x]
         return p
 
     def order(self) -> int:
@@ -343,7 +351,7 @@ class PermutationGroup(FiniteGroup):
                 self._check_enum_limit(self.order())
             elems = fgroup.closure(
                 tuple(range(self.degree)),
-                [_left_factor(g) for g in self._gens], self.enum_limit)
+                [self.left_map(g) for g in self._gens], self.enum_limit)
             # in place: a second list would hold every element twice at once
             trusted = Permutation._trusted
             for i, t in enumerate(elems):
@@ -356,9 +364,13 @@ class PermutationGroup(FiniteGroup):
         bound = self._order_bound
         return bound is not None and bound <= self.enum_limit
 
+    def left_map(self, g: Permutation):
+        """x -> g * x on image tuples (a Permutation is one)."""
+        return _left_factor(g)
+
     def left_row(self, s: Permutation) -> list[int]:
         index = self.element_index()          # iterates in element order
-        return list(map(index.__getitem__, map(_left_factor(s), index)))
+        return list(map(index.__getitem__, map(self.left_map(s), index)))
 
     def generated_subgroup(self, gens) -> "PermutationGroup":
         """<gens>, bounded by this group's known order if gens lie in it."""

@@ -3,6 +3,7 @@ tolerances (all exact).  The suite report is computed once per session;
 criterion 10 re-runs the deterministic core inside run_suite itself.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -153,3 +154,15 @@ def test_criterion_10_determinism(suite_report):
 
 def test_suite_passed_overall(suite_report):
     assert suite_report["passed"]
+
+
+# SHA-256 of the canonical results JSON at seed 12345.  A change meant to
+# keep every result byte-identical (a speed or simplicity change) must
+# leave it as it is; a change to a result updates it and says why.
+RESULTS_SHA256 = (
+    "83343d83b57484eb1af55c298b86c199caa1bf49c7ab90392efe3a9490999c9a")
+
+
+def test_results_digest_is_pinned(suite_report):
+    text = rp.canonical_json(suite_report["results"])
+    assert hashlib.sha256(text.encode()).hexdigest() == RESULTS_SHA256

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from ccakit import cli, fgroup
 from ccakit import groupzoo as gz
 from ccakit.fgroup import LimitExceeded
 from ccakit.higman import HigmanGroup, sample_params
-from ccakit.permcore import parse_cycles
+from ccakit.permcore import Permutation, PermutationGroup, parse_cycles
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -151,9 +152,29 @@ class TestOrder4Predicate:
         assert gz.has_element_of_order4(gz.symmetric_group(4))
 
     def test_oracle_scan(self):
-        G = gz.psl2(7)
-        direct = any(G.element_order(x) == 4 for x in G.elements())
-        assert gz.has_element_of_order4(G) == direct
+        """The squaring scans against element_order and multiply, and the
+        chain's membership test against the element set."""
+        groups = gz.zoo_corpus(48) + [
+            (expr, gz.construct(expr)) for expr in
+            [f"PSL2({q})" for q in (5, 7, 8, 9, 11, 13, 17)] + ["M11"]]
+        for expr, G in groups:
+            elems, e = G.elements(), G.identity()
+            direct = any(G.element_order(x) == 4 for x in elems)
+            assert gz.has_element_of_order4(G) == direct, expr
+            invs = G.involutions()
+            assert invs == [x for x in elems
+                            if x != e and G.multiply(x, x) == e], expr
+            assert invs == [x for x in elems
+                            if G.element_order(x) == 2], expr
+            if not isinstance(G, PermutationGroup):
+                continue
+            rng = random.Random(len(elems))
+            members = G.element_set()
+            for _ in range(200):
+                # half the draws from G, so both answers occur
+                p = (rng.choice(elems) if rng.random() < 0.5 else
+                     Permutation(rng.sample(range(G.degree), G.degree)))
+                assert G.chain.contains(p) == (p in members), (expr, p)
 
 
 class TestStabilizers:

@@ -1,11 +1,12 @@
 import json
 import random
+from functools import partial
 
 import pytest
 
 from oracle_collect import collect_word, element_to_word, multiply_oracle
 
-from ccakit import groupzoo
+from ccakit import fgroup, groupzoo
 from ccakit import triples as tr
 from ccakit.higman import (
     HigmanGroup,
@@ -21,6 +22,7 @@ from ccakit.higman import (
     sample_params,
     theorem3_triple,
 )
+from ccakit.fgroup import FiniteGroup, GeneratedSubgroup, LimitExceeded
 from ccakit.permcore import Permutation, parse_cycles
 
 
@@ -207,6 +209,79 @@ class TestGammaTables:
         assert all(len(t) == 4096 for _, _, t in params._gamma_tables)
         x = (1 << 39) | 5
         assert multiply(params, (x, 0), inverse(params, (x, 0))) == (0, 0)
+
+
+def row_cases(n):
+    """Instances of order 2^n: three sampled seeds, and Q8 at n = 3."""
+    cases = [sample_params(n, seed) for seed in (1, 2, 3)]
+    return cases + [quaternion_params()] if n == 3 else cases
+
+
+class TestRowsAndMaps:
+    """Rows by e-block and left maps against multiply: the generic
+    FiniteGroup row and the closure over partial(multiply, g) are the
+    oracles."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_rows_equal_the_generic_rows(self, n):
+        for params in row_cases(n):
+            G = HigmanGroup(params)
+            elems = G.elements()
+            sample = (elems if n <= 8 else
+                      G.generators() + random.Random(n).sample(elems, 12))
+            for s in sample:
+                assert G.left_row(s) == FiniteGroup.left_row(G, s)
+
+    @pytest.mark.parametrize("s", [(4, 0), (-1, 0), (0, 4), (0, -1)])
+    def test_out_of_range_row_refused(self, s):
+        G = HigmanGroup(sample_params(4, 1))       # r = s = 2
+        with pytest.raises(ValueError, match="does not fit"):
+            G.left_row(s)
+
+    def test_row_keeps_the_enumeration_limit(self):
+        G = HigmanGroup(sample_params(6, 1))
+        G.enum_limit = G.order() - 1
+        with pytest.raises(LimitExceeded):
+            G.left_row(G.identity())
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_left_map_is_multiply(self, n):
+        for params in row_cases(n):
+            G = HigmanGroup(params)
+            elems = G.elements()
+            for g in elems:
+                left = G.left_map(g)
+                assert [left(x) for x in elems] == \
+                    [G.multiply(g, x) for x in elems]
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_subgroups_list_through_the_parent_maps(self, n):
+        # the two subgroups validate_triple lists, <S u T> and <S u {tau}>
+        params = sample_params(n, 3)
+        G = HigmanGroup(params)
+        S = [G.g(i) for i in range(1, params.r - 1)] + \
+            [G.h(j) for j in range(1, params.s + 1)]
+        T, tau = [G.g(params.r - 1), G.g(params.r)], G.h(1)
+        for gens in (S + T, S + [tau]):
+            H = G.generated_subgroup(gens)
+            assert isinstance(H, GeneratedSubgroup)
+            elems = H.elements()
+            assert elems == fgroup.closure(
+                G.identity(), [partial(G.multiply, g) for g in gens],
+                G.enum_limit)
+            for g in H.generators():
+                left = H.left_map(g)
+                assert [left(x) for x in elems] == \
+                    [G.multiply(g, x) for x in elems]
+
+    @pytest.mark.parametrize("g", [(1 << 10, 0), (-3, 0), (0, 1 << 7)])
+    def test_left_map_refuses_what_multiply_refuses(self, g):
+        G = HigmanGroup(sample_params(6, 1))       # r = 4, s = 2
+        with pytest.raises(ValueError) as by_multiply:
+            G.multiply(g, G.identity())
+        with pytest.raises(ValueError) as by_map:
+            G.left_map(g)
+        assert str(by_map.value) == str(by_multiply.value)
 
 
 class TestRelations:

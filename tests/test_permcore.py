@@ -382,6 +382,23 @@ class TestImageTupleArithmetic:
         assert G.mult_table() == [generic_row(G, a) for a in G.elements()]
 
 
+class TestLeftMap:
+    def test_left_map_is_multiply(self):
+        """left_map(g) is x -> multiply(g, x), on image tuples, for every
+        g and x, and both are the composition x(g(i)); degrees 1 and 2
+        included, where _left_factor changes form."""
+        groups = [G for _, G in groupzoo.zoo_corpus(48)
+                  if isinstance(G, PermutationGroup)]
+        groups += [PermutationGroup(1), PermutationGroup(2, [(1, 0)])]
+        for G in groups:
+            elems = G.elements()
+            for g in elems:
+                left = G.left_map(g)
+                products = [G.multiply(g, x) for x in elems]
+                assert [left(x) for x in elems] == products
+                assert products == [tuple(x[i] for i in g) for x in elems]
+
+
 def permutation_groups():
     """The permutation groups of the order-48 zoo corpus, and PSL2(17)."""
     groups = [G for _, G in groupzoo.zoo_corpus(48)
