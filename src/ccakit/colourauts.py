@@ -17,7 +17,20 @@ finds a strong generator or proves the orbit trivial (Sims 1970; Seress,
 Permutation Group Algorithms, ch. 4), so |stab1| = 2^m for m generators.
 The order matters: on the PSL(2, 17) dihedral:16 triple graph the
 shallowest search alone runs past 150 s on a 2-core machine, the deepest
-takes 5 ms.  enumerate_stab1 lists every element, as an oracle.
+takes 5 ms.
+
+The generators found at deeper levels prune each level's search by
+orbits, in the cheap form of McKay & Piperno ("Practical graph
+isomorphism, II", JSC 60, 2014): at a branch point, a generator h that
+fixes every image chosen above maps the completions below one candidate x
+onto those below h(x), so once x's subtree has proved empty, h(x) is
+skipped.  Only empty subtrees are cut and the rest are visited in the
+same order, so each level's first completion, and with it every
+generator and witness, is that of the unpruned search.  The full search
+of the S5 triple graphs makes 27 to 29 times fewer assignments, that of
+the A6 one 3.6 times fewer.
+enumerate_stab1 lists every element with the unpruned search, as an
+oracle.
 
 The automorphism check needs no group arithmetic.  A stab1 element alpha
 fixes vertex 0 and preserves colours, and vertex s is the {s, s^-1}-
@@ -124,36 +137,68 @@ class _MapSearch:
             self.used[self.alpha[u]] = False
             self.alpha[u] = -1
 
-    def completions(self, k: int):
+    def completions(self, k: int, gens=()):
         """Yield every completion of the map, branching from base level k.
 
         An explicit-stack DFS that tries the identity-consistent image
         first at each branch point, then the others by vertex index.  The
         map is restored when the generator ends or is closed.
+
+        gens, colour-preserving vertex maps that fix every image the map
+        already assigns, prune the search (McKay & Piperno 2014).  Each
+        branch point keeps those of its parent's generators that fix the
+        image chosen at the parent, so a kept h fixes every chosen image
+        above it and, as propagation follows colour rows, every image
+        propagated from them; h o g then extends the map whenever the
+        completion g does.  Once the subtree of an image x is exhausted
+        without a completion, or x conflicts at once, the subtree of h(x)
+        is its h-image and holds none either, so h(x) is skipped.  Only
+        empty subtrees are cut and the rest are visited in the same order:
+        the completions, and their order, are those of the search without
+        gens.
         """
         alpha, order = self.alpha, self.order
-        stack: list[list] = []    # branch points: [level, untried, trail]
+        found = 0                 # completions yielded so far
+        # branch points: [level, untried, trail, kept generators, found
+        # when the current image was assigned]
+        stack: list[list] = []
         try:
             while True:
                 while k < self.n and alpha[order[k]] != -1:
                     k += 1
                 if k == self.n:
+                    found += 1
                     yield tuple(alpha)
                 else:
                     w = order[k]
                     v, c = self.parent[w]
+                    kept = gens
+                    if stack:
+                        x = alpha[order[stack[-1][0]]]
+                        kept = [h for h in stack[-1][3] if h[x] == x]
                     stack.append([k, sorted(
                         (row[alpha[v]] for row in self.rows[c]),
-                        key=lambda x: (x != w, x)), []])
+                        key=lambda x: (x != w, x)), [], kept, found])
                 while stack:        # next image at the deepest branch point
                     frame = stack[-1]
-                    self.undo(frame[2])
-                    frame[2] = []
-                    while frame[1] and not frame[2]:
-                        frame[2] = self.assign(order[frame[0]],
-                                               frame[1].pop(0)) or []
-                    if frame[2]:
-                        k = frame[0] + 1
+                    level, untried, trail, kept, before = frame
+                    w = order[level]
+                    x = alpha[w]            # the current image, -1 if none
+                    self.undo(trail)
+                    trail = []
+                    while not trail:
+                        if x != -1 and found == before and kept:
+                            # x's subtree held no completion (a conflict
+                            # is an empty subtree): skip each h(x)
+                            untried[:] = [y for y in untried
+                                          if all(h[x] != y for h in kept)]
+                        if not untried:
+                            break
+                        x, before = untried.pop(0), found
+                        trail = self.assign(w, x) or []
+                    if trail:
+                        frame[2], frame[4] = trail, before
+                        k = level + 1
                         break
                     stack.pop()
                 else:
@@ -175,12 +220,20 @@ def _strong_generators(graph: ColouredCayleyGraph):
     Unwinding from the deepest level, each trail is undone and the level's
     base point sent to its other same-colour neighbour; the first
     completion found, if any, is the level's generator.
+
+    The generators already found, at deeper levels, fix every vertex the
+    identity assigns up to level k, its base point b_k included.  Fixing
+    b_k and its parent, they fix b_k's other same-colour neighbour, the
+    image chosen for b_k, and so everything it propagates.  They prune the
+    level's search by orbits (see completions), which keeps its first
+    completion, and so every generator, unchanged.
     """
     search = _MapSearch(graph)
     levels = []
     for k, w in enumerate(search.order):
         if search.alpha[w] == -1:       # the identity never conflicts
             levels.append((k, search.assign(w, w)))
+    found: list[tuple] = []
     for k, trail in reversed(levels):
         search.undo(trail)
         w = search.order[k]
@@ -189,11 +242,12 @@ def _strong_generators(graph: ColouredCayleyGraph):
             cand = row[v]
             branch = search.assign(w, cand) if cand != w else None
             if branch is not None:
-                completions = search.completions(k + 1)
+                completions = search.completions(k + 1, found)
                 generator = next(completions, None)
                 completions.close()
                 search.undo(branch)
                 if generator is not None:
+                    found.append(generator)
                     yield generator
 
 

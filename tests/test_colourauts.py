@@ -105,13 +105,17 @@ def aut_pm1_by_sign_choices(graph):
     return sorted(out)
 
 
-def triple_graph(expr, t_text, subgroup):
-    """Cay(G, S u T) of the triple (S_H(tau), {t}, t^2)."""
+def triple_graph(expr, t_text, subgroup, conjugator_seed=None):
+    """Cay(G, S u T) of the triple (S_H(tau), {t}, t^2); given a seed, S
+    and t are conjugated by a uniform element of G drawn from it, as the
+    benchmark draws its triple graphs."""
     G = gz.construct(expr)
     t = G.elem_parse(t_text)
-    S = tr.s_tau(subgroup(G), G.multiply(t, t)).elements
-    return build(G, ConnectionSet.from_elements(G, S + [t],
-                                                close_inverses=True))
+    S = tr.s_tau(subgroup(G), G.multiply(t, t)).elements + [t]
+    if conjugator_seed is not None:
+        g = random.Random(conjugator_seed).choice(G.elements())
+        S = [G.conjugate(s, g) for s in S]
+    return build(G, ConnectionSet.from_elements(G, S, close_inverses=True))
 
 
 # Non-CCA triple graphs: (group, t, H).  Criterion 2 cross-checks the
@@ -133,10 +137,23 @@ def enumerated_triple_graph(name):
     return graph, enumerate_stab1(graph)
 
 
+def unpruned_strong_generators(graph):
+    """The strong generators found without orbit pruning: the same
+    unwinding, each level's first completion taken from completions given
+    no generators."""
+    completions = colourauts._MapSearch.completions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(colourauts._MapSearch, "completions",
+                   lambda search, k, gens=(): completions(search, k))
+        return list(colourauts._strong_generators(graph))
+
+
 def check_against_enumeration(graph, listed, label):
     """stab1 from strong generators, the verdict and aut_pm1 against the
     enumerated stab1 and the reference automorphism check on each of its
-    elements.  Returns the verdict."""
+    elements; the generators against the unpruned search's, and the
+    search pruned by them against the enumeration.  Returns the
+    verdict."""
     passing = []
     for alpha in listed:
         violation = _automorphism_violation(graph, alpha)
@@ -153,6 +170,13 @@ def check_against_enumeration(graph, listed, label):
     assert v.stab1.elements == listed, label
     assert v.aut_pm1_order == len(passing), label
     assert aut_pm1(graph) == aut_pm1_by_sign_choices(graph) == passing, label
+    gens = v.stab1.generators
+    assert gens == unpruned_strong_generators(graph), label
+    # every stab1 element fixes what the map fixing vertex 0 assigns, so
+    # stab1's generators may prune the whole search: it cuts only subtrees
+    # without a completion
+    pruned = colourauts._MapSearch(graph).completions(1, gens)
+    assert sorted(pruned) == listed, label
     return v
 
 
@@ -664,12 +688,48 @@ def higman_12_triple():
     return theorem3_triple(sample_params(12, 1))
 
 
+@pytest.fixture
+def assign_calls(monkeypatch):
+    """A one-item list counting the `_MapSearch.assign` calls made while
+    the test runs: the search's assignments, pruned or not."""
+    calls = [0]
+    assign = colourauts._MapSearch.assign
+
+    def counting(search, w, target):
+        calls[0] += 1
+        return assign(search, w, target)
+
+    monkeypatch.setattr(colourauts._MapSearch, "assign", counting)
+    return calls
+
+
 class TestStrongGenerators:
     """The generator search unwinds the base deepest level first: on these
     crosscheck graphs the deepest generator is already a witness, so the
     streamed decision stops after one, in well under a second.  Shallow
     first, the PSL2(17) search runs for minutes, so the test has a time
     limit.  The search needs no recursion."""
+
+    @pytest.mark.parametrize("name", list(TRIPLE_GRAPHS))
+    def test_pruned_matches_unpruned_on_conjugated_triple_graphs(self, name):
+        # conjugating S and t relabels the vertices, and with them the BFS
+        # base, the candidate order and so which subtrees are pruned
+        for seed in (None, 1, 2, 3, 4, 5):
+            graph = triple_graph(*TRIPLE_GRAPHS[name], conjugator_seed=seed)
+            assert (list(colourauts._strong_generators(graph))
+                    == unpruned_strong_generators(graph)), (name, seed)
+
+    # assignments of the full generator search: 60,889 / 14,016 / 12,505 /
+    # 168 without pruning, 2,257 / 480 / 3,431 / 168 with it
+    @pytest.mark.parametrize("name,stab1_order,bound", [
+        ("S5-pointwise", 2048, 5000), ("S5-setwise", 2048, 1000),
+        ("A6", 64, 6000), ("S6", 64, 500),
+    ], ids=list(TRIPLE_GRAPHS))
+    def test_pruning_bounds_the_assignments(self, assign_calls, name,
+                                            stab1_order, bound):
+        graph = triple_graph(*TRIPLE_GRAPHS[name])
+        assert stab1(graph).order == stab1_order
+        assert assign_calls[0] <= bound
 
     @pytest.mark.parametrize("make", [psl2_17_dihedral_16_triple,
                                       higman_12_triple],
