@@ -349,7 +349,12 @@ def _points(G: PermutationGroup, points) -> frozenset:
 def normalizes(G: FiniteGroup, H: FiniteGroup):
     """Predicate on x in G: conjugation by x maps H's generators into H."""
     hset, hgens = H.element_set(), H.generators()
-    return lambda x: all(G.conjugate(h, x) in hset for h in hgens)
+
+    def normalizing(x) -> bool:
+        x_inv = G.invert(x)             # h^x = x^-1 h x
+        return all(G.multiply(G.multiply(x_inv, h), x) in hset
+                   for h in hgens)
+    return normalizing
 
 
 def pointwise_stabilizer(G: PermutationGroup, points) -> PermutationGroup:

@@ -44,7 +44,9 @@ A chain's basic transversals come from ``orbit_transversal``, the one
 orbit search, which ``higman``'s regularity check also uses.  The chain
 keeps the inverse of every transversal element beside it, so sifting and
 forming Schreier generators multiply by stored inverses instead of
-inverting at every step (Seress, ch. 4).
+inverting at every step (Seress, ch. 4).  Its Schreier-Sims multiplies
+plain image tuples and builds the chain of the plain loop over Permutation
+products, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class Permutation(tuple):
         return Permutation._trusted(inv)
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self))
+        return self == tuple(range(len(self)))
 
     def moved_points(self) -> list[int]:
         return [i for i, j in enumerate(self) if i != j]
@@ -207,9 +209,17 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 class StabilizerChain:
     """Base and strong generating set via a deterministic Schreier-Sims.
 
-    The construction loop recomputes transversals and sifts every Schreier
-    generator until closure; it is not tuned for speed but is exact and
-    deterministic, which is what the desk-scale groups here need.
+    After each inserted strong generator the construction rebuilds every
+    level's transversal and scans the Schreier generators again from level
+    0, in a fixed order, until every one sifts to the identity.  The scan
+    works on plain image tuples: a Schreier generator t_x g t_{x^g}^-1 is
+    two calls of ``itemgetter`` maps built once per level and per x, one
+    that is already the identity is not sifted, a sift skips the product
+    by a base point's own coset representative (the identity), and the
+    identity test is a tuple comparison.  Only an inserted residue becomes
+    a ``Permutation``.  None of this changes which residue is found first,
+    so the base, the strong generators in order and the transversals are
+    those of the plain loop over ``Permutation`` products.
 
     Strong generators never repeat and each moves a base point, with no
     guard to keep it so.  The given generators must be distinct (identities
@@ -226,6 +236,7 @@ class StabilizerChain:
         self.transversals: list[dict[int, Permutation]] = []
         # inverses[i][x] is transversals[i][x].inverse()
         self.inverses: list[dict[int, Permutation]] = []
+        self._identity = tuple(range(degree))
         for g in generators:
             if not g.is_identity():
                 self._insert(g)
@@ -239,8 +250,11 @@ class StabilizerChain:
         self.strong.append(g)
 
     def _level_gens(self, i: int) -> list[Permutation]:
-        prefix = self.base[:i]
-        return [g for g in self.strong if all(g[b] == b for b in prefix)]
+        """The strong generators fixing base[:i], in insertion order."""
+        gens = list(self.strong)
+        for b in self.base[:i]:
+            gens = [g for g in gens if g[b] == b]
+        return gens
 
     def _recompute(self):
         self.transversals = [
@@ -257,28 +271,37 @@ class StabilizerChain:
                 return
 
     def _find_and_insert_residue(self) -> bool:
+        identity = self._identity
         for i in range(len(self.base)):
             gens = self._level_gens(i)
+            g_times = [_left_factor(g) for g in gens]     # q -> g * q
             inv = self.inverses[i]
             for x, tx in self.transversals[i].items():
-                for g in gens:
+                tx_times = _left_factor(tx)
+                for g, g_time in zip(gens, g_times):
                     # Schreier generator for the stabilizer of base[:i+1]
-                    sg = tx * g * inv[g[x]]
+                    sg = tx_times(g_time(inv[g[x]]))
+                    if sg == identity:
+                        continue
                     residue = self._sift(sg, start=i + 1)
-                    if not residue.is_identity():
-                        self._insert(residue)
+                    if residue != identity:
+                        self._insert(Permutation._trusted(residue))
                         return True
         return False
 
     # -- queries ---------------------------------------------------------------
 
-    def _sift(self, p: Permutation, start: int = 0) -> Permutation:
+    def _sift(self, p: tuple, start: int = 0) -> tuple:
+        """The residue of p (image tuple or Permutation) from level start."""
+        base = self.base
         for i in range(start, len(self.inverses)):
-            x = p[self.base[i]]
-            inv = self.inverses[i]
-            if x not in inv:
-                return p
-            p = p * inv[x]
+            b = base[i]
+            x = p[b]
+            if x != b:                  # else t_b is the identity
+                inv = self.inverses[i].get(x)
+                if inv is None:
+                    return p
+                p = _left_factor(p)(inv)
         return p
 
     def order(self) -> int:
@@ -290,7 +313,7 @@ class StabilizerChain:
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        return self._sift(p).is_identity()
+        return self._sift(p) == self._identity
 
 
 class PermutationGroup(FiniteGroup):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from oracle_schreier_sims import StabilizerChain as ReferenceChain
+
 from ccakit import fgroup, groupzoo
 from ccakit.fgroup import LimitExceeded
 from ccakit.permcore import (Permutation, PermutationGroup, StabilizerChain,
@@ -307,6 +309,88 @@ class TestOrbitTransversal:
         assert list(t) == [2, 1, 0]
         assert all(tx[2] == x for x, tx in t.items())
         assert list(orbit_transversal(5, 3, gens)) == [3, 4]
+
+
+def random_word(rng, gens, length):
+    x = Permutation.identity(gens[0].degree)
+    for _ in range(length):
+        x = x * rng.choice(gens)
+    return x
+
+
+def reference_cases():
+    """(label, degree, generators, base_hint) for the reference comparison.
+
+    The permutation groups of the order-64 zoo corpus, PSL2(q) for q <= 29,
+    A_n and S_n for n <= 8 and M11, each with no base hint and with base
+    point 0, 1 and 2; then seeded random generating sets of 1-8 elements
+    and of 60 (redundant, as in validate_triple's <S u T>), drawn as words
+    in a group's generators or as random permutations.
+    """
+    groups = [(e, G) for e, G in groupzoo.zoo_corpus(64)
+              if isinstance(G, PermutationGroup)]
+    names = ([f"PSL2({q})" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17,
+                                     19, 23, 25, 27, 29)]
+             + [f"{k}{n}" for n in range(1, 9) for k in "AS"] + ["M11"])
+    groups += [(name, groupzoo.construct(name)) for name in names]
+    cases = []
+    for label, G in groups:
+        for hint in [(), (0,), (1,), (2,)]:
+            if all(p < G.degree for p in hint):
+                cases.append((f"{label} {hint}", G.degree, G.generators(),
+                              hint))
+    sources = [groupzoo.construct(name) for name in
+               ["S8", "A7", "M11", "PSL2(13)", "PSL2(16)", "C2 x D4", "D12"]]
+    rng = random.Random(2024)
+    for draw, size in enumerate([*range(1, 9)] * 6 + [60] * 6):
+        if draw % 4 == 3:
+            degree = rng.randint(2, 10)
+            gens = [Permutation(rng.sample(range(degree), degree))
+                    for _ in range(size)]
+        else:
+            G = sources[draw % len(sources)]
+            degree = G.degree
+            gens = [random_word(rng, G.generators(), 24)
+                    for _ in range(size)]
+        hint = () if draw % 3 else (rng.randrange(degree),)
+        # the chain takes distinct generators; identities it drops itself
+        gens = list(dict.fromkeys(gens))
+        cases.append((f"random {draw} of {size}", degree, gens, hint))
+    return cases
+
+
+class TestChainMatchesReference:
+    """The chain on image tuples is the chain of the plain loop over
+    Permutation products (tests/oracle_schreier_sims.py): the same base,
+    strong generators in order, transversals, inverses, order and
+    membership answers."""
+
+    def test_reference_cases(self):
+        rng = random.Random(7)
+        for label, degree, gens, hint in reference_cases():
+            chain = StabilizerChain(degree, gens, base_hint=hint)
+            ref = ReferenceChain(degree, gens, base_hint=hint)
+            assert chain.base == ref.base, label
+            assert chain.strong == ref.strong, label
+            assert all(type(g) is Permutation for g in chain.strong), label
+            assert chain.transversals == ref.transversals, label
+            assert chain.inverses == ref.inverses, label
+            assert chain.order() == ref.order(), label
+            probes = [Permutation(rng.sample(range(degree), degree))
+                      for _ in range(10)]
+            if gens:
+                probes += [random_word(rng, gens, 12) for _ in range(10)]
+            probes.append(Permutation.identity(degree + 1))
+            assert [chain.contains(p) for p in probes] \
+                == [ref.contains(p) for p in probes], label
+
+    @pytest.mark.parametrize("name", ["A6", "S6", "A7", "S7", "A8"])
+    def test_point_stabilizer_generators(self, name):
+        G = groupzoo.construct(name)
+        for point in range(3):
+            ref = ReferenceChain(G.degree, G.generators(), base_hint=(point,))
+            assert G.point_stabilizer(point).generators() \
+                == ref._level_gens(1)
 
 
 def generic_listing(G):
