@@ -36,7 +36,8 @@ from .fgroup import DEFAULT_GRAPH_LIMIT, FiniteGroup, LimitExceeded
 
 
 class InvalidConnectionSet(ValueError):
-    """Connection set contains the identity or is not inverse-closed."""
+    """Connection set has an element outside the group, contains the
+    identity or is not inverse-closed."""
 
 
 @dataclass(frozen=True)
@@ -49,10 +50,15 @@ class ConnectionSet:
     @classmethod
     def from_elements(cls, group: FiniteGroup, elems,
                       close_inverses: bool = False) -> "ConnectionSet":
+        idx = group.element_index()
         e = group.identity()
         seen = set()
         out = []
         for s in elems:
+            # outside data enters here: check it before any arithmetic
+            if s not in idx:
+                raise InvalidConnectionSet(
+                    f"{group.elem_str(s)} is not in the group")
             if s == e:
                 raise InvalidConnectionSet("identity in connection set")
             for x in ((s, group.invert(s)) if close_inverses else (s,)):
@@ -64,7 +70,6 @@ class ConnectionSet:
                 raise InvalidConnectionSet(
                     f"not inverse-closed: {group.elem_str(s)} present, "
                     f"inverse missing")
-        idx = group.element_index()
         out.sort(key=idx.__getitem__)
         return cls(group=group, elements=tuple(out))
 

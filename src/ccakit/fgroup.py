@@ -13,9 +13,12 @@ permutation groups (and for stab1, in colourauts), one inlined table
 lookup per product for Higman groups, and the parent's map for a
 generated subgroup.  The involution scan squares through the same hook.
 
-Index arithmetic goes through one method: ``left_row(s)`` lists the index
-of s*v for every element v, by ``multiply`` unless a realization has a
-faster way, and ``mult_table`` is the list of every element's row.
+Index arithmetic goes through one method: ``left_row(s)`` looks up
+``left_map(s)`` of every element v in the element index (Higman groups,
+listed in natural order, compute it by e-block instead), and
+``mult_table`` is the list of every element's row.  Every generating set
+is filtered by one rule, ``distinct_generators``: no identity, no repeat,
+first occurrences in order.
 
 A listed group keeps one index, ``element_index`` (element -> position);
 ``element_set`` is a view of that index's keys, not a second copy.
@@ -58,6 +61,11 @@ def closure(identity: Any, maps: list[Callable[[Any], Any]],
                     raise LimitExceeded(
                         f"closure exceeded enumeration limit {limit}")
     return elems
+
+
+def distinct_generators(gens: Iterable, identity) -> list:
+    """gens without the identity and repeats, first occurrences in order."""
+    return [g for g in dict.fromkeys(gens) if g != identity]
 
 
 class FiniteGroup(abc.ABC):
@@ -145,9 +153,8 @@ class FiniteGroup(abc.ABC):
 
     def left_row(self, s) -> list[int]:
         """Row of s in the multiplication table: index of s*v per element v."""
-        idx = self.element_index()
-        mul = self.multiply
-        return [idx[mul(s, v)] for v in self.elements()]
+        index = self.element_index()          # iterates in element order
+        return list(map(index.__getitem__, map(self.left_map(s), index)))
 
     # -- derived element arithmetic -----------------------------------------
 
@@ -196,14 +203,7 @@ class GeneratedSubgroup(FiniteGroup):
     def __init__(self, parent: FiniteGroup, gens: list):
         self.parent = parent
         self.enum_limit = parent.enum_limit
-        e = parent.identity()
-        seen = set()
-        uniq = []
-        for g in gens:
-            if g != e and g not in seen:
-                seen.add(g)
-                uniq.append(g)
-        self._gens = uniq
+        self._gens = distinct_generators(gens, parent.identity())
 
     def identity(self):
         return self.parent.identity()

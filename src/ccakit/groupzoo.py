@@ -280,10 +280,7 @@ def construct(text: str, enum_limit: int = DEFAULT_ENUM_LIMIT) -> FiniteGroup:
             factors.append(g)
         G = functools.reduce(direct_product, factors)
     elif m := _ATOM_SADC.match(atom):
-        n = int(m.group(2))
-        if n < 1:
-            raise GroupExprError(f"{atom}: n must be >= 1")
-        G = _SADC[m.group(1)](n)
+        G = _SADC[m.group(1)](int(m.group(2)))
     elif m := _ATOM_PSL2.match(atom):
         G = psl2(int(m.group(1)))
     elif atom == "M11":

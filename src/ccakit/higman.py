@@ -16,15 +16,16 @@ certifies it against a literal word-rewriting collector anyway.
 
 Bilinearity also makes the correction cheap: each HigmanParams holds, for
 every 4-bit nibble of the right e-part and 8-bit byte of the left one, a
-4096-entry table of that block's correction word, built once when the
-params are made.  gamma is then one lookup per block, and the tables stay
-at ceil(r/4) * ceil(r/8) * 4096 entries or fewer for every r (two tables
-for r <= 8), whatever the enumeration limit.
+4096-entry table of that block's correction word, built on first use (so
+a group refused as too large to list builds none).  gamma is then one
+lookup per block, and the tables stay at ceil(r/4) * ceil(r/8) * 4096
+entries or fewer for every r (two tables for r <= 8), whatever the
+enumeration limit.
 
 Bulk products skip the gamma call too.  ``left_map(g)`` checks g once and
 fixes g's left bytes, so x -> g*x is one inlined lookup per table; the
-listings of generated subgroups close over these maps.  Elements are
-listed in natural order, so (e, f) sits at index e * 2^s + f, and
+listings and rows of generated subgroups go through these maps.  Elements
+are listed in natural order, so (e, f) sits at index e * 2^s + f, and
 ``left_row(s)`` takes one gamma per e-part of v and XORs the f-parts into
 that block's base index: no dict, tuple or multiply per element.
 
@@ -39,7 +40,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .fgroup import FiniteGroup
@@ -73,9 +75,6 @@ class HigmanParams:
     c: tuple
     constrained: bool = False
     seed: int | None = None
-    # (right shift, left shift, table) per block with a nonzero word; see
-    # gamma.  Derived from b and c, so not compared, hashed or printed.
-    _gamma_tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 1 or self.s < 1:
@@ -93,7 +92,6 @@ class HigmanParams:
             if self.b[self.r - 1] != 1 or self.b[self.r - 2] != 1:
                 raise ValueError(
                     "constrained params require g_r^2 = g_{r-1}^2 = h_1")
-        object.__setattr__(self, "_gamma_tables", self._build_gamma_tables())
 
     @property
     def n(self) -> int:
@@ -109,7 +107,10 @@ class HigmanParams:
             return 0
         return self.b[i] if k == i else self.c[self.pair_index(i, k)]
 
-    def _build_gamma_tables(self) -> tuple:
+    @cached_property
+    def _gamma_tables(self) -> tuple:
+        """(right shift, left shift, table) per block with a nonzero word;
+        see gamma.  Not a field, so not compared, hashed or printed."""
         tables = []
         for rlo in range(0, self.r, 4):
             for llo in range(0, self.r, 8):
@@ -193,21 +194,18 @@ def gamma(params: HigmanParams, left_e: int, right_e: int) -> int:
     return f
 
 
-def multiply(params: HigmanParams, a: Element, b: Element) -> Element:
-    ae, af = a
-    be, bf = b
-    emax = 1 << params.r
-    fmax = 1 << params.s
-    if not (0 <= ae < emax and 0 <= be < emax
-            and 0 <= af < fmax and 0 <= bf < fmax):
-        raise ValueError("element does not fit the parameter dimensions")
-    return (ae ^ be, af ^ bf ^ gamma(params, ae, be))
-
-
 def _check_fits(params: HigmanParams, a: Element) -> None:
     ae, af = a
     if not (0 <= ae < 1 << params.r and 0 <= af < 1 << params.s):
         raise ValueError("element does not fit the parameter dimensions")
+
+
+def multiply(params: HigmanParams, a: Element, b: Element) -> Element:
+    _check_fits(params, a)
+    _check_fits(params, b)
+    ae, af = a
+    be, bf = b
+    return (ae ^ be, af ^ bf ^ gamma(params, ae, be))
 
 
 def inverse(params: HigmanParams, a: Element) -> Element:

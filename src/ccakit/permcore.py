@@ -18,13 +18,15 @@ that check (``Permutation._trusted``, private to this module).
 
 A product is one C-level call: ``p * x`` has images ``itemgetter(*p)(x)``.
 A permutation group's ``left_map(p)`` is that map on image tuples, so a
-product through it builds no Permutation, hash or comparison.  The group
-lists its elements by ``fgroup.closure`` over these maps, one per
-generator, in the same breadth-first order, and wraps each listed tuple
-once, in place; its Cayley-graph rows and its involution scan use the same
-maps.  A Permutation is the tuple of its images, so the group's one
-element index answers a lookup by a Permutation or by the plain tuple a
-row product returns.
+product through it builds no Permutation, hash or comparison.  Everything
+else is FiniteGroup's own code over these maps: the group lists its
+elements by ``FiniteGroup.elements`` (one ``fgroup.closure``) and wraps
+each listed tuple once, in place; its Cayley-graph rows are
+``FiniteGroup.left_row`` and its involution scan ``FiniteGroup.involutions``;
+its generators are filtered by ``fgroup.distinct_generators``.  A
+Permutation is the tuple of its images, so the group's one element index
+answers a lookup by a Permutation or by the plain tuple a row product
+returns.
 
 Listing checks the enumeration limit against the group's order first,
 which takes a stabilizer chain, except for a subgroup
@@ -321,17 +323,12 @@ class PermutationGroup(FiniteGroup):
 
     def __init__(self, degree: int, generators=()):
         self.degree = degree
-        seen = set()
-        gens = []
-        for g in generators:
-            if not isinstance(g, Permutation):
-                g = Permutation(g)
-            if g.degree != degree:
-                raise ValueError("generator degree mismatch")
-            if not g.is_identity() and g not in seen:
-                seen.add(g)
-                gens.append(g)
-        self._gens = gens
+        gens = [g if isinstance(g, Permutation) else Permutation(g)
+                for g in generators]
+        if any(g.degree != degree for g in gens):
+            raise ValueError("generator degree mismatch")
+        self._gens = fgroup.distinct_generators(
+            gens, Permutation.identity(degree))
         self._chain: StabilizerChain | None = None
         self._elements: list[Permutation] | None = None
         # set by generated_subgroup: the parent's order when it was known
@@ -364,7 +361,7 @@ class PermutationGroup(FiniteGroup):
         return isinstance(p, Permutation) and self.chain.contains(p)
 
     def elements(self) -> list[Permutation]:
-        """The closure over the generators, listed on image tuples.
+        """FiniteGroup's listing, on image tuples, each wrapped once.
 
         A subgroup whose parent's order is known and within the limit needs
         no chain of its own; otherwise the order is checked first.
@@ -372,14 +369,11 @@ class PermutationGroup(FiniteGroup):
         if self._elements is None:
             if not self._bounded():
                 self._check_enum_limit(self.order())
-            elems = fgroup.closure(
-                tuple(range(self.degree)),
-                [self.left_map(g) for g in self._gens], self.enum_limit)
+            elems = super().elements()
             # in place: a second list would hold every element twice at once
             trusted = Permutation._trusted
             for i, t in enumerate(elems):
                 elems[i] = trusted(t)
-            self._elements = elems
         return self._elements
 
     def _bounded(self) -> bool:
@@ -390,10 +384,6 @@ class PermutationGroup(FiniteGroup):
     def left_map(self, g: Permutation):
         """x -> g * x on image tuples (a Permutation is one)."""
         return _left_factor(g)
-
-    def left_row(self, s: Permutation) -> list[int]:
-        index = self.element_index()          # iterates in element order
-        return list(map(index.__getitem__, map(self.left_map(s), index)))
 
     def generated_subgroup(self, gens) -> "PermutationGroup":
         """<gens>, bounded by this group's known order if gens lie in it."""

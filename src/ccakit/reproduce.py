@@ -92,7 +92,7 @@ def criterion_2(graph_registry: list) -> dict:
         if kind == "A" and n == 6:
             rep = tr.crosscheck_prop22(G, trip)
             row["crosscheck"] = rep.to_json_dict()
-            graph_registry.append(("criterion_2:A6", rep.graph))
+            graph_registry.append(("criterion_2:A6", rep.verdict.graph))
         ok = ok and trip.valid
         rows.append(row)
 
@@ -111,7 +111,7 @@ def criterion_2(graph_registry: list) -> dict:
         if trip.valid and not any_valid:
             rep = tr.crosscheck_prop22(S5, trip)
             row["crosscheck"] = rep.to_json_dict()
-            graph_registry.append(("criterion_2:S5", rep.graph))
+            graph_registry.append(("criterion_2:S5", rep.verdict.graph))
         any_valid = any_valid or trip.valid
         s5_rows.append(row)
     ok = ok and any_valid

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cayley import ColouredCayleyGraph, ConnectionSet, build
+from .cayley import ConnectionSet, build
 from .colourauts import CCAVerdict, is_cca_graph
 from .fgroup import DEFAULT_GRAPH_LIMIT, FiniteGroup
 from .groupzoo import normalizes
@@ -174,11 +174,10 @@ class CrosscheckReport:
 
     crosscheck_prop22 returns a report only when the graph is connected
     and non-CCA, so a report always means confirmed; its JSON still names
-    both facts as "connected" and "ok".
+    both facts as "connected" and "ok".  The graph is verdict.graph.
     """
 
     verdict: CCAVerdict
-    graph: ColouredCayleyGraph = field(repr=False)   # not serialised
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,4 +217,4 @@ def crosscheck_prop22(G: FiniteGroup, triple: NonCCATriple,
             f"is_cca={verdict and verdict.is_cca}, "
             f"triple={triple.to_json_dict()}, "
             f"stab1_checked={verdict and verdict.stab1_checked}")
-    return CrosscheckReport(verdict, graph)
+    return CrosscheckReport(verdict)

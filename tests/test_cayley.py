@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -64,6 +65,26 @@ class TestConnectionSet:
         classes = conn.colour_classes()
         sizes = sorted(len(c) for c in classes)
         assert sizes == [1, 1, 1, 2]   # three transpositions + one 3-cycle pair
+
+    @pytest.mark.parametrize("expr, text", [
+        ("A4", "(1 2)"), ("perm:4:(1 2)", "(3 4)"), ("Q8 x C2", "(1 2)")])
+    @pytest.mark.parametrize("close_inverses", [False, True])
+    def test_rejects_elements_outside_the_group(self, expr, text,
+                                                close_inverses):
+        G = gz.construct(expr)
+        x = G.elem_parse(text)
+        with pytest.raises(InvalidConnectionSet,
+                           match=rf"^{re.escape(text)} is not in the group$"):
+            ConnectionSet.from_elements(G, [x], close_inverses)
+
+    def test_outside_higman_element_refused_before_arithmetic(self,
+                                                              monkeypatch):
+        # (4, 0) needs e-bit 3, but r = 2: inverting it would raise a
+        # plain ValueError from the bit arithmetic
+        G = HigmanGroup(quaternion_params())
+        monkeypatch.setattr(G, "invert", None)        # any call would fail
+        with pytest.raises(InvalidConnectionSet, match="not in the group"):
+            ConnectionSet.from_elements(G, [(4, 0)], close_inverses=True)
 
     def test_deduplicates(self):
         G = gz.cyclic_group(4)

@@ -113,6 +113,14 @@ class TestCcaCommand:
     def test_requires_set_or_exhaustive(self):
         assert main(["cca", "S3"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("expr, text", [
+        ("A4", "(1 2)"), ("perm:4:(1 2)", "(3 4)"), ("Q8 x C2", "(1 2)")])
+    def test_set_outside_the_group_exit_2(self, capsys, expr, text):
+        assert main(["cca", expr, "--set", text]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {text} is not in the group\n"
+
 
 class TestTripleCommand:
     def test_validate_a6(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from oracle_collect import collect_word, element_to_word, multiply_oracle
 
-from ccakit import fgroup, groupzoo
+from ccakit import cli, fgroup, groupzoo
 from ccakit import triples as tr
 from ccakit.higman import (
     HigmanGroup,
@@ -22,7 +22,7 @@ from ccakit.higman import (
     sample_params,
     theorem3_triple,
 )
-from ccakit.fgroup import FiniteGroup, GeneratedSubgroup, LimitExceeded
+from ccakit.fgroup import GeneratedSubgroup, LimitExceeded
 from ccakit.permcore import Permutation, parse_cycles
 
 
@@ -210,6 +210,30 @@ class TestGammaTables:
         x = (1 << 39) | 5
         assert multiply(params, (x, 0), inverse(params, (x, 0))) == (0, 0)
 
+    def test_group_too_large_to_list_builds_no_tables(self, monkeypatch,
+                                                      capsys):
+        # the CLI refuses to list 2^360 elements; keep the group it built
+        real_construct = groupzoo.construct
+        built = []
+
+        def construct(*args):
+            G = real_construct(*args)
+            built.append(G)
+            return G
+
+        monkeypatch.setattr(groupzoo, "construct", construct)
+        assert cli.main(["group", "higman:n=360,seed=1"]) == cli.EXIT_LIMIT
+        assert "limit exceeded" in capsys.readouterr().err
+        (G,) = built
+        assert "_gamma_tables" not in vars(G.params)
+
+    def test_tables_leave_equality_and_hash_alone(self):
+        a, b = sample_params(9, 4), sample_params(9, 4)
+        multiply(a, (5, 1), (3, 0))
+        assert "_gamma_tables" in vars(a)
+        assert "_gamma_tables" not in vars(b)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
 
 def row_cases(n):
     """Instances of order 2^n: three sampled seeds, and Q8 at n = 3."""
@@ -217,10 +241,16 @@ def row_cases(n):
     return cases + [quaternion_params()] if n == 3 else cases
 
 
+def multiply_row(G, s):
+    """The index of s*v for every element v, by G.multiply alone."""
+    index = G.element_index()
+    return [index[G.multiply(s, v)] for v in G.elements()]
+
+
 class TestRowsAndMaps:
-    """Rows by e-block and left maps against multiply: the generic
-    FiniteGroup row and the closure over partial(multiply, g) are the
-    oracles."""
+    """Rows and left maps against multiply: a row built by multiply alone
+    and the closure over partial(multiply, g) are the oracles, so neither
+    goes through left_map."""
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_rows_equal_the_generic_rows(self, n):
@@ -230,7 +260,7 @@ class TestRowsAndMaps:
             sample = (elems if n <= 8 else
                       G.generators() + random.Random(n).sample(elems, 12))
             for s in sample:
-                assert G.left_row(s) == FiniteGroup.left_row(G, s)
+                assert G.left_row(s) == multiply_row(G, s)
 
     @pytest.mark.parametrize("s", [(4, 0), (-1, 0), (0, 4), (0, -1)])
     def test_out_of_range_row_refused(self, s):
@@ -256,7 +286,8 @@ class TestRowsAndMaps:
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_subgroups_list_through_the_parent_maps(self, n):
-        # the two subgroups validate_triple lists, <S u T> and <S u {tau}>
+        # the two subgroups validate_triple lists, <S u T> and <S u {tau}>:
+        # their listings, maps and rows
         params = sample_params(n, 3)
         G = HigmanGroup(params)
         S = [G.g(i) for i in range(1, params.r - 1)] + \
@@ -273,6 +304,10 @@ class TestRowsAndMaps:
                 left = H.left_map(g)
                 assert [left(x) for x in elems] == \
                     [G.multiply(g, x) for x in elems]
+            sample = (elems if len(elems) <= 64 else
+                      H.generators() + random.Random(n).sample(elems, 8))
+            for s in sample:
+                assert H.left_row(s) == multiply_row(H, s)
 
     @pytest.mark.parametrize("g", [(1 << 10, 0), (-3, 0), (0, 1 << 7)])
     def test_left_map_refuses_what_multiply_refuses(self, g):

@@ -281,6 +281,25 @@ class TestSubgroups:
         assert all(g[0] == 0 for g in H.elements())
 
 
+class TestDistinctGenerators:
+    def test_first_occurrences_in_order_without_the_identity(self):
+        assert fgroup.distinct_generators([3, 0, 5, 3, 1, 5, 0, 2], 0) == \
+            [3, 5, 1, 2]
+        assert fgroup.distinct_generators([], 0) == []
+        assert fgroup.distinct_generators(iter([0, 0]), 0) == []
+
+    def test_groups_filter_their_generators_by_it(self):
+        e = Permutation.identity(4)
+        a, b = parse_cycles("(1 2)", 4), parse_cycles("(2 3 4)", 4)
+        gens = [e, b, a, tuple(b), e, a]
+        assert fgroup.distinct_generators(gens, e) == [b, a]
+        assert PermutationGroup(4, gens).generators() == [b, a]
+        G = groupzoo.construct("Q8")
+        x, y = G.generators()[:2]
+        H = G.generated_subgroup([y, G.identity(), x, y])
+        assert H.generators() == [y, x]
+
+
 def point_bfs(point, gens):
     """The orbit of point, in the order a breadth-first search reaches it."""
     orbit = [point]
