@@ -30,7 +30,6 @@ from .triples import (
     crosscheck_prop22,
     s_tau,
     search_triple_subgroup_strategy,
-    square_roots,
     validate_triple,
 )
 from .higman import (

@@ -11,7 +11,15 @@ g, and a group hands out that map through one hook, ``left_map(g)``:
 ``partial(multiply, g)`` by default, a C-level product on image tuples for
 permutation groups (and for stab1, in colourauts), one inlined table
 lookup per product for Higman groups, and the parent's map for a
-generated subgroup.  The involution scan squares through the same hook.
+generated subgroup.  The involution and order-4 scans square through the
+same hook, and the square-root scan through ``multiply``.
+
+A group may also key its elements: ``_listing_keys`` hands ``closure`` a
+key that tells the elements apart and, per generator g, the map
+x -> key(g*x), so the listing tests keys and forms a product only for a new
+element.  A permutation group with a short base keys its elements by their
+images of the base, and every permutation group's scans read only base
+points (permcore).
 
 Index arithmetic goes through one method: ``left_row(s)`` looks up
 ``left_map(s)`` of every element v in the element index (Higman groups,
@@ -42,21 +50,31 @@ class LimitExceeded(Exception):
 
 
 def closure(identity: Any, maps: list[Callable[[Any], Any]],
-            limit: int) -> list:
+            limit: int, key: Callable[[Any], Any] | None = None,
+            key_maps: list[Callable[[Any], Any]] | None = None) -> list:
     """Breadth-first closure of ``identity`` under left-multiplication maps.
 
     Each map sends x to g*x for one generator g.  Returns every product
     exactly once, identity first, in a deterministic order fixed by the
     list of maps; raises LimitExceeded past ``limit`` elements.
+
+    ``key``, if given, tells the group's elements apart, and key_maps[i]
+    is x -> key(maps[i](x)), formed without that product.  The loop then
+    tests keys for membership and forms a product only for a new element,
+    so it lists the same elements in the same order.  The keys are local
+    to the call.
     """
+    if key is None:
+        key_maps = maps                     # each element is its own key
     elems = [identity]
-    seen = {identity}
+    seen = {identity if key is None else key(identity)}
+    steps = list(zip(maps, key_maps))
     for x in elems:             # the list grows as products are found
-        for f in maps:
-            y = f(x)
+        for f, k in steps:
+            y = k(x)
             if y not in seen:
                 seen.add(y)
-                elems.append(y)
+                elems.append(y if f is k else f(x))
                 if len(elems) > limit:
                     raise LimitExceeded(
                         f"closure exceeded enumeration limit {limit}")
@@ -101,11 +119,17 @@ class FiniteGroup(abc.ABC):
         """All elements, identity first, deterministic order.  Cached."""
         cached = getattr(self, "_elements", None)
         if cached is None:
+            gens = self.generators()
             cached = closure(self.identity(),
-                             [self.left_map(g) for g in self.generators()],
-                             self.enum_limit)
+                             [self.left_map(g) for g in gens],
+                             self.enum_limit, **self._listing_keys(gens))
             self._elements = cached
         return cached
+
+    def _listing_keys(self, gens: list) -> dict:
+        """``closure``'s key arguments for listing over gens: none here, so
+        the listing compares whole elements."""
+        return {}
 
     def _check_enum_limit(self, order: int) -> None:
         """Refuse, before listing, a group whose known order is too big."""
@@ -179,6 +203,21 @@ class FiniteGroup(abc.ABC):
         left_map = self.left_map
         return [x for x in self.elements()
                 if x != e and left_map(x)(x) == e]
+
+    def square_roots(self, tau):
+        """Every t with t*t == tau, lazily, in element order."""
+        return (t for t in self.elements() if self.multiply(t, t) == tau)
+
+    def has_element_of_order4(self) -> bool:
+        """Whether some x has order 4: y = x*x is not the identity and y*y
+        is."""
+        e = self.identity()
+        left_map = self.left_map
+        for x in self.elements():
+            y = left_map(x)(x)
+            if y != e and left_map(y)(y) == e:
+                return True
+        return False
 
     def is_central(self, x) -> bool:
         return all(self.commutes(x, g) for g in self.generators())

@@ -313,16 +313,11 @@ def construct(text: str, enum_limit: int = DEFAULT_ENUM_LIMIT) -> FiniteGroup:
 
 
 def has_element_of_order4(G: FiniteGroup) -> bool:
-    """Exact verdict by a scan of the elements, squaring through
-    ``G.left_map``: x has order 4 exactly when y = x*x is not the identity
-    and y*y is."""
-    e = G.identity()
-    left_map = G.left_map
-    for x in G.elements():
-        y = left_map(x)(x)
-        if y != e and left_map(y)(y) == e:
-            return True
-    return False
+    """Exact verdict by a scan of the elements: x has order 4 exactly when
+    x^2 is not the identity and x^4 is.  A permutation group compares x^2
+    and x^4 with the identity at its base points only; other groups square
+    through ``G.left_map``."""
+    return G.has_element_of_order4()
 
 
 def _subgroup_where(G: FiniteGroup, keep) -> FiniteGroup:

@@ -22,11 +22,19 @@ product through it builds no Permutation, hash or comparison.  Everything
 else is FiniteGroup's own code over these maps: the group lists its
 elements by ``FiniteGroup.elements`` (one ``fgroup.closure``) and wraps
 each listed tuple once, in place; its Cayley-graph rows are
-``FiniteGroup.left_row`` and its involution scan ``FiniteGroup.involutions``;
-its generators are filtered by ``fgroup.distinct_generators``.  A
-Permutation is the tuple of its images, so the group's one element index
-answers a lookup by a Permutation or by the plain tuple a row product
-returns.
+``FiniteGroup.left_row``; its generators are filtered by
+``fgroup.distinct_generators``.  A Permutation is the tuple of its images,
+so the group's one element index answers a lookup by a Permutation or by
+the plain tuple a row product returns.
+
+An element of the group is fixed by its images of a base (Sims 1970).  A
+group whose base has at most degree/2 points (PSL(2, q) has 3 points on
+q + 1) keys its listing by those images, ``itemgetter`` over the base: it
+tests g * x for membership by the images x[g[b]] of the base points b and
+forms the full tuple only for a new element.  A group with a longer base
+(S_n and A_n) lists by full products, which cost less there.  The
+involution, square-root and order-4 scans of every permutation group read
+x^2 and x^4 at the base points only.
 
 Listing checks the enumeration limit against the group's order first,
 which takes a stabilizer chain, except for a subgroup
@@ -37,7 +45,9 @@ Algorithms*, 2003, ch. 4).  An order is known once the group's chain is
 built, and passes down from such a bounded subgroup to its subgroups.  It
 passes only to generators that lie in the parent, checked by a sift
 through the parent's chain or a lookup in its element index; other
-generators may span a larger group, which checks its own order.
+generators may span a larger group, which checks its own order.  The
+parent's base passes down with its order, since a base of a group is a
+base of each of its subgroups.
 
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
@@ -331,8 +341,10 @@ class PermutationGroup(FiniteGroup):
             gens, Permutation.identity(degree))
         self._chain: StabilizerChain | None = None
         self._elements: list[Permutation] | None = None
-        # set by generated_subgroup: the parent's order when it was known
+        # set by generated_subgroup and point_stabilizer: an ancestor's
+        # order, which bounds this group's, and that ancestor's base
         self._order_bound: int | None = None
+        self._bound_base: list[int] | None = None
 
     # -- FiniteGroup contract -----------------------------------------------
 
@@ -381,6 +393,28 @@ class PermutationGroup(FiniteGroup):
         bound = self._order_bound
         return bound is not None and bound <= self.enum_limit
 
+    def _base(self) -> list[int]:
+        """A base: the chain's, or else the bounding ancestor's, since a base
+        of a group is a base of each of its subgroups."""
+        if self._chain is None and self._bound_base is not None:
+            return self._bound_base
+        return self.chain.base
+
+    def _listing_keys(self, gens: list) -> dict:
+        """Key the listing by base images if the base has at most degree/2
+        points: g * x has the images x[g[b]] of the base points b.
+
+        ``itemgetter`` of one point gives a scalar, which keys as well as a
+        tuple; a base of no points is the trivial group's, with nothing to
+        key.
+        """
+        base = self._base()
+        if not base or 2 * len(base) > self.degree:
+            return {}
+        return {"key": itemgetter(*base),
+                "key_maps": [itemgetter(*[g[b] for b in base])
+                             for g in gens]}
+
     def left_map(self, g: Permutation):
         """x -> g * x on image tuples (a Permutation is one)."""
         return _left_factor(g)
@@ -398,7 +432,7 @@ class PermutationGroup(FiniteGroup):
         else:
             return H
         if all(map(member, H._gens)):
-            H._order_bound = bound
+            H._order_bound, H._bound_base = bound, self._base()
         return H
 
     def elem_str(self, x: Permutation) -> str:
@@ -406,6 +440,42 @@ class PermutationGroup(FiniteGroup):
 
     def elem_parse(self, text: str) -> Permutation:
         return parse_cycles(text, self.degree)
+
+    # -- squaring scans, at the base points ---------------------------------
+
+    def _squares_at_base(self, target):
+        """The elements x with x[x[b]] == target[b] at every base point b."""
+        wanted = [(b, target[b]) for b in self._base()]
+        for x in self.elements():
+            for b, c in wanted:
+                if x[x[b]] != c:
+                    break
+            else:
+                yield x
+
+    def involutions(self) -> list[Permutation]:
+        e = self.identity()
+        return [x for x in self._squares_at_base(e) if x != e]
+
+    def square_roots(self, tau):
+        """Square roots compared at the base points first; a match is
+        checked by a full product, since tau may lie outside the group."""
+        return (t for t in self._squares_at_base(tau) if t * t == tau)
+
+    def has_element_of_order4(self) -> bool:
+        """x has order 4 when x^4 fixes every base point and x^2 moves one."""
+        base = self._base()
+        for x in self.elements():
+            moved = False
+            for b in base:
+                b2 = x[x[b]]
+                if x[x[b2]] != b:
+                    break
+                moved = moved or b2 != b
+            else:
+                if moved:
+                    return True
+        return False
 
     # -- permutation-specific operations --------------------------------------
 
@@ -422,6 +492,7 @@ class PermutationGroup(FiniteGroup):
         H = PermutationGroup(self.degree, chain._level_gens(1))
         H.enum_limit = self.enum_limit
         H._order_bound = chain.order() // len(chain.transversals[0])
+        H._bound_base = chain.base
         return H
 
     def __repr__(self) -> str:

@@ -133,11 +133,6 @@ def validate_triple(G: FiniteGroup, S, T, tau) -> NonCCATriple:
                         index=index)
 
 
-def square_roots(X: FiniteGroup, tau):
-    """Yield every t in X with t^2 = tau, scanning in enumeration order."""
-    return (t for t in X.elements() if X.multiply(t, t) == tau)
-
-
 def search_triple_subgroup_strategy(G: FiniteGroup,
                                     H: FiniteGroup) -> NonCCATriple | None:
     """Search for a triple of the form (S_H(tau), {t}, tau).
@@ -159,7 +154,7 @@ def search_triple_subgroup_strategy(G: FiniteGroup,
         X = G.generated_subgroup(S + [tau])
         if X.order() == order_g:
             continue   # (Aiv) can never hold for this tau
-        for t in square_roots(G, tau):
+        for t in G.square_roots(tau):
             if X.contains(t):
                 continue
             triple = validate_triple(G, S, [t], tau)

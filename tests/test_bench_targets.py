@@ -82,8 +82,14 @@ def test_cache_predicate_records_the_first_call_only(owner, attr, when):
 def test_permutation_listing_stays_inside_fgroup_closure(closure_calls):
     # The `fgroup.elements` span and its `fgroup.elements_n` count wrap the
     # module attribute; a listing that stopped calling it would drop out.
+    # S4 lists by full products, PSL2(13) by base images.
     assert len(gz.symmetric_group(4).elements()) == 24
     assert len(closure_calls) == 1
+    G = gz.psl2(13)
+    del closure_calls[:]
+    assert len(G.elements()) == 1092
+    assert len(closure_calls) == 1
+    assert "key" in closure_calls[0][1]
 
 
 def test_decisions_do_not_call_stab1_or_aut_pm1(monkeypatch):

@@ -11,6 +11,7 @@ from ccakit import groupzoo as gz
 from ccakit.fgroup import LimitExceeded
 from ccakit.higman import HigmanGroup, sample_params
 from ccakit.permcore import Permutation, PermutationGroup, parse_cycles
+from ccakit.triples import s_tau
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -152,20 +153,27 @@ class TestOrder4Predicate:
         assert gz.has_element_of_order4(gz.symmetric_group(4))
 
     def test_oracle_scan(self):
-        """The squaring scans against element_order and multiply, and the
-        chain's membership test against the element set."""
+        """The squaring scans against the orders of Permutation.order() over
+        all cycles (FiniteGroup.element_order for a Higman group) and
+        against multiply, on short and long bases, and the chain's
+        membership test against the element set."""
         groups = gz.zoo_corpus(48) + [
             (expr, gz.construct(expr)) for expr in
-            [f"PSL2({q})" for q in (5, 7, 8, 9, 11, 13, 17)] + ["M11"]]
+            [f"PSL2({q})" for q in (5, 7, 8, 9, 11, 13, 17, 25, 27, 29)]
+            + ["M11", "S5", "A6"]]
+        G7 = gz.construct("PSL2(7)")
+        groups.append(("PSL2(7) S(tau) span",
+                       s_tau(G7, G7.involutions()[0]).span()))
         for expr, G in groups:
             elems, e = G.elements(), G.identity()
-            direct = any(G.element_order(x) == 4 for x in elems)
-            assert gz.has_element_of_order4(G) == direct, expr
+            order = (Permutation.order if isinstance(G, PermutationGroup)
+                     else G.element_order)
+            orders = [order(x) for x in elems]
+            assert gz.has_element_of_order4(G) == (4 in orders), expr
             invs = G.involutions()
             assert invs == [x for x in elems
                             if x != e and G.multiply(x, x) == e], expr
-            assert invs == [x for x in elems
-                            if G.element_order(x) == 2], expr
+            assert invs == [x for x, k in zip(elems, orders) if k == 2], expr
             if not isinstance(G, PermutationGroup):
                 continue
             rng = random.Random(len(elems))

@@ -441,11 +441,16 @@ def psl2_7_s_tau_span():
 IMAGE_TUPLE_CASES = {
     **{expr: (lambda expr=expr: groupzoo.construct(expr))
        for expr in ("PSL2(7)", "PSL2(8)", "PSL2(9)", "PSL2(16)", "PSL2(17)",
-                    "M11", "C2 x S3")},
+                    "PSL2(25)", "PSL2(27)", "PSL2(29)", "M11", "C2 x S3",
+                    "C1", "S2", "D8")},
+    "regular C7": lambda: groupzoo.cyclic_group(7),
     "PSL2(17) point stabilizer": psl2_17_point_stabilizer,
     "S6 setwise {5, 6}": s6_setwise_stabilizer,
     "PSL2(7) S(tau) span": psl2_7_s_tau_span,
 }
+
+# the cases listed unkeyed: a base of more than degree/2 points, or of none
+UNKEYED_CASES = ("C2 x S3", "S6 setwise {5, 6}", "C1")
 
 # rows of every element up to this order; above it, generators and a sample
 ALL_ROWS_UP_TO = 504
@@ -477,8 +482,18 @@ class TestImageTupleArithmetic:
             self.check(G)
 
     @pytest.mark.parametrize("name", IMAGE_TUPLE_CASES)
-    def test_named_group(self, name):
-        self.check(IMAGE_TUPLE_CASES[name]())
+    def test_named_group(self, name, closure_calls):
+        G = IMAGE_TUPLE_CASES[name]()
+        del closure_calls[:]
+        self.check(G)
+        # the group's own listing, keyed by base images at a short base
+        assert ("key" in closure_calls[0][1]) == (name not in UNKEYED_CASES)
+
+    def test_short_bases_of_every_length(self):
+        lengths = {name: len(IMAGE_TUPLE_CASES[name]().chain.base)
+                   for name in ("C1", "S2", "regular C7", "D8", "PSL2(29)")}
+        assert lengths == {"C1": 0, "S2": 1, "regular C7": 1, "D8": 2,
+                           "PSL2(29)": 3}
 
     def test_mult_table_is_the_rows(self):
         G = groupzoo.symmetric_group(4)
@@ -538,8 +553,24 @@ class TestOneIndex:
             assert tuple(G.elements()[-1]) in members
 
 
+@pytest.fixture
+def chains_built(monkeypatch):
+    """The arguments of every StabilizerChain construction while the test
+    runs."""
+    built = []
+    init = StabilizerChain.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilizerChain, "__init__", counting)
+    return built
+
+
 class TestSubgroupOrderBound:
-    """A subgroup of a group of known order lists without its own chain."""
+    """A subgroup of a group of known order lists without its own chain,
+    keyed by its ancestor's base when that base is short."""
 
     def test_subgroup_of_an_ordered_group_builds_no_chain(self):
         S5 = groupzoo.symmetric_group(5)
@@ -608,3 +639,34 @@ class TestSubgroupOrderBound:
         assert H._order_bound == 120
         assert len(H.elements()) == 120
         assert H._chain is None
+
+    def test_psl2_17_subgroups_list_by_the_ancestors_base(
+            self, chains_built, closure_calls):
+        G = groupzoo.construct("PSL2(17)")
+        H = G.point_stabilizer(17)
+        N = groupzoo.normalizer_bruteforce(
+            G, groupzoo.cyclic_subgroups_of_order(G, 8)[0])
+        del chains_built[:], closure_calls[:]
+        assert len(H.elements()) == 2448 // 18
+        assert len(N.elements()) == 16
+        assert chains_built == []
+        assert len(closure_calls) == 2
+        assert all("key" in kwargs for _, kwargs in closure_calls)
+        assert H.elements() == generic_listing(H)
+        assert N.elements() == generic_listing(N)
+
+    @pytest.mark.parametrize("expr, gens, order", [
+        ("C1", [], 1),                              # a base of no points
+        ("C8", ["(1 3 5 7)(2 4 6 8)"], 4),          # a base of one point
+    ])
+    def test_bases_of_zero_and_one_point(self, chains_built, expr, gens,
+                                         order):
+        G = groupzoo.construct(expr)
+        G.order()
+        H = G.generated_subgroup([parse_cycles(c, G.degree) for c in gens])
+        del chains_built[:]
+        assert len(H.elements()) == order
+        assert chains_built == []
+        assert H.elements() == generic_listing(H)
+        assert H.involutions() == [x for x in H.elements()
+                                   if x.order() == 2]

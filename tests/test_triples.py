@@ -2,13 +2,12 @@ import pytest
 
 from ccakit import groupzoo as gz
 from ccakit.higman import HigmanGroup, quaternion_params, sample_params, theorem3_triple
-from ccakit.permcore import parse_cycles
+from ccakit.permcore import Permutation, parse_cycles
 from ccakit.triples import (
     CrosscheckError,
     crosscheck_prop22,
     s_tau,
     search_triple_subgroup_strategy,
-    square_roots,
     validate_triple,
 )
 
@@ -148,21 +147,43 @@ class TestSquareRoots:
         G = gz.cyclic_group(4)
         g = G.generators()[0]
         tau = G.multiply(g, g)
-        roots = list(square_roots(G, tau))
+        roots = list(G.square_roots(tau))
         assert set(roots) == {g, G.invert(g)}
 
     def test_q8_minus_one(self):
         G = HigmanGroup(quaternion_params())
         tau = G.h(1)
-        assert len(list(square_roots(G, tau))) == 6
+        assert len(list(G.square_roots(tau))) == 6
 
     def test_sym4_scan_oracle(self):
         G = gz.symmetric_group(4)
         tau = parse_cycles("(1 2)(3 4)", 4)
-        roots = list(square_roots(G, tau))
+        roots = list(G.square_roots(tau))
         assert roots == [t for t in G.elements()
                          if t * t == tau]
         assert len(roots) == 2          # (1 3 2 4) and (1 4 2 3)
+
+    def test_psl2_17_base_images_against_multiply(self):
+        """The base-image scan, for every involution."""
+        G = gz.construct("PSL2(17)")
+        elems = G.elements()
+        for tau in G.involutions():
+            assert list(G.square_roots(tau)) == \
+                [t for t in elems if G.multiply(t, t) == tau]
+
+    def test_tau_outside_the_group_agreeing_at_the_base(self):
+        """Base images tell only the group's own elements apart: a tau
+        outside it that agrees with t^2 at every base point has no root."""
+        G = gz.construct("PSL2(17)")
+        base = G.chain.base
+        t = next(x for x in G.elements() if x.order() == 8)
+        images = list(t * t)
+        i, j = [p for p in range(G.degree) if p not in base][:2]
+        images[i], images[j] = images[j], images[i]
+        tau = Permutation(images)
+        assert not G.contains(tau)
+        assert all(tau[b] == (t * t)[b] for b in base)
+        assert list(G.square_roots(tau)) == []
 
 
 class TestCrosscheck:
