@@ -159,8 +159,6 @@ def cmd_cca(args) -> int:
         verdict = is_cca_group_exhaustive(G, args.budget)
         report["results"] = verdict.to_json_dict(G)
     else:
-        if not args.set:
-            raise CLIError("cca requires --set or --exhaustive")
         elems = _parse_elements(G, args.set)
         conn = ConnectionSet.from_elements(G, elems, close_inverses=True)
         graph = build(G, conn, args.limit_graph)
@@ -284,10 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cca", help="CCA verdict for a graph or a group")
     p.add_argument("expr")
-    p.add_argument("--set", metavar="ELEMS",
-                   help="comma-separated connection set (inverses added)")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="check every connected Cayley graph of the group")
+    graphs = p.add_mutually_exclusive_group(required=True)
+    graphs.add_argument("--set", metavar="ELEMS",
+                        help="comma-separated connection set (inverses "
+                             "added)")
+    graphs.add_argument("--exhaustive", action="store_true",
+                        help="check every connected Cayley graph of the "
+                             "group")
     _add_flags(p, "--limit-enum", "--limit-graph", "--budget")
     p.set_defaults(fn=cmd_cca)
 

@@ -24,13 +24,25 @@ orbits, in the cheap form of McKay & Piperno ("Practical graph
 isomorphism, II", JSC 60, 2014): at a branch point, a generator h that
 fixes every image chosen above maps the completions below one candidate x
 onto those below h(x), so once x's subtree has proved empty, h(x) is
-skipped.  Only empty subtrees are cut and the rest are visited in the
-same order, so each level's first completion, and with it every
-generator and witness, is that of the unpruned search.  The full search
-of the S5 triple graphs makes 27 to 29 times fewer assignments, that of
-the A6 one 3.6 times fewer.
-enumerate_stab1 lists every element with the unpruned search, as an
-oracle.
+skipped.
+
+Orbits cannot cut a subtree that no generator reaches, such as one whose
+conflict lies in the last base blocks whatever is chosen in between.
+The search therefore also jumps back by conflict sets (Prosser, "Hybrid
+algorithms for the constraint satisfaction problem", Comput. Intell. 9,
+1993).  Every image carries the set of branch decisions it depends on,
+every conflict names the decisions behind it, and a branch point that
+runs out of candidates resumes the search at the deepest decision in
+the union of its conflicts, discarding the points in between.
+
+Only empty subtrees are cut and the rest are visited in the same order,
+so each level's first completion, and with it every generator and
+witness, is that of the chronological, unpruned search.  Against that
+search the full search of the S5 triple graphs makes 39 and 36 times
+fewer assignments, that of the A6 one 25 times fewer; on a PSL(2, 7)
+graph on two classes of elements of order 3, adding backjumping takes
+its search from 1,273,720 assignments to 2,706.  enumerate_stab1 lists
+every element with the chronological, unpruned search, as an oracle.
 
 The automorphism check needs no group arithmetic.  A stab1 element alpha
 fixes vertex 0 and preserves colours, and vertex s is the {s, s^-1}-
@@ -73,76 +85,115 @@ class _MapSearch:
     assigned region prunes.  c-adjacency is symmetric (the class is
     inverse-closed), so processing each vertex once when it is assigned
     checks every edge constraint from at least one side.
+
+    pre is the inverse of the partial map (-1 where no vertex is sent yet)
+    and reason[v] is a bitmask of the branch decisions that alpha[v]
+    depends on: for the image chosen at the d-th branch point of
+    completions, bit d and the reason of the BFS parent whose image fixed
+    the candidates; for a forced image, the reasons of the images that
+    forced it.  A conflict leaves in `conflict` the union of the reasons
+    of the images that clash: those decisions admit no completion
+    together.
     """
 
     def __init__(self, graph: ColouredCayleyGraph):
         self.n = graph.n
         self.rows = graph.left_rows
+        self.singles = [rows[0] for rows in self.rows if len(rows) == 1]
+        self.pairs = [rows for rows in self.rows if len(rows) == 2]
         self.order, self.parent = graph.bfs_order()
         if len(self.order) != self.n:
             raise ValueError("stab1 requires a connected graph")
         self.alpha = [-1] * self.n
-        self.used = [False] * self.n
+        self.pre = [-1] * self.n
+        self.reason = [0] * self.n
+        self.conflict = 0
         self.assign(0, 0)
 
-    def assign(self, w: int, target: int) -> list[int] | None:
-        """Map w to target and propagate: the vertices assigned (the
-        trail), or None, with the map unchanged, on a conflict."""
+    def assign(self, w: int, target: int, mask: int = 0) -> list[int] | None:
+        """Map w to target, for the decisions in mask, and propagate: the
+        vertices assigned (the trail), or None, with the map unchanged and
+        the decisions behind it in `conflict`, on a conflict."""
         trail = [w]
-        if not self.used[target]:
+        p = self.pre[target]
+        if p == -1:
             self.alpha[w] = target
-            self.used[target] = True
+            self.pre[target] = w
+            self.reason[w] = mask
             if self._propagate(trail):
                 return trail
             self.undo(trail)
+        else:
+            self.conflict = mask | self.reason[p]
         return None
 
     def _propagate(self, trail: list[int]) -> bool:
-        alpha, used = self.alpha, self.used
+        alpha, pre, reason = self.alpha, self.pre, self.reason
         for v in trail:             # the trail grows as vertices are forced
             a = alpha[v]
-            for rows in self.rows:
-                if len(rows) == 1:
-                    u = rows[0][v]
-                    tgt = rows[0][a]
-                else:
-                    # one placed member of the pair forces the other
-                    r1, r2 = rows
-                    u1, u2 = r1[v], r2[v]
-                    if alpha[u2] != -1:
-                        known, u = alpha[u2], u1
-                    elif alpha[u1] != -1:
-                        known, u = alpha[u1], u2
-                    else:
-                        continue
-                    if known == r1[a]:
-                        tgt = r2[a]
-                    elif known == r2[a]:
-                        tgt = r1[a]
-                    else:
+            m = reason[v]
+            for row in self.singles:
+                u = row[v]
+                tgt = row[a]
+                b = alpha[u]
+                if b == -1:
+                    p = pre[tgt]
+                    if p != -1:
+                        self.conflict = m | reason[p]
                         return False
-                if alpha[u] != -1:
-                    if alpha[u] != tgt:
-                        return False
-                elif used[tgt]:
-                    return False
-                else:
                     alpha[u] = tgt
-                    used[tgt] = True
+                    pre[tgt] = u
+                    reason[u] = m
                     trail.append(u)
+                elif b != tgt:
+                    self.conflict = m | reason[u]
+                    return False
+            for r1, r2 in self.pairs:
+                # one placed member of the pair forces the other
+                u1, u2 = r1[v], r2[v]
+                if alpha[u2] != -1:
+                    known, u = u2, u1
+                elif alpha[u1] != -1:
+                    known, u = u1, u2
+                else:
+                    continue
+                b = alpha[known]
+                if b == r1[a]:
+                    tgt = r2[a]
+                elif b == r2[a]:
+                    tgt = r1[a]
+                else:
+                    self.conflict = m | reason[known]
+                    return False
+                b = alpha[u]
+                if b == -1:
+                    p = pre[tgt]
+                    if p != -1:
+                        self.conflict = m | reason[known] | reason[p]
+                        return False
+                    alpha[u] = tgt
+                    pre[tgt] = u
+                    reason[u] = m | reason[known]
+                    trail.append(u)
+                elif b != tgt:
+                    self.conflict = m | reason[known] | reason[u]
+                    return False
         return True
 
     def undo(self, trail: list[int]) -> None:
         for u in trail:
-            self.used[self.alpha[u]] = False
+            self.pre[self.alpha[u]] = -1
             self.alpha[u] = -1
 
-    def completions(self, k: int, gens=()):
+    def completions(self, k: int, gens=None):
         """Yield every completion of the map, branching from base level k.
 
         An explicit-stack DFS that tries the identity-consistent image
         first at each branch point, then the others by vertex index.  The
-        map is restored when the generator ends or is closed.
+        map is restored when the generator ends or is closed.  With gens
+        None the search is chronological and unpruned (the oracle); given
+        a sequence gens, possibly empty, it prunes by orbits and jumps
+        back over empty subtrees.
 
         gens, colour-preserving vertex maps that fix every image the map
         already assigns, prune the search (McKay & Piperno 2014).  Each
@@ -152,15 +203,29 @@ class _MapSearch:
         propagated from them; h o g then extends the map whenever the
         completion g does.  Once the subtree of an image x is exhausted
         without a completion, or x conflicts at once, the subtree of h(x)
-        is its h-image and holds none either, so h(x) is skipped.  Only
-        empty subtrees are cut and the rest are visited in the same order:
-        the completions, and their order, are those of the search without
-        gens.
+        is its h-image and holds none either, so h(x) is skipped.
+
+        Each branch point also keeps a conflict set, a bitmask of the
+        branch points above it whose decisions its failures depend on
+        (conflict-directed backjumping; Prosser 1993).  A candidate that
+        conflicts adds the decisions behind the conflict, a child point
+        that runs out adds its own set, and a candidate skipped by orbit
+        pruning or one with a completion below it adds every point above.
+        When a point runs out of candidates, its set's decisions admit no
+        completion, so the search resumes at the deepest point in the set:
+        the points in between are discarded, each with a subtree proved
+        empty, and the deepest point adds the rest of the set to its own.
+        Only empty subtrees are cut and the rest are visited in the same
+        order: the completions, and their order, are those of the
+        chronological search.
         """
-        alpha, order = self.alpha, self.order
+        alpha, order, reason = self.alpha, self.order, self.reason
+        jump = gens is not None
+        gens = gens or ()
         found = 0                 # completions yielded so far
         # branch points: [level, untried, trail, kept generators, found
-        # when the current image was assigned]
+        # when the current image was assigned, conflict set, the reason
+        # of its images]
         stack: list[list] = []
         try:
             while True:
@@ -172,35 +237,55 @@ class _MapSearch:
                 else:
                     w = order[k]
                     v, c = self.parent[w]
+                    d = len(stack)
                     kept = gens
                     if stack:
                         x = alpha[order[stack[-1][0]]]
                         kept = [h for h in stack[-1][3] if h[x] == x]
+                    # the chronological search backs up one point at a time
                     stack.append([k, sorted(
                         (row[alpha[v]] for row in self.rows[c]),
-                        key=lambda x: (x != w, x)), [], kept, found])
+                        key=lambda x: (x != w, x)), [], kept, found,
+                        0 if jump else (1 << d) - 1,
+                        (1 << d) | reason[v]])
                 while stack:        # next image at the deepest branch point
                     frame = stack[-1]
-                    level, untried, trail, kept, before = frame
+                    level, untried, trail, kept, before, conflicts, mask \
+                        = frame
+                    above = (1 << (len(stack) - 1)) - 1
                     w = order[level]
                     x = alpha[w]            # the current image, -1 if none
                     self.undo(trail)
+                    if found != before:
+                        conflicts |= above
                     trail = []
                     while not trail:
                         if x != -1 and found == before and kept:
                             # x's subtree held no completion (a conflict
                             # is an empty subtree): skip each h(x)
-                            untried[:] = [y for y in untried
-                                          if all(h[x] != y for h in kept)]
+                            left = [y for y in untried
+                                    if all(h[x] != y for h in kept)]
+                            if len(left) < len(untried):
+                                conflicts |= above
+                            untried[:] = left
                         if not untried:
                             break
                         x, before = untried.pop(0), found
-                        trail = self.assign(w, x) or []
+                        trail = self.assign(w, x, mask) or []
+                        if not trail:
+                            conflicts |= self.conflict
                     if trail:
-                        frame[2], frame[4] = trail, before
+                        frame[2], frame[4], frame[5] = trail, before, conflicts
                         k = level + 1
                         break
+                    # no completion extends the decisions in the set:
+                    # resume at its deepest point
                     stack.pop()
+                    conflicts &= above
+                    while len(stack) > conflicts.bit_length():
+                        self.undo(stack.pop()[2])
+                    if stack:
+                        stack[-1][5] |= conflicts
                 else:
                     return
         finally:
@@ -225,8 +310,9 @@ def _strong_generators(graph: ColouredCayleyGraph):
     identity assigns up to level k, its base point b_k included.  Fixing
     b_k and its parent, they fix b_k's other same-colour neighbour, the
     image chosen for b_k, and so everything it propagates.  They prune the
-    level's search by orbits (see completions), which keeps its first
-    completion, and so every generator, unchanged.
+    level's search by orbits, and the search jumps back by conflict sets
+    (see completions); both keep its first completion, and so every
+    generator, unchanged.
     """
     search = _MapSearch(graph)
     levels = []

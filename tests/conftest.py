@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 
 from ccakit import fgroup
@@ -20,3 +23,23 @@ def closure_calls(monkeypatch):
 
     monkeypatch.setattr(fgroup, "closure", counting)
     return calls
+
+
+@pytest.fixture
+def time_limit():
+    """time_limit(seconds) is a context manager whose block raises
+    TimeoutError once it has run for that many whole seconds (SIGALRM, so
+    the block runs in the main thread)."""
+    @contextlib.contextmanager
+    def limit(seconds):
+        def out_of_time(signum, frame):
+            raise TimeoutError(f"the block ran past its {seconds} s limit")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    return limit

@@ -105,6 +105,18 @@ class TestCcaCommand:
         assert r["is_cca"] is True
         assert r["stab1_order"] == 2
 
+    def test_psl2_8_involution_and_order_3(self, capsys, time_limit):
+        # one of the PSL(2, 8) graphs on one involution and one element of
+        # order 3 whose stab1 search ran for many seconds before
+        # backjumping
+        with time_limit(10):
+            rc, rep = run_json(capsys, [
+                "cca", "PSL2(8)",
+                "--set", "(1 5)(2 6)(3 7)(4 8),(1 3 9)(2 6 7)(4 5 8)"])
+        assert rc == EXIT_OK
+        r = rep["results"]
+        assert (r["stab1_order"], r["is_cca"]) == (2, True)
+
     def test_disconnected_reported(self, capsys):
         rc, rep = run_json(capsys, ["cca", "S3", "--set", "(1 2)"])
         assert rc == EXIT_OK
@@ -112,6 +124,14 @@ class TestCcaCommand:
 
     def test_requires_set_or_exhaustive(self):
         assert main(["cca", "S3"]) == EXIT_USAGE
+
+    def test_set_and_exhaustive_exclude_each_other(self, capsys):
+        # the sweep would ignore the set and report the group verdict
+        assert main(["cca", "S3", "--exhaustive", "--set", "(1 2)"]) \
+            == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
 
     @pytest.mark.parametrize("expr, text", [
         ("A4", "(1 2)"), ("perm:4:(1 2)", "(3 4)"), ("Q8 x C2", "(1 2)")])

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import random
-import signal
 import sys
 import tracemalloc
 
@@ -137,15 +136,16 @@ def enumerated_triple_graph(name):
     return graph, enumerate_stab1(graph)
 
 
-def unpruned_strong_generators(graph):
-    """The strong generators found without orbit pruning: the same
-    unwinding, each level's first completion taken from completions given
-    no generators."""
+def unpruned_strong_generators(graph, count=None):
+    """The strong generators, or the first count of them, found by the
+    chronological search without pruning: the same unwinding, each
+    level's first completion taken from completions given gens None."""
     completions = colourauts._MapSearch.completions
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(colourauts._MapSearch, "completions",
-                   lambda search, k, gens=(): completions(search, k))
-        return list(colourauts._strong_generators(graph))
+                   lambda search, k, gens=None: completions(search, k))
+        return list(itertools.islice(colourauts._strong_generators(graph),
+                                     count))
 
 
 def check_against_enumeration(graph, listed, label):
@@ -579,6 +579,26 @@ class TestExhaustiveGroupVerdicts:
         assert tuple(witness_alpha) in enumerate_stab1(graph)
         assert _automorphism_violation(graph, witness_alpha) is not None
 
+    def test_psl2_7_golden_witness(self, assign_calls, time_limit):
+        # PSL(2, 7) is the smallest simple non-CCA group; the sweep took
+        # 12-15 s on a 2-core machine and 4,335,184 assignments before
+        # backjumping, 0.2 s and 26,168 assignments after
+        G = gz.construct("PSL2(7)")
+        with time_limit(10):
+            rep = is_cca_group_exhaustive(G).to_json_dict(G)
+        assert assign_calls[0] <= 30000
+        assert rep["status"] == "non-cca"
+        assert rep["sets_checked"] == 214
+        assert rep["connected_checked"] == 99
+        assert rep["witness_S"] == [
+            "(2 3 5)(4 7 6)", "(2 5 3)(4 6 7)",
+            "(1 7 8 2)(3 6 4 5)", "(1 2 8 7)(3 5 4 6)"]
+        # the identity but for three swapped pairs of vertices
+        alpha = list(range(168))
+        for u, v in ((60, 102), (101, 147), (112, 134)):
+            alpha[u], alpha[v] = v, u
+        assert rep["witness_alpha"] == alpha
+
     def test_deterministic(self):
         G = gz.symmetric_group(4)
         a = is_cca_group_exhaustive(G)
@@ -586,7 +606,8 @@ class TestExhaustiveGroupVerdicts:
         assert a.witness_set == b.witness_set
         assert a.witness_alpha == b.witness_alpha
 
-    def test_supersets_of_cca_sets_are_not_decided(self, monkeypatch):
+    def test_supersets_of_cca_sets_are_not_decided(self, monkeypatch,
+                                                    time_limit):
         # D12 has 2^18 - 1 class subsets.  Deciding every connected one
         # took 25 s on a 2-core machine, deciding the 120 with no
         # connected CCA subset takes under a second: the time limit
@@ -599,13 +620,8 @@ class TestExhaustiveGroupVerdicts:
             return is_cca_graph(graph)
 
         monkeypatch.setattr(colourauts, "is_cca_graph", counting_is_cca_graph)
-        previous = signal.signal(signal.SIGALRM, _out_of_time)
-        signal.alarm(10)
-        try:
+        with time_limit(10):
             v = is_cca_group_exhaustive(G)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert (v.status, v.sets_checked, v.connected_checked) == (
             "cca", 262143, 260928)
         assert len(decided) == 120
@@ -674,14 +690,20 @@ class TestPreservesColours:
         assert stab1_oracle(graph) == [(0, 1, 2, 3)]
 
 
-def _out_of_time(signum, frame):
-    raise TimeoutError("the search ran past its time limit")
-
-
 def psl2_17_dihedral_16_triple():
     G = gz.psl2(17)
     H = gz.normalizer_bruteforce(G, gz.cyclic_subgroups_of_order(G, 8)[0])
     return G, tr.search_triple_subgroup_strategy(G, H)
+
+
+# The PSL(2, 7) sweep graphs on two classes of elements of order 3, by
+# class representative: the chronological search takes 1.9-3.7 s on each
+PSL2_7_SLOW_SETS = [
+    ("(2 3 5)(4 7 6)", "(1 8 2)(3 5 7)"),
+    ("(2 3 5)(4 7 6)", "(1 7 8)(2 4 6)"),
+    ("(2 3 5)(4 7 6)", "(1 8 3)(2 6 5)"),
+    ("(2 3 5)(4 7 6)", "(1 8 4)(5 7 6)"),
+]
 
 
 def higman_12_triple():
@@ -695,9 +717,9 @@ def assign_calls(monkeypatch):
     calls = [0]
     assign = colourauts._MapSearch.assign
 
-    def counting(search, w, target):
+    def counting(search, *args):
         calls[0] += 1
-        return assign(search, w, target)
+        return assign(search, *args)
 
     monkeypatch.setattr(colourauts._MapSearch, "assign", counting)
     return calls
@@ -720,10 +742,11 @@ class TestStrongGenerators:
                     == unpruned_strong_generators(graph)), (name, seed)
 
     # assignments of the full generator search: 60,889 / 14,016 / 12,505 /
-    # 168 without pruning, 2,257 / 480 / 3,431 / 168 with it
+    # 168 chronological and unpruned, 2,257 / 480 / 3,431 / 168 pruned by
+    # orbits, 1,542 / 384 / 494 / 168 pruned by orbits and backjumping
     @pytest.mark.parametrize("name,stab1_order,bound", [
-        ("S5-pointwise", 2048, 5000), ("S5-setwise", 2048, 1000),
-        ("A6", 64, 6000), ("S6", 64, 500),
+        ("S5-pointwise", 2048, 2000), ("S5-setwise", 2048, 500),
+        ("A6", 64, 600), ("S6", 64, 250),
     ], ids=list(TRIPLE_GRAPHS))
     def test_pruning_bounds_the_assignments(self, assign_calls, name,
                                             stab1_order, bound):
@@ -731,19 +754,113 @@ class TestStrongGenerators:
         assert stab1(graph).order == stab1_order
         assert assign_calls[0] <= bound
 
+    def test_reasons_name_the_decisions_behind_each_image_and_conflict(
+            self):
+        # decisions w -> g(w) for a stab1 element g, in random order, each
+        # after a random other image for w has been tried: every element
+        # agreeing with the decisions a reason names maps the vertex to
+        # its image, and none agrees with those a conflict names
+        rng = random.Random(11)
+        graphs = [enumerated_triple_graph("A6")]
+        corpus = gz.zoo_corpus(32)
+        while len(graphs) < 30:
+            expr, G = corpus[rng.randrange(len(corpus))]
+            elems = [x for x in G.elements() if x != G.identity()]
+            S = rng.sample(elems, rng.randint(1, min(3, len(elems))))
+            graph = build(G, ConnectionSet.from_elements(
+                G, S, close_inverses=True))
+            if graph.is_connected():
+                graphs.append((graph, enumerate_stab1(graph)))
+        for graph, listed in graphs:
+            for _ in range(3):
+                g = rng.choice(listed)
+                search = colourauts._MapSearch(graph)
+                decisions = []
+
+                def agreeing(mask):
+                    return [h for h in listed if all(
+                        h[w] == x for i, (w, x) in enumerate(decisions)
+                        if mask >> i & 1)]
+
+                free = [w for w in range(graph.n) if search.alpha[w] == -1]
+                rng.shuffle(free)
+                for w in free:
+                    if search.alpha[w] != -1:
+                        continue
+                    bit = 1 << len(decisions)
+                    y = rng.choice([y for y in range(graph.n) if y != g[w]])
+                    decisions.append((w, y))
+                    trail = search.assign(w, y, bit)
+                    if trail is None:
+                        assert agreeing(search.conflict) == []
+                    else:
+                        search.undo(trail)
+                    decisions[-1] = (w, g[w])
+                    assert search.assign(w, g[w], bit) is not None
+                for u in range(graph.n):
+                    assert {h[u] for h in agreeing(search.reason[u])} \
+                        == {g[u]}
+
+    @pytest.mark.parametrize("name", ["A6", "S6"])
+    def test_pruned_search_visits_the_completions_in_order(self, name):
+        # pruned by stab1's own generators, which fix every image, the
+        # search still yields every element, in the chronological order
+        graph, _ = enumerated_triple_graph(name)
+        gens = stab1(graph).generators
+        pruned = list(colourauts._MapSearch(graph).completions(1, gens))
+        assert pruned == list(colourauts._MapSearch(graph).completions(1))
+
+    def test_backjumping_bounds_the_psl2_7_assignments(self, assign_calls,
+                                                       time_limit):
+        # two classes of elements of order 3, |stab1| = 2: the last base
+        # blocks conflict whatever is chosen in between, 1,273,720
+        # assignments (4 s on a 2-core machine) without backjumping, 2,706
+        # with it
+        G = gz.construct("PSL2(7)")
+        S = [G.elem_parse(x) for x in PSL2_7_SLOW_SETS[1]]
+        graph = build(G, ConnectionSet.from_elements(G, S,
+                                                     close_inverses=True))
+        with time_limit(10):
+            assert stab1(graph).order == 2
+        assert assign_calls[0] <= 4000
+
+    def test_psl2_7_sweep_generators_match_the_chronological_search(
+            self, monkeypatch, time_limit):
+        # the generators each decision of the sweep examines: all of them
+        # on a CCA graph, up to the witness on the last
+        G = gz.construct("PSL2(7)")
+        decided = []
+
+        def recording_is_cca_graph(graph):
+            v = is_cca_graph(graph)
+            decided.append((graph, v.stab1_checked))
+            return v
+
+        monkeypatch.setattr(colourauts, "is_cca_graph",
+                            recording_is_cca_graph)
+        slow = {frozenset(S) for S in PSL2_7_SLOW_SETS}
+        with time_limit(60):
+            is_cca_group_exhaustive(G)
+            assert len(decided) == 99
+            compared = 0
+            for graph, checked in decided:
+                if frozenset(G.elem_str(cls[0])
+                             for cls in graph.colours) in slow:
+                    continue
+                streamed = colourauts._strong_generators(graph)
+                assert (list(itertools.islice(streamed, checked))
+                        == unpruned_strong_generators(graph, checked))
+                compared += 1
+        assert compared == 95
+
     @pytest.mark.parametrize("make", [psl2_17_dihedral_16_triple,
                                       higman_12_triple],
                              ids=["PSL2(17) dihedral:16", "higman:n=12"])
-    def test_crosscheck_stops_at_first_generator(self, make):
+    def test_crosscheck_stops_at_first_generator(self, make, time_limit):
         G, trip = make()
         limit = sys.getrecursionlimit()
-        previous = signal.signal(signal.SIGALRM, _out_of_time)
-        signal.alarm(60)
-        try:
+        with time_limit(60):
             rep = tr.crosscheck_prop22(G, trip)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert not rep.verdict.is_cca
         assert rep.verdict.stab1_checked == 1
         assert sys.getrecursionlimit() == limit
