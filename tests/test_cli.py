@@ -26,6 +26,21 @@ from ccakit.higman import sample_params
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+# S u T of the non-CCA triple that `triple search "PSL2(17)" --subgroup
+# dihedral:16` finds
+PSL2_17_DIHEDRAL_16_TRIPLE = ",".join([
+    "(2 10 14 16 17 9 5 3)(4 11 6 12 15 8 13 7)",
+    "(1 18)(2 17)(3 9)(4 12)(6 11)(7 15)(8 13)(10 16)",
+    "(2 14 17 5)(3 10 16 9)(4 6 15 13)(7 11 12 8)",
+    "(2 16 5 10 17 3 14 9)(4 12 13 11 15 7 6 8)",
+    "(2 3 5 9 17 16 14 10)(4 7 13 8 15 12 6 11)",
+    "(2 17)(3 16)(4 15)(5 14)(6 13)(7 12)(8 11)(9 10)",
+    "(2 5 17 14)(3 9 16 10)(4 13 15 6)(7 8 12 11)",
+    "(2 9 14 3 17 10 5 16)(4 8 6 7 15 11 13 12)",
+    "(1 18)(3 10)(4 7)(5 14)(6 8)(9 16)(11 13)(12 15)",
+    "(1 17 18 2)(3 7 9 15)(4 10 12 16)(6 13 11 8)",
+])
+
 
 def run_json(capsys, argv):
     rc = main(argv + ["--json"])
@@ -116,6 +131,22 @@ class TestCcaCommand:
         assert rc == EXIT_OK
         r = rep["results"]
         assert (r["stab1_order"], r["is_cca"]) == (2, True)
+
+    @pytest.mark.parametrize("expr,elems,stab1_order", [
+        ("PSL2(17)", PSL2_17_DIHEDRAL_16_TRIPLE, 2 ** 154),
+        ("PSL2(7)", "(2 3 5)(4 7 6),(1 7 8 2)(3 6 4 5)", 2 ** 29),
+    ], ids=["PSL2(17) dihedral:16", "PSL2(7) witness"])
+    def test_full_generator_set_orders(self, capsys, time_limit, expr,
+                                       elems, stab1_order):
+        # the orders finish the whole generator search: 14-16 s and 2.8 s
+        # on a 2-core machine while an orbit skip put every point above
+        # in the conflict set, about 1 s and 0.5 s now
+        with time_limit(10):
+            rc, rep = run_json(capsys, ["cca", expr, "--set", elems])
+        assert rc == EXIT_OK
+        r = rep["results"]
+        assert (r["stab1_order"], r["aut_pm1_order"], r["is_cca"]) \
+            == (stab1_order, 4, False)
 
     def test_disconnected_reported(self, capsys):
         rc, rep = run_json(capsys, ["cca", "S3", "--set", "(1 2)"])

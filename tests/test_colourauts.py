@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 import sys
@@ -696,6 +697,20 @@ def psl2_17_dihedral_16_triple():
     return G, tr.search_triple_subgroup_strategy(G, H)
 
 
+def psl2_17_dihedral_16_triple_graph():
+    G, trip = psl2_17_dihedral_16_triple()
+    return build(G, ConnectionSet.from_elements(
+        G, list(trip.S) + list(trip.T), close_inverses=True))
+
+
+def psl2_7_witness_graph():
+    """The PSL(2, 7) sweep's witness graph: one class of elements of order
+    3 and one of order 4."""
+    G = gz.construct("PSL2(7)")
+    S = [G.elem_parse(x) for x in ("(2 3 5)(4 7 6)", "(1 7 8 2)(3 6 4 5)")]
+    return build(G, ConnectionSet.from_elements(G, S, close_inverses=True))
+
+
 # The PSL(2, 7) sweep graphs on two classes of elements of order 3, by
 # class representative: the chronological search takes 1.9-3.7 s on each
 PSL2_7_SLOW_SETS = [
@@ -744,8 +759,10 @@ class TestStrongGenerators:
     # assignments of the full generator search: 60,889 / 14,016 / 12,505 /
     # 168 chronological and unpruned, 2,257 / 480 / 3,431 / 168 pruned by
     # orbits, 1,542 / 384 / 494 / 168 pruned by orbits and backjumping
+    # with every orbit skip in the conflict set, 895 / 328 / 494 / 168
+    # with orbit skips adding no decision to it
     @pytest.mark.parametrize("name,stab1_order,bound", [
-        ("S5-pointwise", 2048, 2000), ("S5-setwise", 2048, 500),
+        ("S5-pointwise", 2048, 1000), ("S5-setwise", 2048, 400),
         ("A6", 64, 600), ("S6", 64, 250),
     ], ids=list(TRIPLE_GRAPHS))
     def test_pruning_bounds_the_assignments(self, assign_calls, name,
@@ -801,14 +818,49 @@ class TestStrongGenerators:
                     assert {h[u] for h in agreeing(search.reason[u])} \
                         == {g[u]}
 
-    @pytest.mark.parametrize("name", ["A6", "S6"])
+    @pytest.mark.parametrize("name", list(TRIPLE_GRAPHS))
     def test_pruned_search_visits_the_completions_in_order(self, name):
-        # pruned by stab1's own generators, which fix every image, the
-        # search still yields every element, in the chronological order
-        graph, _ = enumerated_triple_graph(name)
-        gens = stab1(graph).generators
-        pruned = list(colourauts._MapSearch(graph).completions(1, gens))
-        assert pruned == list(colourauts._MapSearch(graph).completions(1))
+        # pruned by stab1's own generators, which fix every image, or by
+        # their deeper half, whose orbits are smaller, the search still
+        # yields every element in the chronological order, though its
+        # orbit skips add no decision to the conflict sets it jumps by.
+        # Two completions agree up to the first base point w where they
+        # differ, a branch point of both, where completions(1) tries
+        # images by the key (x != w, x); so stab1 sorted by those keys
+        # along the base is what completions(1) yields, without the
+        # seconds that search takes on the S5 graphs.
+        for seed in (1, 2, 3, 4, 5):
+            graph = triple_graph(*TRIPLE_GRAPHS[name], conjugator_seed=seed)
+            gens = unpruned_strong_generators(graph)
+            order, _ = graph.bfs_order()
+            listed = sorted(
+                colourauts.VertexStabilizer(graph.n, gens).elements,
+                key=lambda g: [(g[w] != w, g[w]) for w in order])
+            for kept in (gens, gens[:len(gens) // 2]):
+                pruned = colourauts._MapSearch(graph).completions(1, kept)
+                assert list(pruned) == listed, (name, seed, len(kept))
+
+    # the full generator sets that stayed slow while an orbit skip put
+    # every point above in the conflict set: 1,036,185 and 551,464
+    # assignments (14-16 s and 2.7-2.9 s on a 2-core machine), against
+    # 37,393 and 10,772 (0.6 s and 0.05 s) now; the digests were taken
+    # from that slower search's generators
+    @pytest.mark.parametrize("make,count,digest,bound", [
+        (psl2_17_dihedral_16_triple_graph, 154,
+         "5bc26c5fb2ad4c06cafbfe47b1ed78372c2e5714f7dbacde4c391507e0aafdfa",
+         45000),
+        (psl2_7_witness_graph, 29,
+         "1408cdca09e38077b7574e8705e8ac8cfee08d3862a75d99d43bd881c3544487",
+         13000),
+    ], ids=["PSL2(17) dihedral:16", "PSL2(7) witness"])
+    def test_full_generator_sets_are_pinned(self, assign_calls, time_limit,
+                                            make, count, digest, bound):
+        graph = make()
+        with time_limit(10):
+            gens = stab1(graph).generators
+        assert len(gens) == count
+        assert hashlib.sha256(repr(gens).encode()).hexdigest() == digest
+        assert assign_calls[0] <= bound
 
     def test_backjumping_bounds_the_psl2_7_assignments(self, assign_calls,
                                                        time_limit):
