@@ -21,8 +21,9 @@ from . import reproduce as rp
 from . import triples as tr
 from .cayley import (ConnectionSet, InvalidConnectionSet, build,
                      check_graph_limit)
-from .colourauts import is_cca_graph, is_cca_group_exhaustive
+from .colourauts import DEFAULT_BUDGET, is_cca_graph, is_cca_group_exhaustive
 from .fgroup import DEFAULT_ENUM_LIMIT, DEFAULT_GRAPH_LIMIT, LimitExceeded
+from .permcore import PermutationGroup
 
 EXIT_OK = 0
 EXIT_CRITERION = 1
@@ -62,6 +63,9 @@ def _parse_subgroup(G, spec: str):
     dihedral:M | gens:ELEMS.  Points are 1-based, matching cycle notation.
     """
     kind, _, arg = spec.partition(":")
+    if (kind in ("point", "pointwise", "setwise")
+            and not isinstance(G, PermutationGroup)):
+        raise CLIError(f"subgroup spec {spec!r} needs a permutation group")
     try:
         if kind == "point":
             return G.point_stabilizer(_spec_point(G, arg))
@@ -82,9 +86,9 @@ def _parse_subgroup(G, spec: str):
                 if not G.contains(g):
                     raise CLIError(f"element {G.elem_str(g)} not in G")
             return G.generated_subgroup(gens)
-    except (ValueError, AttributeError) as ex:
-        if isinstance(ex, CLIError):
-            raise
+    except CLIError:
+        raise
+    except ValueError as ex:
         raise CLIError(f"bad subgroup spec {spec!r}: {ex}") from ex
     raise CLIError(f"unknown subgroup spec kind {kind!r}")
 
@@ -244,7 +248,7 @@ def _non_negative(text: str) -> int:
 
 # Settings flags; each subcommand takes only those its handler reads.
 _FLAGS = {
-    "--budget": dict(type=_non_negative, default=2**20,
+    "--budget": dict(type=_non_negative, default=DEFAULT_BUDGET,
                      help="connection sets an exhaustive sweep may examine"),
     "--limit-enum": dict(type=_non_negative, default=DEFAULT_ENUM_LIMIT,
                          help="max element count of any group or subgroup "
@@ -252,7 +256,7 @@ _FLAGS = {
     "--limit-graph": dict(type=_non_negative, default=DEFAULT_GRAPH_LIMIT,
                           help="max vertex count for graph construction "
                                "(exit 3 when exceeded)"),
-    "--seed": dict(type=int, default=12345,
+    "--seed": dict(type=int, default=rp.DEFAULT_SEED,
                    help="seed for the randomized property suites"),
     "--timing": dict(action="store_true",
                      help="include wall-clock timing in the report"),

@@ -77,6 +77,9 @@ from .fgroup import DEFAULT_ENUM_LIMIT, FiniteGroup, LimitExceeded, closure
 
 STAB1_ORACLE_MAX = 8
 
+# connection sets an exhaustive sweep examines before it answers 'unknown'
+DEFAULT_BUDGET = 2**20
+
 
 class _MapSearch:
     """A partial colour-preserving vertex map fixing vertex 0, grown along
@@ -627,7 +630,7 @@ class ConnectedClassGraphs:
                     yield graph
 
 
-def is_cca_group_exhaustive(group: FiniteGroup, budget: int = 2**20,
+def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET
                             ) -> GroupCCAVerdict:
     """Check every inverse-closed identity-free connection set of G.
 

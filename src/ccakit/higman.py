@@ -29,6 +29,12 @@ are listed in natural order, so (e, f) sits at index e * 2^s + f, and
 ``left_row(s)`` takes one gamma per e-part of v and XORs the f-parts into
 that block's base index: no dict, tuple or multiply per element.
 
+Words name elements through one letter table, built on first use: g1..gr
+map to the single e-bits and h1..hs to the single f-bits, in that order.
+The generators are the table's elements, a word is the left-to-right
+product of its letters (so "g1*g1" is g1's b-row word), and an element
+prints as its normal form, the letters of its bits in table order.
+
 The "constrained" flavour forces g_r^2 = g_{r-1}^2 = h_1, which pins rows
 r-1 and r of the b-matrix and makes (S, T, tau) with S = {g_1..g_{r-2},
 h_1..h_s}, T = {g_{r-1}, g_r}, tau = h_1 a non-CCA triple with
@@ -39,7 +45,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -262,22 +267,28 @@ class HigmanGroup(FiniteGroup):
             row += map(base.__xor__, fs)
         return row
 
+    @cached_property
+    def _letters(self) -> dict:
+        """The letter table: g1..gr, then h1..hs, each to its element."""
+        r, s = self.params.r, self.params.s
+        return ({f"g{i + 1}": (1 << i, 0) for i in range(r)}
+                | {f"h{j + 1}": (0, 1 << j) for j in range(s)})
+
+    def _letter(self, name: str) -> Element:
+        if name not in self._letters:
+            raise IndexError(f"no generator {name} in {self!r}")
+        return self._letters[name]
+
     def generators(self) -> list[Element]:
-        p = self.params
-        return ([(1 << i, 0) for i in range(p.r)]
-                + [(0, 1 << j) for j in range(p.s)])
+        return list(self._letters.values())
 
     def g(self, i: int) -> Element:
         """Generator g_i, 1-based."""
-        if not 1 <= i <= self.params.r:
-            raise IndexError(f"g index {i} outside 1..{self.params.r}")
-        return (1 << (i - 1), 0)
+        return self._letter(f"g{i}")
 
     def h(self, j: int) -> Element:
         """Generator h_j, 1-based."""
-        if not 1 <= j <= self.params.s:
-            raise IndexError(f"h index {j} outside 1..{self.params.s}")
-        return (0, 1 << (j - 1))
+        return self._letter(f"h{j}")
 
     def elements(self) -> list[Element]:
         cached = getattr(self, "_elements", None)
@@ -302,30 +313,21 @@ class HigmanGroup(FiniteGroup):
                 and 0 <= f < (1 << self.params.s))
 
     def elem_str(self, x: Element) -> str:
+        """The normal form: the letters whose bit x carries, in table
+        order, or "1"."""
         e, f = x
-        parts = [f"g{i + 1}" for i in range(self.params.r) if e >> i & 1]
-        parts += [f"h{j + 1}" for j in range(self.params.s) if f >> j & 1]
-        return "*".join(parts) if parts else "1"
+        return "*".join(name for name, (le, lf) in self._letters.items()
+                        if e & le or f & lf) or "1"
 
     def elem_parse(self, text: str) -> Element:
-        text = text.strip()
-        if text == "1":
-            return IDENTITY
-        e = f = 0
-        for tok in text.split("*"):
-            m = re.fullmatch(r"([gh])(\d+)", tok.strip())
-            if not m:
-                raise ValueError(f"bad Higman element token: {tok!r}")
-            idx = int(m.group(2)) - 1
-            if m.group(1) == "g":
-                if not 0 <= idx < self.params.r:
-                    raise ValueError(f"g index out of range: {tok}")
-                e |= 1 << idx
-            else:
-                if not 0 <= idx < self.params.s:
-                    raise ValueError(f"h index out of range: {tok}")
-                f |= 1 << idx
-        return (e, f)
+        """The left-to-right product of the "*"-separated letters of
+        text, "1" standing for the identity."""
+        x = IDENTITY
+        for letter in map(str.strip, text.split("*")):
+            if letter not in self._letters and letter != "1":
+                raise ValueError(f"unknown letter {letter!r} in {text!r}")
+            x = self.multiply(x, self._letters.get(letter, IDENTITY))
+        return x
 
     def __repr__(self) -> str:
         p = self.params
@@ -362,10 +364,12 @@ def params_from_spec(spec: str) -> HigmanParams:
             json.loads(Path(spec[1:]).read_text()))
     kv = {}
     for part in spec.split(","):
-        key, sep, val = part.partition("=")
+        key, sep, val = map(str.strip, part.partition("="))
         if not sep:
             raise ValueError(f"bad higman parameter {part!r}")
-        kv[key.strip()] = val.strip()
+        if key in kv:
+            raise ValueError(f"higman parameter {key!r} repeated")
+        kv[key] = val
     unknown = set(kv) - {"n", "seed"}
     if unknown:
         raise ValueError(f"unknown higman parameter(s): {sorted(unknown)}")

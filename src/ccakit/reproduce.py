@@ -17,6 +17,7 @@ from . import higman as hi
 from . import triples as tr
 from .cayley import ConnectionSet, build
 from .colourauts import (
+    DEFAULT_BUDGET,
     ConnectedClassGraphs,
     enumerate_stab1,
     is_cca_graph,
@@ -29,6 +30,7 @@ from .colourauts import (
 from .permcore import parse_cycles
 
 SCHEMA_VERSION = 1
+DEFAULT_SEED = 12345
 
 CRITERIA = [f"criterion_{i}" for i in range(1, 11)]
 _GRAPH_MAKERS = {"criterion_2", "criterion_7", "criterion_8"}
@@ -55,7 +57,7 @@ EXHAUSTIVE_EXPECTED = [
 ]
 
 
-def criterion_1(budget: int = 2**20) -> dict:
+def criterion_1(budget: int) -> dict:
     rows = []
     ok = True
     for expr, expected in EXHAUSTIVE_EXPECTED:
@@ -385,8 +387,9 @@ def check_selection(only: list[str] | None) -> None:
                          "build; add one of them to --only")
 
 
-def run_suite(only: list[str] | None = None, seed: int = 12345,
-              budget: int = 2**20, with_timing: bool = False) -> dict:
+def run_suite(only: list[str] | None = None, seed: int = DEFAULT_SEED,
+              budget: int = DEFAULT_BUDGET, with_timing: bool = False,
+              ) -> dict:
     """Run the acceptance matrix and assemble the report.
 
     A subset `only` must pass check_selection, and runs in canonical

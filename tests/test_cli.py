@@ -83,6 +83,10 @@ class TestGroupCommand:
         assert main(["group", f"higman:@{f}"]) == EXIT_USAGE
         assert "b row" in capsys.readouterr().err
 
+    def test_higman_repeated_key_exit_2(self, capsys):
+        assert main(["group", "higman:n=3,n=5,seed=1"]) == EXIT_USAGE
+        assert "'n' repeated" in capsys.readouterr().err
+
     def test_bad_expression_exit_2(self, capsys):
         assert main(["group", "Z99"]) == EXIT_USAGE
 
@@ -147,6 +151,14 @@ class TestCcaCommand:
         r = rep["results"]
         assert (r["stab1_order"], r["aut_pm1_order"], r["is_cca"]) \
             == (stab1_order, 4, False)
+
+    @pytest.mark.parametrize("words,normal", [
+        ("g2*g1", "g1*g2*h1"), ("g1*g1,g2", "h1,g2")])
+    def test_set_words_name_their_product(self, capsys, words, normal):
+        # in Q8, g2*g1 = g1*g2*[g2, g1] = g1*g2*h1 and g1*g1 = h1
+        _, by_words = run_json(capsys, ["cca", "Q8", "--set", words])
+        _, by_normal = run_json(capsys, ["cca", "Q8", "--set", normal])
+        assert by_words["results"] == by_normal["results"]
 
     def test_disconnected_reported(self, capsys):
         rc, rep = run_json(capsys, ["cca", "S3", "--set", "(1 2)"])
@@ -245,6 +257,25 @@ class TestTripleCommand:
     def test_validate_bad_input_exit_2(self, capsys, argv, message):
         assert main(["triple", "validate"] + argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    def test_validate_q8_words_outside_normal_form(self, capsys):
+        # g1*g1 = g2*g2 = h1, the canonical triple of Q8
+        rc, rep = run_json(capsys, [
+            "triple", "validate", "Q8", "--S", "g1*g1", "--T", "g1,g2",
+            "--tau", "g2*g2", "--crosscheck"])
+        assert rc == EXIT_OK
+        r = rep["results"]
+        assert r["valid"] is True
+        assert r["index_S_tau"] == 4
+        assert r["crosscheck"]["ok"] is True
+
+    @pytest.mark.parametrize("spec", ["point:1", "pointwise:1",
+                                      "setwise:1,2"])
+    def test_point_specs_need_a_permutation_group(self, capsys, spec):
+        assert main(["triple", "search", "Q8", "--subgroup", spec]) \
+            == EXIT_USAGE
+        assert (f"subgroup spec {spec!r} needs a permutation group"
+                in capsys.readouterr().err)
 
     def test_bad_element_exit_2(self):
         assert main(["triple", "validate", "A6",

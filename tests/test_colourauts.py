@@ -131,9 +131,17 @@ TRIPLE_GRAPHS = {
 
 
 @functools.lru_cache(maxsize=None)
+def chronological_triple_graph(name, conjugator_seed=None):
+    """A triple graph, conjugated given a seed, and the strong generators
+    of its unpruned search, built once per session."""
+    graph = triple_graph(*TRIPLE_GRAPHS[name], conjugator_seed=conjugator_seed)
+    return graph, unpruned_strong_generators(graph)
+
+
+@functools.lru_cache(maxsize=None)
 def enumerated_triple_graph(name):
     """A triple graph and its enumerated stab1, built once per session."""
-    graph = triple_graph(*TRIPLE_GRAPHS[name])
+    graph, _ = chronological_triple_graph(name)
     return graph, enumerate_stab1(graph)
 
 
@@ -149,12 +157,12 @@ def unpruned_strong_generators(graph, count=None):
                                      count))
 
 
-def check_against_enumeration(graph, listed, label):
+def check_against_enumeration(graph, listed, label, unpruned=None):
     """stab1 from strong generators, the verdict and aut_pm1 against the
     enumerated stab1 and the reference automorphism check on each of its
-    elements; the generators against the unpruned search's, and the
-    search pruned by them against the enumeration.  Returns the
-    verdict."""
+    elements; the generators against the unpruned search's (unpruned, or
+    found here when None), and the search pruned by them against the
+    enumeration.  Returns the verdict."""
     passing = []
     for alpha in listed:
         violation = _automorphism_violation(graph, alpha)
@@ -172,7 +180,9 @@ def check_against_enumeration(graph, listed, label):
     assert v.aut_pm1_order == len(passing), label
     assert aut_pm1(graph) == aut_pm1_by_sign_choices(graph) == passing, label
     gens = v.stab1.generators
-    assert gens == unpruned_strong_generators(graph), label
+    if unpruned is None:
+        unpruned = unpruned_strong_generators(graph)
+    assert gens == unpruned, label
     # every stab1 element fixes what the map fixing vertex 0 assigns, so
     # stab1's generators may prune the whole search: it cuts only subtrees
     # without a completion
@@ -361,7 +371,9 @@ class TestAutomorphismCheck:
                 assert got == unpruned_group_verdict(
                     decided, graphs.sets_checked, budget), (expr, budget)
         for name in ("S5-pointwise", "A6", "S6"):
-            check_against_enumeration(*enumerated_triple_graph(name), name)
+            _, unpruned = chronological_triple_graph(name)
+            check_against_enumeration(*enumerated_triple_graph(name), name,
+                                      unpruned)
 
     @pytest.mark.parametrize("name,stab1_order,aut_pm1_order", [
         ("S5-setwise", 2048, 4), ("A6", 64, 2), ("S6", 64, 2),
@@ -752,9 +764,9 @@ class TestStrongGenerators:
         # conjugating S and t relabels the vertices, and with them the BFS
         # base, the candidate order and so which subtrees are pruned
         for seed in (None, 1, 2, 3, 4, 5):
-            graph = triple_graph(*TRIPLE_GRAPHS[name], conjugator_seed=seed)
+            graph, unpruned = chronological_triple_graph(name, seed)
             assert (list(colourauts._strong_generators(graph))
-                    == unpruned_strong_generators(graph)), (name, seed)
+                    == unpruned), (name, seed)
 
     # assignments of the full generator search: 60,889 / 14,016 / 12,505 /
     # 168 chronological and unpruned, 2,257 / 480 / 3,431 / 168 pruned by
@@ -830,8 +842,7 @@ class TestStrongGenerators:
         # along the base is what completions(1) yields, without the
         # seconds that search takes on the S5 graphs.
         for seed in (1, 2, 3, 4, 5):
-            graph = triple_graph(*TRIPLE_GRAPHS[name], conjugator_seed=seed)
-            gens = unpruned_strong_generators(graph)
+            graph, gens = chronological_triple_graph(name, seed)
             order, _ = graph.bfs_order()
             listed = sorted(
                 colourauts.VertexStabilizer(graph.n, gens).elements,

@@ -1,6 +1,7 @@
+import itertools
 import json
 import random
-from functools import partial
+from functools import partial, reduce
 
 import pytest
 
@@ -351,6 +352,52 @@ class TestRelations:
             assert len(set(G.elements())) == 2 ** n
 
 
+class TestWords:
+    """A word is the left-to-right product of its letters; an element
+    prints as its normal form, which parses back to it."""
+
+    @pytest.mark.parametrize("expr", ["Q8"] + [
+        expr for expr, G in groupzoo.zoo_corpus(64)
+        if isinstance(G, HigmanGroup)])
+    def test_normal_form_round_trip(self, expr):
+        G = groupzoo.construct(expr)
+        for x in G.elements():
+            assert G.elem_parse(G.elem_str(x)) == x
+
+    @pytest.mark.parametrize("expr", ["Q8", "higman:n=5,seed=1"])
+    def test_word_is_the_product_of_its_letters(self, expr):
+        G = groupzoo.construct(expr)
+        p = G.params
+        names = ([f"g{i}" for i in range(1, p.r + 1)]
+                 + [f"h{j}" for j in range(1, p.s + 1)])
+        letters = dict(zip(names, G.generators())) | {"1": G.identity()}
+        for k in (1, 2, 3):
+            for word in itertools.product(letters, repeat=k):
+                want = reduce(G.multiply, [letters[a] for a in word])
+                assert G.elem_parse("*".join(word)) == want, word
+
+    def test_q8_words_outside_normal_form(self):
+        G = HigmanGroup(quaternion_params())
+        assert G.elem_str(G.elem_parse("g1*g1")) == "h1"
+        assert G.elem_str(G.elem_parse("g2*g1")) == "g1*g2*h1"
+        assert G.elem_parse(" g1 * 1 * h1 ") == G.elem_parse("g1*h1")
+
+    @pytest.mark.parametrize("text,letter", [
+        ("g3", "g3"), ("h2", "h2"), ("g0", "g0"), ("g1*x1", "x1"),
+        ("g1*", ""), ("", "")])
+    def test_unknown_letter_named(self, text, letter):
+        G = HigmanGroup(quaternion_params())
+        with pytest.raises(ValueError, match=f"unknown letter {letter!r}"):
+            G.elem_parse(text)
+
+    @pytest.mark.parametrize("letter,index", [("g", 0), ("g", 3), ("h", 0),
+                                              ("h", 2), ("g", -1)])
+    def test_generator_index_out_of_range(self, letter, index):
+        G = HigmanGroup(quaternion_params())
+        with pytest.raises(IndexError):
+            getattr(G, letter)(index)
+
+
 class TestSampler:
     def test_deterministic(self):
         assert sample_params(8, 42) == sample_params(8, 42)
@@ -393,6 +440,12 @@ class TestParamsIO:
     def test_inline_spec(self):
         p = params_from_spec("n=8,seed=42")
         assert p == sample_params(8, 42)
+
+    @pytest.mark.parametrize("spec,key", [("n=3,n=5,seed=1", "n"),
+                                          ("n=5,seed=1,seed=2", "seed")])
+    def test_repeated_key_refused(self, spec, key):
+        with pytest.raises(ValueError, match=f"{key!r} repeated"):
+            params_from_spec(spec)
 
     def test_file_spec(self, tmp_path):
         p = sample_params(6, 3)
