@@ -227,8 +227,7 @@ def cmd_reproduce(args) -> int:
         rp.check_selection(only)
     except ValueError as ex:
         raise CLIError(str(ex)) from ex
-    report = rp.run_suite(only=only, seed=args.seed, budget=args.budget,
-                          with_timing=args.timing)
+    report = rp.run_suite(only=only, seed=args.seed, with_timing=args.timing)
     _emit(report, args)
     if not report["passed"]:
         failed = [k for k, v in report["results"].items()
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run the acceptance matrix")
     p.add_argument("--only", metavar="LIST",
                    help="comma-separated criteria, e.g. 'criterion_3' or '3,4'")
-    _add_flags(p, "--seed", "--budget", "--timing")
+    _add_flags(p, "--seed", "--timing")
     p.set_defaults(fn=cmd_reproduce)
     return ap
 

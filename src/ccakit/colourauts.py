@@ -47,14 +47,19 @@ graph on two classes of elements of order 3, adding backjumping takes
 its search from 1,273,720 assignments to 2,706.  enumerate_stab1 lists
 every element with the chronological, unpruned search, as an oracle.
 
-The automorphism check needs no group arithmetic.  A stab1 element alpha
-fixes vertex 0 and preserves colours, and vertex s is the {s, s^-1}-
-neighbour s * 1 of vertex 0, so alpha(s) is s or s^-1.  The row of
-alpha(s) is therefore already one of the graph's left-multiplication rows,
-and alpha is a group automorphism exactly when alpha(s * v) =
-alpha(s) * alpha(v) holds as alpha[row[v]] == arow[alpha[v]] for every s
-in S and every vertex v (S generates G).  The stab1 elements that pass are
-exactly aut_pm1, the automorphisms of G sending every s to s or s^-1.
+The automorphism check needs no group arithmetic.  It takes any vertex
+map alpha with alpha(1) = 1 and reads each colour class through its first
+member s only: the row of alpha(s) is s's own row when alpha(s) = s and
+the class's last row, that of s^-1, otherwise, and the check asks that
+alpha(s * v) = alpha(s) * alpha(v) hold as alpha[row[v]] == arow[alpha[v]]
+for every vertex v.  The s^-1 equation needs no check of its own: the s
+equation at v = s^-1 gives alpha(s^-1) = alpha(s)^-1, and at v = s^-1 * w
+it gives alpha(s^-1 * w) = alpha(s^-1) * alpha(w).  A first member sent
+outside its class already fails at v = 1.  So alpha passes exactly when
+it is a homomorphism sending every s to s or s^-1, an automorphism since
+S generates G: exactly when it is in aut_pm1.  A stab1 element sends
+every s, the {s, s^-1}-neighbour of vertex 0, to s or s^-1, so it is a
+group automorphism exactly when it passes.
 
 There is one decision path.  is_cca_graph decides a single graph by
 streaming the strong generators and stopping at the first that fails; its
@@ -398,18 +403,20 @@ def stab1_oracle(graph: ColouredCayleyGraph) -> list[tuple]:
 def _automorphism_violation(graph: ColouredCayleyGraph, alpha) -> tuple | None:
     """First (s, v) where alpha(s*v) != alpha(s)*alpha(v), or None.
 
-    alpha must be a stab1 element, so that alpha(s) is s or s^-1 and its
-    left-multiplication row is one of the rows of s's colour class.
+    alpha must fix vertex 0.  Each colour class is checked through its
+    first member s, with alpha(s) read as s when alpha(s) = s and as s^-1
+    otherwise (see the module docstring), so a first member sent outside
+    its class fails at (s, 1).  None means exactly that alpha is a
+    homomorphism sending every s in S to s or s^-1.
     """
     n = graph.n
     for rows in graph.left_rows:
-        # row[0] = index(s * 1) = index(s)
-        members = [row[0] for row in rows]
-        for row in rows:
-            arow = rows[members.index(alpha[row[0]])]
-            for v in range(n):
-                if alpha[row[v]] != arow[alpha[v]]:
-                    return (graph.elems[row[0]], graph.elems[v])
+        row = rows[0]
+        # row[0] = index(s * 1) = index(s); the row of alpha(s), or of s^-1
+        arow = row if alpha[row[0]] == row[0] else rows[-1]
+        for v in range(n):
+            if alpha[row[v]] != arow[alpha[v]]:
+                return (graph.elems[row[0]], graph.elems[v])
     return None
 
 
@@ -420,8 +427,8 @@ def aut_pm1(graph: ColouredCayleyGraph) -> list[tuple]:
     Colour classes are picked while they enlarge the subgroup the picked
     ones generate, at most log2|G| of them.  Each choice of s or s^-1 for
     each picked representative fixes a map along the BFS tree (cayley.bfs)
-    of their rows; the maps that keep every class at vertex 0 and pass the
-    automorphism check are homomorphisms onto a subgroup containing S.
+    of their rows, and the automorphism check alone decides which of these
+    maps are in aut_pm1.
     """
     if not graph.is_connected():
         raise ValueError("aut_pm1 requires S to generate G")
@@ -435,15 +442,12 @@ def aut_pm1(graph: ColouredCayleyGraph) -> list[tuple]:
                 break
     # (u, v, i): u = s_i * v, s_i the i-th picked rep
     tree = [(u, *parent[u]) for u in order[1:]]
-    members = [{row[0] for row in rows} for rows in graph.left_rows]
     out = []
     for images in itertools.product(*picked):
         phi = [0] * graph.n
         for u, v, i in tree:
             phi[u] = images[i][phi[v]]
-        if (all(phi[row[0]] in m
-                for rows, m in zip(graph.left_rows, members) for row in rows)
-                and _automorphism_violation(graph, phi) is None):
+        if _automorphism_violation(graph, phi) is None:
             out.append(tuple(phi))
     return sorted(out)
 

@@ -3,7 +3,8 @@
 Each criterion_* function returns a plain dict with a "pass" flag and
 enough detail to audit the verdict.  run_suite assembles them into a
 report whose "results" subtree is byte-identical across runs with the same
-seed and budget.
+seed.  Criterion 1 sweeps at colourauts.DEFAULT_BUDGET, far above the 127
+connection sets it examines, so the suite takes no budget.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from . import higman as hi
 from . import triples as tr
 from .cayley import ConnectionSet, build
 from .colourauts import (
-    DEFAULT_BUDGET,
     ConnectedClassGraphs,
     enumerate_stab1,
     is_cca_graph,
@@ -57,12 +57,12 @@ EXHAUSTIVE_EXPECTED = [
 ]
 
 
-def criterion_1(budget: int) -> dict:
+def criterion_1() -> dict:
     rows = []
     ok = True
     for expr, expected in EXHAUSTIVE_EXPECTED:
         G = gz.construct(expr)
-        v = is_cca_group_exhaustive(G, budget)
+        v = is_cca_group_exhaustive(G)
         row = {"group": expr, "expected": expected} | v.to_json_dict(G)
         row["pass"] = v.status == expected
         if expected == "non-cca":
@@ -350,7 +350,7 @@ def criterion_9(graph_registry: list, seed: int) -> dict:
 # suite runner
 # ---------------------------------------------------------------------------
 
-def _criteria_1_to_9(seed: int, budget: int) -> dict:
+def _criteria_1_to_9(seed: int) -> dict:
     """Criteria 1-9 by name, in run order.
 
     Criteria 2, 7 and 8 register the graphs they build, and criterion 9
@@ -358,7 +358,7 @@ def _criteria_1_to_9(seed: int, budget: int) -> dict:
     """
     registry: list = []
     return {
-        "criterion_1": lambda: criterion_1(budget),
+        "criterion_1": criterion_1,
         "criterion_2": lambda: criterion_2(registry),
         "criterion_3": criterion_3,
         "criterion_4": criterion_4,
@@ -388,8 +388,7 @@ def check_selection(only: list[str] | None) -> None:
 
 
 def run_suite(only: list[str] | None = None, seed: int = DEFAULT_SEED,
-              budget: int = DEFAULT_BUDGET, with_timing: bool = False,
-              ) -> dict:
+              with_timing: bool = False) -> dict:
     """Run the acceptance matrix and assemble the report.
 
     A subset `only` must pass check_selection, and runs in canonical
@@ -401,7 +400,7 @@ def run_suite(only: list[str] | None = None, seed: int = DEFAULT_SEED,
     t0 = time.monotonic()
     timing: dict[str, float] = {}
     results = {}
-    for name, run in _criteria_1_to_9(seed, budget).items():
+    for name, run in _criteria_1_to_9(seed).items():
         if not only or name in only:
             tstep = time.monotonic()
             results[name] = run()
@@ -411,7 +410,7 @@ def run_suite(only: list[str] | None = None, seed: int = DEFAULT_SEED,
         first = canonical_json(results)
         second = canonical_json({
             name: run()
-            for name, run in _criteria_1_to_9(seed, budget).items()})
+            for name, run in _criteria_1_to_9(seed).items()})
         results["criterion_10"] = {
             "pass": first == second,
             "results_bytes": len(first.encode()),
@@ -419,7 +418,7 @@ def run_suite(only: list[str] | None = None, seed: int = DEFAULT_SEED,
         }
         timing["criterion_10"] = round(time.monotonic() - tstep, 3)
 
-    report = report_head("reproduce", seed=seed, budget=budget,
+    report = report_head("reproduce", seed=seed,
                          only=sorted(only) if only else None)
     report["results"] = results
     report["passed"] = all(r.get("pass", False) for r in results.values())

@@ -538,6 +538,7 @@ class TestFlags:
         ["cca", "S4", "--exhaustive", "--seed", "1"],
         ["triple", "search", "S5", "--subgroup", "point:5", "--budget", "3"],
         ["reproduce", "--only", "4", "--limit-enum", "10"],
+        ["reproduce", "--only", "4", "--budget", "5"],
     ], ids=" ".join)
     def test_removed_flag_is_usage_error(self, capsys, argv):
         assert main(argv) == EXIT_USAGE
@@ -572,7 +573,7 @@ class TestFlags:
          {"budget", "graph_limit", "enum_limit"}),
         (["triple", "search", "S5", "--subgroup", "setwise:4,5"],
          {"graph_limit", "enum_limit"}),
-        (["reproduce", "--only", "4"], {"seed", "budget", "only"}),
+        (["reproduce", "--only", "4"], {"seed", "only"}),
     ], ids=["group", "cca", "triple", "reproduce"])
     def test_config_echoes_the_accepted_settings(self, capsys, argv, config):
         rc, rep = run_json(capsys, argv)

@@ -375,6 +375,45 @@ class TestAutomorphismCheck:
             check_against_enumeration(*enumerated_triple_graph(name), name,
                                       unpruned)
 
+    def test_decides_aut_pm1_membership_for_any_map_fixing_the_identity(
+            self, monkeypatch):
+        """On random bijections fixing vertex 0 and on the candidate maps
+        aut_pm1 builds, the check passes exactly the homomorphisms sending
+        every s to s or s^-1.  A first failing class whose first member
+        leaves it fails at (s, 1); any other failure is the reference's."""
+        rng = random.Random(25)
+        check = colourauts._automorphism_violation
+        for expr, G in gz.zoo_corpus(12):
+            e = G.identity()
+            for graph in ConnectedClassGraphs(G):
+                candidates = []
+                monkeypatch.setattr(
+                    colourauts, "_automorphism_violation",
+                    lambda g, alpha: candidates.append(tuple(alpha))
+                    or check(g, alpha))
+                aut_pm1(graph)
+                monkeypatch.undo()
+                bijections = [(0, *rng.sample(range(1, graph.n), graph.n - 1))
+                              for _ in range(3)]
+                class_of = {row[0]: c for c, rows in
+                            enumerate(graph.left_rows) for row in rows}
+                for alpha in candidates + bijections:
+                    got = check(graph, alpha)
+                    want = automorphism_violation_by_multiply(graph, alpha)
+                    leaves = [c for c, rows in enumerate(graph.left_rows)
+                              if class_of.get(alpha[rows[0][0]]) != c]
+                    assert (got is None) == (
+                        want is None and all(class_of.get(alpha[s]) == c
+                                             for s, c in class_of.items())
+                    ), (expr, alpha)
+                    c_want = (len(graph.left_rows) if want is None
+                              else class_of[graph.index[want[0]]])
+                    if leaves and leaves[0] <= c_want:
+                        s = graph.elems[graph.left_rows[leaves[0]][0][0]]
+                        assert got == (s, e), (expr, alpha)
+                    else:
+                        assert got == want, (expr, alpha)
+
     @pytest.mark.parametrize("name,stab1_order,aut_pm1_order", [
         ("S5-setwise", 2048, 4), ("A6", 64, 2), ("S6", 64, 2),
     ], ids=["S5-setwise", "A6", "S6"])
