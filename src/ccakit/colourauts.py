@@ -11,10 +11,17 @@ tree edge of colour {s, s^-1} the image of the new vertex must be an
 {s, s^-1}-neighbour of the image of its parent.  The search, like every
 check here, reads the neighbours off the graph's left-multiplication rows
 and builds no other adjacency.  With the BFS order as base, each basic
-orbit therefore has size 1 or 2.  stab1 keeps the identity on the base
-and unwinds it deepest level first; one first-solution search per level
-finds a strong generator or proves the orbit trivial (Sims 1970; Seress,
-Permutation Group Algorithms, ch. 4), so |stab1| = 2^m for m generators.
+orbit therefore has size 1 or 2, and a branch point has exactly two
+candidates.  The search branches at a base point w only when propagation
+has left it unassigned, and every base point before w, its BFS parent v
+among them, is then assigned and propagated.  Had w's colour been an
+involution class {s}, propagating v would have sent w = s * v to
+s * alpha(v).  So the colour is a pair class {s, s^-1}, and the
+candidates are s * alpha(v) and s^-1 * alpha(v).  stab1 keeps the
+identity on the base and unwinds it deepest level first; one
+first-solution search per level finds a strong generator or proves the
+orbit trivial (Sims 1970; Seress, Permutation Group Algorithms, ch. 4),
+so |stab1| = 2^m for m generators.
 The order matters, because only generators found at deeper levels can
 prune a level's search.  On the PSL(2, 17) dihedral:16 triple graph the
 shallowest search alone, with nothing to prune it, takes 1.2 s on a
@@ -200,11 +207,13 @@ class _MapSearch:
         """Yield every completion of the map, branching from base level k.
 
         An explicit-stack DFS that tries the identity-consistent image
-        first at each branch point, then the others by vertex index.  The
-        map is restored when the generator ends or is closed.  With gens
-        None the search is chronological and unpruned (the oracle); given
-        a sequence gens, possibly empty, it prunes by orbits and jumps
-        back over empty subtrees.
+        first at each branch point, then the other; a branch point has
+        two candidates (see the module docstring), and when neither is
+        identity-consistent the lower index goes first.  The map is
+        restored when the generator ends or is closed.  With gens None the
+        search is chronological and unpruned (the oracle); given a
+        sequence gens, possibly empty, it prunes by orbits and jumps back
+        over empty subtrees.
 
         gens, colour-preserving vertex maps that fix every image the map
         already assigns, prune the search (McKay & Piperno 2014).  Each
@@ -212,9 +221,10 @@ class _MapSearch:
         image chosen at the parent, so a kept h fixes every chosen image
         above it and, as propagation follows colour rows, every image
         propagated from them; h o g then extends the map whenever the
-        completion g does.  Once the subtree of an image x is exhausted
-        without a completion, or x conflicts at once, the subtree of h(x)
-        is its h-image and holds none either, so h(x) is skipped.
+        completion g does.  Once the subtree of the first image x is
+        exhausted without a completion, or x conflicts at once, the
+        subtree of h(x) is its h-image and holds none either, so the
+        second image is skipped when some kept h sends x to it.
 
         Each branch point also keeps a conflict set, a bitmask of the
         branch points above it whose decisions its failures depend on
@@ -240,9 +250,9 @@ class _MapSearch:
         jump = gens is not None
         gens = gens or ()
         found = 0                 # completions yielded so far
-        # branch points: [level, untried, trail, kept generators, found
-        # when the current image was assigned, conflict set, the reason
-        # of its images]
+        # branch points: [level, (first, second) candidate, trail, kept
+        # generators, found when the current image was assigned, conflict
+        # set, the reason of its images]
         stack: list[list] = []
         try:
             while True:
@@ -259,16 +269,20 @@ class _MapSearch:
                     if stack:
                         x = alpha[order[stack[-1][0]]]
                         kept = [h for h in stack[-1][3] if h[x] == x]
+                    # the two c-neighbours of v's image, the identity-
+                    # consistent one first, else the lower index first
+                    r1, r2 = self.rows[c]
+                    x, y = r1[alpha[v]], r2[alpha[v]]
+                    if y == w or (x != w and y < x):
+                        x, y = y, x
                     # the chronological search backs up one point at a time
-                    stack.append([k, sorted(
-                        (row[alpha[v]] for row in self.rows[c]),
-                        key=lambda x: (x != w, x)), [], kept, found,
-                        0 if jump else (1 << d) - 1,
-                        (1 << d) | reason[v]])
+                    stack.append([k, (x, y), [], kept, found,
+                                  0 if jump else (1 << d) - 1,
+                                  (1 << d) | reason[v]])
                 while stack:        # next image at the deepest branch point
                     frame = stack[-1]
-                    level, untried, trail, kept, before, conflicts, mask \
-                        = frame
+                    level, (first, second), trail, kept, before, conflicts, \
+                        mask = frame
                     above = (1 << (len(stack) - 1)) - 1
                     w = order[level]
                     x = alpha[w]            # the current image, -1 if none
@@ -277,14 +291,14 @@ class _MapSearch:
                         conflicts |= above
                     trail = []
                     while not trail:
-                        if x != -1 and found == before and kept:
-                            # x's subtree held no completion (a conflict
-                            # is an empty subtree): skip each h(x)
-                            untried[:] = [y for y in untried
-                                          if all(h[x] != y for h in kept)]
-                        if not untried:
+                        # once first's subtree holds no completion (a
+                        # conflict is an empty subtree), second is skipped
+                        # if a kept h maps first to it
+                        if x == second or (x == first and found == before
+                                           and any(h[x] == second
+                                                   for h in kept)):
                             break
-                        x, before = untried.pop(0), found
+                        x, before = first if x == -1 else second, found
                         trail = self.assign(w, x, mask) or []
                         if not trail:
                             conflicts |= self.conflict
@@ -317,16 +331,19 @@ def _strong_generators(graph: ColouredCayleyGraph):
 
     The identity is assigned level by level, keeping each level's trail.
     Unwinding from the deepest level, each trail is undone and the level's
-    base point sent to its other same-colour neighbour; the first
-    completion found, if any, is the level's generator.
+    base point w sent to its pair partner: the parent v still holds the
+    identity, so w's two candidates are w and the other c-neighbour of v
+    (see the module docstring).  The first completion found, if any, is
+    the level's generator; if the partner conflicts at once, the level's
+    orbit is trivial.
 
     The generators already found, at deeper levels, fix every vertex the
     identity assigns up to level k, its base point b_k included.  Fixing
-    b_k and its parent, they fix b_k's other same-colour neighbour, the
-    image chosen for b_k, and so everything it propagates.  They prune the
-    level's search by orbits, and the search jumps back by conflict sets
-    (see completions); both keep its first completion, and so every
-    generator, unchanged.
+    b_k and its parent, they fix b_k's pair partner, the image chosen for
+    b_k, and so everything it propagates.  They prune the level's search
+    by orbits, and the search jumps back by conflict sets (see
+    completions); both keep its first completion, and so every generator,
+    unchanged.
     """
     search = _MapSearch(graph)
     levels = []
@@ -338,17 +355,16 @@ def _strong_generators(graph: ColouredCayleyGraph):
         search.undo(trail)
         w = search.order[k]
         v, c = search.parent[w]
-        for row in search.rows[c]:
-            cand = row[v]
-            branch = search.assign(w, cand) if cand != w else None
-            if branch is not None:
-                completions = search.completions(k + 1, found)
-                generator = next(completions, None)
-                completions.close()
-                search.undo(branch)
-                if generator is not None:
-                    found.append(generator)
-                    yield generator
+        r1, r2 = search.rows[c]
+        branch = search.assign(w, r1[v] if r2[v] == w else r2[v])
+        if branch is not None:
+            completions = search.completions(k + 1, found)
+            generator = next(completions, None)
+            completions.close()
+            search.undo(branch)
+            if generator is not None:
+                found.append(generator)
+                yield generator
 
 
 @dataclass

@@ -418,8 +418,8 @@ def run_suite(only: list[str] | None = None, seed: int = DEFAULT_SEED,
         }
         timing["criterion_10"] = round(time.monotonic() - tstep, 3)
 
-    report = report_head("reproduce", seed=seed,
-                         only=sorted(only) if only else None)
+    report = report_head("reproduce", seed=seed, only=[
+        name for name in CRITERIA if name in only] if only else None)
     report["results"] = results
     report["passed"] = all(r.get("pass", False) for r in results.values())
     if with_timing:

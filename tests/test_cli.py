@@ -580,6 +580,13 @@ class TestFlags:
         assert rc == EXIT_OK
         assert set(rep["config"]) == config
 
+    @pytest.mark.parametrize("only", ["4,4", "4,criterion_4"])
+    def test_config_echoes_a_repeated_criterion_once(self, capsys, only):
+        rc, rep = run_json(capsys, ["reproduce", "--only", only])
+        assert rc == EXIT_OK
+        assert rep["config"]["only"] == ["criterion_4"]
+        assert list(rep["results"]) == ["criterion_4"]
+
 
 SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "report.schema.json"
 

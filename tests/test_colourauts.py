@@ -890,6 +890,21 @@ class TestStrongGenerators:
                 pruned = colourauts._MapSearch(graph).completions(1, kept)
                 assert list(pruned) == listed, (name, seed, len(kept))
 
+    def test_chronological_search_visits_the_completions_in_order(self):
+        # the oracle, completions(1) given gens None, tries the identity-
+        # consistent image first at each branch point, then the other: its
+        # completions, unsorted, ascend by the key (g[w] != w, g[w]) along
+        # the base.  The S5 triple graphs take seconds and are left out.
+        graphs = [(expr, graph) for expr, G in gz.zoo_corpus(8)
+                  for graph in connected_class_graphs(G)]
+        graphs += [(name, chronological_triple_graph(name)[0])
+                   for name in ("A6", "S6")]
+        for label, graph in graphs:
+            order, _ = graph.bfs_order()
+            keys = [[(g[w] != w, g[w]) for w in order]
+                    for g in colourauts._MapSearch(graph).completions(1)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), label
+
     # the full generator sets that stayed slow while an orbit skip put
     # every point above in the conflict set: 1,036,185 and 551,464
     # assignments (14-16 s and 2.7-2.9 s on a 2-core machine), against
