@@ -196,31 +196,28 @@ def cmd_triple(args) -> int:
             trip = tr.validate_triple(G, S, T, tau[0])
         except ValueError as ex:
             raise CLIError(str(ex)) from ex
-        report["results"] = trip.to_json_dict()
-        if trip.valid and args.crosscheck:
-            rep = tr.crosscheck_prop22(G, trip, args.limit_graph)
-            report["results"]["crosscheck"] = rep.to_json_dict()
+        results = trip.to_json_dict()
+        crosscheck = trip.valid and args.crosscheck
     else:
         if not args.subgroup:
             raise CLIError("triple search requires --subgroup")
         H = _parse_subgroup(G, args.subgroup)
         trip = tr.search_triple_subgroup_strategy(G, H)
-        if trip is None:
-            report["results"] = {"found": False,
-                                 "subgroup_order": H.order()}
-        else:
-            report["results"] = {"found": True,
-                                 "subgroup_order": H.order()}
-            report["results"].update(trip.to_json_dict())
-            rep = tr.crosscheck_prop22(G, trip, args.limit_graph)
-            report["results"]["crosscheck"] = rep.to_json_dict()
+        results = {"found": trip is not None, "subgroup_order": H.order()}
+        if trip is not None:
+            results |= trip.to_json_dict()
+        crosscheck = trip is not None
+    if crosscheck:
+        rep = tr.crosscheck_prop22(G, trip, args.limit_graph)
+        results["crosscheck"] = rep.to_json_dict()
+    report["results"] = results
     _emit(report, args)
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
     only = None
-    if args.only:
+    if args.only is not None:
         only = [f"criterion_{part}" if part.isdigit() else part
                 for part in map(str.strip, args.only.split(","))]
     try:

@@ -10,7 +10,11 @@ import pytest
 
 from oracle_collect import multiply_oracle
 
+from ccakit import groupzoo as gz
+from ccakit import higman as hi
 from ccakit import reproduce as rp
+from ccakit import triples as tr
+from ccakit.cayley import ConnectionSet, build
 from ccakit.higman import HigmanGroup, multiply, sample_params
 
 
@@ -28,6 +32,79 @@ def test_run_suite_refuses_unrunnable_selection(only, message):
     # criterion 9 alone would pass having checked no graph
     with pytest.raises(ValueError, match=message):
         rp.run_suite(only=only)
+
+
+def _tiny_zoo(monkeypatch):
+    real = gz.zoo_corpus
+    monkeypatch.setattr(gz, "zoo_corpus", lambda max_order: real(6))
+
+
+def _fail_1(monkeypatch):
+    monkeypatch.setattr(rp, "EXHAUSTIVE_EXPECTED", [("S4", "cca")])
+    return rp.criterion_1()
+
+
+def _fail_2(monkeypatch):
+    def trivial(G, points):
+        return G.generated_subgroup([])
+    monkeypatch.setattr(gz, "pointwise_stabilizer", trivial)
+    monkeypatch.setattr(gz, "setwise_stabilizer", trivial)
+    return rp.criterion_2([])
+
+
+def _fail_3(monkeypatch):
+    monkeypatch.setattr(rp, "CRITERION_3_SEEDS", 1)
+    monkeypatch.setattr(hi, "relation_audit", lambda G: ["violated"])
+    r = rp.criterion_3()
+    # every failing entry is kept, so pass can be read off the rows
+    assert len(r["sampled_rows"]) == 8
+    return r
+
+
+def _fail_4(monkeypatch):
+    monkeypatch.setattr(rp, "ORDER4_EXPECTED", [(4, False), (7, False)])
+    return rp.criterion_4()
+
+
+def _fail_5(monkeypatch):
+    monkeypatch.setattr(tr, "search_triple_subgroup_strategy",
+                        lambda G, H: None)
+    return rp.criterion_5()
+
+
+def _fail_6(monkeypatch):
+    _tiny_zoo(monkeypatch)
+    monkeypatch.setattr(tr.STauSet, "span",
+                        lambda self: self.carrier.generated_subgroup([]))
+    return rp.criterion_6()
+
+
+def _fail_7(monkeypatch):
+    monkeypatch.setattr(rp, "enumerate_stab1", lambda graph: [])
+    return rp.criterion_7(12345, [])
+
+
+def _fail_8(monkeypatch):
+    _tiny_zoo(monkeypatch)
+    monkeypatch.setattr(rp, "stab1_oracle", lambda graph: [])
+    return rp.criterion_8([])
+
+
+def _fail_9(monkeypatch):
+    monkeypatch.setattr(rp, "right_regular_preserves_colours",
+                        lambda graph: False)
+    G = gz.construct("S3")
+    graph = build(G, ConnectionSet.from_elements(G, G.elements()[1:]))
+    return rp.criterion_9([("S3", graph)], 12345)
+
+
+@pytest.mark.parametrize("fail", [
+    _fail_1, _fail_2, _fail_3, _fail_4, _fail_5, _fail_6, _fail_7, _fail_8,
+    _fail_9], ids=[f"criterion_{i}" for i in range(1, 10)])
+def test_a_failing_check_fails_its_criterion(monkeypatch, fail):
+    """Each case breaks one input of one criterion; its pass, read off
+    the rows it reports, must then be False."""
+    assert fail(monkeypatch)["pass"] is False
 
 
 def _announce(name, result):

@@ -195,6 +195,30 @@ class TestTripleCommand:
         assert set(rep["results"]["checks"]) == {"Ai", "Aii", "Aiii",
                                                  "Aiv", "Av"}
 
+    # a valid triple of index 36; an S that fails Aii (tau neither
+    # centralises nor inverts (2 3)(5 6)); and a C4 triple that fails Av
+    @pytest.mark.parametrize("argv,valid,crosschecked", [
+        (["A6", "--S", "(2 4 3 5 6)", "--T", "(1 2)(3 4 5 6)",
+          "--tau", "(3 5)(4 6)", "--crosscheck"], True, True),
+        (["A6", "--S", "(2 4 3 5 6)", "--T", "(1 2)(3 4 5 6)",
+          "--tau", "(3 5)(4 6)"], True, False),
+        (["A6", "--S", "(3 5)(4 6),(2 3)(5 6)", "--T", "(1 2)(3 4 5 6)",
+          "--tau", "(3 5)(4 6)", "--crosscheck"], False, False),
+        (["C4", "--T", "(1 2 3 4)", "--tau", "(1 3)(2 4)", "--crosscheck"],
+         False, False),
+    ], ids=["valid-crosscheck", "valid", "invalid-crosscheck",
+            "c4-crosscheck"])
+    def test_validate_crosschecks_a_valid_triple_on_request(
+            self, capsys, argv, valid, crosschecked):
+        rc, rep = run_json(capsys, ["triple", "validate", *argv])
+        assert rc == EXIT_OK
+        r = rep["results"]
+        assert r["valid"] is valid
+        assert ("crosscheck" in r) is crosschecked
+        if crosschecked:
+            assert r["index_S_tau"] == 36
+            assert r["crosscheck"]["ok"] is True
+
     def test_validate_c4_degenerate(self, capsys):
         rc, rep = run_json(capsys, [
             "triple", "validate", "C4",
@@ -412,6 +436,12 @@ class TestReproduceCommand:
 
     def test_unknown_criterion_exit_2(self):
         assert main(["reproduce", "--only", "criterion_99"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("only", ["", "4,"])
+    def test_empty_criterion_is_usage_error(self, capsys, only):
+        # an empty --only names no criterion; it does not mean "all"
+        assert main(["reproduce", "--only", only]) == EXIT_USAGE
+        assert "unknown criterion ''" in capsys.readouterr().err
 
     @pytest.mark.parametrize("only", ["10", "criterion_10", "4,10"])
     def test_only_criterion_10_is_usage_error(self, capsys, only):
