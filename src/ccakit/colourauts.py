@@ -71,8 +71,9 @@ group automorphism exactly when it passes.
 There is one decision path.  is_cca_graph decides a single graph by
 streaming the strong generators and stopping at the first that fails; its
 verdict finishes the same stream only when stab1 or an order is read.  The
-exhaustive group verdict applies is_cca_graph to the connected class
-graphs in ConnectedClassGraphs' order and reads only the decision; a
+exhaustive group verdict is one function, is_cca_group_exhaustive: it
+walks the class subsets by size, applies is_cca_graph to the connected
+ones and reads only the decision, and returns at the first that fails.  A
 superset of a connected CCA set is CCA, so it is counted but neither built
 nor decided.
 """
@@ -589,92 +590,55 @@ class GroupCCAVerdict:
         return d
 
 
-class ConnectedClassGraphs:
-    """The connected coloured Cayley graphs of G, one per connection set.
-
-    A connection set is a union of colour classes {s, s^-1}.  Classes are
-    ordered by representative index; sets are examined by (class count,
-    lexicographic class indices), and only the connected ones are yielded.
-    sets_checked and connected_checked count the sets examined and the
-    connected ones; examining stops after `budget` sets, and over_budget
-    then tells that sets were left unexamined.  The rows are those of the
-    group's multiplication table, so G must have order at most
-    MULT_TABLE_LIMIT.
-
-    mark_cca() marks the graph last yielded as CCA.  A set that holds a
-    marked set is then counted as examined and connected, but not yielded.
-    Sets go by size, so a set holds a marked set exactly when removing one
-    of its classes leaves a set that is marked or holds one; only those of
-    the size just below are kept.  A caller that never marks sees every
-    connected graph.
-    """
-
-    def __init__(self, group: FiniteGroup, budget: int | None = None):
-        self.group = group
-        self.budget = budget
-        self.sets_checked = 0
-        self.connected_checked = 0
-        self.over_budget = False
-        self._marked: set[int] = set()
-        self._last = 0
-
-    def mark_cca(self) -> None:
-        """Skip every superset of the set last yielded from now on."""
-        self._marked.add(self._last)
-
-    def __iter__(self):
-        group = self.group
-        index = group.element_index()
-        mt = group.mult_table()
-        class_rows = [[mt[index[s]] for s in cls]
-                      for cls in ConnectionSet.from_elements(
-                          group, group.elements()[1:]).colour_classes()]
-        bits = [1 << c for c in range(len(class_rows))]
-        for size in range(1, len(class_rows) + 1):
-            below, self._marked = self._marked, set()
-            for combo in itertools.combinations(bits, size):
-                if (self.budget is not None
-                        and self.sets_checked >= self.budget):
-                    self.over_budget = True
-                    return
-                self.sets_checked += 1
-                self._last = sum(combo)
-                if below and any(self._last - b in below for b in combo):
-                    self.connected_checked += 1
-                    self._marked.add(self._last)
-                    continue
-                graph = ColouredCayleyGraph(
-                    group, [class_rows[b.bit_length() - 1] for b in combo])
-                if graph.is_connected():
-                    self.connected_checked += 1
-                    yield graph
-
-
 def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET
                             ) -> GroupCCAVerdict:
     """Check every inverse-closed identity-free connection set of G.
 
-    The sets are those of ConnectedClassGraphs, in its order.  A
-    colour-preserving automorphism of Cay(G, S u T) keeps the S-coloured
+    A connection set is a union of colour classes {s, s^-1}.  Classes are
+    ordered by representative index, and the sets are examined by (class
+    count, lexicographic class indices); sets_checked and
+    connected_checked count the sets examined and the connected ones.
+    The rows are those of the group's multiplication table, so G must have
+    order at most MULT_TABLE_LIMIT.
+
+    A colour-preserving automorphism of Cay(G, S u T) keeps the S-coloured
     edges, so for connected S, stab1(S u T) lies in stab1(S): every
-    superset of a connected CCA set is connected and CCA.  Each CCA graph
-    is therefore marked, and its supersets are counted without being built
-    or decided.  The first connected non-CCA set is still decided, so it
-    is the witness; its elements are listed class by class.  Exceeding the
+    superset of a connected CCA set is connected and CCA.  The sweep
+    returns at its first non-CCA graph, so every connected set before it
+    is CCA, and a set holding one is counted as examined and connected
+    without being built or decided.  Sets go by size, so a set holds a
+    connected set exactly when removing one of its classes leaves a
+    connected set; only the connected sets of the size just below are
+    kept.  The first connected non-CCA set is still decided, so it is the
+    witness; its elements are listed class by class.  Exceeding the
     budget yields the three-valued 'unknown'.
     """
-    graphs = ConnectedClassGraphs(group, budget)
-    for graph in graphs:
-        verdict = is_cca_graph(graph)
-        if verdict.is_cca:
-            graphs.mark_cca()
-        else:
-            return GroupCCAVerdict(
-                status="non-cca", sets_checked=graphs.sets_checked,
-                connected_checked=graphs.connected_checked,
-                witness_set=tuple(s for cls in graph.colours for s in cls),
-                witness_alpha=verdict.witness)
-    return GroupCCAVerdict(
-        status="unknown" if graphs.over_budget else "cca",
-        sets_checked=graphs.sets_checked,
-        connected_checked=graphs.connected_checked)
+    index = group.element_index()
+    mt = group.mult_table()
+    class_rows = [[mt[index[s]] for s in cls]
+                  for cls in ConnectionSet.from_elements(
+                      group, group.elements()[1:]).colour_classes()]
+    bits = [1 << c for c in range(len(class_rows))]
+    sets = connected = 0
+    current: set[int] = set()
+    for size in range(1, len(bits) + 1):
+        below, current = current, set()
+        for combo in itertools.combinations(bits, size):
+            if sets >= budget:
+                return GroupCCAVerdict("unknown", sets, connected)
+            sets += 1
+            mask = sum(combo)
+            if not (below and any(mask - b in below for b in combo)):
+                graph = ColouredCayleyGraph(
+                    group, [class_rows[b.bit_length() - 1] for b in combo])
+                if not graph.is_connected():
+                    continue
+                verdict = is_cca_graph(graph)
+                if not verdict.is_cca:
+                    return GroupCCAVerdict(
+                        "non-cca", sets, connected + 1,
+                        tuple(s for cls in graph.colours for s in cls),
+                        verdict.witness)
+            connected += 1
+            current.add(mask)
+    return GroupCCAVerdict("cca", sets, connected)

@@ -5,12 +5,14 @@ enough detail to audit the verdict.  The flag is the conjunction of the
 verdicts in the rows the criterion reports, so a criterion states each
 verdict once; criterion 3 reports a sample of its entries, and the sample
 keeps every failing one.  run_suite assembles the criteria into a report
-whose "results" subtree is byte-identical across runs with the same seed.  Criterion 1 sweeps at colourauts.DEFAULT_BUDGET, far above the 127
+whose "results" subtree is byte-identical across runs with the same seed.
+Criterion 1 sweeps at colourauts.DEFAULT_BUDGET, far above the 127
 connection sets it examines, so the suite takes no budget.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -20,7 +22,6 @@ from . import higman as hi
 from . import triples as tr
 from .cayley import ConnectionSet, build
 from .colourauts import (
-    ConnectedClassGraphs,
     enumerate_stab1,
     is_cca_graph,
     is_cca_group_exhaustive,
@@ -257,8 +258,16 @@ def criterion_8(graph_registry: list) -> dict:
     rows = []
     total = 0
     for expr, G in gz.zoo_corpus(8):
+        classes = ConnectionSet.from_elements(
+            G, G.elements()[1:]).colour_classes()
         agree = []
-        for graph in ConnectedClassGraphs(G):
+        for combo in itertools.chain.from_iterable(
+                itertools.combinations(classes, size)
+                for size in range(1, len(classes) + 1)):
+            graph = build(G, ConnectionSet.from_elements(
+                G, [s for cls in combo for s in cls]))
+            if not graph.is_connected():
+                continue
             slow = stab1_oracle(graph)
             agree.append(enumerate_stab1(graph) == stab1(graph).elements
                          == slow)
@@ -351,11 +360,15 @@ def _criteria_1_to_9(seed: int) -> dict:
 
 
 def check_selection(only: list[str] | None) -> None:
-    """Raise ValueError unless `only` is a runnable subset of criteria.
+    """Raise ValueError unless `only` is None or a runnable, non-empty
+    subset of criteria.
 
-    Criterion 10 reruns criteria 1-9 in full, so it cannot be selected,
-    and criterion 9 alone would pass having checked no graph.
+    An empty list selects nothing, not everything.  Criterion 10 reruns
+    criteria 1-9 in full, so it cannot be selected, and criterion 9 alone
+    would pass having checked no graph.
     """
+    if only is not None and not only:
+        raise ValueError("no criterion selected")
     for name in only or ():
         if name not in CRITERIA:
             raise ValueError(f"unknown criterion {name!r}")

@@ -34,6 +34,12 @@ def test_run_suite_refuses_unrunnable_selection(only, message):
         rp.run_suite(only=only)
 
 
+def test_an_empty_selection_is_refused():
+    # an empty list selects nothing; run_suite must not read it as "all"
+    with pytest.raises(ValueError, match="no criterion selected"):
+        rp.check_selection([])
+
+
 def _tiny_zoo(monkeypatch):
     real = gz.zoo_corpus
     monkeypatch.setattr(gz, "zoo_corpus", lambda max_order: real(6))

@@ -117,6 +117,14 @@ class TestCcaCommand:
         rc, rep = run_json(capsys, ["cca", "C7", "--exhaustive"])
         assert rep["results"]["status"] == "cca"
 
+    def test_exhaustive_budget_zero_is_unknown(self, capsys):
+        rc, rep = run_json(capsys, ["cca", "S3", "--exhaustive",
+                                    "--budget", "0"])
+        assert rc == EXIT_OK
+        r = rep["results"]
+        assert (r["status"], r["sets_checked"], r["connected_checked"]) == (
+            "unknown", 0, 0)
+
     def test_single_graph(self, capsys):
         rc, rep = run_json(capsys, ["cca", "C4", "--set", "(1 2 3 4)"])
         assert rc == EXIT_OK

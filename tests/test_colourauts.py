@@ -10,10 +10,9 @@ import pytest
 from ccakit import colourauts
 from ccakit import groupzoo as gz
 from ccakit import triples as tr
-from ccakit.cayley import ConnectionSet, build
+from ccakit.cayley import ColouredCayleyGraph, ConnectionSet, build
 from ccakit.colourauts import (
     CCAVerdict,
-    ConnectedClassGraphs,
     GroupCCAVerdict,
     _automorphism_violation,
     aut_pm1,
@@ -30,7 +29,9 @@ from ccakit.higman import HigmanGroup, quaternion_params, sample_params, \
     theorem3_triple
 
 
-def connected_class_graphs(G):
+def colour_classes(G):
+    """The classes {x, x^-1} of G's non-identity elements, in element
+    order, the lower-indexed member first."""
     e = G.identity()
     classes = []
     done = set()
@@ -41,12 +42,28 @@ def connected_class_graphs(G):
         done.add(x)
         done.add(xi)
         classes.append((x,) if xi == x else (x, xi))
+    return classes
+
+
+def counted_class_graphs(G):
+    """(sets examined, connected sets, graph) up to each connected class
+    graph of G, by (class count, lex) order of the class subsets.  Each
+    class's rows come from G.left_row, once per group."""
+    classes = colour_classes(G)
+    rows = [[G.left_row(s) for s in cls] for cls in classes]
+    sets = connected = 0
     for size in range(1, len(classes) + 1):
-        for combo in itertools.combinations(classes, size):
-            S = [s for cls in combo for s in cls]
-            graph = build(G, ConnectionSet.from_elements(G, S))
+        for combo in itertools.combinations(range(len(classes)), size):
+            sets += 1
+            graph = ColouredCayleyGraph(G, [rows[c] for c in combo])
             if graph.is_connected():
-                yield graph
+                connected += 1
+                yield sets, connected, graph
+
+
+def connected_class_graphs(G):
+    for _, _, graph in counted_class_graphs(G):
+        yield graph
 
 
 def automorphism_violation_by_multiply(graph, alpha):
@@ -193,8 +210,8 @@ def check_against_enumeration(graph, listed, label, unpruned=None):
 
 def unpruned_group_verdict(decided, total, budget):
     """The exhaustive verdict from deciding every connected class graph:
-    decided holds (sets_checked, connected_checked, graph, witness) per
-    graph of an unmarked ConnectedClassGraphs sweep of total sets."""
+    decided holds (sets examined, connected sets, graph, witness) per
+    graph of counted_class_graphs, out of total class subsets."""
     within = [d for d in decided if budget is None or d[0] <= budget]
     for sets, connected, graph, witness in within:
         if witness is not None:
@@ -332,7 +349,7 @@ class TestAutPm1:
 
     def test_matches_sign_choice_search_zoo(self):
         for expr, G in gz.zoo_corpus(12):
-            for graph in ConnectedClassGraphs(G):
+            for graph in connected_class_graphs(G):
                 want = aut_pm1_by_sign_choices(graph)
                 assert aut_pm1(graph) == want, expr
                 assert is_cca_graph(graph).aut_pm1_order == len(want), expr
@@ -357,19 +374,18 @@ class TestAutomorphismCheck:
 
     def test_zoo_class_graphs_up_to_order_16(self):
         for expr, G in gz.zoo_corpus(16):
-            graphs = ConnectedClassGraphs(G)     # never marked: every graph
             decided = []
-            for graph in graphs:
+            for sets, connected, graph in counted_class_graphs(G):
                 v = check_against_enumeration(graph, enumerate_stab1(graph),
                                               expr)
-                decided.append((graphs.sets_checked,
-                                graphs.connected_checked, graph, v.witness))
-            # the pruned sweep against the unpruned one, at every budget
+                decided.append((sets, connected, graph, v.witness))
+            # the pruned sweep against deciding every graph, at every budget
+            total = 2 ** len(colour_classes(G)) - 1
             for budget in (None, 1, 3, 10, 50, 300):
                 got = (is_cca_group_exhaustive(G) if budget is None
                        else is_cca_group_exhaustive(G, budget))
                 assert got == unpruned_group_verdict(
-                    decided, graphs.sets_checked, budget), (expr, budget)
+                    decided, total, budget), (expr, budget)
         for name in ("S5-pointwise", "A6", "S6"):
             _, unpruned = chronological_triple_graph(name)
             check_against_enumeration(*enumerated_triple_graph(name), name,
@@ -385,7 +401,7 @@ class TestAutomorphismCheck:
         check = colourauts._automorphism_violation
         for expr, G in gz.zoo_corpus(12):
             e = G.identity()
-            for graph in ConnectedClassGraphs(G):
+            for graph in connected_class_graphs(G):
                 candidates = []
                 monkeypatch.setattr(
                     colourauts, "_automorphism_violation",
@@ -429,46 +445,6 @@ class TestAutomorphismCheck:
         want = aut_pm1_by_sign_choices(graph)
         assert len(want) == aut_pm1_order
         assert aut_pm1(graph) == want
-
-
-class TestConnectedClassGraphs:
-    def test_matches_independent_enumeration(self):
-        for expr, G in gz.zoo_corpus(12):
-            graphs = ConnectedClassGraphs(G)
-            # S as reports print it, against the built connection set; a
-            # verdict with no generators renders it without a stab1 search
-            got = [(CCAVerdict(g, None, 0, itertools.chain())
-                    .to_json_dict(g)["S"], g.colours, g.left_rows)
-                   for g in graphs]
-            want = [([G.elem_str(s) for s in ConnectionSet.from_elements(
-                          G, [s for cls in g.colours for s in cls]).elements],
-                     g.colours, g.left_rows)
-                    for g in connected_class_graphs(G)]
-            assert got == want, expr
-            k = len(ConnectionSet.from_elements(
-                G, G.elements()[1:]).colour_classes())
-            assert graphs.sets_checked == 2 ** k - 1, expr
-            assert graphs.connected_checked == len(want), expr
-            assert not graphs.over_budget
-            # marking every graph leaves the minimal connected sets, and
-            # the counters as they were
-            sets = [frozenset(colours) for _, colours, _ in want]
-            marked = ConnectedClassGraphs(G)
-            got = []
-            for g in marked:
-                got.append(frozenset(g.colours))
-                marked.mark_cca()
-            assert got == [x for x in sets
-                           if not any(x - {c} in sets for c in x)], expr
-            assert marked.sets_checked == graphs.sets_checked, expr
-            assert marked.connected_checked == len(want), expr
-
-    def test_budget_stops_examining(self):
-        G = gz.symmetric_group(4)
-        graphs = ConnectedClassGraphs(G, budget=40)
-        assert len(list(graphs)) == graphs.connected_checked
-        assert graphs.sets_checked == 40
-        assert graphs.over_budget
 
 
 class TestIsCcaGraph:
@@ -594,6 +570,49 @@ class TestExhaustiveGroupVerdicts:
         v = is_cca_group_exhaustive(G, budget=5)
         assert v.status == "unknown"
         assert v.sets_checked == 5
+
+    @pytest.mark.parametrize("expr,budget,status", [
+        ("S3", 0, "unknown"), ("S3", 14, "unknown"), ("S3", 15, "cca"),
+        ("A4", 40, "unknown"), ("S4", 30, "unknown"),
+    ], ids=["S3-0", "S3-14", "S3-15", "A4-40", "S4-30"])
+    def test_budget_stops_examining(self, expr, budget, status):
+        # S3 has 15 class subsets, so a budget of 15 still answers; S4's
+        # witness is its 35th set
+        G = gz.construct(expr)
+        v = is_cca_group_exhaustive(G, budget)
+        connected = sum(1 for _ in itertools.takewhile(
+            lambda counted: counted[0] <= budget, counted_class_graphs(G)))
+        assert (v.status, v.sets_checked, v.connected_checked) == (
+            status, budget, connected)
+
+    def test_decides_exactly_the_minimal_connected_sets(self, monkeypatch):
+        # a CCA group's sweep decides the connected sets with no connected
+        # subset, in order, on the helper's rows, and still counts every
+        # set it skips
+        decided = []
+
+        def recording_is_cca_graph(graph):
+            decided.append((graph.colours, graph.left_rows))
+            return is_cca_graph(graph)
+
+        monkeypatch.setattr(colourauts, "is_cca_graph",
+                            recording_is_cca_graph)
+        checked = 0
+        for expr, G in gz.zoo_corpus(12):
+            decided.clear()
+            v = is_cca_group_exhaustive(G)
+            if v.status != "cca":
+                continue
+            graphs = list(connected_class_graphs(G))
+            sets = {frozenset(g.colours) for g in graphs}
+            assert decided == [
+                (g.colours, g.left_rows) for g in graphs
+                if not any(frozenset(g.colours) - {c} in sets
+                           for c in g.colours)], expr
+            assert v.sets_checked == 2 ** len(colour_classes(G)) - 1, expr
+            assert v.connected_checked == len(graphs), expr
+            checked += 1
+        assert checked == 22
 
     def test_witness_graph_is_connected_non_cca(self):
         G = gz.symmetric_group(4)
