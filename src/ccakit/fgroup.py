@@ -21,6 +21,15 @@ element.  A permutation group with a short base keys its elements by their
 images of the base, and every permutation group's scans read only base
 points (permcore).
 
+A group may bound its order: ``_listing_bound`` is the largest order it
+can have where that is known without listing it, and ``closure`` returns
+as soon as it has listed that many elements, with the same list.  A
+permutation group's bound is its chain's order or a bounding ancestor's
+(permcore); a generated subgroup's is its parent's order, when the parent
+is listed or knows its order (a Higman group) and holds every generator.
+A span that is the whole parent, such as most S_G(tau) spans, so stops
+after a few elements instead of applying every generator to every element.
+
 Index arithmetic goes through one method: ``left_row(s)`` looks up
 ``left_map(s)`` of every element v in the element index (Higman groups,
 listed in natural order, compute it by e-block instead), and
@@ -30,6 +39,8 @@ first occurrences in order.
 
 A listed group keeps one index, ``element_index`` (element -> position);
 ``element_set`` is a view of that index's keys, not a second copy.
+``inverse_row`` is cached beside it: the index of each element's inverse,
+which `triples.s_tau` reads with left rows to work on indices alone.
 """
 
 from __future__ import annotations
@@ -51,7 +62,8 @@ class LimitExceeded(Exception):
 
 def closure(identity: Any, maps: list[Callable[[Any], Any]],
             limit: int, key: Callable[[Any], Any] | None = None,
-            key_maps: list[Callable[[Any], Any]] | None = None) -> list:
+            key_maps: list[Callable[[Any], Any]] | None = None,
+            bound: int | None = None) -> list:
     """Breadth-first closure of ``identity`` under left-multiplication maps.
 
     Each map sends x to g*x for one generator g.  Returns every product
@@ -63,9 +75,16 @@ def closure(identity: Any, maps: list[Callable[[Any], Any]],
     tests keys for membership and forms a product only for a new element,
     so it lists the same elements in the same order.  The keys are local
     to the call.
+
+    ``bound``, if given, is an upper bound on the order of the group the
+    maps generate, such as the order of a group that holds it.  The loop
+    returns as soon as it has listed that many elements: no later step can
+    find a new one, so the list and its order are those of the full loop.
     """
     if key is None:
         key_maps = maps                     # each element is its own key
+    # one test per new element: stop at the bound, or raise past the limit
+    full = bound if bound is not None and bound <= limit else limit + 1
     elems = [identity]
     seen = {identity if key is None else key(identity)}
     steps = list(zip(maps, key_maps))
@@ -75,9 +94,11 @@ def closure(identity: Any, maps: list[Callable[[Any], Any]],
             if y not in seen:
                 seen.add(y)
                 elems.append(y if f is k else f(x))
-                if len(elems) > limit:
-                    raise LimitExceeded(
-                        f"closure exceeded enumeration limit {limit}")
+                if len(elems) == full:
+                    if full > limit:
+                        raise LimitExceeded(
+                            f"closure exceeded enumeration limit {limit}")
+                    return elems
     return elems
 
 
@@ -122,7 +143,8 @@ class FiniteGroup(abc.ABC):
             gens = self.generators()
             cached = closure(self.identity(),
                              [self.left_map(g) for g in gens],
-                             self.enum_limit, **self._listing_keys(gens))
+                             self.enum_limit, bound=self._listing_bound(),
+                             **self._listing_keys(gens))
             self._elements = cached
         return cached
 
@@ -130,6 +152,16 @@ class FiniteGroup(abc.ABC):
         """``closure``'s key arguments for listing over gens: none here, so
         the listing compares whole elements."""
         return {}
+
+    def _listing_bound(self) -> int | None:
+        """An upper bound on the order, known without listing the group,
+        or None.  ``elements`` hands it to ``closure``, which stops there."""
+        return None
+
+    def _known_order(self) -> int | None:
+        """The order if it is known without listing: here, once listed."""
+        listed = getattr(self, "_elements", None)
+        return None if listed is None else len(listed)
 
     def _check_enum_limit(self, order: int) -> None:
         """Refuse, before listing, a group whose known order is too big."""
@@ -179,6 +211,16 @@ class FiniteGroup(abc.ABC):
         """Row of s in the multiplication table: index of s*v per element v."""
         index = self.element_index()          # iterates in element order
         return list(map(index.__getitem__, map(self.left_map(s), index)))
+
+    def inverse_row(self) -> list[int]:
+        """Index of v^-1 per element v.  Cached, so `invert` is called once
+        per element, however many rows read it."""
+        cached = getattr(self, "_inverse_row", None)
+        if cached is None:
+            index = self.element_index()
+            cached = [index[self.invert(v)] for v in index]
+            self._inverse_row = cached
+        return cached
 
     # -- derived element arithmetic -----------------------------------------
 
@@ -258,6 +300,14 @@ class GeneratedSubgroup(FiniteGroup):
 
     def generators(self) -> list:
         return list(self._gens)
+
+    def _listing_bound(self) -> int | None:
+        """The parent's order, if it is known and the parent holds every
+        generator."""
+        order = self.parent._known_order()
+        if order is not None and all(map(self.parent.contains, self._gens)):
+            return order
+        return None
 
     def elem_str(self, x) -> str:
         return self.parent.elem_str(x)

@@ -303,6 +303,9 @@ class HigmanGroup(FiniteGroup):
     def order(self) -> int:
         return 1 << self.params.n
 
+    def _known_order(self) -> int:
+        return self.order()
+
     def contains(self, x) -> bool:
         # a plain (e, f) pair only: a degree-2 Permutation is a tuple too
         if not (type(x) is tuple and len(x) == 2):

@@ -47,7 +47,9 @@ passes only to generators that lie in the parent, checked by a sift
 through the parent's chain or a lookup in its element index; other
 generators may span a larger group, which checks its own order.  The
 parent's base passes down with its order, since a base of a group is a
-base of each of its subgroups.
+base of each of its subgroups.  The order, or the parent's bound, is also
+``closure``'s listing bound: the listing stops once it has that many
+elements.
 
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
@@ -392,6 +394,12 @@ class PermutationGroup(FiniteGroup):
         """Whether a parent's order bounds this group's within the limit."""
         bound = self._order_bound
         return bound is not None and bound <= self.enum_limit
+
+    def _listing_bound(self) -> int | None:
+        """The chain's order, or else the bounding ancestor's order."""
+        if self._chain is None:
+            return self._order_bound
+        return self._chain.order()
 
     def _base(self) -> list[int]:
         """A base: the chain's, or else the bounding ancestor's, since a base

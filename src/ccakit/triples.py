@@ -13,11 +13,23 @@ A valid triple certifies that Cay(G, S u T) is connected and non-CCA;
 any disagreement as a fatal correctness bug.
 
 S_G(tau) is the set of non-identity elements centralised or inverted by
-conjugation by tau; the filter form {x : x^tau in {x, x^-1}} is
-well-defined even when tau lies outside the carrier subgroup, and when tau
-lies inside, it provably equals the definitional form
-(C_G(tau) u {y*tau : y^2 = 1}) - {1}; `s_tau` computes both and insists
-they agree.
+conjugation by tau.  When tau lies in the carrier, `s_tau` works on
+element indices only: one row per tau, lt[i] = index(tau * x_i)
+(`left_row`), and the carrier's cached inverse table,
+inv[i] = index(x_i^-1) (`inverse_row`).  Since tau is an involution,
+(tau * x^-1)^-1 = x * tau, so the right row is rt[i] = inv[lt[inv[i]]]
+and conjugation by tau is i -> rt[lt[i]].  Two forms are computed from
+these rows and must agree, or `s_tau` raises AssertionError (index 0 is
+the identity):
+
+    filter form          {i : rt[lt[i]] in {i, inv[i]}} - {0},
+    definitional form    ({i : lt[i] == rt[i]} u {rt[i] : inv[i] == i}) - {0},
+
+the second being (C_G(tau) u {y*tau : y^2 = 1}) - {1}.  A tau outside the
+carrier has no index, so there `s_tau` keeps the filter form
+{x : x^tau in {x, x^-1}} over element products, which needs only that
+tau be an involution.  The product form of both, as it stood before the
+row form, is kept in the tests as the reference (tests/oracle_s_tau.py).
 """
 
 from __future__ import annotations
@@ -59,26 +71,33 @@ def _fixed_or_inverted(G: FiniteGroup, x, tau) -> bool:
 
 
 def s_tau(carrier: FiniteGroup, tau) -> STauSet:
-    """Compute S(tau) over the carrier by the conjugation filter.
+    """S(tau) over the carrier, in the carrier's element order.
 
-    tau must be an involution; it may lie outside the carrier (conjugation
-    is plain element arithmetic).  When tau lies inside, the definitional
-    form is computed as well and checked against the filter form.
+    tau must be an involution.  When it lies in the carrier, both forms are
+    read off tau's left row and the inverse table (see the module
+    docstring) and must agree; when it lies outside, the conjugation filter
+    runs over element products.
     """
     G = carrier
     _require_involution(G, tau)
-    e = G.identity()
     elems = G.elements()
-    filt = [x for x in elems if x != e and _fixed_or_inverted(G, x, tau)]
-    if tau in G.element_set():
-        cent = {x for x in elems if G.commutes(x, tau)}
-        ytau = {G.multiply(y, tau) for y in elems if G.multiply(y, y) == e}
-        definitional = (cent | ytau) - {e}
-        if definitional != set(filt):
-            raise AssertionError(
-                "S_G(tau): definitional and filter forms disagree "
-                "(correctness bug)")
-    return STauSet(carrier=carrier, elements=filt)
+    if tau not in G.element_set():
+        e = G.identity()
+        return STauSet(carrier=carrier, elements=[
+            x for x in elems if x != e and _fixed_or_inverted(G, x, tau)])
+    inv = G.inverse_row()
+    lt = G.left_row(tau)                    # tau * x_i
+    rt = [inv[lt[j]] for j in inv]          # x_i * tau
+    # index 0 is the identity; rt[lt[i]] is tau * x_i * tau
+    filt = [i for i, j in enumerate(lt) if i and rt[j] in (i, inv[i])]
+    definitional = {i for i, j in enumerate(lt) if j == rt[i]}
+    definitional |= {rt[i] for i, j in enumerate(inv) if i == j}
+    definitional.discard(0)
+    if definitional != set(filt):
+        raise AssertionError(
+            "S_G(tau): definitional and filter forms disagree "
+            "(correctness bug)")
+    return STauSet(carrier=carrier, elements=[elems[i] for i in filt])
 
 
 @dataclass

@@ -1,6 +1,10 @@
 import pytest
 
+import oracle_s_tau
+from ccakit import fgroup
 from ccakit import groupzoo as gz
+from ccakit.cli import EXIT_INTERNAL, main
+from ccakit.fgroup import FiniteGroup
 from ccakit.higman import HigmanGroup, quaternion_params, sample_params, theorem3_triple
 from ccakit.permcore import Permutation, parse_cycles
 from ccakit.triples import (
@@ -34,14 +38,14 @@ class TestSTau:
 
     def test_tau_outside_carrier(self):
         A6 = gz.alternating_group(6)
-        H = A6.point_stabilizer(1)      # does not contain tau's support? no:
         tau = parse_cycles("(3 5)(4 6)", 6)
-        # tau fixes points 1 and 2 (1-based), so it lies outside the
-        # stabilizer of point 2 only if it moves point 2; it does not,
-        # so pick a subgroup genuinely missing tau instead
         K = A6.generated_subgroup([parse_cycles("(1 2 3)", 6)])
+        assert not K.contains(tau)
         st = s_tau(K, tau)
-        assert all(x in K.element_set() for x in st.elements)
+        expected = [x for x in K.elements()
+                    if x != K.identity()
+                    and K.conjugate(x, tau) in (x, K.invert(x))]
+        assert st.elements == expected
 
     def test_rejects_non_involution(self):
         G = gz.symmetric_group(3)
@@ -61,6 +65,158 @@ class TestSTau:
             for tau in invs:
                 span = s_tau(G, tau).span().element_set()
                 assert all(y in span for y in invs), expr
+
+
+def _s5_setwise():
+    return gz.setwise_stabilizer(gz.symmetric_group(5), [3, 4])
+
+
+def _corrupt(inv: list) -> None:
+    """Make the first element that is not its own inverse its own
+    inverse, in place."""
+    i = next(i for i, j in enumerate(inv) if i != j)
+    inv[i] = i
+
+
+class TestRowFormAgainstOracle:
+    """The row form lists what the product form lists, in its order."""
+
+    @staticmethod
+    def agrees(H, tau):
+        return s_tau(H, tau).elements == oracle_s_tau.s_tau(H, tau)
+
+    def test_zoo_and_psl2_7(self):
+        groups = gz.zoo_corpus(48) + [("PSL2(7)", gz.construct("PSL2(7)"))]
+        for expr, G in groups:
+            for tau in G.involutions():
+                assert self.agrees(G, tau), (expr, G.elem_str(tau))
+
+    def test_criterion_2_subgroups(self):
+        A6 = gz.alternating_group(6)
+        S5 = gz.symmetric_group(5)
+        carriers = [(A6.point_stabilizer(0), parse_cycles("(3 5)(4 6)", 6)),
+                    (gz.pointwise_stabilizer(S5, [3, 4]),
+                     parse_cycles("(1 2)(4 5)", 5)),
+                    (gz.setwise_stabilizer(S5, [3, 4]),
+                     parse_cycles("(1 2)(4 5)", 5))]
+        for H, tau in carriers:
+            for t in [tau, *H.involutions()]:
+                assert self.agrees(H, t), H.elem_str(t)
+
+    def test_psl2_17_normalizers_with_tau_outside(self):
+        # the carriers of criterion 5's searches; they are self-normalizing,
+        # so the search's outside candidates are empty and every involution
+        # of G outside the carrier is checked instead: 153 less the 9 of
+        # each dihedral normalizer
+        G = gz.psl2(17)
+        for m in (9, 8):
+            H = gz.normalizer_bruteforce(
+                G, gz.cyclic_subgroups_of_order(G, m)[0])
+            outside = [x for x in G.involutions() if not H.contains(x)]
+            assert len(outside) == 144, m
+            for tau in outside:
+                assert self.agrees(H, tau), (m, G.elem_str(tau))
+
+
+class TestDisagreement:
+    def test_corrupt_inverse_table_raises(self, monkeypatch):
+        H = _s5_setwise()
+        tau = parse_cycles("(1 2)(4 5)", 5)
+        s_tau(H, tau)                   # fills the cache
+        bad = list(H.inverse_row())
+        _corrupt(bad)
+        monkeypatch.setattr(H, "_inverse_row", bad)
+        with pytest.raises(AssertionError, match="forms disagree"):
+            s_tau(H, tau)
+
+    def test_cli_exits_4(self, capsys, monkeypatch):
+        inverse_row = FiniteGroup.inverse_row
+
+        def corrupted(self):
+            inv = inverse_row(self)     # the cached table itself
+            _corrupt(inv)
+            return inv
+
+        monkeypatch.setattr(FiniteGroup, "inverse_row", corrupted)
+        rc = main(["triple", "search", "S5", "--subgroup", "setwise:4,5"])
+        assert rc == EXIT_INTERNAL
+        assert capsys.readouterr().err == (
+            "internal error: S_G(tau): definitional and filter forms "
+            "disagree (correctness bug)\n")
+
+
+class TestRowFormWork:
+    """Deterministic work counts of the row form, for tau in the carrier."""
+
+    @pytest.mark.parametrize("expr", ["S4", "D8", "C2 x D4",
+                                      "higman:n=5,seed=1"])
+    def test_one_row_per_tau_and_one_inverse_per_element(self, expr,
+                                                         monkeypatch):
+        G = gz.construct(expr)
+        invs = G.involutions()
+        calls = {"left_row": 0, "multiply": 0, "invert": 0}
+        for name in calls:
+            method = getattr(G, name)
+
+            def counting(*args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(*args)
+            monkeypatch.setattr(G, name, counting)
+        for tau in invs:
+            before = dict(calls)
+            s_tau(G, tau)
+            assert calls["left_row"] - before["left_row"] == 1
+            assert calls["multiply"] - before["multiply"] == 1
+        assert calls["invert"] <= G.order()
+
+
+class TestSpanListing:
+    """A listing that stops at its order bound lists what the full
+    closure lists, in the same order."""
+
+    @staticmethod
+    def unbounded(H):
+        gens = H.generators()
+        return fgroup.closure(H.identity(), [H.left_map(g) for g in gens],
+                              H.enum_limit, **H._listing_keys(gens))
+
+    def test_zoo_spans(self):
+        for expr, G in gz.zoo_corpus(48):
+            for tau in G.involutions():
+                span = s_tau(G, tau).span()
+                assert span._listing_bound() == G.order(), expr
+                assert span.elements() == self.unbounded(span), expr
+
+    def test_proper_subgroup(self):
+        H = _s5_setwise()
+        assert H._listing_bound() == 120
+        assert H.elements() == self.unbounded(H)
+        assert len(H.elements()) == 12
+
+    def test_d16_central_span_stops_early(self, monkeypatch):
+        G = gz.construct("D16")
+        tau = next(x for x in G.involutions() if G.is_central(x))
+        span = s_tau(G, tau).span()
+        ngens = len(span.generators())
+        calls = 0
+
+        def counted(f):
+            def call(x):
+                nonlocal calls
+                calls += 1
+                return f(x)
+            return call
+
+        closure = fgroup.closure
+
+        def counting(identity, maps, limit, key=None, key_maps=None,
+                     bound=None):
+            return closure(identity, list(map(counted, maps)), limit, key,
+                           key_maps and list(map(counted, key_maps)), bound)
+
+        monkeypatch.setattr(fgroup, "closure", counting)
+        assert len(span.elements()) == 32
+        assert calls < 32 * ngens // 4, (calls, ngens)
 
 
 class TestValidateTriple:
