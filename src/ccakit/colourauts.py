@@ -71,11 +71,14 @@ group automorphism exactly when it passes.
 There is one decision path.  is_cca_graph decides a single graph by
 streaming the strong generators and stopping at the first that fails; its
 verdict finishes the same stream only when stab1 or an order is read.  The
-exhaustive group verdict is one function, is_cca_group_exhaustive: it
-walks the class subsets by size, applies is_cca_graph to the connected
-ones and reads only the decision, and returns at the first that fails.  A
-superset of a connected CCA set is CCA, so it is counted but neither built
-nor decided.
+exhaustive group verdict is one function, is_cca_group_exhaustive.  A
+superset of a connected CCA set is CCA, so a group is CCA exactly when
+its minimal generating class sets are.  The sweep forms, size by size,
+only the lex-irredundant class sets, in which each class lies outside the
+subgroup its lex-smaller classes generate, and grows only those that do
+not generate; it applies is_cca_graph to the minimal ones, reads only the
+decision, and returns at the first that fails.  It never walks the 2^k
+class subsets: A5 has 2^37, of which it forms 2,663.
 """
 
 from __future__ import annotations
@@ -568,7 +571,12 @@ def is_cca_graph(graph: ColouredCayleyGraph) -> CCAVerdict:
 
 @dataclass
 class GroupCCAVerdict:
-    """Group-level exhaustive verdict over all connection sets."""
+    """Group-level exhaustive verdict over all connection sets.
+
+    sets_checked counts the lex-irredundant class sets the sweep formed,
+    and connected_checked the connected ones among them; the minimal
+    ones were decided (see is_cca_group_exhaustive).
+    """
 
     status: str                        # 'cca' | 'non-cca' | 'unknown'
     sets_checked: int
@@ -592,53 +600,89 @@ class GroupCCAVerdict:
 
 def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET
                             ) -> GroupCCAVerdict:
-    """Check every inverse-closed identity-free connection set of G.
+    """Decide G by exhaustion: CCA exactly when every connected Cayley
+    graph of G is.
 
-    A connection set is a union of colour classes {s, s^-1}.  Classes are
-    ordered by representative index, and the sets are examined by (class
-    count, lexicographic class indices); sets_checked and
-    connected_checked count the sets examined and the connected ones.
-    The rows are those of the group's multiplication table, so G must have
-    order at most MULT_TABLE_LIMIT.
+    A connection set is a union of colour classes {s, s^-1}, ordered by
+    representative index.  A colour-preserving automorphism of
+    Cay(G, S u T) keeps the S-coloured edges, so for connected S,
+    stab1(S u T) lies in stab1(S): every superset of a connected CCA set
+    is CCA.  So G is CCA exactly when every minimal generating class set
+    is, and if S is not CCA neither is any connected subset of S: the
+    first non-CCA set in (class count, lex) order is minimal.
 
-    A colour-preserving automorphism of Cay(G, S u T) keeps the S-coloured
-    edges, so for connected S, stab1(S u T) lies in stab1(S): every
-    superset of a connected CCA set is connected and CCA.  The sweep
-    returns at its first non-CCA graph, so every connected set before it
-    is CCA, and a set holding one is counted as examined and connected
-    without being built or decided.  Sets go by size, so a set holds a
-    connected set exactly when removing one of its classes leaves a
-    connected set; only the connected sets of the size just below are
-    kept.  The first connected non-CCA set is still decided, so it is the
-    witness; its elements are listed class by class.  Exceeding the
-    budget yields the three-valued 'unknown'.
+    The sweep forms only lex-irredundant class sets, in which each class
+    lies outside the subgroup its lex-smaller classes generate (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  It
+    keeps the non-generating ones of each size as a frontier, each with
+    its span, the vertices the BFS over its class rows reaches, as an
+    int bitmask, and grows every frontier set, in order, by each class
+    above its last whose first member is outside the span.  A
+    disconnected set joins the next size's frontier; a connected set is
+    decided unless it holds a minimal set decided before it (a class-mask
+    test), and the sweep returns at the first that is not CCA.
+    sets_checked counts the sets formed and connected_checked the
+    connected ones; exceeding the budget of sets formed yields the
+    three-valued 'unknown'.  The rows are those of the group's
+    multiplication table, so G must have order at most MULT_TABLE_LIMIT.
+
+    Proof that it decides exactly the minimal generating sets, in
+    (class count, lex) order:
+    - A minimal generating set is lex-irredundant, since a class inside
+      the span of the classes before it could be dropped, and its proper
+      prefixes do not generate.  Each prefix is therefore formed and,
+      disconnected, kept on the frontier, so every minimal set is formed.
+    - The frontier of each size is in lex order: its sets' parents were,
+      and each parent grows by ascending classes.  So sets are formed in
+      (class count, lex) order.
+    - A generating set is not minimal exactly when it holds a smaller
+      minimal set.  Every smaller minimal set was formed earlier, and
+      was decided, as CCA, since the sweep had not returned.  So a
+      connected set is decided exactly when it is minimal.  A minimal
+      set inside a formed set P + {c} holds c, since P does not
+      generate, so it ends at c: only the masks of the minimal sets
+      ending at c are tested.
+    The graph decided is the one whose BFS found it connected, so
+    is_cca_graph reads that BFS and does not run it again.  The witness
+    set's elements are listed class by class.
     """
     index = group.element_index()
     mt = group.mult_table()
     class_rows = [[mt[index[s]] for s in cls]
                   for cls in ConnectionSet.from_elements(
                       group, group.elements()[1:]).colour_classes()]
-    bits = [1 << c for c in range(len(class_rows))]
+    n = len(mt)
     sets = connected = 0
-    current: set[int] = set()
-    for size in range(1, len(bits) + 1):
-        below, current = current, set()
-        for combo in itertools.combinations(bits, size):
-            if sets >= budget:
-                return GroupCCAVerdict("unknown", sets, connected)
-            sets += 1
-            mask = sum(combo)
-            if not (below and any(mask - b in below for b in combo)):
+    # class masks of the minimal sets decided, by their last class
+    decided: list[list[int]] = [[] for _ in class_rows]
+    frontier = [((), 1)]            # (classes, span) of non-generating sets
+    while frontier:
+        grown = []
+        for classes, span in frontier:
+            for c in range(classes[-1] + 1 if classes else 0,
+                           len(class_rows)):
+                if span >> class_rows[c][0][0] & 1:
+                    continue        # c lies in the span: not irredundant
+                if sets >= budget:
+                    return GroupCCAVerdict("unknown", sets, connected)
+                sets += 1
+                combo = classes + (c,)
                 graph = ColouredCayleyGraph(
-                    group, [class_rows[b.bit_length() - 1] for b in combo])
-                if not graph.is_connected():
+                    group, [class_rows[d] for d in combo])
+                order, _ = graph.bfs_order()
+                if len(order) < n:
+                    grown.append((combo, sum(1 << v for v in order)))
+                    continue
+                connected += 1
+                mask = sum(1 << d for d in combo)
+                if any(m & mask == m for m in decided[c]):
                     continue
                 verdict = is_cca_graph(graph)
                 if not verdict.is_cca:
                     return GroupCCAVerdict(
-                        "non-cca", sets, connected + 1,
+                        "non-cca", sets, connected,
                         tuple(s for cls in graph.colours for s in cls),
                         verdict.witness)
-            connected += 1
-            current.add(mask)
+                decided[c].append(mask)
+        frontier = grown
     return GroupCCAVerdict("cca", sets, connected)

@@ -6,8 +6,9 @@ verdicts in the rows the criterion reports, so a criterion states each
 verdict once; criterion 3 reports a sample of its entries, and the sample
 keeps every failing one.  run_suite assembles the criteria into a report
 whose "results" subtree is byte-identical across runs with the same seed.
-Criterion 1 sweeps at colourauts.DEFAULT_BUDGET, far above the 127
-connection sets it examines, so the suite takes no budget.
+Criterion 1 sweeps at colourauts.DEFAULT_BUDGET, far above the 34
+lex-irredundant class sets it forms at most (S4; A4 forms 30), so the
+suite takes no budget.
 """
 
 from __future__ import annotations

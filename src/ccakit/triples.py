@@ -152,6 +152,17 @@ def validate_triple(G: FiniteGroup, S, T, tau) -> NonCCATriple:
                         index=index)
 
 
+def _tau_candidates(G: FiniteGroup, H: FiniteGroup):
+    """Yield H's involutions, then G's involutions outside H that normalise
+    H; G's are listed and tested only once H's are used up."""
+    yield from H.involutions()
+    hset = H.element_set()
+    normalizes_h = normalizes(G, H)
+    for x in G.involutions():
+        if x not in hset and normalizes_h(x):
+            yield x
+
+
 def search_triple_subgroup_strategy(G: FiniteGroup,
                                     H: FiniteGroup) -> NonCCATriple | None:
     """Search for a triple of the form (S_H(tau), {t}, tau).
@@ -161,14 +172,8 @@ def search_triple_subgroup_strategy(G: FiniteGroup,
     tau in G outside <S u {tau}>.  The first fully valid triple in this
     deterministic order wins.
     """
-    cands = list(H.involutions())
-    hset = H.element_set()
-    normalizes_h = normalizes(G, H)
-    cands += [x for x in G.involutions()
-              if x not in hset and normalizes_h(x)]
-
     order_g = G.order()
-    for tau in cands:
+    for tau in _tau_candidates(G, H):
         S = s_tau(H, tau).elements
         X = G.generated_subgroup(S + [tau])
         if X.order() == order_g:

@@ -3,9 +3,17 @@ import hashlib
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
+
+from oracle_irredundant import (
+    colour_classes,
+    elements_of,
+    irredundant_class_sets,
+    irredundant_counts,
+)
 
 from ccakit import colourauts
 from ccakit import groupzoo as gz
@@ -29,41 +37,17 @@ from ccakit.higman import HigmanGroup, quaternion_params, sample_params, \
     theorem3_triple
 
 
-def colour_classes(G):
-    """The classes {x, x^-1} of G's non-identity elements, in element
-    order, the lower-indexed member first."""
-    e = G.identity()
-    classes = []
-    done = set()
-    for x in G.elements():
-        if x == e or x in done:
-            continue
-        xi = G.invert(x)
-        done.add(x)
-        done.add(xi)
-        classes.append((x,) if xi == x else (x, xi))
-    return classes
-
-
-def counted_class_graphs(G):
-    """(sets examined, connected sets, graph) up to each connected class
-    graph of G, by (class count, lex) order of the class subsets.  Each
-    class's rows come from G.left_row, once per group."""
+def connected_class_graphs(G):
+    """Every connected class graph of G, by (class count, lex) order of
+    the class subsets.  Each class's rows come from G.left_row, once per
+    group."""
     classes = colour_classes(G)
     rows = [[G.left_row(s) for s in cls] for cls in classes]
-    sets = connected = 0
     for size in range(1, len(classes) + 1):
         for combo in itertools.combinations(range(len(classes)), size):
-            sets += 1
             graph = ColouredCayleyGraph(G, [rows[c] for c in combo])
             if graph.is_connected():
-                connected += 1
-                yield sets, connected, graph
-
-
-def connected_class_graphs(G):
-    for _, _, graph in counted_class_graphs(G):
-        yield graph
+                yield graph
 
 
 def automorphism_violation_by_multiply(graph, alpha):
@@ -208,19 +192,25 @@ def check_against_enumeration(graph, listed, label, unpruned=None):
     return v
 
 
-def unpruned_group_verdict(decided, total, budget):
-    """The exhaustive verdict from deciding every connected class graph:
-    decided holds (sets examined, connected sets, graph, witness) per
-    graph of counted_class_graphs, out of total class subsets."""
-    within = [d for d in decided if budget is None or d[0] <= budget]
-    for sets, connected, graph, witness in within:
-        if witness is not None:
-            return GroupCCAVerdict(
-                "non-cca", sets, connected,
-                tuple(s for cls in graph.colours for s in cls), witness)
-    if budget is not None and budget < total:
-        return GroupCCAVerdict("unknown", budget, len(within))
-    return GroupCCAVerdict("cca", total, len(within))
+def unpruned_group_verdict(decided, listed, budget):
+    """The exhaustive verdict from deciding every connected class graph,
+    with the sweep's counters read off the oracle listing: decided holds
+    (graph, witness) per graph of connected_class_graphs, and listed the
+    items of irredundant_class_sets."""
+    status, witness_set, witness = "cca", None, None
+    for graph, alpha in decided:
+        if alpha is not None:
+            status, witness_set, witness = \
+                "non-cca", elements_of(graph), alpha
+            # the sweep stops at the witness
+            listed = listed[:[elements_of(g) for _, _, g in listed].index(
+                witness_set) + 1]
+            break
+    if budget is not None and budget < len(listed):
+        return GroupCCAVerdict("unknown", budget,
+                               listed[budget - 1][1] if budget else 0)
+    sets, connected, _ = listed[-1] if listed else (0, 0, None)
+    return GroupCCAVerdict(status, sets, connected, witness_set, witness)
 
 
 def automorphisms_bruteforce(G):
@@ -375,17 +365,17 @@ class TestAutomorphismCheck:
     def test_zoo_class_graphs_up_to_order_16(self):
         for expr, G in gz.zoo_corpus(16):
             decided = []
-            for sets, connected, graph in counted_class_graphs(G):
+            for graph in connected_class_graphs(G):
                 v = check_against_enumeration(graph, enumerate_stab1(graph),
                                               expr)
-                decided.append((sets, connected, graph, v.witness))
-            # the pruned sweep against deciding every graph, at every budget
-            total = 2 ** len(colour_classes(G)) - 1
+                decided.append((graph, v.witness))
+            # the sweep against deciding every graph, at every budget
+            listed = list(irredundant_class_sets(G))
             for budget in (None, 1, 3, 10, 50, 300):
                 got = (is_cca_group_exhaustive(G) if budget is None
                        else is_cca_group_exhaustive(G, budget))
                 assert got == unpruned_group_verdict(
-                    decided, total, budget), (expr, budget)
+                    decided, listed, budget), (expr, budget)
         for name in ("S5-pointwise", "A6", "S6"):
             _, unpruned = chronological_triple_graph(name)
             check_against_enumeration(*enumerated_triple_graph(name), name,
@@ -572,23 +562,28 @@ class TestExhaustiveGroupVerdicts:
         assert v.sets_checked == 5
 
     @pytest.mark.parametrize("expr,budget,status", [
-        ("S3", 0, "unknown"), ("S3", 14, "unknown"), ("S3", 15, "cca"),
-        ("A4", 40, "unknown"), ("S4", 30, "unknown"),
-    ], ids=["S3-0", "S3-14", "S3-15", "A4-40", "S4-30"])
+        ("S3", 0, "unknown"), ("S3", 9, "unknown"), ("S3", 10, "cca"),
+        ("S3", 14, "cca"), ("S3", 15, "cca"),
+        ("A4", 29, "unknown"), ("A4", 40, "cca"),
+        ("S4", 30, "unknown"), ("S4", 33, "unknown"), ("S4", 34, "non-cca"),
+    ], ids=["S3-0", "S3-9", "S3-10", "S3-14", "S3-15", "A4-29", "A4-40",
+            "S4-30", "S4-33", "S4-34"])
     def test_budget_stops_examining(self, expr, budget, status):
-        # S3 has 15 class subsets, so a budget of 15 still answers; S4's
-        # witness is its 35th set
+        # S3 forms 10 lex-irredundant sets and A4 30, so budgets of 10 and
+        # 30 still answer; S4's witness is its 34th set
         G = gz.construct(expr)
         v = is_cca_group_exhaustive(G, budget)
-        connected = sum(1 for _ in itertools.takewhile(
-            lambda counted: counted[0] <= budget, counted_class_graphs(G)))
+        formed = list(itertools.islice(irredundant_class_sets(G), budget))
+        sets, connected = formed[-1][:2] if formed else (0, 0)
         assert (v.status, v.sets_checked, v.connected_checked) == (
-            status, budget, connected)
+            status, sets, connected)
+        if status == "unknown":
+            assert sets == budget
 
     def test_decides_exactly_the_minimal_connected_sets(self, monkeypatch):
         # a CCA group's sweep decides the connected sets with no connected
-        # subset, in order, on the helper's rows, and still counts every
-        # set it skips
+        # subset, in order, on the helper's rows, and counts every
+        # lex-irredundant set it forms
         decided = []
 
         def recording_is_cca_graph(graph):
@@ -609,8 +604,8 @@ class TestExhaustiveGroupVerdicts:
                 (g.colours, g.left_rows) for g in graphs
                 if not any(frozenset(g.colours) - {c} in sets
                            for c in g.colours)], expr
-            assert v.sets_checked == 2 ** len(colour_classes(G)) - 1, expr
-            assert v.connected_checked == len(graphs), expr
+            assert (v.sets_checked, v.connected_checked) == \
+                irredundant_counts(G), expr
             checked += 1
         assert checked == 22
 
@@ -623,24 +618,26 @@ class TestExhaustiveGroupVerdicts:
         assert not is_cca_graph(graph).is_cca
 
     @pytest.mark.parametrize("expr,sets,connected,witness_S,witness_alpha", [
-        ("S4", 35, 7,
+        ("S4", 34, 7,
          ["(1 2 3 4)", "(1 4 3 2)", "(1 3 4 2)", "(1 2 4 3)"],
          [0, 7, 2, 3, 14, 5, 6, 1, 8, 20, 10, 22, 12, 13, 4, 15, 16, 17,
           18, 19, 9, 21, 11, 23]),
         ("C2 x C4", 10, 3,
          ["(3 4 5 6)", "(3 6 5 4)", "(1 2)(3 4 5 6)", "(1 2)(3 6 5 4)"],
          [0, 5, 2, 3, 4, 1, 6, 7]),
-        ("higman:n=4,seed=1", 121, 1,
+        ("higman:n=4,seed=1", 117, 1,
          ["h2", "g1", "g1*h1", "g2", "g2*h1"],
          [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12, 15, 14]),
     ], ids=["S4", "C2 x C4", "higman:n=4,seed=1"])
     def test_golden_witness(self, expr, sets, connected, witness_S,
                             witness_alpha):
         G = gz.construct(expr)
-        rep = is_cca_group_exhaustive(G).to_json_dict(G)
+        v = is_cca_group_exhaustive(G)
+        rep = v.to_json_dict(G)
         assert rep["status"] == "non-cca"
         assert rep["sets_checked"] == sets
         assert rep["connected_checked"] == connected
+        assert irredundant_counts(G, v.witness_set) == (sets, connected)
         assert rep["witness_S"] == witness_S
         assert rep["witness_alpha"] == witness_alpha
         # the witness is a stab1 element of the witness graph that is not
@@ -656,11 +653,13 @@ class TestExhaustiveGroupVerdicts:
         # backjumping, 0.2 s and 26,168 assignments after
         G = gz.construct("PSL2(7)")
         with time_limit(10):
-            rep = is_cca_group_exhaustive(G).to_json_dict(G)
+            v = is_cca_group_exhaustive(G)
+        rep = v.to_json_dict(G)
         assert assign_calls[0] <= 30000
         assert rep["status"] == "non-cca"
-        assert rep["sets_checked"] == 214
+        assert rep["sets_checked"] == 212
         assert rep["connected_checked"] == 99
+        assert irredundant_counts(G, v.witness_set) == (212, 99)
         assert rep["witness_S"] == [
             "(2 3 5)(4 7 6)", "(2 5 3)(4 6 7)",
             "(1 7 8 2)(3 6 4 5)", "(1 2 8 7)(3 5 4 6)"]
@@ -680,9 +679,9 @@ class TestExhaustiveGroupVerdicts:
     def test_supersets_of_cca_sets_are_not_decided(self, monkeypatch,
                                                     time_limit):
         # D12 has 2^18 - 1 class subsets.  Deciding every connected one
-        # took 25 s on a 2-core machine, deciding the 120 with no
-        # connected CCA subset takes under a second: the time limit
-        # catches a lost pruning before the count does
+        # took 25 s on a 2-core machine; the sweep forms 594 of them and
+        # decides the 120 with no connected subset, in 0.01 s: the time
+        # limit catches a lost pruning before the count does
         G = gz.construct("D12")
         decided = []
 
@@ -694,11 +693,14 @@ class TestExhaustiveGroupVerdicts:
         with time_limit(10):
             v = is_cca_group_exhaustive(G)
         assert (v.status, v.sets_checked, v.connected_checked) == (
-            "cca", 262143, 260928)
+            "cca", 594, 411)
+        assert irredundant_counts(G) == (594, 411)
         assert len(decided) == 120
 
     def test_marks_do_not_grow_with_the_class_subsets(self):
-        # C2^5 has 31 classes: one mark per class subset would be 2^31
+        # C2^5 has 31 classes: one mark per class subset would be 2^31;
+        # the frontier holds the non-generating sets of one size, each a
+        # class tuple and an int span
         G = gz.construct("C2 x C2 x C2 x C2 x C2")
         G.mult_table()
         tracemalloc.start()
@@ -709,6 +711,50 @@ class TestExhaustiveGroupVerdicts:
             tracemalloc.stop()
         assert (v.status, v.sets_checked) == ("unknown", 5000)
         assert peak < 4 * 2**20
+
+
+    def test_a5_is_cca_by_exhaustion(self, monkeypatch, time_limit):
+        # A5, the smallest simple group with no element of order 4: 2^37
+        # class masks, of which the sweep forms 2,663 and decides the
+        # 1,095 minimal generating sets, in 0.2-0.3 s on a 2-core machine
+        G = gz.construct("A5")
+        decided = []
+
+        def counting_is_cca_graph(graph):
+            decided.append(graph)
+            return is_cca_graph(graph)
+
+        monkeypatch.setattr(colourauts, "is_cca_graph", counting_is_cca_graph)
+        with time_limit(5):
+            v = is_cca_group_exhaustive(G)
+        assert (v.status, v.sets_checked, v.connected_checked) == (
+            "cca", 2663, 2337)
+        assert len(decided) == 1095
+
+    @pytest.mark.parametrize("expr", ["D12", "C2 x D6"])
+    def test_sweeps_of_order_24_take_under_a_tenth_of_a_second(self, expr):
+        # 0.56 s and 0.73 s while the sweep walked all 2^18 and 2^19 class
+        # masks; the best of three runs, the multiplication table built
+        G = gz.construct(expr)
+        G.mult_table()
+        best = min(timed(is_cca_group_exhaustive, G) for _ in range(3))
+        assert best < 0.1
+
+    def test_trivial_group(self):
+        # no class to form a set from: the empty set generates the group
+        G = gz.construct("C1")
+        assert G.order() == 1
+        assert list(irredundant_class_sets(G)) == []
+        for budget in (0, 1):
+            assert is_cca_group_exhaustive(G, budget) == GroupCCAVerdict(
+                "cca", 0, 0)
+
+
+def timed(f, *args):
+    """Seconds one call of f(*args) takes."""
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
 
 
 class TestStabilizerIsTwoGroup:

@@ -2,6 +2,7 @@ import pytest
 
 import oracle_s_tau
 from ccakit import fgroup
+from ccakit import triples as tr
 from ccakit import groupzoo as gz
 from ccakit.cli import EXIT_INTERNAL, main
 from ccakit.fgroup import FiniteGroup
@@ -291,6 +292,45 @@ class TestSearch:
         a = search_triple_subgroup_strategy(G, H)
         b = search_triple_subgroup_strategy(G, H)
         assert a.tau == b.tau and a.T == b.T and a.S == b.S
+
+    def test_outside_candidates_are_tested_after_h_involutions(
+            self, monkeypatch):
+        # the search of criterion 5 succeeds on an involution of H, so it
+        # never tests an involution of G outside H for normalising H
+        G = gz.psl2(17)
+        H = gz.normalizer_bruteforce(G, gz.cyclic_subgroups_of_order(G, 8)[0])
+        tested = []
+        normalizes = tr.normalizes
+
+        def recording_normalizes(G, H):
+            predicate = normalizes(G, H)
+
+            def recording(x):
+                tested.append(x)
+                return predicate(x)
+            return recording
+
+        monkeypatch.setattr(tr, "normalizes", recording_normalizes)
+        trip = search_triple_subgroup_strategy(G, H)
+        assert trip.valid and H.contains(trip.tau)
+        assert tested == []
+
+    @pytest.mark.parametrize("expr,subgroup,outside", [
+        ("S4", lambda G: G.point_stabilizer(0), 0),
+        ("A5", lambda G: gz.setwise_stabilizer(G, [3, 4]), 0),
+        ("S5", lambda G: gz.pointwise_stabilizer(G, [3, 4]), 4),
+    ], ids=["S4-point", "A5-setwise", "S5-pointwise"])
+    def test_candidates_keep_their_order(self, expr, subgroup, outside):
+        # H's involutions, then G's outside H that normalise H; in S5
+        # those are (4 5) times each involution of H or the identity
+        G = gz.construct(expr)
+        H = subgroup(G)
+        hset = H.element_set()
+        normalizing = gz.normalizes(G, H)
+        listed = list(tr._tau_candidates(G, H))
+        assert listed == H.involutions() + [
+            x for x in G.involutions() if x not in hset and normalizing(x)]
+        assert len(listed) - len(H.involutions()) == outside
 
     def test_cca_group_yields_nothing(self):
         G = gz.alternating_group(4)     # CCA, so no triple can exist
