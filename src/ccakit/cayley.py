@@ -13,17 +13,19 @@ so the c-neighbours of v are row[v] for row in left_rows[c].  The rows are
 also its colouring: row[0] = index(s * 1) names s, so the colour classes
 are read off them and never stored beside them.  Its one constructor
 takes the rows.  build() checks the group and the graph limit and
-computes the rows of a ConnectionSet with group.left_row; the exhaustive
-sweep, which builds thousands of graphs of one group, passes rows of the
-cached multiplication table to the constructor instead.  The
+computes the rows of a ConnectionSet, outside input, with group.left_row.
+``class_rows`` serves every class-set walk, the exhaustive sweep and
+reproduce's criteria 7 and 8: it reads each colour class's rows off the
+cached multiplication table, and a walk passes the rows of a class set
+to the constructor.  The
 BFS tree is computed from the rows on first use and cached, so a
 disconnected set costs a single BFS.  ``bfs`` is the one BFS over rows:
 the graph's tree and aut_pm1's tree over the picked classes (colourauts)
 both come from it.  A graph has one vertex per element of the listing it
 indexes, and ``check_graph_limit`` is the one check against the graph
-limit.  An exhaustive sweep has a second bound: its rows come from the
+limit.  A class-set walk has a second bound: its rows come from the
 group's multiplication table, which fgroup builds only up to
-MULT_TABLE_LIMIT (1024) elements, so a sweep of a larger group raises
+MULT_TABLE_LIMIT (1024) elements, so a walk of a larger group raises
 LimitExceeded whatever the graph limit allows.
 """
 
@@ -90,11 +92,12 @@ class ConnectionSet:
 class ColouredCayleyGraph:
     """Cay(G, S) with the canonical {s, s^-1} edge colouring.
 
-    left_rows[c] holds the rows of the members of colour class c, in the
-    order ConnectionSet.colour_classes() gives the classes and their
-    members; the rows are shared, not copied.  colours, the classes as
-    group elements, is read off the rows.  build() makes the graph of a
-    ConnectionSet.
+    left_rows[c] holds the rows of the members of colour class c, classes
+    and members in index order, as ConnectionSet.colour_classes() and
+    class_rows give them; the rows are shared, not copied.  colours, the
+    classes as group elements, is read off the rows.  build() makes the
+    graph of a ConnectionSet, and a class-set walk passes rows of
+    class_rows.
     """
 
     def __init__(self, group: FiniteGroup, left_rows: list[list[list[int]]]):
@@ -148,6 +151,20 @@ def bfs(n: int, left_rows: list[list[list[int]]],
                     parent[u] = (v, c)
                     order.append(u)
     return order, parent
+
+
+def class_rows(group: FiniteGroup) -> list[list[list[int]]]:
+    """The multiplication-table rows of every colour class {s, s^-1}.
+
+    Classes come in order of their lower-indexed member, which comes
+    first, read off the cached inverse_row: the layout build() gives the
+    set of all non-identity elements.  The rows are those of
+    group.mult_table(), shared, not copied, so G must have order at most
+    MULT_TABLE_LIMIT.
+    """
+    mt = group.mult_table()
+    return [[mt[i]] if i == j else [mt[i], mt[j]]
+            for i, j in enumerate(group.inverse_row()) if 0 < i <= j]
 
 
 def check_graph_limit(group: FiniteGroup, graph_limit: int) -> None:

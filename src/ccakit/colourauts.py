@@ -88,7 +88,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
-from .cayley import ColouredCayleyGraph, ConnectionSet, bfs
+from .cayley import ColouredCayleyGraph, bfs, class_rows
 from .fgroup import DEFAULT_ENUM_LIMIT, FiniteGroup, LimitExceeded, closure
 
 STAB1_ORACLE_MAX = 8
@@ -472,24 +472,18 @@ def aut_pm1(graph: ColouredCayleyGraph) -> list[tuple]:
     return sorted(out)
 
 
-RIGHT_REGULAR_CHECK_ALL_MAX = 128
-
-
 def right_regular_preserves_colours(graph: ColouredCayleyGraph) -> bool:
     """Check G_R <= Aut_c: every map v -> v*x preserves every colour class.
 
-    rho_{xy} = rho_y o rho_x, so checking the maps of the group generators
-    covers all of G_R; graphs of at most RIGHT_REGULAR_CHECK_ALL_MAX
-    vertices are checked over every x regardless.
+    rho_{xy} = rho_y o rho_x, and a composite of colour-preserving maps
+    preserves colours, so the maps of the group's generators, which
+    generate G_R, decide it exactly: only they are checked.
     """
     g = graph.group
-    elems = graph.elems
     idx = graph.index
-    xs = elems if graph.n <= RIGHT_REGULAR_CHECK_ALL_MAX else list(
-        g.generators())
     return all(preserves_colours(graph, [idx[g.multiply(v, x)]
-                                         for v in elems])
-               for x in xs)
+                                         for v in graph.elems])
+               for x in g.generators())
 
 
 @dataclass
@@ -623,8 +617,9 @@ def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET
     test), and the sweep returns at the first that is not CCA.
     sets_checked counts the sets formed and connected_checked the
     connected ones; exceeding the budget of sets formed yields the
-    three-valued 'unknown'.  The rows are those of the group's
-    multiplication table, so G must have order at most MULT_TABLE_LIMIT.
+    three-valued 'unknown'.  The classes and their rows are
+    cayley.class_rows, read off the group's multiplication table, so G
+    must have order at most MULT_TABLE_LIMIT.
 
     Proof that it decides exactly the minimal generating sets, in
     (class count, lex) order:
@@ -646,29 +641,23 @@ def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET
     is_cca_graph reads that BFS and does not run it again.  The witness
     set's elements are listed class by class.
     """
-    index = group.element_index()
-    mt = group.mult_table()
-    class_rows = [[mt[index[s]] for s in cls]
-                  for cls in ConnectionSet.from_elements(
-                      group, group.elements()[1:]).colour_classes()]
-    n = len(mt)
+    rows = class_rows(group)
+    n = group.order()
     sets = connected = 0
     # class masks of the minimal sets decided, by their last class
-    decided: list[list[int]] = [[] for _ in class_rows]
+    decided: list[list[int]] = [[] for _ in rows]
     frontier = [((), 1)]            # (classes, span) of non-generating sets
     while frontier:
         grown = []
         for classes, span in frontier:
-            for c in range(classes[-1] + 1 if classes else 0,
-                           len(class_rows)):
-                if span >> class_rows[c][0][0] & 1:
+            for c in range(classes[-1] + 1 if classes else 0, len(rows)):
+                if span >> rows[c][0][0] & 1:
                     continue        # c lies in the span: not irredundant
                 if sets >= budget:
                     return GroupCCAVerdict("unknown", sets, connected)
                 sets += 1
                 combo = classes + (c,)
-                graph = ColouredCayleyGraph(
-                    group, [class_rows[d] for d in combo])
+                graph = ColouredCayleyGraph(group, [rows[d] for d in combo])
                 order, _ = graph.bfs_order()
                 if len(order) < n:
                     grown.append((combo, sum(1 << v for v in order)))

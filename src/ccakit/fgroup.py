@@ -39,8 +39,10 @@ first occurrences in order.
 
 A listed group keeps one index, ``element_index`` (element -> position);
 ``element_set`` is a view of that index's keys, not a second copy.
-``inverse_row`` is cached beside it: the index of each element's inverse,
-which `triples.s_tau` reads with left rows to work on indices alone.
+``inverse_row`` is cached beside it: the index of each element's inverse.
+`triples.s_tau` reads it with left rows to work on indices alone, and
+`cayley.class_rows` reads it to pair the rows of s and s^-1 in each colour
+class.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ keeps every failing one.  run_suite assembles the criteria into a report
 whose "results" subtree is byte-identical across runs with the same seed.
 Criterion 1 sweeps at colourauts.DEFAULT_BUDGET, far above the 34
 lex-irredundant class sets it forms at most (S4; A4 forms 30), so the
-suite takes no budget.
+suite takes no budget.  Criteria 2, 7 and 8 register the verdicts they
+make in a registry, and criterion 9 audits each verdict's graph and
+stab1 without searching again.  Criteria 7 and 8 walk class sets over
+cayley.class_rows.
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ import time
 from . import groupzoo as gz
 from . import higman as hi
 from . import triples as tr
-from .cayley import ConnectionSet, build
+from .cayley import ColouredCayleyGraph, class_rows
 from .colourauts import (
     enumerate_stab1,
     is_cca_graph,
     is_cca_group_exhaustive,
     preserves_colours,
     right_regular_preserves_colours,
-    stab1,
     stab1_oracle,
 )
 from .permcore import parse_cycles
@@ -87,7 +89,7 @@ def _alt_sym_triple(kind: str, n: int):
     return G, tr.validate_triple(G, S, [t], tau)
 
 
-def criterion_2(graph_registry: list) -> dict:
+def criterion_2(registry: list) -> dict:
     rows = []
     for kind, n in [("A", 6), ("A", 7), ("A", 8), ("S", 6), ("S", 7)]:
         G, trip = _alt_sym_triple(kind, n)
@@ -95,7 +97,7 @@ def criterion_2(graph_registry: list) -> dict:
         if kind == "A" and n == 6:
             rep = tr.crosscheck_prop22(G, trip)
             row["crosscheck"] = rep.to_json_dict()
-            graph_registry.append(("criterion_2:A6", rep.verdict.graph))
+            registry.append(("criterion_2:A6", rep.verdict))
         rows.append(row)
 
     # degree-5 case: t = (1 4 2 5), tau = t^2, H a stabiliser of {4, 5}
@@ -112,7 +114,7 @@ def criterion_2(graph_registry: list) -> dict:
         if trip.valid and not any(r["valid"] for r in s5_rows):
             rep = tr.crosscheck_prop22(S5, trip)
             row["crosscheck"] = rep.to_json_dict()
-            graph_registry.append(("criterion_2:S5", rep.verdict.graph))
+            registry.append(("criterion_2:S5", rep.verdict))
         s5_rows.append(row)
     return {"pass": (all(row["valid"] for row in rows)
                      and any(row["valid"] for row in s5_rows)),
@@ -221,30 +223,28 @@ def criterion_6() -> dict:
 # enumerated stab1 has the 2^m elements its m strong generators promise
 # ---------------------------------------------------------------------------
 
-def criterion_7(seed: int, graph_registry: list) -> dict:
+def criterion_7(seed: int, registry: list) -> dict:
     rng = random.Random(seed)
     corpus = gz.zoo_corpus(64)
-    class_lists = [
-        ConnectionSet.from_elements(G, G.elements()[1:]).colour_classes()
-        for _, G in corpus]
+    corpus_rows = [class_rows(G) for _, G in corpus]
     rows = []
     made = 0
     while made < 50:
         gi = rng.randrange(len(corpus))
         expr, G = corpus[gi]
-        classes = class_lists[gi]
+        classes = corpus_rows[gi]
         k = rng.randint(1, min(5, len(classes)))
-        chosen = rng.sample(range(len(classes)), k)
-        S = [s for ci in sorted(chosen) for s in classes[ci]]
-        conn = ConnectionSet.from_elements(G, S)
-        graph = build(G, conn)
+        combo = sorted(rng.sample(range(len(classes)), k))
+        graph = ColouredCayleyGraph(G, [classes[c] for c in combo])
         if not graph.is_connected():
             continue
-        st = stab1(graph)
-        rows.append({"group": expr, "S_size": len(S),
-                     "stab1_order": st.order,
-                     "pass": len(enumerate_stab1(graph)) == st.order})
-        graph_registry.append((f"criterion_7:{made}:{expr}", graph))
+        verdict = is_cca_graph(graph)
+        rows.append({"group": expr,
+                     "S_size": sum(len(classes[c]) for c in combo),
+                     "stab1_order": verdict.stab1_order,
+                     "pass": len(enumerate_stab1(graph))
+                     == verdict.stab1_order})
+        registry.append((f"criterion_7:{made}:{expr}", verdict))
         made += 1
     return {"pass": all(row["pass"] for row in rows), "seed": seed,
             "graphs": rows}
@@ -255,25 +255,23 @@ def criterion_7(seed: int, graph_registry: list) -> dict:
 # generators, equals the brute-force oracle on every tiny graph
 # ---------------------------------------------------------------------------
 
-def criterion_8(graph_registry: list) -> dict:
+def criterion_8(registry: list) -> dict:
     rows = []
     total = 0
     for expr, G in gz.zoo_corpus(8):
-        classes = ConnectionSet.from_elements(
-            G, G.elements()[1:]).colour_classes()
+        classes = class_rows(G)
         agree = []
         for combo in itertools.chain.from_iterable(
                 itertools.combinations(classes, size)
                 for size in range(1, len(classes) + 1)):
-            graph = build(G, ConnectionSet.from_elements(
-                G, [s for cls in combo for s in cls]))
+            graph = ColouredCayleyGraph(G, list(combo))
             if not graph.is_connected():
                 continue
             slow = stab1_oracle(graph)
-            agree.append(enumerate_stab1(graph) == stab1(graph).elements
+            verdict = is_cca_graph(graph)
+            agree.append(enumerate_stab1(graph) == verdict.stab1.elements
                          == slow)
-            graph_registry.append((f"criterion_8:{expr}:{len(agree)}",
-                                   graph))
+            registry.append((f"criterion_8:{expr}:{len(agree)}", verdict))
         total += len(agree)
         rows.append({"group": expr, "connected_graphs": len(agree),
                      "pass": all(agree)})
@@ -282,7 +280,7 @@ def criterion_8(graph_registry: list) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# criterion 9: structural identities on every graph collected above
+# criterion 9: structural identities on every verdict collected above
 # ---------------------------------------------------------------------------
 
 STAB1_CLOSURE_PAIRS = 1000
@@ -305,13 +303,18 @@ def _stab1_closed(elements: list[tuple], rng: random.Random) -> bool:
     return True
 
 
-def criterion_9(graph_registry: list, seed: int) -> dict:
+def criterion_9(registry: list, seed: int) -> dict:
     """The verdict's strong generators keep colours and generate a group
-    of exactly 2^m elements, closed under composition."""
+    of exactly 2^m elements, closed under composition.
+
+    The registry holds the (label, CCAVerdict) pairs that criteria 2, 7
+    and 8 made; each verdict's graph and stab1 are read, not searched
+    again.
+    """
     rng = random.Random(seed + 9)
     rows = []
-    for label, graph in graph_registry:
-        verdict = is_cca_graph(graph)
+    for label, verdict in registry:
+        graph = verdict.graph
         st = verdict.stab1
         autc = verdict.autc_order
         grr_ok = right_regular_preserves_colours(graph)
@@ -333,7 +336,7 @@ def criterion_9(graph_registry: list, seed: int) -> dict:
             "pass": row_ok,
         })
     return {"pass": all(row["pass"] for row in rows),
-            "graphs_checked": len(graph_registry), "graphs": rows}
+            "graphs_checked": len(registry), "graphs": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +346,7 @@ def criterion_9(graph_registry: list, seed: int) -> dict:
 def _criteria_1_to_9(seed: int) -> dict:
     """Criteria 1-9 by name, in run order.
 
-    Criteria 2, 7 and 8 register the graphs they build, and criterion 9
+    Criteria 2, 7 and 8 register the verdicts they make, and criterion 9
     checks them, so it must run after them to see any.
     """
     registry: list = []

@@ -16,6 +16,7 @@ from ccakit import higman as hi
 from ccakit import reproduce as rp
 from ccakit import triples as tr
 from ccakit.cayley import ConnectionSet, build
+from ccakit.colourauts import is_cca_graph
 from ccakit.higman import HigmanGroup, multiply, sample_params
 
 
@@ -102,7 +103,7 @@ def _fail_9(monkeypatch):
                         lambda graph: False)
     G = gz.construct("S3")
     graph = build(G, ConnectionSet.from_elements(G, G.elements()[1:]))
-    return rp.criterion_9([("S3", graph)], 12345)
+    return rp.criterion_9([("S3", is_cca_graph(graph))], 12345)
 
 
 @pytest.mark.parametrize("fail", [

@@ -4,7 +4,8 @@ import re
 import pytest
 
 from ccakit import groupzoo as gz
-from ccakit.cayley import ConnectionSet, InvalidConnectionSet, bfs, build
+from ccakit.cayley import (ColouredCayleyGraph, ConnectionSet,
+                           InvalidConnectionSet, bfs, build, class_rows)
 from ccakit.colourauts import (is_cca_group_exhaustive,
                                right_regular_preserves_colours)
 from ccakit.fgroup import LimitExceeded
@@ -175,6 +176,24 @@ class TestSmallDegrees:
         assert graph.left_rows == [[[1, 0]]]
 
 
+class TestClassRows:
+    @pytest.mark.parametrize("expr", [expr for expr, _ in gz.zoo_corpus(48)]
+                             + ["PSL2(7)", "higman:n=6,seed=1"])
+    def test_matches_the_rows_of_the_full_connection_set(self, expr):
+        # the classes and rows build() gives the set of every non-identity
+        # element, each row the very list of the multiplication table
+        G = gz.construct(expr)
+        rows = class_rows(G)
+        assert rows == [[G.left_row(s) for s in cls]
+                        for cls in ConnectionSet.from_elements(
+                            G, G.elements()[1:]).colour_classes()]
+        mt = G.mult_table()
+        assert all(row is mt[row[0]] for cls in rows for row in cls)
+
+    def test_trivial_group_has_no_classes(self):
+        assert class_rows(gz.construct("C1")) == []
+
+
 class TestConnectivity:
     def test_proper_subgroup_disconnects(self):
         G = gz.symmetric_group(3)
@@ -226,3 +245,29 @@ class TestRightRegularAction:
             elems = [x for x in G.elements() if x != G.identity()]
             graph = build(G, ConnectionSet.from_elements(G, elems))
             assert right_regular_preserves_colours(graph)
+
+    @pytest.mark.parametrize("expr", ["S3", "D4", "A4", "C8", "S4",
+                                      "higman:n=4,seed=1"])
+    def test_a_row_with_two_entries_swapped_is_refused(self, expr):
+        # the swapped row is no left translation, so some right
+        # translation by a generator moves one of its edges off the rows
+        G = gz.construct(expr)
+        for i in range(3):      # the first, a middle and the last class
+            graph = build(G, ConnectionSet.from_elements(G, G.elements()[1:]))
+            rows = graph.left_rows
+            row = rows[(0, len(rows) // 2, -1)[i]][-1]
+            row[1], row[-1] = row[-1], row[1]
+            assert not right_regular_preserves_colours(graph), (expr, i)
+
+    @pytest.mark.parametrize("expr", ["S3", "D4", "A4", "S4"])
+    def test_every_generator_is_checked(self, expr):
+        # on the edges {v, v*g}, v -> v*x keeps them exactly when x
+        # commutes with g; each of these groups has two generators that
+        # do not commute, so only the other one's translation refuses
+        # g's edges
+        G = gz.construct(expr)
+        idx = G.element_index()
+        for g in G.generators():
+            graph = ColouredCayleyGraph(
+                G, [[[idx[G.multiply(v, g)] for v in G.elements()]]])
+            assert not right_regular_preserves_colours(graph), (expr, g)

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import inspect
 import itertools
 import random
 import sys
@@ -144,6 +145,16 @@ def enumerated_triple_graph(name):
     """A triple graph and its enumerated stab1, built once per session."""
     graph, _ = chronological_triple_graph(name)
     return graph, enumerate_stab1(graph)
+
+
+def s5_involution_conflict_graph():
+    """Cay(S5, S), S = {(1 3), (1 3 5 4)^+-1, (1 4)(2 5)}: CCA, with stab1
+    trivial.  Every search of it (is_cca_graph, stab1, enumerate_stab1)
+    meets one conflict in the involution-class block of
+    _MapSearch._propagate, an image forced onto a vertex already taken."""
+    G = gz.construct("S5")
+    S = [G.elem_parse(x) for x in ("(1 3)", "(1 3 5 4)", "(1 4)(2 5)")]
+    return build(G, ConnectionSet.from_elements(G, S, close_inverses=True))
 
 
 def unpruned_strong_generators(graph, count=None):
@@ -420,13 +431,18 @@ class TestAutomorphismCheck:
                     else:
                         assert got == want, (expr, alpha)
 
-    @pytest.mark.parametrize("name,stab1_order,aut_pm1_order", [
-        ("S5-setwise", 2048, 4), ("A6", 64, 2), ("S6", 64, 2),
-    ], ids=["S5-setwise", "A6", "S6"])
-    def test_triple_graphs(self, name, stab1_order, aut_pm1_order):
-        graph, listed = enumerated_triple_graph(name)
+    @pytest.mark.parametrize("name,is_cca,stab1_order,aut_pm1_order", [
+        ("S5-setwise", False, 2048, 4), ("A6", False, 64, 2),
+        ("S6", False, 64, 2), ("S5-involution-conflict", True, 1, 1),
+    ], ids=["S5-setwise", "A6", "S6", "S5-involution-conflict"])
+    def test_triple_graphs(self, name, is_cca, stab1_order, aut_pm1_order):
+        if name in TRIPLE_GRAPHS:
+            graph, listed = enumerated_triple_graph(name)
+        else:
+            graph = s5_involution_conflict_graph()
+            listed = enumerate_stab1(graph)
         v = is_cca_graph(graph)
-        assert v.is_cca is False
+        assert v.is_cca is is_cca
         assert v.stab1_order == stab1_order == len(listed)
         assert v.aut_pm1_order == aut_pm1_order
         for alpha in listed:
@@ -886,6 +902,33 @@ class TestStrongGenerators:
         graph = triple_graph(*TRIPLE_GRAPHS[name])
         assert stab1(graph).order == stab1_order
         assert assign_calls[0] <= bound
+
+    def test_involution_classes_can_conflict_in_propagate(self):
+        # the involution-class block's taken-target conflict, the first
+        # conflict line of _propagate, fires once in each search of the
+        # S5 graph: involution classes do conflict
+        propagate = colourauts._MapSearch._propagate
+        lines, first = inspect.getsourcelines(propagate)
+        target = first + next(i for i, line in enumerate(lines)
+                              if "self.conflict" in line)
+        hits = []
+
+        def tracer(frame, event, arg):
+            if frame.f_code is not propagate.__code__:
+                return None
+            if event == "line" and frame.f_lineno == target:
+                hits.append(frame.f_lineno)
+            return tracer
+
+        graph = s5_involution_conflict_graph()
+        for search in (is_cca_graph, stab1, enumerate_stab1):
+            hits.clear()
+            sys.settrace(tracer)
+            try:
+                search(graph)
+            finally:
+                sys.settrace(None)
+            assert len(hits) == 1, search.__name__
 
     def test_reasons_name_the_decisions_behind_each_image_and_conflict(
             self):
