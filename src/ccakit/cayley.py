@@ -11,22 +11,26 @@ exhaustive sweep, is taken on it.  Its one adjacency is index rows:
 left_rows[c] has one row per member s of colour c, row[v] = index(s * v),
 so the c-neighbours of v are row[v] for row in left_rows[c].  The rows are
 also its colouring: row[0] = index(s * 1) names s, so the colour classes
-are read off them and never stored beside them.  Its one constructor
-takes the rows.  build() checks the group and the graph limit and
-computes the rows of a ConnectionSet, outside input, with group.left_row.
-``class_rows`` serves every class-set walk, the exhaustive sweep and
-reproduce's criteria 7 and 8: it reads each colour class's rows off the
-cached multiplication table, and a walk passes the rows of a class set
-to the constructor.  The
-BFS tree is computed from the rows on first use and cached, so a
-disconnected set costs a single BFS.  ``bfs`` is the one BFS over rows:
-the graph's tree and aut_pm1's tree over the picked classes (colourauts)
-both come from it.  A graph has one vertex per element of the listing it
-indexes, and ``check_graph_limit`` is the one check against the graph
-limit.  A class-set walk has a second bound: its rows come from the
-group's multiplication table, which fgroup builds only up to
-MULT_TABLE_LIMIT (1024) elements, so a walk of a larger group raises
-LimitExceeded whatever the graph limit allows.
+are read off them and never stored beside them.  Its one constructor takes
+the rows.  build() checks the group and the graph limit and forms the rows
+of a ConnectionSet, outside input, by the two identities of fgroup:
+row(a*b) = row(a) o row(b), and row(s^-1) is the inverse permutation of
+row(s).  Each class's first member s gets the composite of two rows
+build() already holds if s is their product, else group.left_row(s); its
+partner s^-1 always gets the inverse of s's row.  ``class_rows`` serves
+every class-set walk, the exhaustive sweep and reproduce's criteria 7 and
+8: it reads each colour class's rows off the cached multiplication table,
+whose rows are composites of the generators' left_row rows, and a walk
+passes the rows of a class set to the constructor.  The BFS tree is
+computed from the rows on first use and cached, so a disconnected set
+costs a single BFS.  ``bfs`` is the one BFS over rows: the graph's tree and
+aut_pm1's tree over the picked classes (colourauts) both come from it.  A
+graph has one vertex per element of the listing it indexes, and
+``check_graph_limit`` is the one check against the graph limit.  A
+class-set walk has a second bound: its rows come from the group's
+multiplication table, which fgroup builds only up to MULT_TABLE_LIMIT
+(1024) elements, so a walk of a larger group raises LimitExceeded whatever
+the graph limit allows.
 """
 
 from __future__ import annotations
@@ -160,7 +164,8 @@ def class_rows(group: FiniteGroup) -> list[list[list[int]]]:
     first, read off the cached inverse_row: the layout build() gives the
     set of all non-identity elements.  The rows are those of
     group.mult_table(), shared, not copied, so G must have order at most
-    MULT_TABLE_LIMIT.
+    MULT_TABLE_LIMIT.  left_row computed only the generators' rows; the
+    table composes every other row from them, s^-1's included.
     """
     mt = group.mult_table()
     return [[mt[i]] if i == j else [mt[i], mt[j]]
@@ -177,9 +182,49 @@ def check_graph_limit(group: FiniteGroup, graph_limit: int) -> None:
 
 def build(group: FiniteGroup, conn: ConnectionSet,
           graph_limit: int = DEFAULT_GRAPH_LIMIT) -> ColouredCayleyGraph:
-    """The graph of conn, its rows computed by group.left_row."""
+    """The graph of conn, each class's rows derived where they can be.
+
+    Classes are taken in order.  The first member s's row is the
+    composite row(a) o row(b) if s = a*b for two members a, b whose rows
+    are already held, b's index being row(a^-1)[index(s)]; otherwise it
+    is group.left_row(s).  The partner s^-1's row is the inverse
+    permutation of s's.  Either way each row equals group.left_row of its
+    member.
+    """
     if conn.group is not group:
         raise ValueError("connection set belongs to a different group")
     check_graph_limit(group, graph_limit)
-    return ColouredCayleyGraph(group, [
-        [group.left_row(s) for s in cls] for cls in conn.colour_classes()])
+    index = group.element_index()
+    held: dict[int, tuple[list[int], list[int]]] = {}   # a: rows of a, a^-1
+    left_rows = []
+    for cls in conn.colour_classes():
+        row = _composite(held, index[cls[0]]) or group.left_row(cls[0])
+        rows = [row] if len(cls) == 1 else [row, _inverse(row, index)]
+        for r, r_inv in zip(rows, reversed(rows)):
+            held[r[0]] = (r, r_inv)         # r[0] = index(a * 1) names a
+        left_rows.append(rows)
+    return ColouredCayleyGraph(group, left_rows)
+
+
+def _composite(held: dict[int, tuple[list[int], list[int]]],
+               s: int) -> list[int] | None:
+    """row(a) o row(b) for the first held a whose b = a^-1 * s is held
+    (vertex s = index(a * b)), or None."""
+    for row_a, row_a_inv in held.values():
+        b = row_a_inv[s]
+        if b in held:
+            return list(map(row_a.__getitem__, held[b][0]))
+    return None
+
+
+def _inverse(row: list[int], index: dict) -> list[int]:
+    """The inverse permutation: row(s^-1) from row(s).
+
+    Its entries are the index's own position objects, which every row
+    shares, as left_row's do; enumerate would make a new int per entry
+    past 256.
+    """
+    inv = [0] * len(row)
+    for v, u in zip(index.values(), row):
+        inv[u] = v
+    return inv

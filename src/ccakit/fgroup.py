@@ -30,12 +30,19 @@ is listed or knows its order (a Higman group) and holds every generator.
 A span that is the whole parent, such as most S_G(tau) spans, so stops
 after a few elements instead of applying every generator to every element.
 
-Index arithmetic goes through one method: ``left_row(s)`` looks up
-``left_map(s)`` of every element v in the element index (Higman groups,
-listed in natural order, compute it by e-block instead), and
-``mult_table`` is the list of every element's row.  Every generating set
-is filtered by one rule, ``distinct_generators``: no identity, no repeat,
-first occurrences in order.
+Index arithmetic has one direct computation: ``left_row(s)``, row[v] =
+index(s*v), looks up ``left_map(s)`` of every element v in the element
+index (Higman groups, listed in natural order, compute it by e-block
+instead).  Every other row is derived from rows already computed, by two
+identities of the left regular representation, where each row is a
+permutation of the indices: row(a*b) is the composite row(a) o row(b),
+row(a*b)[v] = row(a)[row(b)[v]], and row(s^-1) is the inverse permutation
+of row(s).  ``mult_table``, the list of every element's row, calls
+``left_row`` for the generators only and composes every other row along a
+BFS from the identity; `cayley.build` derives the rows of a connection set
+where it can.  Every generating set is filtered by one rule,
+``distinct_generators``: no identity, no repeat, first occurrences in
+order.
 
 A listed group keeps one index, ``element_index`` (element -> position);
 ``element_set`` is a view of that index's keys, not a second copy.
@@ -193,15 +200,31 @@ class FiniteGroup(abc.ABC):
     def mult_table(self) -> list:
         """Index-based multiplication table, mt[a][b] = index of a*b.
 
+        ``left_row`` computes the generators' rows only.  The identity's
+        row is 0..n-1, the index's own position objects, which every row
+        shares, and every other row is a composite: the BFS from the
+        identity over the generator rows reaches u = g*v, whose row is
+        row(g) o row(v), mt[u][w] = mt[g][mt[v][w]].
+
         Only available for orders up to MULT_TABLE_LIMIT.
         """
         cached = getattr(self, "_mult_table", None)
         if cached is None:
-            elems = self.elements()
-            if len(elems) > MULT_TABLE_LIMIT:
+            n = len(self.elements())
+            if n > MULT_TABLE_LIMIT:
                 raise LimitExceeded(
                     f"mult_table limited to order {MULT_TABLE_LIMIT}")
-            cached = [self.left_row(a) for a in elems]
+            gen_rows = [self.left_row(g) for g in self.generators()]
+            cached = [None] * n
+            cached[0] = list(self.element_index().values())
+            order = [0]
+            for v in order:         # the order grows as rows are filled in
+                row_v = cached[v]
+                for row_g in gen_rows:
+                    u = row_g[v]
+                    if cached[u] is None:
+                        cached[u] = list(map(row_g.__getitem__, row_v))
+                        order.append(u)
             self._mult_table = cached
         return cached
 

@@ -360,21 +360,24 @@ def setwise_stabilizer(G: PermutationGroup, points) -> PermutationGroup:
 
 
 def cyclic_subgroups_of_order(G: FiniteGroup, m: int) -> list:
-    """All cyclic subgroups of order m, deduplicated, deterministic order."""
-    seen = set()
+    """All cyclic subgroups of order m, each once, in order of their first
+    generator in G's listing, each generated by that element.
+
+    The generators of <x> are the powers x^k with gcd(k, m) = 1.  They go
+    into ``covered`` when <x> is listed, and a covered element is skipped
+    before its order is taken.
+    """
+    covered = set()
     out = []
     for x in G.elements():
-        if G.element_order(x) != m:
+        if x in covered or G.element_order(x) != m:
             continue
-        powers = [x]
         y = x
-        for _ in range(m - 1):
+        for k in range(1, m):
+            if gcd(k, m) == 1:
+                covered.add(y)
             y = G.multiply(y, x)
-            powers.append(y)
-        key = frozenset(powers)
-        if key not in seen:
-            seen.add(key)
-            out.append(G.generated_subgroup([x]))
+        out.append(G.generated_subgroup([x]))
     return out
 
 

@@ -3,7 +3,7 @@ import signal
 
 import pytest
 
-from ccakit import fgroup
+from ccakit import fgroup, higman
 
 
 @pytest.fixture
@@ -22,6 +22,23 @@ def closure_calls(monkeypatch):
         return closure(*args, **kwargs)
 
     monkeypatch.setattr(fgroup, "closure", counting)
+    return calls
+
+
+@pytest.fixture
+def left_row_calls(monkeypatch):
+    """The element of every `left_row` call made while the test runs, in
+    call order: the rows computed directly rather than derived.
+
+    Wraps `FiniteGroup.left_row` and the Higman groups' own.
+    """
+    calls = []
+    for cls in (fgroup.FiniteGroup, higman.HigmanGroup):
+        def counting(group, s, left_row=vars(cls)["left_row"]):
+            calls.append(s)
+            return left_row(group, s)
+
+        monkeypatch.setattr(cls, "left_row", counting)
     return calls
 
 

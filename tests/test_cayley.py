@@ -1,15 +1,17 @@
 import itertools
+import random
 import re
 
 import pytest
 
 from ccakit import groupzoo as gz
+from ccakit import triples as tr
 from ccakit.cayley import (ColouredCayleyGraph, ConnectionSet,
                            InvalidConnectionSet, bfs, build, class_rows)
 from ccakit.colourauts import (is_cca_group_exhaustive,
                                right_regular_preserves_colours)
 from ccakit.fgroup import LimitExceeded
-from ccakit.higman import HigmanGroup, quaternion_params
+from ccakit.higman import HigmanGroup, quaternion_params, theorem3_triple
 
 
 def class_subsets(G):
@@ -192,6 +194,123 @@ class TestClassRows:
 
     def test_trivial_group_has_no_classes(self):
         assert class_rows(gz.construct("C1")) == []
+
+
+def triple_connection_set(expr, t_text, subgroup):
+    """S_H(t^2) u {t}, inverse-closed: the connection set of the triple
+    (S_H(tau), {t}, t^2) that `triple validate` cross-checks."""
+    G = gz.construct(expr)
+    t = G.elem_parse(t_text)
+    S = tr.s_tau(subgroup(G), G.multiply(t, t)).elements + [t]
+    return G, ConnectionSet.from_elements(G, S, close_inverses=True)
+
+
+def searched_connection_set(G, H):
+    """S u T of the triple `triple search` finds for H."""
+    trip = tr.search_triple_subgroup_strategy(G, H)
+    return G, ConnectionSet.from_elements(
+        G, list(trip.S) + list(trip.T), close_inverses=True)
+
+
+def theorem3_connection_set(expr):
+    """S u T of a Higman instance's Theorem-3 triple."""
+    G, trip = theorem3_triple(gz.construct(expr).params)
+    return G, ConnectionSet.from_elements(
+        G, list(trip.S) + list(trip.T), close_inverses=True)
+
+
+def psl2_17_search():
+    G = gz.psl2(17)
+    cyc8 = gz.cyclic_subgroups_of_order(G, 8)[0]
+    return searched_connection_set(G, gz.normalizer_bruteforce(G, cyc8))
+
+
+# the benchmark's four triple graphs, unconjugated, and the cross-checked
+# graphs of `triple validate` on A7, `triple search` on PSL(2, 17) and the
+# Higman n = 8 Theorem-3 triple
+DERIVED_ROW_GRAPHS = {
+    "S5-pointwise": lambda: triple_connection_set(
+        "S5", "(1 4 2 5)", lambda G: gz.pointwise_stabilizer(G, [3, 4])),
+    "S5-setwise": lambda: triple_connection_set(
+        "S5", "(1 4 2 5)", lambda G: gz.setwise_stabilizer(G, [3, 4])),
+    "A6": lambda: triple_connection_set(
+        "A6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0)),
+    "S6": lambda: triple_connection_set(
+        "S6", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0)),
+    "A7-validate": lambda: triple_connection_set(
+        "A7", "(1 2)(3 4 5 6)", lambda G: G.point_stabilizer(0)),
+    "PSL2(17)-search": psl2_17_search,
+    "higman:n=8": lambda: theorem3_connection_set("higman:n=8,seed=1"),
+}
+
+
+def random_connection_sets(seed=7, per_group=3):
+    """Seeded inverse-closed sets over the zoo corpus, of every density."""
+    rng = random.Random(seed)
+    for _, G in gz.zoo_corpus(48):
+        rest = G.elements()[1:]
+        for _ in range(per_group if rest else 0):
+            picked = rng.sample(rest, rng.randint(1, len(rest)))
+            yield G, ConnectionSet.from_elements(G, picked,
+                                                 close_inverses=True)
+
+
+def row_kinds(conn, computed):
+    """How build() got each class's rows, given the elements whose rows
+    left_row computed: 'direct' or 'composite' for the first member, then
+    'partner' for s^-1 or 'involution' for a 1-member class."""
+    kinds = set()
+    for cls in conn.colour_classes():
+        kinds.add("direct" if cls[0] in computed else "composite")
+        kinds.add("partner" if len(cls) == 2 else "involution")
+    return kinds
+
+
+class TestDerivedRows:
+    """build() derives rows from the rows it holds and mult_table() from
+    the generators' rows; each must equal the row left_row computes."""
+
+    def check(self, G, conn, left_row_calls):
+        del left_row_calls[:]
+        graph = build(G, conn)
+        computed = list(left_row_calls)
+        classes = conn.colour_classes()
+        # left_row runs only for first members, never for a partner
+        assert set(computed) <= {cls[0] for cls in classes}
+        assert len(computed) == len(set(computed))
+        assert graph.left_rows == [[G.left_row(s) for s in cls]
+                                   for cls in classes]
+        return row_kinds(conn, set(computed))
+
+    def test_named_graphs_and_random_sets(self, left_row_calls):
+        kinds = set()
+        for make in DERIVED_ROW_GRAPHS.values():
+            kinds |= self.check(*make(), left_row_calls)
+        for G, conn in random_connection_sets():
+            kinds |= self.check(G, conn, left_row_calls)
+        assert kinds == {"direct", "composite", "partner", "involution"}
+
+    def test_a7_validate_graph_derives_most_rows(self, left_row_calls):
+        G, conn = DERIVED_ROW_GRAPHS["A7-validate"]()
+        classes = conn.colour_classes()
+        del left_row_calls[:]
+        build(G, conn)
+        assert len(classes) == 27
+        # one call per class whose first member is no product of two held
+        # members: 15 of 27, where a fall-back for every row makes 49
+        assert len(left_row_calls) == 15
+        assert set(left_row_calls) <= {cls[0] for cls in classes}
+
+    @pytest.mark.parametrize("expr", [expr for expr, _ in gz.zoo_corpus(48)]
+                             + ["C1", "A5", "PSL2(7)", "higman:n=6,seed=1"])
+    def test_mult_table_is_the_rows(self, expr, left_row_calls):
+        G = gz.construct(expr)
+        G.elements()
+        del left_row_calls[:]
+        mt = G.mult_table()
+        # left_row computes the generators' rows only
+        assert left_row_calls == G.generators()
+        assert mt == [G.left_row(a) for a in G.elements()]
 
 
 class TestConnectivity:

@@ -244,6 +244,48 @@ class TestStabilizers:
         assert len(G.elements()) == order
 
 
+def cyclic_subgroups_by_power_sets(G, m):
+    """Oracle: the cyclic subgroups of order m, one per distinct set of
+    powers of an element of order m, generated by its first element."""
+    seen = set()
+    out = []
+    for x in G.elements():
+        if G.element_order(x) != m:
+            continue
+        powers = [x]
+        y = x
+        for _ in range(m - 1):
+            y = G.multiply(y, x)
+            powers.append(y)
+        key = frozenset(powers)
+        if key not in seen:
+            seen.add(key)
+            out.append(G.generated_subgroup([x]))
+    return out
+
+
+class TestCyclicSubgroups:
+    """cyclic_subgroups_of_order skips the generators of listed subgroups;
+    it must give the oracle's subgroups, orders and generators, in order."""
+
+    @staticmethod
+    def check(G, m):
+        got = gz.cyclic_subgroups_of_order(G, m)
+        want = cyclic_subgroups_by_power_sets(G, m)
+        assert [H.generators() for H in got] == [H.generators()
+                                                 for H in want]
+        assert all(H.order() == m for H in got)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 8, 9])
+    def test_psl2_17(self, m):
+        self.check(gz.psl2(17), m)
+
+    def test_zoo_corpus(self):
+        for _, G in gz.zoo_corpus(48):
+            for m in range(1, 17):
+                self.check(G, m)
+
+
 class TestNormalizers:
     def test_sym3(self):
         S3 = gz.symmetric_group(3)
