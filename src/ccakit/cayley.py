@@ -12,16 +12,16 @@ left_rows[c] has one row per member s of colour c, row[v] = index(s * v),
 so the c-neighbours of v are row[v] for row in left_rows[c].  The rows are
 also its colouring: row[0] = index(s * 1) names s, so the colour classes
 are read off them and never stored beside them.  Its one constructor takes
-the rows.  build() checks the group and the graph limit and forms the rows
-of a ConnectionSet, outside input, by the two identities of fgroup:
-row(a*b) = row(a) o row(b), and row(s^-1) is the inverse permutation of
-row(s).  Each class's first member s gets the composite of two rows
-build() already holds if s is their product, else group.left_row(s); its
-partner s^-1 always gets the inverse of s's row.  ``class_rows`` serves
-every class-set walk, the exhaustive sweep and reproduce's criteria 7 and
-8: it reads each colour class's rows off the cached multiplication table,
-whose rows are composites of the generators' left_row rows, and a walk
-passes the rows of a class set to the constructor.  The BFS tree is
+the rows.  Both ways to the rows go through ``FiniteGroup.rows``, which
+calls group.left_row(s) only for a member s that no row it holds covers:
+a product of two held members gets their composite, row(a*b) =
+row(a) o row(b), and a partner s^-1 the inverse permutation of s's row
+(fgroup).  build() checks the group and the graph limit and takes the
+rows of a ConnectionSet, outside input, from group.rows.
+``class_rows`` serves every class-set walk, the exhaustive sweep and
+reproduce's criteria 7 and 8: it reads each colour class's rows off the
+cached multiplication table, which is group.rows of every element, and a
+walk passes the rows of a class set to the constructor.  The BFS tree is
 computed from the rows on first use and cached, so a disconnected set
 costs a single BFS.  ``bfs`` is the one BFS over rows: the graph's tree and
 aut_pm1's tree over the picked classes (colourauts) both come from it.  A
@@ -164,8 +164,9 @@ def class_rows(group: FiniteGroup) -> list[list[list[int]]]:
     first, read off the cached inverse_row: the layout build() gives the
     set of all non-identity elements.  The rows are those of
     group.mult_table(), shared, not copied, so G must have order at most
-    MULT_TABLE_LIMIT.  left_row computed only the generators' rows; the
-    table composes every other row from them, s^-1's included.
+    MULT_TABLE_LIMIT.  The table is group.rows of every element, so
+    left_row computed at most the generators' rows; the rest, s^-1's
+    included, are derived from them.
     """
     mt = group.mult_table()
     return [[mt[i]] if i == j else [mt[i], mt[j]]
@@ -182,49 +183,19 @@ def check_graph_limit(group: FiniteGroup, graph_limit: int) -> None:
 
 def build(group: FiniteGroup, conn: ConnectionSet,
           graph_limit: int = DEFAULT_GRAPH_LIMIT) -> ColouredCayleyGraph:
-    """The graph of conn, each class's rows derived where they can be.
+    """The graph of conn: group.rows of its classes' members, in class
+    order, regrouped per class.
 
-    Classes are taken in order.  The first member s's row is the
-    composite row(a) o row(b) if s = a*b for two members a, b whose rows
-    are already held, b's index being row(a^-1)[index(s)]; otherwise it
-    is group.left_row(s).  The partner s^-1's row is the inverse
-    permutation of s's.  Either way each row equals group.left_row of its
-    member.
+    group.rows calls group.left_row only for a member that is neither
+    the partner s^-1 of a member before it nor a product of two members
+    before it or their partners; the other rows are composites and
+    inverse permutations.  Each row equals group.left_row of its member.
     """
     if conn.group is not group:
         raise ValueError("connection set belongs to a different group")
     check_graph_limit(group, graph_limit)
+    classes = conn.colour_classes()
     index = group.element_index()
-    held: dict[int, tuple[list[int], list[int]]] = {}   # a: rows of a, a^-1
-    left_rows = []
-    for cls in conn.colour_classes():
-        row = _composite(held, index[cls[0]]) or group.left_row(cls[0])
-        rows = [row] if len(cls) == 1 else [row, _inverse(row, index)]
-        for r, r_inv in zip(rows, reversed(rows)):
-            held[r[0]] = (r, r_inv)         # r[0] = index(a * 1) names a
-        left_rows.append(rows)
-    return ColouredCayleyGraph(group, left_rows)
-
-
-def _composite(held: dict[int, tuple[list[int], list[int]]],
-               s: int) -> list[int] | None:
-    """row(a) o row(b) for the first held a whose b = a^-1 * s is held
-    (vertex s = index(a * b)), or None."""
-    for row_a, row_a_inv in held.values():
-        b = row_a_inv[s]
-        if b in held:
-            return list(map(row_a.__getitem__, held[b][0]))
-    return None
-
-
-def _inverse(row: list[int], index: dict) -> list[int]:
-    """The inverse permutation: row(s^-1) from row(s).
-
-    Its entries are the index's own position objects, which every row
-    shares, as left_row's do; enumerate would make a new int per entry
-    past 256.
-    """
-    inv = [0] * len(row)
-    for v, u in zip(index.values(), row):
-        inv[u] = v
-    return inv
+    rows = iter(group.rows([index[s] for cls in classes for s in cls]))
+    return ColouredCayleyGraph(group, [[next(rows) for _ in cls]
+                                       for cls in classes])

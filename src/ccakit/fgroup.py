@@ -30,19 +30,21 @@ is listed or knows its order (a Higman group) and holds every generator.
 A span that is the whole parent, such as most S_G(tau) spans, so stops
 after a few elements instead of applying every generator to every element.
 
-Index arithmetic has one direct computation: ``left_row(s)``, row[v] =
-index(s*v), looks up ``left_map(s)`` of every element v in the element
-index (Higman groups, listed in natural order, compute it by e-block
-instead).  Every other row is derived from rows already computed, by two
-identities of the left regular representation, where each row is a
-permutation of the indices: row(a*b) is the composite row(a) o row(b),
-row(a*b)[v] = row(a)[row(b)[v]], and row(s^-1) is the inverse permutation
-of row(s).  ``mult_table``, the list of every element's row, calls
-``left_row`` for the generators only and composes every other row along a
-BFS from the identity; `cayley.build` derives the rows of a connection set
-where it can.  Every generating set is filtered by one rule,
-``distinct_generators``: no identity, no repeat, first occurrences in
-order.
+Index arithmetic has one direct computation and one derivation.
+``left_row(s)``, row[v] = index(s*v), looks up ``left_map(s)`` of every
+element v in the element index (Higman groups, listed in natural order,
+compute it by e-block instead).  ``rows(members)`` gives the row of each
+member and calls ``left_row`` only for a member that no row it holds
+covers.  It uses two identities of the left regular representation, where
+each row is a permutation of the indices: row(a*b) is the composite
+row(a) o row(b), row(a*b)[v] = row(a)[row(b)[v]], and row(s^-1) is the
+inverse permutation of row(s).  So a member that is the product of two
+held members gets their composite, and every member's partner s^-1 is
+held with it.  ``mult_table`` is the rows of every element, for which
+``left_row`` computes at most the generators' rows, and `cayley.build` is
+the rows of a connection set's members.  Every generating set is
+filtered by one rule, ``distinct_generators``: no identity, no repeat,
+first occurrences in order.
 
 A listed group keeps one index, ``element_index`` (element -> position);
 ``element_set`` is a view of that index's keys, not a second copy.
@@ -114,6 +116,30 @@ def closure(identity: Any, maps: list[Callable[[Any], Any]],
 def distinct_generators(gens: Iterable, identity) -> list:
     """gens without the identity and repeats, first occurrences in order."""
     return [g for g in dict.fromkeys(gens) if g != identity]
+
+
+def _composite(held: dict[int, tuple[list[int], list[int]]],
+               s: int) -> list[int] | None:
+    """row(a) o row(b) for the first held a whose b = a^-1 * s is held
+    (vertex s = index(a * b)), or None."""
+    for row_a, row_a_inv in held.values():
+        b = row_a_inv[s]
+        if b in held:
+            return list(map(row_a.__getitem__, held[b][0]))
+    return None
+
+
+def _inverse(row: list[int], positions: list[int]) -> list[int]:
+    """The inverse permutation: row(s^-1) from row(s).
+
+    Its entries are the index's own position objects, which every row
+    shares, as left_row's do; enumerate would make a new int per entry
+    past 256.
+    """
+    inv = [0] * len(row)
+    for v, u in zip(positions, row):
+        inv[u] = v
+    return inv
 
 
 class FiniteGroup(abc.ABC):
@@ -200,11 +226,13 @@ class FiniteGroup(abc.ABC):
     def mult_table(self) -> list:
         """Index-based multiplication table, mt[a][b] = index of a*b.
 
-        ``left_row`` computes the generators' rows only.  The identity's
-        row is 0..n-1, the index's own position objects, which every row
-        shares, and every other row is a composite: the BFS from the
-        identity over the generator rows reaches u = g*v, whose row is
-        row(g) o row(v), mt[u][w] = mt[g][mt[v][w]].
+        The table is ``rows`` of every index in order.  In the order a
+        group lists its elements, each one that is no generator is the
+        product of two listed before it (in a BFS listing, a generator and
+        an earlier element), so ``left_row`` computes at most the
+        generators' rows.
+        The identity's row is the index's own position objects, which
+        every row shares.
 
         Only available for orders up to MULT_TABLE_LIMIT.
         """
@@ -214,18 +242,7 @@ class FiniteGroup(abc.ABC):
             if n > MULT_TABLE_LIMIT:
                 raise LimitExceeded(
                     f"mult_table limited to order {MULT_TABLE_LIMIT}")
-            gen_rows = [self.left_row(g) for g in self.generators()]
-            cached = [None] * n
-            cached[0] = list(self.element_index().values())
-            order = [0]
-            for v in order:         # the order grows as rows are filled in
-                row_v = cached[v]
-                for row_g in gen_rows:
-                    u = row_g[v]
-                    if cached[u] is None:
-                        cached[u] = list(map(row_g.__getitem__, row_v))
-                        order.append(u)
-            self._mult_table = cached
+            cached = self._mult_table = self.rows(range(n))
         return cached
 
     def left_map(self, g) -> Callable[[Any], Any]:
@@ -236,6 +253,29 @@ class FiniteGroup(abc.ABC):
         """Row of s in the multiplication table: index of s*v per element v."""
         index = self.element_index()          # iterates in element order
         return list(map(index.__getitem__, map(self.left_map(s), index)))
+
+    def rows(self, members: Iterable[int]) -> list[list[int]]:
+        """``left_row``'s row of each member, an element index, derived
+        from rows already held wherever it can be.
+
+        The identity's row, 0..n-1, is held from the start.  A held member
+        gets its held row.  Any other member gets the composite of two held
+        rows if it is their product, else ``left_row``, and its partner's
+        row is held with it: the row itself for an involution
+        (row[row[0]] == 0), else the inverse permutation.
+        """
+        elems = self.elements()
+        positions = list(self.element_index().values())
+        held = {0: (positions, positions)}      # a: rows of a, a^-1
+        out = []
+        for i in members:
+            if i not in held:
+                row = _composite(held, i) or self.left_row(elems[i])
+                row_inv = row if row[row[0]] == 0 else _inverse(row, positions)
+                held[i] = (row, row_inv)
+                held[row_inv[0]] = (row_inv, row)
+            out.append(held[i][0])
+        return out
 
     def inverse_row(self) -> list[int]:
         """Index of v^-1 per element v.  Cached, so `invert` is called once

@@ -255,16 +255,19 @@ class HigmanGroup(FiniteGroup):
     def left_row(self, s: Element) -> list[int]:
         """Index of s*v for every v, one e-block of 2^s elements at a
         time: v = (ve, vf) sits at ve * 2^s + vf, and s*v at base ^ vf
-        with base = (se ^ ve) * 2^s + (sf ^ gamma(se, ve))."""
+        with base = (se ^ ve) * 2^s + (sf ^ gamma(se, ve)).  The entries
+        are the element index's own position objects, which every row
+        shares."""
         self._check_enum_limit(self.order())
         p = self.params
         _check_fits(p, s)
         se, sf = s
         fs = range(1 << p.s)
+        positions = list(self.element_index().values())
         row: list[int] = []
         for ve in range(1 << p.r):
             base = (se ^ ve) << p.s | (sf ^ gamma(p, se, ve))
-            row += map(base.__xor__, fs)
+            row += map(positions.__getitem__, map(base.__xor__, fs))
         return row
 
     @cached_property

@@ -21,8 +21,8 @@ A permutation group's ``left_map(p)`` is that map on image tuples, so a
 product through it builds no Permutation, hash or comparison.  Everything
 else is FiniteGroup's own code over these maps: the group lists its
 elements by ``FiniteGroup.elements`` (one ``fgroup.closure``) and wraps
-each listed tuple once, in place; its rows are ``FiniteGroup.left_row``
-or derived from it; its generators are filtered by
+each listed tuple once, in place; its rows are ``FiniteGroup.rows``,
+over ``FiniteGroup.left_row``; its generators are filtered by
 ``fgroup.distinct_generators``.  A Permutation is the tuple of its images,
 so the group's one element index answers a lookup by a Permutation or by
 the plain tuple a row product returns.

@@ -308,9 +308,47 @@ class TestDerivedRows:
         G.elements()
         del left_row_calls[:]
         mt = G.mult_table()
-        # left_row computes the generators' rows only
-        assert left_row_calls == G.generators()
+        # left_row computes the generators' rows only, in index order
+        assert left_row_calls == sorted(G.generators(),
+                                        key=G.element_index().__getitem__)
         assert mt == [G.left_row(a) for a in G.elements()]
+
+
+def member_orders(n, seed=11):
+    """Index order, reversed, a seeded shuffle and a seeded list of 2n
+    picks with repeats, over the indices of a group of order n."""
+    rng = random.Random(seed)
+    shuffled = list(range(n))
+    rng.shuffle(shuffled)
+    return {"index": list(range(n)), "reversed": list(range(n))[::-1],
+            "shuffled": shuffled,
+            "repeats": rng.choices(range(n), k=2 * n)}
+
+
+class TestRows:
+    """G.rows(members) is left_row's row of each member, and left_row runs
+    only for a member no held row covers."""
+
+    @pytest.mark.parametrize("expr", [expr for expr, _ in gz.zoo_corpus(48)]
+                             + ["C1", "A5", "PSL2(7)", "higman:n=6,seed=1"])
+    def test_rows_are_the_left_rows(self, expr, left_row_calls):
+        G = gz.construct(expr)
+        elems, inverse = G.elements(), G.inverse_row()
+        for name, order in member_orders(len(elems)).items():
+            del left_row_calls[:]
+            rows = G.rows(order)
+            calls = list(left_row_calls)
+            assert rows == [G.left_row(elems[i]) for i in order], name
+            # the members not held when they come, as themselves or as
+            # the partner of an earlier member, in order
+            held, fresh = {0}, []
+            for i in order:
+                if i not in held:
+                    held |= {i, inverse[i]}
+                    fresh.append(i)
+            # left_row ran for some of them, once each, in their order
+            computed = [G.element_index()[s] for s in calls]
+            assert computed == [i for i in fresh if i in computed], name
 
 
 class TestConnectivity:

@@ -384,6 +384,16 @@ class TestExitCodes:
         assert "graph limit 10" in capsys.readouterr().err
         assert main(argv) == EXIT_OK
 
+    def test_exhaustive_over_mult_table_limit_exit_3(self, capsys,
+                                                      left_row_calls):
+        # PSL2(13) has order 1092: README says its sweep stops at the
+        # default limits, before any row of the table is built
+        assert main(["cca", "PSL2(13)", "--exhaustive"]) == EXIT_LIMIT
+        err = capsys.readouterr().err
+        assert "limit exceeded" in err
+        assert "1024" in err
+        assert left_row_calls == []
+
     def test_crosscheck_over_graph_limit_exit_3(self, capsys):
         argv = ["triple", "validate", "higman:n=8,seed=1",
                 "--S", "g1,g2,g3,h1,h2,h3", "--T", "g4,g5", "--tau", "h1",
@@ -506,6 +516,12 @@ def readme_commands() -> list[str]:
             if line.strip()]
 
 
+def readme_library_example() -> str:
+    """The README's fenced Python block under "Library example"."""
+    section = README.read_text().split("## Library example", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def shell_words(line: str) -> list[str]:
     """The words of a command line, with shell operators split off."""
     lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
@@ -529,6 +545,10 @@ class TestReadmeCommands:
                              ids=[" ".join(a[1:4]) for a in README_RUNS])
     def test_runs(self, capsys, argv):
         assert main(argv[1:]) == EXIT_OK
+
+    def test_library_example_runs(self, capsys):
+        exec(readme_library_example(), {})
+        assert capsys.readouterr().out == "True 2\n"
 
 
 def subcommands() -> dict:
