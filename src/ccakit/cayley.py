@@ -140,20 +140,21 @@ def bfs(n: int, left_rows: list[list[list[int]]],
     vertices are reached and, per vertex, (parent, colour) or None.
 
     Colours are scanned in order, then the rows of each; a vertex that is
-    not reached has parent None and is not in the order.
+    not reached has parent None and is not in the order.  The (colour,
+    row) pairs are one flat list, and a vertex is seen once it has a
+    parent: vertex 0 holds a sentinel until the search ends.
     """
-    parent: list[tuple[int, int] | None] = [None] * n
-    seen = [False] * n
+    parent: list = [None] * n
+    parent[0] = ()
+    steps = [(c, row) for c, rows in enumerate(left_rows) for row in rows]
     order = [0]
-    seen[0] = True
     for v in order:             # the order grows as vertices are reached
-        for c, rows in enumerate(left_rows):
-            for row in rows:
-                u = row[v]
-                if not seen[u]:
-                    seen[u] = True
-                    parent[u] = (v, c)
-                    order.append(u)
+        for c, row in steps:
+            u = row[v]
+            if parent[u] is None:
+                parent[u] = (v, c)
+                order.append(u)
+    parent[0] = None
     return order, parent
 
 

@@ -29,6 +29,9 @@ permutation group's bound is its chain's order or a bounding ancestor's
 is listed or knows its order (a Higman group) and holds every generator.
 A span that is the whole parent, such as most S_G(tau) spans, so stops
 after a few elements instead of applying every generator to every element.
+A generated subgroup's order and membership come from that listing, except
+in a Higman group, whose ``HigmanSubgroup`` reads both off GF(2) ranks of
+its generators and lists only when its elements are asked for (higman).
 
 Index arithmetic has one direct computation and one derivation.
 ``left_row(s)``, row[v] = index(s*v), looks up ``left_map(s)`` of every

@@ -35,6 +35,28 @@ The generators are the table's elements, a word is the left-to-right
 product of its letters (so "g1*g1" is g1's b-row word), and an element
 prints as its normal form, the letters of its bits in table order.
 
+Subgroups are counted by GF(2) ranks, not listed.  H = {(0, f)} is
+central and elementary abelian, and (e, f) -> e is a homomorphism onto
+GF(2)^r with kernel H, so G/H is elementary abelian and G has class at
+most 2.  ``generated_subgroup`` returns a HigmanSubgroup X = <gens>, which
+puts its generators in echelon form on first use: each one, multiplied by
+the lifts already kept whose pivot (top e-bit) it carries, top pivot
+first, either has an e-part left, and is kept as the lift of that e-part's
+top bit, or lies in H, a relation element.  With B = <lifts>, X = B *
+<relations>, so |X| = 2^k |X n H| for the k lifts, and X n H =
+Phi(B) * <relations>.  Proof: Phi(B) = B^2 [B, B] lies in H, since G/H is
+elementary abelian; every b in B is l * phi for a product l of distinct
+lifts and phi in Phi(B), and b in H forces l's e-part, a sum of distinct
+independent e-parts, to be 0, so l = 1 and B n H = Phi(B).  Squares and
+commutators are central, and gamma(0, .) = gamma(., 0) = 0, so Phi(B) is
+spanned by the lifts' squares (0, gamma(a, a)) and pairwise commutators
+(0, gamma(a, b) ^ gamma(b, a)) for their e-parts a, b.  So ``order`` is
+2^(k + rank of those f-words and the relations' f-parts), and
+``contains(x)`` reduces x by the lifts and tests whether the e-part left
+is 0 and its f-part lies in that span.  Neither lists anything; the
+listing, its maps and rows stay GeneratedSubgroup's closure over the
+parent's maps, which the tests keep as the oracle for both.
+
 The "constrained" flavour forces g_r^2 = g_{r-1}^2 = h_1, which pins rows
 r-1 and r of the b-matrix and makes (S, T, tau) with S = {g_1..g_{r-2},
 h_1..h_s}, T = {g_{r-1}, g_r}, tau = h_1 a non-CCA triple with
@@ -49,7 +71,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .fgroup import FiniteGroup
+from .fgroup import FiniteGroup, GeneratedSubgroup
 from .permcore import Permutation, PermutationGroup, orbit_transversal
 
 Element = tuple  # (e_bits, f_bits) as a pair of ints
@@ -318,6 +340,9 @@ class HigmanGroup(FiniteGroup):
                 and 0 <= e < (1 << self.params.r)
                 and 0 <= f < (1 << self.params.s))
 
+    def generated_subgroup(self, gens) -> "HigmanSubgroup":
+        return HigmanSubgroup(self, list(gens))
+
     def elem_str(self, x: Element) -> str:
         """The normal form: the letters whose bit x carries, in table
         order, or "1"."""
@@ -338,6 +363,73 @@ class HigmanGroup(FiniteGroup):
     def __repr__(self) -> str:
         p = self.params
         return f"HigmanGroup(r={p.r}, s={p.s}, order={1 << p.n})"
+
+
+class HigmanSubgroup(GeneratedSubgroup):
+    """<gens> in a Higman group, its order and membership by GF(2) ranks
+    (see the module docstring); its listing is GeneratedSubgroup's."""
+
+    @cached_property
+    def _echelon(self) -> tuple[list[Element], list[int]]:
+        """(lifts, span): the lifts, top e-bit first, and an echelon basis
+        of the f-parts of the subgroup's central part, largest first."""
+        p = self.parent.params
+        lifts: list[Element] = []
+        words = []
+        for g in self._gens:
+            self._check_member(g)
+            x = _reduce_by_lifts(p, lifts, g)
+            if x[0]:
+                lifts.append(x)
+                lifts.sort(reverse=True)
+            else:
+                words.append(x[1])
+        es = [e for e, _ in lifts]
+        for i, a in enumerate(es):
+            words.append(gamma(p, a, a))
+            words += [gamma(p, a, b) ^ gamma(p, b, a) for b in es[:i]]
+        span: list[int] = []
+        for w in words:
+            w = _reduce_word(span, w)
+            if w:
+                span.append(w)
+                span.sort(reverse=True)
+        return lifts, span
+
+    def _check_member(self, x) -> None:
+        if not self.parent.contains(x):
+            raise ValueError(f"{x!r} is not an element of {self.parent!r}")
+
+    def order(self) -> int:
+        lifts, span = self._echelon
+        return 1 << (len(lifts) + len(span))
+
+    def contains(self, x) -> bool:
+        """Whether x lies in the subgroup; an x outside the parent raises
+        ValueError."""
+        self._check_member(x)
+        lifts, span = self._echelon
+        e, f = _reduce_by_lifts(self.parent.params, lifts, x)
+        return e == 0 and _reduce_word(span, f) == 0
+
+
+def _reduce_by_lifts(params: HigmanParams, lifts: list[Element],
+                     x: Element) -> Element:
+    """x times each lift, top e-bit first, whose top e-bit x's e-part
+    carries at its turn: an element of x<lifts> whose e-part carries no
+    lift's top e-bit, so is 0 exactly when x's e-part is in their span."""
+    for lift in lifts:
+        if x[0] ^ lift[0] < x[0]:
+            x = multiply(params, x, lift)
+    return x
+
+
+def _reduce_word(span: list[int], w: int) -> int:
+    """w reduced by an echelon basis of distinct top bits, largest first:
+    0 exactly when w lies in the span."""
+    for b in span:
+        w = min(w, w ^ b)
+    return w
 
 
 def sample_params(n: int, seed: int) -> HigmanParams:

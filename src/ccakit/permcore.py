@@ -49,7 +49,9 @@ generators may span a larger group, which checks its own order.  The
 parent's base passes down with its order, since a base of a group is a
 base of each of its subgroups.  The order, or the parent's bound, is also
 ``closure``'s listing bound: the listing stops once it has that many
-elements.
+elements.  The bound also stops the subgroup's own Schreier-Sims once its
+basic orbits multiply to it (``StabilizerChain``), as they do when the
+generators span the whole parent.
 
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
@@ -241,9 +243,18 @@ class StabilizerChain:
     outside the level-j orbit, into which every strong generator fixing
     base[:j] maps it, or fixes every base point, which no strong generator
     does; so it is never a strong generator already.
+
+    ``order_bound``, if given, bounds the order of the group the
+    generators span (an ancestor's order, say).  The product of the basic
+    orbit lengths never exceeds that order, and equals it only when the
+    strong generators are complete, so once the product reaches the bound
+    the construction stops without the scan, which would insert nothing:
+    the chain is the one built without the bound (known-order
+    Schreier-Sims, Seress, ch. 4).
     """
 
-    def __init__(self, degree: int, generators, base_hint=()):
+    def __init__(self, degree: int, generators, base_hint=(),
+                 order_bound: int | None = None):
         self.degree = degree
         self.base: list[int] = list(base_hint)
         self.strong: list[Permutation] = []
@@ -254,7 +265,7 @@ class StabilizerChain:
         for g in generators:
             if not g.is_identity():
                 self._insert(g)
-        self._close()
+        self._close(order_bound)
 
     # -- construction --------------------------------------------------------
 
@@ -278,10 +289,11 @@ class StabilizerChain:
         self.inverses = [{x: t.inverse() for x, t in trans.items()}
                          for trans in self.transversals]
 
-    def _close(self):
+    def _close(self, order_bound: int | None):
         while True:
             self._recompute()
-            if not self._find_and_insert_residue():
+            if (self.order() == order_bound
+                    or not self._find_and_insert_residue()):
                 return
 
     def _find_and_insert_residue(self) -> bool:
@@ -365,7 +377,8 @@ class PermutationGroup(FiniteGroup):
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self.degree, self._gens)
+            self._chain = StabilizerChain(self.degree, self._gens,
+                                          order_bound=self._order_bound)
         return self._chain
 
     def order(self) -> int:

@@ -11,7 +11,8 @@ from ccakit.cayley import (ColouredCayleyGraph, ConnectionSet,
 from ccakit.colourauts import (is_cca_group_exhaustive,
                                right_regular_preserves_colours)
 from ccakit.fgroup import LimitExceeded
-from ccakit.higman import HigmanGroup, quaternion_params, theorem3_triple
+from ccakit.higman import (HigmanGroup, quaternion_params, sample_params,
+                           theorem3_triple)
 
 
 def class_subsets(G):
@@ -351,6 +352,24 @@ class TestRows:
             assert computed == [i for i in fresh if i in computed], name
 
 
+def reference_bfs(n, left_rows):
+    """The BFS as a loop over colours, then rows, with a seen list beside
+    the parents: the reference for cayley.bfs."""
+    parent = [None] * n
+    seen = [False] * n
+    order = [0]
+    seen[0] = True
+    for v in order:
+        for c, rows in enumerate(left_rows):
+            for row in rows:
+                u = row[v]
+                if not seen[u]:
+                    seen[u] = True
+                    parent[u] = (v, c)
+                    order.append(u)
+    return order, parent
+
+
 class TestConnectivity:
     def test_proper_subgroup_disconnects(self):
         G = gz.symmetric_group(3)
@@ -373,6 +392,18 @@ class TestConnectivity:
                 assert graph.is_connected() == generates(graph)
                 assert graph.bfs_order() == bfs(graph.n, graph.left_rows)
 
+    def test_bfs_equals_the_reference_loop(self):
+        graphs = [build(G, ConnectionSet.from_elements(G, S))
+                  for G in map(gz.construct, ["C8", "S3", "D4", "Q8", "A4",
+                                               "C2 x S3"])
+                  for S in class_subsets(G)]
+        G, trip = theorem3_triple(sample_params(10, 2))
+        graphs.append(build(G, ConnectionSet.from_elements(
+            G, list(trip.S) + list(trip.T), close_inverses=True)))
+        for graph in graphs:
+            assert bfs(graph.n, graph.left_rows) == \
+                reference_bfs(graph.n, graph.left_rows)
+
     def test_bfs_of_a_disconnected_set(self):
         # <(1 2 3)> has index 2 in S3: the other coset is never reached
         G = gz.symmetric_group(3)
@@ -387,7 +418,6 @@ class TestConnectivity:
                    for v in range(1, graph.n))
 
     def test_higman_triple_set_connects(self):
-        from ccakit.higman import sample_params, theorem3_triple
         G, trip = theorem3_triple(sample_params(6, 3))
         conn = ConnectionSet.from_elements(
             G, list(trip.S) + list(trip.T), close_inverses=True)

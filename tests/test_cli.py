@@ -227,6 +227,20 @@ class TestTripleCommand:
             assert r["index_S_tau"] == 36
             assert r["crosscheck"]["ok"] is True
 
+    def test_validate_higman_n20_lists_nothing(self, capsys, closure_calls,
+                                               time_limit):
+        # 2^20 elements: the subgroup orders are GF(2) ranks, not listings
+        S = ",".join([f"g{i}" for i in range(1, 12)]
+                     + [f"h{j}" for j in range(1, 8)])
+        with time_limit(10):
+            rc, rep = run_json(capsys, [
+                "triple", "validate", "higman:n=20,seed=1", "--S", S,
+                "--T", "g12,g13", "--tau", "h1"])
+        assert rc == EXIT_OK
+        assert rep["results"]["valid"] is True
+        assert rep["results"]["index_S_tau"] == 4
+        assert closure_calls == []
+
     def test_validate_c4_degenerate(self, capsys):
         rc, rep = run_json(capsys, [
             "triple", "validate", "C4",
@@ -338,6 +352,8 @@ class TestTripleCommand:
 
 
 # Each command lists a group or subgroup with more elements than the limit.
+# A Higman triple check lists no subgroup, so its probe lists G for the
+# cross-check graph.
 LIMIT_PROBES = [
     ["group", "higman:n=10,seed=1", "--limit-enum", "10"],
     ["cca", "S4", "--exhaustive", "--limit-enum", "10"],
@@ -346,7 +362,7 @@ LIMIT_PROBES = [
      "--limit-enum", "13"],
     ["triple", "search", "S5", "--subgroup", "point:5", "--limit-enum", "13"],
     ["triple", "validate", "higman:n=8,seed=1", "--S", "g1,g2,g3,h1,h2,h3",
-     "--T", "g4,g5", "--tau", "h1", "--limit-enum", "10"],
+     "--T", "g4,g5", "--tau", "h1", "--crosscheck", "--limit-enum", "10"],
 ]
 
 

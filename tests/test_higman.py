@@ -12,6 +12,7 @@ from ccakit import triples as tr
 from ccakit.higman import (
     HigmanGroup,
     HigmanParams,
+    HigmanSubgroup,
     _is_regular,
     gamma,
     inverse,
@@ -318,6 +319,81 @@ class TestRowsAndMaps:
         with pytest.raises(ValueError) as by_map:
             G.left_map(g)
         assert str(by_map.value) == str(by_multiply.value)
+
+
+def unconstrained_params(n, seed):
+    """sample_params' shape with every b row and c word drawn, so rows r-1
+    and r are free."""
+    r = (2 * n) // 3
+    s = n - r
+    rng = random.Random(seed)
+    return HigmanParams(
+        r=r, s=s, b=tuple(rng.getrandbits(s) for _ in range(r)),
+        c=tuple(rng.getrandbits(s) for _ in range(r * (r - 1) // 2)))
+
+
+class TestRankSubgroups:
+    """A subgroup's order and membership by GF(2) ranks against the
+    closure over partial(multiply, g), the oracle: order() is the length
+    of that listing and contains(x) whether x is in it, for every x."""
+
+    @staticmethod
+    def assert_matches_listing(G, gens):
+        X = G.generated_subgroup(gens)
+        listing = set(fgroup.closure(
+            G.identity(), [partial(G.multiply, g) for g in gens],
+            G.enum_limit))
+        assert X.order() == len(listing), gens
+        assert [X.contains(x) for x in G.elements()] == \
+            [x in listing for x in G.elements()], gens
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_generator_subset(self, n):
+        # ordered, with the identity and repeats, of size 0..3
+        cases = ([sample_params(n, seed) for seed in (1, 2, 3)]
+                 + [unconstrained_params(n, seed) for seed in (1, 2)])
+        if n == 3:
+            cases.append(quaternion_params())
+        for params in cases:
+            G = HigmanGroup(params)
+            pool = [G.identity()] + G.generators()
+            for k in range(4):
+                for gens in itertools.product(pool, repeat=k):
+                    self.assert_matches_listing(G, list(gens))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_random_subsets(self, n):
+        rng = random.Random(n)
+        for params in (sample_params(n, 4), unconstrained_params(n, 4)):
+            G = HigmanGroup(params)
+            for _ in range(12):
+                gens = rng.sample(G.elements(), rng.randint(1, 5))
+                self.assert_matches_listing(G, gens)
+
+    def test_listing_stays_the_closure(self):
+        G = HigmanGroup(sample_params(8, 2))
+        gens = [G.g(1), G.g(3), G.h(2)]
+        X = G.generated_subgroup(gens)
+        assert isinstance(X, HigmanSubgroup)
+        assert X.elements() == fgroup.closure(
+            G.identity(), [partial(G.multiply, g) for g in gens],
+            G.enum_limit)
+        assert X.order() == len(X.elements())
+
+    @pytest.mark.parametrize("x", [(1 << 4, 0), (-1, 0), (0, 1 << 2),
+                                   (0, -1), parse_cycles("(1 2)", 2), "g1"])
+    def test_element_outside_the_group_refused(self, x):
+        G = HigmanGroup(sample_params(6, 1))       # r = 4, s = 2
+        X = G.generated_subgroup([G.g(1), G.h(1)])
+        with pytest.raises(ValueError, match="not an element"):
+            X.contains(x)
+        with pytest.raises(ValueError, match="not an element"):
+            G.generated_subgroup([G.g(2), x]).order()
+
+    def test_validate_triple_lists_nothing(self, closure_calls):
+        G, trip = theorem3_triple(sample_params(12, 1))
+        assert trip.valid and trip.index == 4
+        assert closure_calls == []
 
 
 class TestRelations:

@@ -412,6 +412,78 @@ class TestChainMatchesReference:
                 == ref._level_gens(1)
 
 
+# (group, t, subgroup kind, 1-based points): validate_triple's inputs are
+# (S_H(tau), {t}, t^2) for H the subgroup at those points
+TRIPLE_INPUTS = (
+    ("A6", "(1 2)(3 4 5 6)", "point", (1,)),
+    ("A7", "(1 2)(3 4 5 6)", "point", (1,)),
+    ("S5", "(1 4 2 5)", "pointwise", (4, 5)),
+    ("S6", "(1 2)(3 4 5 6)", "point", (1,)),
+)
+
+
+class TestKnownOrderStop:
+    """A chain given a bound on the order stops scanning once the basic
+    orbit lengths multiply to the bound, and is the unbounded chain."""
+
+    @staticmethod
+    def assert_same_chain(chain, ref, label):
+        assert chain.base == ref.base, label
+        assert chain.strong == ref.strong, label
+        assert chain.transversals == ref.transversals, label
+        assert chain.inverses == ref.inverses, label
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """The chain of every Schreier-generator scan run, one entry per
+        scan."""
+        calls = []
+        scan = StabilizerChain._find_and_insert_residue
+
+        def counting(chain):
+            calls.append(chain)
+            return scan(chain)
+
+        monkeypatch.setattr(StabilizerChain, "_find_and_insert_residue",
+                            counting)
+        return calls
+
+    def test_zoo_groups_bounded_by_their_own_order(self, scans):
+        for label, degree, gens, hint in reference_cases():
+            del scans[:]
+            ref = StabilizerChain(degree, gens, base_hint=hint)
+            unbounded = len(scans)
+            del scans[:]
+            chain = StabilizerChain(degree, gens, base_hint=hint,
+                                    order_bound=ref.order())
+            self.assert_same_chain(chain, ref, label)
+            # the final scan, which finds nothing, is the one skipped
+            assert len(scans) == unbounded - 1, label
+
+    @pytest.mark.parametrize("expr, t, kind, points", TRIPLE_INPUTS)
+    def test_validate_triple_subgroups(self, scans, expr, t, kind, points):
+        G = groupzoo.construct(expr)
+        G.order()
+        pts = [p - 1 for p in points]
+        H = (G.point_stabilizer(pts[0]) if kind == "point"
+             else groupzoo.pointwise_stabilizer(G, pts))
+        t = parse_cycles(t, G.degree)
+        tau = t * t
+        S = s_tau(H, tau).elements
+        stopped = 0
+        for gens in (S + [t], S + [tau]):   # <S u T> = G, <S u {tau}>
+            X = G.generated_subgroup(gens)
+            assert X._order_bound == G.order()
+            del scans[:]
+            chain = X.chain
+            bounded = len(scans)
+            del scans[:]
+            ref = StabilizerChain(G.degree, X.generators())
+            self.assert_same_chain(chain, ref, expr)
+            stopped += bounded < len(scans)
+        assert stopped == 1                 # at <S u T> = G only
+
+
 def generic_listing(G):
     """The closure over Permutation products, as FiniteGroup lists it."""
     return fgroup.closure(G.identity(),
