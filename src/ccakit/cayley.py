@@ -142,13 +142,17 @@ def bfs(n: int, left_rows: list[list[list[int]]],
     Colours are scanned in order, then the rows of each; a vertex that is
     not reached has parent None and is not in the order.  The (colour,
     row) pairs are one flat list, and a vertex is seen once it has a
-    parent: vertex 0 holds a sentinel until the search ends.
+    parent: vertex 0 holds a sentinel until the search ends.  The search
+    ends once every vertex is reached, at the next vertex it would scan:
+    a later step could only meet a vertex that has its parent already.
     """
     parent: list = [None] * n
     parent[0] = ()
     steps = [(c, row) for c, rows in enumerate(left_rows) for row in rows]
     order = [0]
     for v in order:             # the order grows as vertices are reached
+        if len(order) == n:
+            break
         for c, row in steps:
             u = row[v]
             if parent[u] is None:

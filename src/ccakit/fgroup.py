@@ -35,19 +35,21 @@ its generators and lists only when its elements are asked for (higman).
 
 Index arithmetic has one direct computation and one derivation.
 ``left_row(s)``, row[v] = index(s*v), looks up ``left_map(s)`` of every
-element v in the element index (Higman groups, listed in natural order,
-compute it by e-block instead).  ``rows(members)`` gives the row of each
-member and calls ``left_row`` only for a member that no row it holds
-covers.  It uses two identities of the left regular representation, where
-each row is a permutation of the indices: row(a*b) is the composite
-row(a) o row(b), row(a*b)[v] = row(a)[row(b)[v]], and row(s^-1) is the
-inverse permutation of row(s).  So a member that is the product of two
-held members gets their composite, and every member's partner s^-1 is
-held with it.  ``mult_table`` is the rows of every element, for which
-``left_row`` computes at most the generators' rows, and `cayley.build` is
-the rows of a connection set's members.  Every generating set is
-filtered by one rule, ``distinct_generators``: no identity, no repeat,
-first occurrences in order.
+element v in the element index.  Higman groups, listed in natural order,
+compute it by e-block instead, and permutation groups with a short base
+look s*v up by its images of the base, without forming it (permcore).
+``rows(members)`` gives the row of each member and calls ``left_row``
+only for a member that no row it holds covers.  It uses two identities
+of the left regular representation, where each row is a permutation of
+the indices: row(a*b) is the composite row(a) o row(b), row(a*b)[v] =
+row(a)[row(b)[v]], and row(s^-1) is the inverse permutation of row(s).
+So a member that is the product of two held members gets their
+composite, and every member's partner s^-1 is held with it.
+``mult_table`` is the rows of every element, for which ``left_row``
+computes at most the generators' rows, and `cayley.build` is the rows of
+a connection set's members.  Every generating set is filtered by one
+rule, ``distinct_generators``: no identity, no repeat, first occurrences
+in order.
 
 A listed group keeps one index, ``element_index`` (element -> position);
 ``element_set`` is a view of that index's keys, not a second copy.
@@ -307,6 +309,10 @@ class FiniteGroup(abc.ABC):
             y = self.multiply(y, x)
             k += 1
         return k
+
+    def element_orders(self) -> list[int]:
+        """The order of each element, in element order."""
+        return list(map(self.element_order, self.elements()))
 
     def involutions(self) -> list:
         e = self.identity()

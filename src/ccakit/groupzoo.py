@@ -14,6 +14,9 @@ of the projective line over GF(q) via unimodular Moebius maps modulo the
 centre.  Every GF(q) is built by one rule, polynomials over GF(p) modulo
 a monic irreducible one of degree f (q = p^f): for a prime q that is x,
 and for a prime power the pinned polynomial in data/field_polys.json.
+Its tables are exact lookups: products by the logarithms of the
+primitive element's powers, the only products formed by the polynomial
+rule, and sums by shifts of one digit.
 
 The named constructors take one generating set each.  Where a generator
 is the identity or repeats another at a small n (C1, S2, A3, and the
@@ -24,7 +27,10 @@ parse or would give another group.
 construct parses an expression and builds its group in the same pass;
 there is no separate syntax tree.  The point and set stabilizers and the
 normalizer are one filter over the group's elements, which passes every
-element that it keeps, in element order, as a generator.
+element that it keeps, in element order, as a generator.  The
+normalizer's filter labels the right cosets of H once, from the rows of
+H's generators, and tests each x by one product per generator.  Cyclic
+subgroups read every element's order from one ``element_orders`` pass.
 """
 
 from __future__ import annotations
@@ -89,11 +95,19 @@ def build_field(q: int) -> FieldTable:
 
     One rule serves every q: a prime q is the case f = 1 with modulus x,
     and a prime power reads its modulus from data/field_polys.json.  The
-    digit vector of an element is its residue's coefficients.  add is the
-    digit-wise sum mod p and mul the schoolbook product reduced by the
-    modulus.  Every row of add, and every row of mul but row 0, is a
-    permutation of the field, so neg and inv are where 0 and 1 stand in it.
-    The primitive element is the smallest one of order q - 1.
+    digit vector of an element is its residue's coefficients.
+
+    add is the digit-wise sum mod p, built row by row: row a is row a - w
+    followed by the shift that adds w = p^k, the largest power of p at
+    most a, which raises digit k by 1 mod p.  Every row of add is a
+    permutation of the field, so neg is where 0 stands in it.
+
+    The units form a cyclic group of order q - 1.  The first element whose
+    powers reach every unit is the primitive element lambda, the least one
+    of order q - 1; its powers, schoolbook products reduced by the modulus
+    and the only ones formed, give exp[k] = lambda^k and log, exp's
+    inverse.  Then mul[a][b] = exp[(log a + log b) mod (q - 1)] for units
+    a and b, and 0 if either is 0, and inv[a] = exp[-log a mod (q - 1)].
     """
     if q < 2 or q > MAX_PRIME_POWER_Q:
         raise GroupExprError(f"field order {q} outside supported range 2..32")
@@ -125,21 +139,30 @@ def build_field(q: int) -> FieldTable:
                 prod[top - f + k] -= prod[top] % p * red[k]
         return index(prod)
 
-    add_t = [[index([x + y for x, y in zip(da, db)]) for db in digits]
-             for da in digits]
-    mul_t = [[mul(da, db) for db in digits] for da in digits]
+    shift = {w: [b + w if b // w % p < p - 1 else b - (p - 1) * w
+                 for b in range(q)] for w in weights}
+    add_t = [list(range(q))]
+    for a in range(1, q):
+        w = max(w for w in weights if w <= a)
+        add_t.append(list(map(shift[w].__getitem__, add_t[a - w])))
     neg_t = [row.index(0) for row in add_t]
-    inv_t = [0] + [row.index(1) for row in mul_t[1:]]
 
-    primitive = 1
-    for cand in range(1, q):
-        k, x = 1, cand
+    for primitive in range(1, q):
+        exp = [1]                       # the powers of primitive until 1
+        x = primitive
         while x != 1:
-            x = mul_t[x][cand]
-            k += 1
-        if k == q - 1:
-            primitive = cand
+            exp.append(x)
+            x = mul(digits[x], digits[primitive])
+        if len(exp) == q - 1:
             break
+    log = [0] * q
+    for k, x in enumerate(exp):
+        log[x] = k
+    exp2 = exp + exp            # exp2[i + j] = exp[(i + j) mod (q - 1)]
+    unit_logs = log[1:]
+    mul_t = [[0] * q] + [[0] + [exp2[i + j] for j in unit_logs]
+                         for i in unit_logs]
+    inv_t = [0] + [exp[-i] for i in unit_logs]
 
     return FieldTable(q=q, p=p, f=f, add=add_t, mul=mul_t, neg=neg_t,
                       inv=inv_t, primitive=primitive)
@@ -339,13 +362,33 @@ def _points(G: PermutationGroup, points) -> frozenset:
 
 
 def normalizes(G: FiniteGroup, H: FiniteGroup):
-    """Predicate on x in G: conjugation by x maps H's generators into H."""
-    hset, hgens = H.element_set(), H.generators()
+    """Predicate on x in G: x normalises H, a subgroup of G.
+
+    x normalises H exactly when xH = Hx, and so when x*h lies in the right
+    coset Hx for every generator h of H.  The right cosets are the orbits
+    of v -> h*v over H's generators h, whose rows (``G.rows``) label each
+    element by its coset once; then x costs one product x*h and one label
+    per generator, and no inverse.
+    """
+    index = G.element_index()
+    hgens = H.generators()
+    rows = G.rows([index[h] for h in hgens])
+    label = [-1] * len(index)
+    for v in range(len(index)):
+        if label[v] < 0:                # v starts the next coset Hv
+            label[v] = v
+            coset = [v]
+            for u in coset:             # the coset grows as it is found
+                for row in rows:
+                    w = row[u]
+                    if label[w] < 0:
+                        label[w] = v
+                        coset.append(w)
 
     def normalizing(x) -> bool:
-        x_inv = G.invert(x)             # h^x = x^-1 h x
-        return all(G.multiply(G.multiply(x_inv, h), x) in hset
-                   for h in hgens)
+        times = G.left_map(x)           # y -> x*y
+        lx = label[index[x]]
+        return all(label[index[times(h)]] == lx for h in hgens)
     return normalizing
 
 
@@ -363,14 +406,15 @@ def cyclic_subgroups_of_order(G: FiniteGroup, m: int) -> list:
     """All cyclic subgroups of order m, each once, in order of their first
     generator in G's listing, each generated by that element.
 
-    The generators of <x> are the powers x^k with gcd(k, m) = 1.  They go
-    into ``covered`` when <x> is listed, and a covered element is skipped
-    before its order is taken.
+    Every element's order comes from one ``G.element_orders()`` pass.  The
+    generators of <x> are the powers x^k with gcd(k, m) = 1.  They go into
+    ``covered`` when <x> is listed, and an element of order m that is
+    covered is skipped.
     """
     covered = set()
     out = []
-    for x in G.elements():
-        if x in covered or G.element_order(x) != m:
+    for x, order in zip(G.elements(), G.element_orders()):
+        if order != m or x in covered:
             continue
         y = x
         for k in range(1, m):

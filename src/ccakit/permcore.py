@@ -22,7 +22,7 @@ product through it builds no Permutation, hash or comparison.  Everything
 else is FiniteGroup's own code over these maps: the group lists its
 elements by ``FiniteGroup.elements`` (one ``fgroup.closure``) and wraps
 each listed tuple once, in place; its rows are ``FiniteGroup.rows``,
-over ``FiniteGroup.left_row``; its generators are filtered by
+over its own ``left_row`` (below); its generators are filtered by
 ``fgroup.distinct_generators``.  A Permutation is the tuple of its images,
 so the group's one element index answers a lookup by a Permutation or by
 the plain tuple a row product returns.
@@ -31,10 +31,15 @@ An element of the group is fixed by its images of a base (Sims 1970).  A
 group whose base has at most degree/2 points (PSL(2, q) has 3 points on
 q + 1) keys its listing by those images, ``itemgetter`` over the base: it
 tests g * x for membership by the images x[g[b]] of the base points b and
-forms the full tuple only for a new element.  A group with a longer base
-(S_n and A_n) lists by full products, which cost less there.  The
-involution, square-root and order-4 scans of every permutation group read
-x^2 and x^4 at the base points only.
+forms the full tuple only for a new element.  Its ``left_row(s)`` looks
+each s * v up by the same images, v[s[b]], in a key -> position index
+built once beside the element index, and forms no product.  A group with
+a longer base (S_n and A_n) lists and builds rows by full products, which
+cost less there.  The involution, square-root and order-4 scans of every
+permutation group read x^2 and x^4 at the base points only, and
+``element_orders`` reads each order as the lcm of the lengths of the
+cycles through the base points, since x^k is the identity exactly when it
+fixes every base point.
 
 Listing checks the enumeration limit against the group's order first,
 which takes a stabilizer chain, except for a subgroup
@@ -359,6 +364,8 @@ class PermutationGroup(FiniteGroup):
         # order, which bounds this group's, and that ancestor's base
         self._order_bound: int | None = None
         self._bound_base: list[int] | None = None
+        # left_row's (short base, base images -> position), built on use
+        self._keyed: tuple | None = None
 
     # -- FiniteGroup contract -----------------------------------------------
 
@@ -421,16 +428,23 @@ class PermutationGroup(FiniteGroup):
             return self._bound_base
         return self.chain.base
 
-    def _listing_keys(self, gens: list) -> dict:
-        """Key the listing by base images if the base has at most degree/2
-        points: g * x has the images x[g[b]] of the base points b.
-
-        ``itemgetter`` of one point gives a scalar, which keys as well as a
-        tuple; a base of no points is the trivial group's, with nothing to
-        key.
-        """
+    def _short_base(self) -> list[int] | None:
+        """The base if it has at most degree/2 points, else None.  A base
+        of no points is the trivial group's, with nothing to key."""
         base = self._base()
         if not base or 2 * len(base) > self.degree:
+            return None
+        return base
+
+    def _listing_keys(self, gens: list) -> dict:
+        """Key the listing by base images if the base is short: g * x has
+        the images x[g[b]] of the base points b.
+
+        ``itemgetter`` of one point gives a scalar, which keys as well as a
+        tuple.
+        """
+        base = self._short_base()
+        if base is None:
             return {}
         return {"key": itemgetter(*base),
                 "key_maps": [itemgetter(*[g[b] for b in base])
@@ -439,6 +453,25 @@ class PermutationGroup(FiniteGroup):
     def left_map(self, g: Permutation):
         """x -> g * x on image tuples (a Permutation is one)."""
         return _left_factor(g)
+
+    def left_row(self, s: Permutation) -> list[int]:
+        """Row of s, a member of the group: the index of s*v per element v.
+
+        With a short base, s*v is looked up by its base images v[s[b]] in
+        a key -> position index, built on first use from ``element_index``
+        and sharing its position objects, so no product is formed.  A
+        longer base takes FiniteGroup's lookup of the full products.
+        """
+        if self._keyed is None:
+            base = self._short_base()
+            if base is None:
+                return super().left_row(s)
+            index = self.element_index()
+            keys = map(itemgetter(*base), index)
+            self._keyed = (base, dict(zip(keys, index.values())))
+        base, positions = self._keyed
+        images = itemgetter(*[s[b] for b in base])
+        return list(map(positions.__getitem__, map(images, self.elements())))
 
     def generated_subgroup(self, gens) -> "PermutationGroup":
         """<gens>, bounded by this group's known order if gens lie in it."""
@@ -501,7 +534,24 @@ class PermutationGroup(FiniteGroup):
     # -- permutation-specific operations --------------------------------------
 
     def element_order(self, x: Permutation) -> int:
+        """x's order from all its cycles: x may lie outside the group."""
         return x.order()
+
+    def element_orders(self) -> list[int]:
+        """The order of each element, the lcm of the lengths of its cycles
+        through the base points: x^k is the identity exactly when it fixes
+        every base point."""
+        base = self._base()
+        out = []
+        for x in self.elements():
+            k = 1
+            for b in base:
+                n, y = 1, x[b]
+                while y != b:
+                    n, y = n + 1, x[y]
+                k = lcm(k, n)
+            out.append(k)
+        return out
 
     def point_stabilizer(self, point: int) -> "PermutationGroup":
         """Exact stabilizer of a point, via a chain based at that point."""

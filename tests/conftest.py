@@ -3,7 +3,7 @@ import signal
 
 import pytest
 
-from ccakit import fgroup, higman
+from ccakit import fgroup, higman, permcore
 
 
 @pytest.fixture
@@ -30,13 +30,22 @@ def left_row_calls(monkeypatch):
     """The element of every `left_row` call made while the test runs, in
     call order: the rows computed directly rather than derived.
 
-    Wraps `FiniteGroup.left_row` and the Higman groups' own.
+    Wraps `FiniteGroup.left_row` and the permutation and Higman groups'
+    own.  A permutation group with a long base hands its call on to
+    `FiniteGroup.left_row`, so only the outermost call is recorded.
     """
     calls = []
-    for cls in (fgroup.FiniteGroup, higman.HigmanGroup):
+    depth = [0]
+    for cls in (fgroup.FiniteGroup, permcore.PermutationGroup,
+                higman.HigmanGroup):
         def counting(group, s, left_row=vars(cls)["left_row"]):
-            calls.append(s)
-            return left_row(group, s)
+            if not depth[0]:
+                calls.append(s)
+            depth[0] += 1
+            try:
+                return left_row(group, s)
+            finally:
+                depth[0] -= 1
 
         monkeypatch.setattr(cls, "left_row", counting)
     return calls

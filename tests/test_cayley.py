@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from ccakit import colourauts
 from ccakit import groupzoo as gz
 from ccakit import triples as tr
 from ccakit.cayley import (ColouredCayleyGraph, ConnectionSet,
@@ -368,6 +369,45 @@ def reference_bfs(n, left_rows):
                     parent[u] = (v, c)
                     order.append(u)
     return order, parent
+
+
+class TestEarlyExitBFS:
+    """bfs stops once every vertex is reached; its order and parents must
+    be those of the full scan, reference_bfs."""
+
+    def test_class_graphs_of_the_zoo(self):
+        rng = random.Random(3)
+        kinds = set()
+        for expr, G in gz.zoo_corpus(16):
+            rows = class_rows(G)
+            sets = ([[r] for r in rows]
+                    + [list(pair) for pair in itertools.combinations(rows, 2)]
+                    + [rng.sample(rows, rng.randint(1, len(rows)))
+                       for _ in range(10)])
+            for left_rows in sets:
+                got = bfs(G.order(), left_rows)
+                assert got == reference_bfs(G.order(), left_rows), expr
+                kinds.add(len(got[0]) == G.order())
+        assert kinds == {True, False}       # connected and disconnected
+
+    def test_aut_pm1_picked_class_trees(self, monkeypatch):
+        trees = []
+
+        def checked(n, left_rows):
+            got = bfs(n, left_rows)
+            assert got == reference_bfs(n, left_rows)
+            trees.append(len(left_rows))
+            return got
+        monkeypatch.setattr(colourauts, "bfs", checked)
+        rng = random.Random(5)
+        for _, G in gz.zoo_corpus(16):
+            rows = class_rows(G)
+            for _ in range(3):
+                graph = ColouredCayleyGraph(
+                    G, rng.sample(rows, rng.randint(1, len(rows))))
+                if graph.is_connected():
+                    colourauts.aut_pm1(graph)
+        assert len(trees) > 50 and max(trees) > 1
 
 
 class TestConnectivity:

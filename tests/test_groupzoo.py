@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from oracle_field import build_tables
+from oracle_normalizes import normalizes as product_form_normalizes
+
 from ccakit import cli, fgroup
 from ccakit import groupzoo as gz
 from ccakit.fgroup import LimitExceeded
@@ -36,9 +39,13 @@ def readme_group_expressions() -> list[str]:
     return [e.strip('"') for e in exprs]
 
 
+# every q that build_field accepts
+FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
+                31, 32]
+
+
 class TestFieldTables:
-    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17,
-                                   19, 23, 25, 27, 29, 31, 32])
+    @pytest.mark.parametrize("q", FIELD_ORDERS)
     def test_field_axioms(self, q):
         F = gz.build_field(q)
         els = range(q)
@@ -73,6 +80,24 @@ class TestFieldTables:
     def test_unsupported_q(self):
         with pytest.raises(ValueError):
             gz.build_field(6)
+
+    def test_accepted_orders(self):
+        accepted = []
+        for q in range(0, 40):
+            try:
+                gz.build_field(q)
+            except gz.GroupExprError:
+                continue
+            accepted.append(q)
+        assert accepted == FIELD_ORDERS
+
+    @pytest.mark.parametrize("q", FIELD_ORDERS)
+    def test_tables_are_the_schoolbook_tables(self, q):
+        """Products by logarithms and sums by shifts against every
+        product and sum by the schoolbook rule (tests/oracle_field.py)."""
+        F = gz.build_field(q)
+        assert {"add": F.add, "mul": F.mul, "neg": F.neg, "inv": F.inv,
+                "primitive": F.primitive} == build_tables(q)
 
 
 class TestConstructors:
@@ -286,7 +311,66 @@ class TestCyclicSubgroups:
                 self.check(G, m)
 
 
+def identity_cycle_length(row: list[int]) -> int:
+    """The length of the cycle of vertex 0 (the identity) under the left
+    row of x: the order of x."""
+    k, v = 1, row[0]
+    while v:
+        k, v = k + 1, row[v]
+    return k
+
+
+class TestElementOrders:
+    """element_orders, read at the base points of a permutation group,
+    against the orders over all cycles, and FiniteGroup's default against
+    the cycle of the identity in each element's row."""
+
+    def test_permutation_groups(self):
+        groups = [G for _, G in gz.zoo_corpus(48)
+                  if isinstance(G, PermutationGroup)]
+        groups += [gz.construct(expr) for expr in
+                   [f"PSL2({q})" for q in FIELD_ORDERS if q <= 17]
+                   + ["A6", "S6"]]
+        for G in groups:
+            assert G.element_orders() == [x.order() for x in G.elements()]
+
+    def test_finite_group_default(self):
+        groups = [G for _, G in gz.zoo_corpus(48)
+                  if isinstance(G, HigmanGroup)]
+        groups += [gz.construct("Q8"), gz.construct("higman:n=7,seed=3")]
+        for G in groups:
+            assert G.element_orders() == list(
+                map(identity_cycle_length, G.mult_table()))
+
+
 class TestNormalizers:
+    @staticmethod
+    def check(G, H):
+        """normalizes against the product form on every element of G."""
+        got, want = gz.normalizes(G, H), product_form_normalizes(G, H)
+        assert ([got(x) for x in G.elements()]
+                == [want(x) for x in G.elements()])
+
+    @pytest.mark.parametrize("expr", ["PSL2(7)", "A6", "S5"])
+    def test_every_cyclic_subgroup(self, expr):
+        G = gz.construct(expr)
+        for m in sorted(set(G.element_orders())):
+            for H in gz.cyclic_subgroups_of_order(G, m):
+                self.check(G, H)
+
+    def test_stabilizers(self):
+        S5 = gz.symmetric_group(5)
+        for H in (S5.point_stabilizer(0), gz.pointwise_stabilizer(S5, [3, 4]),
+                  gz.setwise_stabilizer(S5, [3, 4])):
+            self.check(S5, H)
+
+    @pytest.mark.parametrize("m", [8, 9])
+    def test_psl2_17_first_and_last_cyclic_subgroups(self, m):
+        G = gz.psl2(17)
+        cyc = gz.cyclic_subgroups_of_order(G, m)
+        for H in (cyc[0], cyc[-1]):
+            self.check(G, H)
+
     def test_sym3(self):
         S3 = gz.symmetric_group(3)
         C3 = S3.generated_subgroup([parse_cycles("(1 2 3)", 3)])

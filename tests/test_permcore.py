@@ -572,6 +572,55 @@ class TestImageTupleArithmetic:
         assert G.mult_table() == [generic_row(G, a) for a in G.elements()]
 
 
+class TestKeyedRows:
+    """left_row at a short base, by base images, against FiniteGroup's
+    lookup of the full products, for every element; a long base hands the
+    call to FiniteGroup's."""
+
+    @staticmethod
+    def product_rows(monkeypatch):
+        """The elements FiniteGroup.left_row is called with, as a list."""
+        calls = []
+        left_row = fgroup.FiniteGroup.left_row
+
+        def counting(group, s):
+            calls.append(s)
+            return left_row(group, s)
+        monkeypatch.setattr(fgroup.FiniteGroup, "left_row", counting)
+        return calls
+
+    def test_short_bases(self, monkeypatch):
+        groups = [G for _, G in groupzoo.zoo_corpus(48)
+                  if isinstance(G, PermutationGroup) and G._short_base()]
+        # PSL(2, 2) and PSL(2, 4) have bases of 2 points on 3 and 3 points
+        # on 5: long ones
+        groups += [groupzoo.psl2(q) for q in (3, 5, 7, 8, 9, 11, 13)]
+        assert len(groups) > 30
+        calls = self.product_rows(monkeypatch)
+        for G in groups:
+            assert G._short_base() is not None
+            for s in G.elements():
+                row = G.left_row(s)
+                assert calls == []
+                assert row == fgroup.FiniteGroup.left_row(G, s)
+                del calls[:]
+
+    def test_long_bases(self, monkeypatch):
+        groups = [G for _, G in groupzoo.zoo_corpus(48)
+                  if isinstance(G, PermutationGroup)
+                  and G._short_base() is None]
+        groups += [groupzoo.psl2(2), groupzoo.psl2(4),
+                   groupzoo.symmetric_group(5),
+                   groupzoo.alternating_group(6)]
+        assert len(groups) > 5
+        calls = self.product_rows(monkeypatch)
+        for G in groups:
+            for s in G.generators():
+                del calls[:]
+                assert G.left_row(s) == generic_row(G, s)
+                assert calls == [s]
+
+
 class TestLeftMap:
     def test_left_map_is_multiply(self):
         """left_map(g) is x -> multiply(g, x), on image tuples, for every
