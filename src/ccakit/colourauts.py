@@ -68,22 +68,59 @@ S generates G: exactly when it is in aut_pm1.  A stab1 element sends
 every s, the {s, s^-1}-neighbour of vertex 0, to s or s^-1, so it is a
 group automorphism exactly when it passes.
 
+After a witness, the rest of stab1 comes mostly from the witness itself,
+by three facts.
+- Right translation R_x, v -> v * x, preserves colours, since
+  s * (v * x) = (s * v) * x.  So for alpha in stab1 and s in S the
+  conjugate R_{alpha(s)}^-1 o alpha o R_s preserves colours and sends 1
+  to alpha(s) * alpha(s)^-1 = 1: every conjugate lies in stab1.
+- If alpha is a group automorphism, the conjugate sends v to
+  alpha(v * s) * alpha(s)^-1 = alpha(v): it is alpha.  If every
+  conjugate is alpha, then alpha(v * s) = alpha(v) * alpha(s) for every
+  v and every s in the generating set S, and alpha is an automorphism.
+  So only a witness seeds new elements, and nothing is conjugated
+  before one is found: a sweep, a cross-check or a CCA graph stops at
+  its witness or has none, and never pays.
+- Which vertices propagation assigns depends only on which are already
+  assigned, not on their images: an involution row forces row[v] once
+  v is placed, and a pair forces one member once the other is.  So
+  every completion of a level's search branches at the identity walk's
+  deeper base points, and the search, which cuts only empty subtrees,
+  returns first the coset element (the maps fixing the base points
+  above b_k and sending b_k to its partner) that is lex-least by the
+  candidate order at each deeper base point.  A coset element x is
+  made lex-least greedily: at each deeper level j with generator g_j,
+  x o g_j agrees with x above b_j and takes x's other candidate at b_j,
+  and at a level with no generator the coset elements that agree above
+  b_j agree at b_j.
+So a conjugate that fixes the base points above b_k and moves b_k gives
+level k's generator by composition, byte-identical to the search's, and
+the level is searched only when none lands there.  A conjugate that
+moves first the base point of a level the search proved trivial
+contradicts it, and raises AssertionError (exit 4 in the CLI).  After
+the witness, the S6 triple graph runs no search where it ran 5, and the
+PSL(2, 17) dihedral:16 one 36 where it ran 178; a verdict's stab1 there
+takes 3.7 and 154 ms where it took 9.4 and 465 ms, on a 2-core machine.
+
 There is one decision path.  is_cca_graph decides a single graph by
 streaming the strong generators and stopping at the first that fails; its
-verdict finishes the same stream only when stab1 or an order is read.  The
-exhaustive group verdict is one function, is_cca_group_exhaustive.  A
-superset of a connected CCA set is CCA, so a group is CCA exactly when
-its minimal generating class sets are.  The sweep forms, size by size,
-only the lex-irredundant class sets, in which each class lies outside the
-subgroup its lex-smaller classes generate, and grows only those that do
-not generate; it applies is_cca_graph to the minimal ones, reads only the
-decision, and returns at the first that fails.  It never walks the 2^k
-class subsets: A5 has 2^37, of which it forms 2,663.
+verdict finishes the same stream, sent the witness, only when stab1 or an
+order is read.  The exhaustive group verdict is one function,
+is_cca_group_exhaustive.  A superset of a connected CCA set is CCA, so a
+group is CCA exactly when its minimal generating class sets are.  The
+sweep forms, size by size, only the lex-irredundant class sets, in which
+each class lies outside the subgroup its lex-smaller classes generate, and
+grows only those that do not generate; it applies is_cca_graph to the
+minimal ones, reads only the decision, and returns at the first that
+fails.  It never walks the 2^k class subsets: A5 has 2^37, of which it
+forms 2,663.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
@@ -207,6 +244,14 @@ class _MapSearch:
             self.pre[self.alpha[u]] = -1
             self.alpha[u] = -1
 
+    def candidates(self, w: int, a: int) -> tuple[int, int]:
+        """The two images of base point w when its BFS parent goes to a,
+        in the order the search tries them: the c-neighbours of a, the
+        one equal to w first, else the lower index first."""
+        r1, r2 = self.rows[self.parent[w][1]]
+        x, y = r1[a], r2[a]
+        return (y, x) if y == w or (x != w and y < x) else (x, y)
+
     def completions(self, k: int, gens=None):
         """Yield every completion of the map, branching from base level k.
 
@@ -267,21 +312,15 @@ class _MapSearch:
                     yield tuple(alpha)
                 else:
                     w = order[k]
-                    v, c = self.parent[w]
+                    v = self.parent[w][0]
                     d = len(stack)
                     kept = gens
                     if stack:
                         x = alpha[order[stack[-1][0]]]
                         kept = [h for h in stack[-1][3] if h[x] == x]
-                    # the two c-neighbours of v's image, the identity-
-                    # consistent one first, else the lower index first
-                    r1, r2 = self.rows[c]
-                    x, y = r1[alpha[v]], r2[alpha[v]]
-                    if y == w or (x != w and y < x):
-                        x, y = y, x
                     # the chronological search backs up one point at a time
-                    stack.append([k, (x, y), [], kept, found,
-                                  0 if jump else (1 << d) - 1,
+                    stack.append([k, self.candidates(w, alpha[v]), [],
+                                  kept, found, 0 if jump else (1 << d) - 1,
                                   (1 << d) | reason[v]])
                 while stack:        # next image at the deepest branch point
                     frame = stack[-1]
@@ -330,6 +369,78 @@ def enumerate_stab1(graph: ColouredCayleyGraph) -> list[tuple]:
     return sorted(_MapSearch(graph).completions(1))
 
 
+def _compose(f, g) -> tuple:
+    """f o g, the vertex map v -> f[g[v]], as a tuple."""
+    return itemgetter(*g)(f)
+
+
+class _Conjugates:
+    """Elements of stab1 for the levels of _strong_generators, from the
+    right-translation conjugates of a witness (see the module docstring).
+
+    at[i], shared with the stream, is level i's generator once the level
+    is done, and before that the first element filed there: one that
+    fixes the base points of the levels above i and moves level i's.
+    pending holds the (element, member u) pairs whose conjugates
+    R_{alpha(u)}^-1 o alpha o R_u are not filed yet.  right[u] is the
+    right translation R_u, v -> v * u, of each member u of S as an index
+    map: iota o L_{u^-1} o iota, with iota the inverse row and L_{u^-1}
+    the row of u's partner.
+    """
+
+    def __init__(self, graph: ColouredCayleyGraph, search: _MapSearch,
+                 base: list[int], at: list):
+        self.search, self.base, self.at = search, base, at
+        self.pending: deque = deque()
+        self.inv = graph.group.inverse_row()
+        iota = itemgetter(*self.inv)
+        self.right = {row[0]: _compose(self.inv, iota(partner))
+                      for rows in graph.left_rows
+                      for row, partner in zip(rows, reversed(rows))}
+
+    def add(self, alpha: tuple) -> None:
+        self.pending.extend((alpha, u) for u in self.right)
+
+    def serve(self, i: int) -> tuple | None:
+        """Level i's generator, the search's first completion, from the
+        element filed there, if any; levels after i are done.
+
+        Conjugates are filed until one lands at level i.  Each is read at
+        the base points first, and built only to be filed: at the first
+        level j whose base point it moves, if j is not done and holds no
+        element yet.  At a done level j it is dropped, since it fixes
+        every base point above j and so can fill no level left; if j was
+        proved trivial, the search and the conjugate disagree.
+
+        The filed element x is then made lex-least in its coset greedily:
+        at each deeper level j with a generator, x o at[j] keeps the
+        images above b_j and swaps the two candidates at b_j, so x takes
+        it when x(b_j) is not the candidate the search tries first.
+        """
+        at, base, search = self.at, self.base, self.search
+        while at[i] is None and self.pending:
+            alpha, u = self.pending.popleft()
+            left, right = self.right[self.inv[alpha[u]]], self.right[u]
+            j = next((j for j, b in enumerate(base)
+                      if left[alpha[right[b]]] != b), None)
+            if j is not None and at[j] is None:
+                if j > i:
+                    raise AssertionError(
+                        f"a conjugate of a stab1 element moves base point "
+                        f"{base[j]} first, whose level the search proved "
+                        f"trivial")
+                at[j] = _compose(left, _compose(alpha, right))
+        x = at[i]
+        if x is not None:
+            for j in range(i + 1, len(base)):
+                if at[j] is not None:
+                    w = base[j]
+                    first, _ = search.candidates(w, x[search.parent[w][0]])
+                    if x[w] != first:
+                        x = _compose(x, at[j])
+        return x
+
+
 def _strong_generators(graph: ColouredCayleyGraph):
     """Yield strong generators of stab1 along the BFS base, deepest first.
 
@@ -348,6 +459,14 @@ def _strong_generators(graph: ColouredCayleyGraph):
     by orbits, and the search jumps back by conflict sets (see
     completions); both keep its first completion, and so every generator,
     unchanged.
+
+    A caller that finds the generator just yielded is no group
+    automorphism, a witness, may send it back.  From then on the witness
+    and every later generator are conjugated by the right translations
+    (_Conjugates), and a level whose partner does not conflict is searched
+    only when none of their conjugates lands there; otherwise its first
+    completion is built from the conjugate by composition (see the module
+    docstring).  The generators are the same either way.
     """
     search = _MapSearch(graph)
     levels = []
@@ -355,20 +474,33 @@ def _strong_generators(graph: ColouredCayleyGraph):
         if search.alpha[w] == -1:       # the identity never conflicts
             levels.append((k, search.assign(w, w)))
     found: list[tuple] = []
-    for k, trail in reversed(levels):
+    at: list = [None] * len(levels)
+    conjugates = None                   # once a witness is sent
+    for i in reversed(range(len(levels))):
+        k, trail = levels[i]
         search.undo(trail)
         w = search.order[k]
-        v, c = search.parent[w]
-        r1, r2 = search.rows[c]
-        branch = search.assign(w, r1[v] if r2[v] == w else r2[v])
-        if branch is not None:
+        branch = search.assign(w, search.candidates(w, search.parent[w][0])[1])
+        if branch is None:
+            if at[i] is not None:
+                raise AssertionError(
+                    f"a conjugate of a stab1 element moves base point {w}, "
+                    f"whose partner conflicts")
+            continue
+        generator = None if conjugates is None else conjugates.serve(i)
+        if generator is None:
             completions = search.completions(k + 1, found)
             generator = next(completions, None)
             completions.close()
-            search.undo(branch)
-            if generator is not None:
-                found.append(generator)
-                yield generator
+        search.undo(branch)
+        if generator is not None:
+            at[i] = generator
+            found.append(generator)
+            if (yield generator) is not None and conjugates is None:
+                conjugates = _Conjugates(
+                    graph, search, [search.order[k] for k, _ in levels], at)
+            if conjugates is not None:
+                conjugates.add(generator)
 
 
 @dataclass
@@ -494,14 +626,18 @@ class CCAVerdict:
     first that is not a group automorphism (the witness); stab1_checked
     counts the generators examined.  The first read of stab1 or of an order
     finishes that same stream, so a caller that reads only is_cca and
-    witness never pays for the rest of the search.
+    witness never pays for the rest of the search.  A non-CCA verdict
+    sends the stream its witness as it resumes, so that the remaining
+    levels are served from the witness's right-translation conjugates and
+    searched only where none lands (see the module docstring); the
+    generators are those of the pure search.
     """
 
     graph: ColouredCayleyGraph = field(repr=False)
     witness: tuple | None           # violating vertex map, if any
     stab1_checked: int
     # the generators examined, then the suspended rest of the stream
-    _generators: itertools.chain = field(repr=False)
+    _generators: Iterator = field(repr=False)
 
     @property
     def is_cca(self) -> bool:
@@ -548,8 +684,9 @@ def is_cca_graph(graph: ColouredCayleyGraph) -> CCAVerdict:
     It is CCA exactly when every strong generator of stab1 is a group
     automorphism.  The generators are streamed and the decision stops at
     the first that is not, the witness, usually the first; the verdict
-    keeps the rest of the stream for its orders.  The search raises
-    ValueError on a disconnected graph.
+    keeps the rest of the stream for its orders and hands it the witness
+    when it resumes.  The search raises ValueError on a disconnected
+    graph.
     """
     stream = _strong_generators(graph)
     found = []
@@ -560,7 +697,19 @@ def is_cca_graph(graph: ColouredCayleyGraph) -> CCAVerdict:
             witness = alpha
             break
     return CCAVerdict(graph, witness, len(found),
-                      itertools.chain(found, stream))
+                      _resume(found, stream, witness))
+
+
+def _resume(found: list, stream, witness):
+    """The generators examined, then the rest of the stream, which is
+    sent the witness, if any, when it resumes."""
+    yield from found
+    if witness is not None:
+        try:
+            yield stream.send(witness)
+        except StopIteration:
+            return
+    yield from stream
 
 
 @dataclass

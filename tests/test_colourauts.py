@@ -16,10 +16,21 @@ from oracle_irredundant import (
     irredundant_counts,
 )
 
-from ccakit import colourauts
+from oracle_conjugates import (
+    canonical_at_first_level,
+    first_moved,
+    right_conjugate,
+)
+
+from ccakit import cli, colourauts
 from ccakit import groupzoo as gz
 from ccakit import triples as tr
-from ccakit.cayley import ColouredCayleyGraph, ConnectionSet, build
+from ccakit.cayley import (
+    ColouredCayleyGraph,
+    ConnectionSet,
+    build,
+    class_rows,
+)
 from ccakit.colourauts import (
     CCAVerdict,
     GroupCCAVerdict,
@@ -1089,3 +1100,199 @@ class TestStrongGenerators:
         assert not rep.verdict.is_cca
         assert rep.verdict.stab1_checked == 1
         assert sys.getrecursionlimit() == limit
+
+
+def class_graphs_up_to(G, size):
+    """The connected class graphs of G on at most size colour classes, in
+    (class count, lex) order, on cayley.class_rows."""
+    rows = class_rows(G)
+    for k in range(1, size + 1):
+        for combo in itertools.combinations(range(len(rows)), k):
+            graph = ColouredCayleyGraph(G, [rows[c] for c in combo])
+            if graph.is_connected():
+                yield graph
+
+
+# Class-order patterns of S5 and PSL(2, 7) where non-CCA class sets are
+# common, and how many of each group's graphs the sample draws.  Every
+# non-CCA set of two classes pairs one of order 4 with one of order 3
+# (S5 and PSL(2, 7)) or 6 (S5); of 200 S5 draws of orders (3, 4, 5), 16
+# were non-CCA.  A PSL(2, 7) graph has 168 vertices and costs the most.
+SAMPLED_PATTERNS = (("S5", ((3, 4), (4, 6), (3, 4, 5)), 122),
+                    ("PSL2(7)", ((3, 4),), 30))
+
+
+def sampled_non_cca_class_graphs():
+    """A fixed-seed sample of 200 non-CCA class graphs: every one of S4
+    and of C2 x D4 on 2-5 classes (24 each), then the class sets of
+    SAMPLED_PATTERNS, each drawn as a pattern and one class of each of
+    its orders, until the group's quota of non-CCA graphs is met."""
+    graphs = []
+    for expr in ("S4", "C2 x D4"):
+        G = gz.construct(expr)
+        graphs += [graph for graph in class_graphs_up_to(G, 5)
+                   if len(graph.colours) > 1
+                   and not is_cca_graph(graph).is_cca]
+    rng = random.Random(36)
+    for expr, patterns, quota in SAMPLED_PATTERNS:
+        G = gz.construct(expr)
+        rows = class_rows(G)
+        by_order = {}
+        for c, crows in enumerate(rows):
+            order = G.element_order(G.elements()[crows[0][0]])
+            by_order.setdefault(order, []).append(c)
+        seen, drawn = set(), 0
+        while drawn < quota:
+            combo = tuple(sorted(rng.choice(by_order[order])
+                                 for order in rng.choice(patterns)))
+            if combo in seen:
+                continue
+            seen.add(combo)
+            graph = ColouredCayleyGraph(G, [rows[c] for c in combo])
+            if graph.is_connected() and not is_cca_graph(graph).is_cca:
+                graphs.append(graph)
+                drawn += 1
+    return graphs
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """A one-item list counting the `_MapSearch.completions` searches
+    started while the test runs."""
+    calls = [0]
+    completions = colourauts._MapSearch.completions
+
+    def counting(search, *args):
+        calls[0] += 1
+        return completions(search, *args)
+
+    monkeypatch.setattr(colourauts._MapSearch, "completions", counting)
+    return calls
+
+
+def s4_witness_graph():
+    G = gz.symmetric_group(4)
+    return build(G, ConnectionSet.from_elements(
+        G, list(is_cca_group_exhaustive(G).witness_set)))
+
+
+class TestWitnessConjugates:
+    """A non-CCA verdict finishes stab1 from its witness's right-
+    translation conjugates and searches only where none lands.  Its
+    generators are those of the pure search, which list(_strong_generators)
+    runs, since it sends no witness."""
+
+    @staticmethod
+    def finish(graph, searches):
+        """The verdict's generators, the pure stream's, and the searches
+        each started after the witness."""
+        v = is_cca_graph(graph)
+        assert not v.is_cca
+        searches[0] = 0
+        fed = v.stab1.generators
+        after_fed = searches[0]
+        stream = colourauts._strong_generators(graph)
+        pure = list(itertools.islice(stream, v.stab1_checked))
+        searches[0] = 0
+        pure += stream
+        return fed, pure, after_fed, searches[0]
+
+    @pytest.mark.parametrize("make", [
+        *(functools.partial(triple_graph, *TRIPLE_GRAPHS[name])
+          for name in TRIPLE_GRAPHS),
+        s4_witness_graph, psl2_7_witness_graph,
+        psl2_17_dihedral_16_triple_graph,
+    ], ids=[*TRIPLE_GRAPHS, "S4 witness", "PSL2(7) witness",
+            "PSL2(17) dihedral:16"])
+    def test_generators_match_the_pure_search(self, searches, make):
+        fed, pure, after_fed, after_pure = self.finish(make(), searches)
+        assert fed == pure
+        assert after_fed < after_pure
+
+    @pytest.mark.parametrize("name,pure_searches,fed_searches", [
+        ("S5-setwise", 12, 3), ("S6", 5, 0),
+    ])
+    def test_conjugates_replace_searches(self, searches, name,
+                                         pure_searches, fed_searches):
+        # the searches started after the witness, a deterministic count
+        graph = triple_graph(*TRIPLE_GRAPHS[name])
+        _, _, after_fed, after_pure = self.finish(graph, searches)
+        assert (after_pure, after_fed) == (pure_searches, fed_searches)
+
+    def test_zoo_and_sampled_non_cca_graphs(self, searches):
+        graphs = [graph for _, G in gz.zoo_corpus(16)
+                  for graph in class_graphs_up_to(G, 3)
+                  if not is_cca_graph(graph).is_cca]
+        assert len(graphs) == 40
+        sample = sampled_non_cca_class_graphs()
+        assert len(sample) == 200
+        saved = 0
+        for graph in graphs + sample:
+            fed, pure, after_fed, after_pure = self.finish(graph, searches)
+            assert fed == pure, graph.colours
+            assert after_fed <= after_pure, graph.colours
+            saved += after_pure - after_fed
+        assert saved > 0
+
+    def test_automorphisms_equal_their_conjugates(self):
+        # a group automorphism equals each R_s-conjugate; a witness, which
+        # is none, differs from at least one
+        checked = 0
+        for _, G in gz.zoo_corpus(16):
+            for graph in connected_class_graphs(G):
+                v = is_cca_graph(graph)
+                if v.is_cca:
+                    continue
+                S = [s for cls in graph.colours for s in cls]
+                for alpha in aut_pm1(graph):
+                    assert all(right_conjugate(graph, alpha, s) == alpha
+                               for s in S)
+                assert any(right_conjugate(graph, v.witness, s) != v.witness
+                           for s in S)
+                checked += 1
+        assert checked == 200
+
+    def test_canonical_elements_are_the_level_generators(self):
+        # every stab1 element, made lex-least at the first base point it
+        # moves, is the search's first completion there: the generator
+        checked = 0
+        for _, G in gz.zoo_corpus(24):
+            for graph in class_graphs_up_to(G, 3):
+                gens = stab1(graph).generators
+                at = {first_moved(graph, g): g for g in gens}
+                for alpha in enumerate_stab1(graph):
+                    if first_moved(graph, alpha) is not None:
+                        w0, x = canonical_at_first_level(graph, gens, alpha)
+                        assert x == at[w0], graph.colours
+                        checked += 1
+        assert checked == 2815
+
+    def test_a_search_that_misses_a_generator_is_caught(self, monkeypatch):
+        # a level search after the witness that wrongly finds nothing
+        # leaves a level marked trivial; a later conjugate that moves its
+        # base point first is an internal error, exit 4 in the CLI
+        graph = triple_graph(*TRIPLE_GRAPHS["S5-setwise"])
+        G = graph.group
+        set_text = ",".join(G.elem_str(cls[0]) for cls in graph.colours)
+        completions = colourauts._MapSearch.completions
+        calls, fail = [0], [0]
+
+        def missing(search, *args):
+            calls[0] += 1
+            if calls[0] == fail[0]:
+                return (alpha for alpha in ())
+            return completions(search, *args)
+
+        monkeypatch.setattr(colourauts._MapSearch, "completions", missing)
+        caught = []
+        for fail[0] in range(2, 16):
+            calls[0] = 0
+            v = is_cca_graph(graph)
+            try:
+                v.stab1
+            except AssertionError:
+                calls[0] = 0
+                assert cli.main(["cca", "S5", "--set", set_text]) \
+                    == cli.EXIT_INTERNAL
+                caught.append(fail[0])
+        assert caught
