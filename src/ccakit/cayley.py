@@ -71,11 +71,13 @@ class ConnectionSet:
                 if x not in seen:
                     seen.add(x)
                     out.append(x)
-        for s in out:
-            if group.invert(s) not in seen:
-                raise InvalidConnectionSet(
-                    f"not inverse-closed: {group.elem_str(s)} present, "
-                    f"inverse missing")
+        # a set this call closed holds every inverse already
+        if not close_inverses:
+            for s in out:
+                if group.invert(s) not in seen:
+                    raise InvalidConnectionSet(
+                        f"not inverse-closed: {group.elem_str(s)} present, "
+                        f"inverse missing")
         out.sort(key=idx.__getitem__)
         return cls(group=group, elements=tuple(out))
 

@@ -66,7 +66,10 @@ outside its class already fails at v = 1.  So alpha passes exactly when
 it is a homomorphism sending every s to s or s^-1, an automorphism since
 S generates G: exactly when it is in aut_pm1.  A stab1 element sends
 every s, the {s, s^-1}-neighbour of vertex 0, to s or s^-1, so it is a
-group automorphism exactly when it passes.
+group automorphism exactly when it passes.  aut_pm1 needs the check in
+full only on classes that generate G: once those equations hold, the
+map is an automorphism, and any other class's equation holds at every
+v exactly when it holds at v = 1 (see aut_pm1).
 
 After a witness, the rest of stab1 comes mostly from the witness itself,
 by three facts.
@@ -92,7 +95,9 @@ by three facts.
   made lex-least greedily: at each deeper level j with generator g_j,
   x o g_j agrees with x above b_j and takes x's other candidate at b_j,
   and at a level with no generator the coset elements that agree above
-  b_j agree at b_j.
+  b_j agree at b_j.  The identity walk rests on the same fact: the
+  identity preserves colours, so its propagation cannot conflict, and
+  _MapSearch.fix records only which vertices it forces.
 So a conjugate that fixes the base points above b_k and moves b_k gives
 level k's generator by composition, byte-identical to the search's, and
 the level is searched only when none lands there.  A conjugate that
@@ -143,7 +148,11 @@ class _MapSearch:
     assignment is propagated to a fixpoint, and every edge back into the
     assigned region prunes.  c-adjacency is symmetric (the class is
     inverse-closed), so processing each vertex once when it is assigned
-    checks every edge constraint from at least one side.
+    checks every edge constraint from at least one side.  _propagate is
+    the only code that computes or checks images: the identity, given to
+    vertex 0's closure here and to the identity walk by
+    identity_levels, is recorded by fix, which checks nothing, since the
+    identity passes every check.
 
     pre is the inverse of the partial map (-1 where no vertex is sent yet)
     and reason[v] is a bitmask of the branch decisions that alpha[v]
@@ -167,7 +176,44 @@ class _MapSearch:
         self.pre = [-1] * self.n
         self.reason = [0] * self.n
         self.conflict = 0
-        self.assign(0, 0)
+        self.fix(0)
+
+    def fix(self, w: int) -> list[int]:
+        """Send w, and every vertex it forces, to itself: the trail that
+        assign(w, w) returns, in the same order, with no image computed or
+        checked.  Only for a map that is the identity where assigned, with
+        every reason 0: vertex 0's closure and the identity walk of
+        _strong_generators.
+
+        The identity preserves colours, so propagating it never conflicts:
+        _propagate forces each vertex u onto u itself, and pre[u] is free
+        exactly when alpha[u] is.  Which vertices it forces depends only on
+        which are assigned (see the module docstring): row[v] for an
+        involution row, and one member of a pair once the other is placed.
+        So the closure records only that, in _propagate's order, and every
+        reason stays 0, as the identity depends on no decision.
+        """
+        alpha, pre = self.alpha, self.pre
+        alpha[w] = pre[w] = w
+        trail = [w]
+        for v in trail:             # the trail grows as vertices are forced
+            for row in self.singles:
+                u = row[v]
+                if alpha[u] == -1:
+                    alpha[u] = pre[u] = u
+                    trail.append(u)
+            for r1, r2 in self.pairs:
+                u = r1[v]
+                if alpha[u] == -1:
+                    if alpha[r2[v]] == -1:
+                        continue
+                else:
+                    u = r2[v]
+                    if alpha[u] != -1:
+                        continue
+                alpha[u] = pre[u] = u
+                trail.append(u)
+        return trail
 
     def assign(self, w: int, target: int, mask: int = 0) -> list[int] | None:
         """Map w to target, for the decisions in mask, and propagate: the
@@ -185,6 +231,17 @@ class _MapSearch:
         else:
             self.conflict = mask | self.reason[p]
         return None
+
+    def identity_levels(self) -> list[tuple[int, list[int]]]:
+        """Give the identity to every base point propagation leaves
+        unassigned, in BFS order: (its base position k, its trail) for
+        each, the levels of _strong_generators.  The map must hold only
+        vertex 0's closure."""
+        levels = []
+        for k, w in enumerate(self.order):
+            if self.alpha[w] == -1:
+                levels.append((k, self.fix(w)))
+        return levels
 
     def _propagate(self, trail: list[int]) -> bool:
         alpha, pre, reason = self.alpha, self.pre, self.reason
@@ -444,13 +501,16 @@ class _Conjugates:
 def _strong_generators(graph: ColouredCayleyGraph):
     """Yield strong generators of stab1 along the BFS base, deepest first.
 
-    The identity is assigned level by level, keeping each level's trail.
-    Unwinding from the deepest level, each trail is undone and the level's
-    base point w sent to its pair partner: the parent v still holds the
-    identity, so w's two candidates are w and the other c-neighbour of v
-    (see the module docstring).  The first completion found, if any, is
-    the level's generator; if the partner conflicts at once, the level's
-    orbit is trivial.
+    The identity is given level by level (_MapSearch.identity_levels),
+    keeping each level's trail: the trail assign(w, w) would return, with
+    alpha and pre the identity and every reason 0, recorded by a closure
+    that maps and checks nothing (_MapSearch.fix), so only the search
+    calls assign.  Unwinding from the deepest level, each trail is undone
+    and the level's base point w sent to its pair partner: the parent v
+    still holds the identity, so w's two candidates are w and the other
+    c-neighbour of v (see the module docstring).  The first completion
+    found, if any, is the level's generator; if the partner conflicts at
+    once, the level's orbit is trivial.
 
     The generators already found, at deeper levels, fix every vertex the
     identity assigns up to level k, its base point b_k included.  Fixing
@@ -469,10 +529,7 @@ def _strong_generators(graph: ColouredCayleyGraph):
     docstring).  The generators are the same either way.
     """
     search = _MapSearch(graph)
-    levels = []
-    for k, w in enumerate(search.order):
-        if search.alpha[w] == -1:       # the identity never conflicts
-            levels.append((k, search.assign(w, w)))
+    levels = search.identity_levels()
     found: list[tuple] = []
     at: list = [None] * len(levels)
     conjugates = None                   # once a witness is sent
@@ -578,28 +635,54 @@ def aut_pm1(graph: ColouredCayleyGraph) -> list[tuple]:
 
     Colour classes are picked while they enlarge the subgroup the picked
     ones generate, at most log2|G| of them.  Each choice of s or s^-1 for
-    each picked representative fixes a map along the BFS tree (cayley.bfs)
-    of their rows, and the automorphism check alone decides which of these
-    maps are in aut_pm1.
+    each picked first member s fixes a map phi along the BFS tree
+    (cayley.bfs) of their rows, with phi(1) = 1 and phi(s) the choice.
+    phi is kept when the row equation phi(s * v) = phi(s) * phi(v) holds
+    for every v on the picked classes, and phi(t) is t or t^-1 for the
+    first member t of every other class.  That is exactly the full
+    automorphism check on every class:
+    - The elements x with phi(x * v) = phi(x) * phi(v) for every v are
+      closed under products, as phi(x * y * v) = phi(x) * phi(y) *
+      phi(v) and, at v = 1, phi(x * y) = phi(x) * phi(y).  They hold the
+      picked first members, which generate G, so phi is a homomorphism,
+      onto G as its image holds every picked s: an automorphism.
+    - For an automorphism the equation of t, with phi(t) read as t or
+      t^-1 (see _automorphism_violation), holds at every v exactly when
+      it holds at v = 1, where it asks that phi(t) be t or t^-1.
+    The check passes only such maps, and each automorphism in aut_pm1 is
+    one of the maps built, fixed by its images of the picked members.
     """
     if not graph.is_connected():
         raise ValueError("aut_pm1 requires S to generate G")
-    picked: list = []
-    order, parent = [0], [None] * graph.n
+    n = graph.n
+    picked, others = [], []
+    order, parent = [0], [None] * n
     for rows in graph.left_rows:
-        if parent[rows[0][0]] is None:
+        if len(order) < n and parent[rows[0][0]] is None:
             picked.append(rows)
-            order, parent = bfs(graph.n, [[prow[0]] for prow in picked])
-            if len(order) == graph.n:
-                break
-    # (u, v, i): u = s_i * v, s_i the i-th picked rep
+            order, parent = bfs(n, [[prow[0]] for prow in picked])
+        else:
+            others.append((rows[0][0], rows[-1][0]))
+    # (u, v, i): u = s_i * v, s_i the i-th picked first member
     tree = [(u, *parent[u]) for u in order[1:]]
+
+    def kept(phi, images) -> bool:
+        for t, ti in others:
+            if phi[t] != t and phi[t] != ti:
+                return False
+        for rows, arow in zip(picked, images):
+            row = rows[0]
+            for v in range(n):
+                if phi[row[v]] != arow[phi[v]]:
+                    return False
+        return True
+
     out = []
     for images in itertools.product(*picked):
-        phi = [0] * graph.n
+        phi = [0] * n
         for u, v, i in tree:
             phi[u] = images[i][phi[v]]
-        if _automorphism_violation(graph, phi) is None:
+        if kept(phi, images):
             out.append(tuple(phi))
     return sorted(out)
 

@@ -26,8 +26,10 @@ Bulk products skip the gamma call too.  ``left_map(g)`` checks g once and
 fixes g's left bytes, so x -> g*x is one inlined lookup per table; the
 listings and rows of generated subgroups go through these maps.  Elements
 are listed in natural order, so (e, f) sits at index e * 2^s + f, and
-``left_row(s)`` takes one gamma per e-part of v and XORs the f-parts into
-that block's base index: no dict, tuple or multiply per element.
+v -> index(s*v) is index(s) XOR a GF(2)-linear map of index(v), since
+gamma is bilinear: ``left_row(s)`` doubles the row over the index bits
+with one gamma per e-bit and one XOR per element, and no dict, tuple or
+multiply.
 
 Words name elements through one letter table, built on first use: g1..gr
 map to the single e-bits and h1..hs to the single f-bits, in that order.
@@ -275,21 +277,28 @@ class HigmanGroup(FiniteGroup):
         return left
 
     def left_row(self, s: Element) -> list[int]:
-        """Index of s*v for every v, one e-block of 2^s elements at a
-        time: v = (ve, vf) sits at ve * 2^s + vf, and s*v at base ^ vf
-        with base = (se ^ ve) * 2^s + (sf ^ gamma(se, ve)).  The entries
-        are the element index's own position objects, which every row
+        """Index of s*v for every v, by doubling over the n index bits.
+
+        v = (ve, vf) sits at i = ve * 2^s + vf, and s*v = (se ^ ve,
+        sf ^ vf ^ gamma(se, ve)) at index(s) ^ L(i), with L(i) = i ^
+        gamma(se, i >> s).  gamma is bilinear, so L is GF(2)-linear, and
+        for i < 2^b the entry at i + 2^b is the entry at i XOR L(2^b).
+        L(2^b) is 2^b for an f-bit b, so the first 2^s entries are
+        index(s) ^ vf, and each e-bit j doubles the row with one gamma,
+        L(2^(s+j)) = 2^(s+j) ^ gamma(se, 2^j), and one XOR per entry.
+        Each XOR is looked up in the element index's positions at once,
+        so the entries are its own position objects, which every row
         shares."""
         self._check_enum_limit(self.order())
         p = self.params
         _check_fits(p, s)
         se, sf = s
-        fs = range(1 << p.s)
         positions = list(self.element_index().values())
-        row: list[int] = []
-        for ve in range(1 << p.r):
-            base = (se ^ ve) << p.s | (sf ^ gamma(p, se, ve))
-            row += map(positions.__getitem__, map(base.__xor__, fs))
+        at = se << p.s | sf                 # index(s)
+        row = [positions[at ^ vf] for vf in range(1 << p.s)]
+        for j in range(p.r):
+            lift = 1 << (p.s + j) | gamma(p, se, 1 << j)
+            row += [positions[x ^ lift] for x in row]
         return row
 
     @cached_property

@@ -57,6 +57,24 @@ class TestConnectionSet:
         with pytest.raises(InvalidConnectionSet):
             ConnectionSet.from_elements(G, [g])
 
+    def test_closing_inverts_each_element_once(self, monkeypatch):
+        # a set the call closes is not checked again; a set passed as
+        # inverse-closed still is, and one missing an inverse raises
+        G = gz.construct("S4")
+        S = [G.elem_parse(x) for x in ("(1 2 3)", "(1 2)", "(1 2 3 4)")]
+        calls = []
+        invert = G.invert
+        monkeypatch.setattr(G, "invert",
+                            lambda x: calls.append(x) or invert(x))
+        conn = ConnectionSet.from_elements(G, S, close_inverses=True)
+        assert calls == S and len(conn.elements) == 5
+        monkeypatch.undo()
+        missing = [x for x in conn.elements if x != G.invert(S[0])]
+        with pytest.raises(InvalidConnectionSet,
+                           match=r"^not inverse-closed: \(1 2 3\) present"):
+            ConnectionSet.from_elements(G, missing)
+        assert ConnectionSet.from_elements(G, conn.elements) == conn
+
     def test_close_inverses(self):
         G = gz.cyclic_group(4)
         g = G.generators()[0]

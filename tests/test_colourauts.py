@@ -22,6 +22,12 @@ from oracle_conjugates import (
     right_conjugate,
 )
 
+from oracle_full_checks import (
+    aut_pm1_by_full_check,
+    aut_pm1_tree_maps,
+    identity_walk_by_assign,
+)
+
 from ccakit import cli, colourauts
 from ccakit import groupzoo as gz
 from ccakit import triples as tr
@@ -404,7 +410,7 @@ class TestAutomorphismCheck:
                                       unpruned)
 
     def test_decides_aut_pm1_membership_for_any_map_fixing_the_identity(
-            self, monkeypatch):
+            self):
         """On random bijections fixing vertex 0 and on the candidate maps
         aut_pm1 builds, the check passes exactly the homomorphisms sending
         every s to s or s^-1.  A first failing class whose first member
@@ -414,13 +420,7 @@ class TestAutomorphismCheck:
         for expr, G in gz.zoo_corpus(12):
             e = G.identity()
             for graph in connected_class_graphs(G):
-                candidates = []
-                monkeypatch.setattr(
-                    colourauts, "_automorphism_violation",
-                    lambda g, alpha: candidates.append(tuple(alpha))
-                    or check(g, alpha))
-                aut_pm1(graph)
-                monkeypatch.undo()
+                candidates = list(aut_pm1_tree_maps(graph))
                 bijections = [(0, *rng.sample(range(1, graph.n), graph.n - 1))
                               for _ in range(3)]
                 class_of = {row[0]: c for c, rows in
@@ -903,7 +903,8 @@ class TestStrongGenerators:
     # 168 chronological and unpruned, 2,257 / 480 / 3,431 / 168 pruned by
     # orbits, 1,542 / 384 / 494 / 168 pruned by orbits and backjumping
     # with every orbit skip in the conflict set, 895 / 328 / 494 / 168
-    # with orbit skips adding no decision to it
+    # with orbit skips adding no decision to it, and 859 / 308 / 472 / 146
+    # since the identity walk calls no assign
     @pytest.mark.parametrize("name,stab1_order,bound", [
         ("S5-pointwise", 2048, 1000), ("S5-setwise", 2048, 400),
         ("A6", 64, 600), ("S6", 64, 250),
@@ -1027,8 +1028,9 @@ class TestStrongGenerators:
     # the full generator sets that stayed slow while an orbit skip put
     # every point above in the conflict set: 1,036,185 and 551,464
     # assignments (14-16 s and 2.7-2.9 s on a 2-core machine), against
-    # 37,393 and 10,772 (0.6 s and 0.05 s) now; the digests were taken
-    # from that slower search's generators
+    # 37,393 and 10,772 (0.6 s and 0.05 s) now, 37,071 and 10,664 since
+    # the identity walk calls no assign; the digests were taken from that
+    # slower search's generators
     @pytest.mark.parametrize("make,count,digest,bound", [
         (psl2_17_dihedral_16_triple_graph, 154,
          "5bc26c5fb2ad4c06cafbfe47b1ed78372c2e5714f7dbacde4c391507e0aafdfa",
@@ -1051,7 +1053,7 @@ class TestStrongGenerators:
         # two classes of elements of order 3, |stab1| = 2: the last base
         # blocks conflict whatever is chosen in between, 1,273,720
         # assignments (4 s on a 2-core machine) without backjumping, 2,706
-        # with it
+        # with it, and 2,648 since the identity walk calls no assign
         G = gz.construct("PSL2(7)")
         S = [G.elem_parse(x) for x in PSL2_7_SLOW_SETS[1]]
         graph = build(G, ConnectionSet.from_elements(G, S,
@@ -1100,6 +1102,60 @@ class TestStrongGenerators:
         assert not rep.verdict.is_cca
         assert rep.verdict.stab1_checked == 1
         assert sys.getrecursionlimit() == limit
+
+
+@functools.lru_cache(maxsize=None)
+def zoo_connected_class_graphs(max_order):
+    """(expr, graph) for every connected class graph of zoo_corpus(max_order),
+    built once per session."""
+    return [(expr, graph) for expr, G in gz.zoo_corpus(max_order)
+            for graph in connected_class_graphs(G)]
+
+
+def higman_theorem3_graph(n):
+    """Cay(G, S u T) of the Theorem 3 triple of higman:n=<n>,seed=1, the
+    graph crosscheck_prop22 decides."""
+    G, trip = theorem3_triple(sample_params(n, 1))
+    return build(G, ConnectionSet.from_elements(
+        G, list(trip.S) + list(trip.T), close_inverses=True))
+
+
+class TestFullCheckOracles:
+    """The identity closure and aut_pm1's reduced check against the checked
+    paths they replace (oracle_full_checks)."""
+
+    def test_identity_closure_is_the_assign_walk(self, assign_calls):
+        # the same trails in the same order, for vertex 0 and every level,
+        # and the map the identity with every reason 0, with no assign call
+        graphs = [graph for _, graph in zoo_connected_class_graphs(16)]
+        graphs += [triple_graph(*TRIPLE_GRAPHS[name]) for name in TRIPLE_GRAPHS]
+        graphs += [higman_theorem3_graph(n) for n in range(6, 11)]
+        assert len(graphs) == 17472
+        for graph in graphs:
+            n = graph.n
+            first, levels, _ = identity_walk_by_assign(graph)
+            assign_calls[0] = 0
+            search = colourauts._MapSearch(graph)
+            closed = [-1] * n
+            for w in first:
+                closed[w] = w
+            assert search.alpha == search.pre == closed, graph.colours
+            assert search.identity_levels() == levels, graph.colours
+            assert search.alpha == search.pre == list(range(n))
+            assert search.reason == [0] * n
+            search.alpha, search.pre = [-1] * n, [-1] * n
+            assert search.fix(0) == first, graph.colours
+            assert assign_calls[0] == 0
+
+    def test_aut_pm1_is_the_full_check_filter(self):
+        graphs = [graph for _, graph in zoo_connected_class_graphs(16)]
+        graphs += [triple_graph(*TRIPLE_GRAPHS[name]) for name in TRIPLE_GRAPHS]
+        kept = 0
+        for graph in graphs:
+            got = aut_pm1(graph)
+            assert got == aut_pm1_by_full_check(graph), graph.colours
+            kept += len(got)
+        assert kept > len(graphs)
 
 
 def class_graphs_up_to(G, size):

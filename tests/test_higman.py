@@ -264,6 +264,24 @@ class TestRowsAndMaps:
             for s in sample:
                 assert G.left_row(s) == multiply_row(G, s)
 
+    @pytest.mark.parametrize("n", [*range(3, 9), 12])
+    def test_doubled_rows_are_the_products_on_index_positions(self, n):
+        # left_row doubles over the index bits, which needs only gamma's
+        # bilinearity, so free b rows and c words are covered too; every
+        # entry is the element index's own position object, which only
+        # indices past 256, the last cached small int, can tell apart
+        for params in (sample_params(n, 1), sample_params(n, 2),
+                       unconstrained_params(n, 1), unconstrained_params(n, 2)):
+            G = HigmanGroup(params)
+            positions = list(G.element_index().values())
+            elems = G.elements()
+            sample = (elems if n <= 8 else
+                      G.generators() + random.Random(n).sample(elems, 8))
+            for s in sample:
+                row = G.left_row(s)
+                assert row == multiply_row(G, s)
+                assert all(x is positions[x] for x in row)
+
     @pytest.mark.parametrize("s", [(4, 0), (-1, 0), (0, 4), (0, -1)])
     def test_out_of_range_row_refused(self, s):
         G = HigmanGroup(sample_params(4, 1))       # r = s = 2
