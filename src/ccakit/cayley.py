@@ -35,7 +35,7 @@ the graph limit allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fgroup import DEFAULT_GRAPH_LIMIT, FiniteGroup, LimitExceeded
@@ -48,17 +48,22 @@ class InvalidConnectionSet(ValueError):
 
 @dataclass(frozen=True)
 class ConnectionSet:
-    """Inverse-closed, identity-free subset of a group."""
+    """Inverse-closed, identity-free subset of a group.
+
+    inverses[i] is the inverse of elements[i], computed once per member
+    by from_elements, the one constructor, and read by colour_classes.
+    """
 
     group: FiniteGroup
     elements: tuple
+    inverses: tuple = field(repr=False)
 
     @classmethod
     def from_elements(cls, group: FiniteGroup, elems,
                       close_inverses: bool = False) -> "ConnectionSet":
         idx = group.element_index()
         e = group.identity()
-        seen = set()
+        inverse = {}
         out = []
         for s in elems:
             # outside data enters here: check it before any arithmetic
@@ -67,19 +72,25 @@ class ConnectionSet:
                     f"{group.elem_str(s)} is not in the group")
             if s == e:
                 raise InvalidConnectionSet("identity in connection set")
-            for x in ((s, group.invert(s)) if close_inverses else (s,)):
-                if x not in seen:
-                    seen.add(x)
-                    out.append(x)
+            if close_inverses:
+                if s not in inverse:
+                    si = group.invert(s)
+                    inverse[s], inverse[si] = si, s
+                    out.extend((s,) if s == si else (s, si))
+            elif s not in inverse:
+                inverse[s] = None
+                out.append(s)
         # a set this call closed holds every inverse already
         if not close_inverses:
             for s in out:
-                if group.invert(s) not in seen:
+                si = inverse[s] = group.invert(s)
+                if si not in inverse:
                     raise InvalidConnectionSet(
                         f"not inverse-closed: {group.elem_str(s)} present, "
                         f"inverse missing")
         out.sort(key=idx.__getitem__)
-        return cls(group=group, elements=tuple(out))
+        return cls(group=group, elements=tuple(out),
+                   inverses=tuple(map(inverse.__getitem__, out)))
 
     def colour_classes(self) -> list[tuple]:
         """Colour classes {s, s^-1}, ordered by representative index.
@@ -89,10 +100,10 @@ class ConnectionSet:
         inverse-closed, so each class is emitted once, at its lower-indexed
         member.
         """
-        group, idx = self.group, self.group.element_index()
-        pairs = [(s, group.invert(s)) for s in self.elements]
+        idx = self.group.element_index()
         return [(s,) if s == si else (s, si)
-                for s, si in pairs if idx[s] <= idx[si]]
+                for s, si in zip(self.elements, self.inverses)
+                if idx[s] <= idx[si]]
 
 
 class ColouredCayleyGraph:

@@ -112,13 +112,16 @@ streaming the strong generators and stopping at the first that fails; its
 verdict finishes the same stream, sent the witness, only when stab1 or an
 order is read.  The exhaustive group verdict is one function,
 is_cca_group_exhaustive.  A superset of a connected CCA set is CCA, so a
-group is CCA exactly when its minimal generating class sets are.  The
-sweep forms, size by size, only the lex-irredundant class sets, in which
-each class lies outside the subgroup its lex-smaller classes generate, and
-grows only those that do not generate; it applies is_cca_graph to the
-minimal ones, reads only the decision, and returns at the first that
-fails.  It never walks the 2^k class subsets: A5 has 2^37, of which it
-forms 2,663.
+group is CCA exactly when its minimal generating class sets are, and an
+automorphism of G keeps CCA-ness, so one set of each orbit is enough.
+The sweep forms, size by size, only the lex-irredundant class sets, in
+which each class lies outside the subgroup its lex-smaller classes
+generate, that are least in their orbit under conjugation, and grows
+only those that do not generate; it applies is_cca_graph to the minimal
+ones, reads only the decision, and returns at the first that fails.  It
+never walks the 2^k class subsets: A5 has 2^37, of which it forms 48
+(2,663 when it formed every lex-irredundant set), and PSL(2, 8) and
+PSL(2, 11) are CCA by exhaustion in seconds.
 """
 
 from __future__ import annotations
@@ -127,7 +130,7 @@ import itertools
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from operator import itemgetter
 
 from .cayley import ColouredCayleyGraph, bfs, class_rows
@@ -795,13 +798,71 @@ def _resume(found: list, stream, witness):
     yield from stream
 
 
+class _ClassOrbits:
+    """Inn(G) acting on the colour classes of cayley.class_rows.
+
+    Conjugation by g sends class c to the class of g^-1 * s_c * g, s_c
+    its first member, vertex rows[c][0][0]; that vertex is
+    mt[g^-1][row_{s_c}[g]], read off the table the rows come from.  The
+    permutations of the group's generators are closed under composition
+    by fgroup.closure.  perms holds every permutation but the identity,
+    so it is empty when no generator moves a class, as in an abelian
+    group.
+
+    A class set is compared with its images as a sorted class tuple.
+    lowest[x] is the least class in x's orbit, and to_lowest[x] the
+    perms that send x there.  A set S with least class m is least in its
+    orbit exactly when no class of S has an orbit below m and no perm in
+    to_lowest[x], for x in S with lowest[x] = m, sends S below S: an
+    image p(S) < S has least class at most m, so p sends some x in S to
+    a class below m, where lowest[x] < m, or to m itself, where p is in
+    to_lowest[x].  So a set is tested against |S n orbit(m)| cosets of
+    the stabiliser of m, not against every perm.
+    """
+
+    def __init__(self, group: FiniteGroup, rows: list[list[list[int]]]):
+        mt, inv = group.mult_table(), group.inverse_row()
+        class_of = [0] * len(mt)
+        for c, crows in enumerate(rows):
+            for row in crows:
+                class_of[row[0]] = c
+        firsts = [crows[0] for crows in rows]
+        ident = tuple(range(len(rows)))
+        gens = dict.fromkeys(
+            tuple(class_of[mt[inv[g]][row[g]]] for row in firsts)
+            for g in map(group.element_index().__getitem__,
+                         group.generators()))
+        gens.pop(ident, None)
+        self.perms = closure(ident, [partial(_compose, p) for p in gens],
+                             DEFAULT_ENUM_LIMIT)[1:] if gens else []
+        self.lowest = [min(images) for images in zip(ident, *self.perms)]
+        self.to_lowest = [[p for p in self.perms if p[x] == m]
+                          for x, m in enumerate(self.lowest)]
+
+    def is_least(self, combo: tuple) -> bool:
+        """Whether the sorted class tuple combo is least in its orbit,
+        given that combo minus its last class is."""
+        m, lowest = combo[0], self.lowest
+        if lowest[combo[-1]] < m:
+            return False
+        for x in combo:
+            if lowest[x] == m:
+                for p in self.to_lowest[x]:
+                    if tuple(sorted(map(p.__getitem__, combo))) < combo:
+                        return False
+        return True
+
+
 @dataclass
 class GroupCCAVerdict:
     """Group-level exhaustive verdict over all connection sets.
 
-    sets_checked counts the lex-irredundant class sets the sweep formed,
-    and connected_checked the connected ones among them; the minimal
-    ones were decided (see is_cca_group_exhaustive).
+    sets_checked counts the class sets the sweep formed, the
+    lex-irredundant ones that are least in their orbit under the acting
+    group, and connected_checked the connected ones among them; the
+    minimal ones were decided (see is_cca_group_exhaustive).
+    orbit_group_order is the order of the acting group, the permutations
+    of the colour classes by conjugation: 1 when none moved a class.
     """
 
     status: str                        # 'cca' | 'non-cca' | 'unknown'
@@ -809,6 +870,7 @@ class GroupCCAVerdict:
     connected_checked: int
     witness_set: tuple | None = None   # elements of the violating set
     witness_alpha: tuple | None = None
+    orbit_group_order: int = 1
 
     def to_json_dict(self, group: FiniteGroup) -> dict:
         d = {
@@ -816,6 +878,7 @@ class GroupCCAVerdict:
             "status": self.status,
             "sets_checked": self.sets_checked,
             "connected_checked": self.connected_checked,
+            "orbit_group_order": self.orbit_group_order,
         }
         if self.witness_set is not None:
             d["witness_S"] = [group.elem_str(s) for s in self.witness_set]
@@ -837,73 +900,110 @@ def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET
     is, and if S is not CCA neither is any connected subset of S: the
     first non-CCA set in (class count, lex) order is minimal.
 
-    The sweep forms only lex-irredundant class sets, in which each class
-    lies outside the subgroup its lex-smaller classes generate (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  It
-    keeps the non-generating ones of each size as a frontier, each with
-    its span, the vertices the BFS over its class rows reaches, as an
-    int bitmask, and grows every frontier set, in order, by each class
-    above its last whose first member is outside the span.  A
-    disconnected set joins the next size's frontier; a connected set is
-    decided unless it holds a minimal set decided before it (a class-mask
-    test), and the sweep returns at the first that is not CCA.
-    sets_checked counts the sets formed and connected_checked the
-    connected ones; exceeding the budget of sets formed yields the
-    three-valued 'unknown'.  The classes and their rows are
+    An automorphism sigma of G maps Cay(G, S) onto Cay(G, sigma S),
+    colour by colour, and fixes the identity, so it keeps connectivity,
+    minimality and CCA-ness: one set of each orbit is enough.  The
+    acting group is Inn(G) on the classes (_ClassOrbits), read off the
+    multiplication table with no search, and a class set is compared
+    with its images as a sorted class tuple.
+
+    The sweep forms only the lex-irredundant class sets, in which each
+    class lies outside the subgroup its lex-smaller classes generate,
+    that are least in their orbit (orderly generation: Read, "Every one
+    a winner", Ann. Discrete Math. 2, 1978; McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998).  It keeps the
+    non-generating ones of each size as a frontier, each with its span,
+    the vertices the BFS over its class rows reaches, as an int bitmask,
+    and grows every frontier set, in order, by each class above its last
+    whose first member is outside the span, keeping the set only when it
+    is least in its orbit.  A set that holds a minimal set decided
+    before it, or an image of one (a class-mask test), is connected and
+    not minimal, and runs no BFS.  Of the rest, a disconnected set joins
+    the next size's frontier and a connected one is decided; the sweep
+    returns at the first that is not CCA.  sets_checked counts the sets
+    formed and connected_checked the connected ones; exceeding the
+    budget of sets formed yields the three-valued 'unknown'.  When no
+    conjugation moves a class the orbits are single sets: no set is
+    tested and no image filed.  The classes and their rows are
     cayley.class_rows, read off the group's multiplication table, so G
     must have order at most MULT_TABLE_LIMIT.
 
-    Proof that it decides exactly the minimal generating sets, in
-    (class count, lex) order:
+    Proof that it decides exactly the minimal generating sets least in
+    their orbit, in (class count, lex) order, and so returns the first
+    non-CCA minimal set:
+    - Least sets are prefix-closed.  Let S = P + {c}, c its last class,
+      and p(P) < P, first differing at d, a class of p(P) that is not in
+      P.  P holds a class above d, so c > d, and S agrees with p(P)
+      below d.  If p(c) < d, then p(c), not in p(P), is not in S, and
+      p(S) and S first differ at p(c); else they first differ at d.
+      Either way the class is in p(S), and p(S) < S.
     - A minimal generating set is lex-irredundant, since a class inside
       the span of the classes before it could be dropped, and its proper
-      prefixes do not generate.  Each prefix is therefore formed and,
-      disconnected, kept on the frontier, so every minimal set is formed.
+      prefixes do not generate.  So a minimal set least in its orbit is
+      formed: each prefix is formed and, disconnected, kept on the
+      frontier.
     - The frontier of each size is in lex order: its sets' parents were,
       and each parent grows by ascending classes.  So sets are formed in
       (class count, lex) order.
     - A generating set is not minimal exactly when it holds a smaller
-      minimal set.  Every smaller minimal set was formed earlier, and
-      was decided, as CCA, since the sweep had not returned.  So a
-      connected set is decided exactly when it is minimal.  A minimal
-      set inside a formed set P + {c} holds c, since P does not
-      generate, so it ends at c: only the masks of the minimal sets
-      ending at c are tested.
+      minimal set M.  M's orbit holds a least set, formed earlier and
+      decided, as CCA since the sweep had not returned, and every image
+      of a set decided CCA, M among them, is filed.  So a connected set
+      is decided exactly when it is minimal.  A minimal set inside a
+      formed set P + {c} holds c, since P does not generate, so it ends
+      at c: only the masks filed under c are tested.  A set that holds
+      one generates, so it is counted as connected without a BFS.
+    - The first non-CCA minimal set W in (class count, lex) order is
+      least in its orbit: its least image is minimal, non-CCA and no
+      later than W.  So the sweep decides W after deciding only CCA
+      sets, and its status, witness set and witness map are those of
+      deciding every minimal set in order.
     The graph decided is the one whose BFS found it connected, so
     is_cca_graph reads that BFS and does not run it again.  The witness
     set's elements are listed class by class.
     """
     rows = class_rows(group)
     n = group.order()
+    orbits = _ClassOrbits(group, rows)
+    acting = len(orbits.perms) + 1
     sets = connected = 0
-    # class masks of the minimal sets decided, by their last class
-    decided: list[list[int]] = [[] for _ in rows]
-    frontier = [((), 1)]            # (classes, span) of non-generating sets
+    # class masks of the minimal sets decided, and of their images, by
+    # their last class
+    decided: list[set[int]] = [set() for _ in rows]
+    # (classes, class mask, span) of the non-generating sets
+    frontier = [((), 0, 1)]
     while frontier:
         grown = []
-        for classes, span in frontier:
+        for classes, held, span in frontier:
             for c in range(classes[-1] + 1 if classes else 0, len(rows)):
                 if span >> rows[c][0][0] & 1:
                     continue        # c lies in the span: not irredundant
-                if sets >= budget:
-                    return GroupCCAVerdict("unknown", sets, connected)
-                sets += 1
                 combo = classes + (c,)
+                if orbits.perms and not orbits.is_least(combo):
+                    continue
+                if sets >= budget:
+                    return GroupCCAVerdict("unknown", sets, connected,
+                                           orbit_group_order=acting)
+                sets += 1
+                mask = held | 1 << c
+                if decided[c] and any(m & mask == m for m in decided[c]):
+                    connected += 1  # it holds a generating set
+                    continue
                 graph = ColouredCayleyGraph(group, [rows[d] for d in combo])
                 order, _ = graph.bfs_order()
                 if len(order) < n:
-                    grown.append((combo, sum(1 << v for v in order)))
+                    grown.append((combo, mask, sum(1 << v for v in order)))
                     continue
                 connected += 1
-                mask = sum(1 << d for d in combo)
-                if any(m & mask == m for m in decided[c]):
-                    continue
                 verdict = is_cca_graph(graph)
                 if not verdict.is_cca:
                     return GroupCCAVerdict(
                         "non-cca", sets, connected,
                         tuple(s for cls in graph.colours for s in cls),
-                        verdict.witness)
-                decided[c].append(mask)
+                        verdict.witness, acting)
+                decided[c].add(mask)
+                for p in orbits.perms:
+                    image = sum(1 << p[d] for d in combo)
+                    decided[image.bit_length() - 1].add(image)
         frontier = grown
-    return GroupCCAVerdict("cca", sets, connected)
+    return GroupCCAVerdict("cca", sets, connected, orbit_group_order=acting)

@@ -68,6 +68,17 @@ class TestConnectionSet:
                             lambda x: calls.append(x) or invert(x))
         conn = ConnectionSet.from_elements(G, S, close_inverses=True)
         assert calls == S and len(conn.elements) == 5
+        # the classes, and so build, reuse the inverses found here
+        graph = build(G, conn)
+        assert calls == S
+        assert graph.colours == conn.colour_classes() == [
+            (s,) if s == G.invert(s) else (s, G.invert(s))
+            for s in conn.elements
+            if G.element_index()[s] <= G.element_index()[G.invert(s)]]
+        del calls[:]
+        assert ConnectionSet.from_elements(G, conn.elements).colour_classes() \
+            == graph.colours
+        assert sorted(calls) == sorted(conn.elements)
         monkeypatch.undo()
         missing = [x for x in conn.elements if x != G.invert(S[0])]
         with pytest.raises(InvalidConnectionSet,

@@ -11,9 +11,12 @@ import pytest
 
 from oracle_irredundant import (
     colour_classes,
+    conjugation_images,
     elements_of,
     irredundant_class_sets,
     irredundant_counts,
+    least_in_orbit,
+    orbit_group_order,
 )
 
 from oracle_conjugates import (
@@ -220,11 +223,29 @@ def check_against_enumeration(graph, listed, label, unpruned=None):
     return v
 
 
-def unpruned_group_verdict(decided, listed, budget):
+def minimal_class_verdicts(G):
+    """(graph, is_cca_graph verdict) for each of G's minimal generating
+    class sets, by (class count, lex) order, up to and with the first
+    that is not CCA, read off the full listing of lex-irredundant class
+    sets: a connected set is minimal when dropping any one class
+    disconnects it."""
+    for _, _, graph in irredundant_class_sets(G, orbits=False):
+        rows = graph.left_rows
+        if graph.is_connected() and not any(
+                ColouredCayleyGraph(G, rows[:i] + rows[i + 1:]).is_connected()
+                for i in range(len(rows))):
+            v = is_cca_graph(graph)
+            yield graph, v
+            if not v.is_cca:
+                return
+
+
+def unpruned_group_verdict(decided, listed, budget, acting):
     """The exhaustive verdict from deciding every connected class graph,
     with the sweep's counters read off the oracle listing: decided holds
-    (graph, witness) per graph of connected_class_graphs, and listed the
-    items of irredundant_class_sets."""
+    (graph, witness) per graph of connected_class_graphs, listed the
+    items of irredundant_class_sets, and acting the order of the group
+    of class permutations by conjugation."""
     status, witness_set, witness = "cca", None, None
     for graph, alpha in decided:
         if alpha is not None:
@@ -236,9 +257,11 @@ def unpruned_group_verdict(decided, listed, budget):
             break
     if budget is not None and budget < len(listed):
         return GroupCCAVerdict("unknown", budget,
-                               listed[budget - 1][1] if budget else 0)
+                               listed[budget - 1][1] if budget else 0,
+                               orbit_group_order=acting)
     sets, connected, _ = listed[-1] if listed else (0, 0, None)
-    return GroupCCAVerdict(status, sets, connected, witness_set, witness)
+    return GroupCCAVerdict(status, sets, connected, witness_set, witness,
+                           acting)
 
 
 def automorphisms_bruteforce(G):
@@ -399,11 +422,12 @@ class TestAutomorphismCheck:
                 decided.append((graph, v.witness))
             # the sweep against deciding every graph, at every budget
             listed = list(irredundant_class_sets(G))
+            acting = orbit_group_order(G)
             for budget in (None, 1, 3, 10, 50, 300):
                 got = (is_cca_group_exhaustive(G) if budget is None
                        else is_cca_group_exhaustive(G, budget))
                 assert got == unpruned_group_verdict(
-                    decided, listed, budget), (expr, budget)
+                    decided, listed, budget, acting), (expr, budget)
         for name in ("S5-pointwise", "A6", "S6"):
             _, unpruned = chronological_triple_graph(name)
             check_against_enumeration(*enumerated_triple_graph(name), name,
@@ -589,19 +613,29 @@ class TestExhaustiveGroupVerdicts:
         assert v.sets_checked == 5
 
     @pytest.mark.parametrize("expr,budget,status", [
-        ("S3", 0, "unknown"), ("S3", 9, "unknown"), ("S3", 10, "cca"),
-        ("S3", 14, "cca"), ("S3", 15, "cca"),
-        ("A4", 29, "unknown"), ("A4", 40, "cca"),
-        ("S4", 30, "unknown"), ("S4", 33, "unknown"), ("S4", 34, "non-cca"),
-    ], ids=["S3-0", "S3-9", "S3-10", "S3-14", "S3-15", "A4-29", "A4-40",
-            "S4-30", "S4-33", "S4-34"])
+        ("S3", 0, "unknown"), ("S3", 3, "unknown"), ("S3", 4, "cca"),
+        ("S3", 9, "cca"), ("S3", 10, "cca"), ("S3", 14, "cca"),
+        ("S3", 15, "cca"),
+        ("A4", 4, "unknown"), ("A4", 5, "cca"), ("A4", 29, "cca"),
+        ("A4", 40, "cca"),
+        ("S4", 13, "unknown"), ("S4", 14, "non-cca"), ("S4", 30, "non-cca"),
+        ("S4", 33, "non-cca"), ("S4", 34, "non-cca"),
+    ], ids=["S3-0", "S3-3", "S3-4", "S3-9", "S3-10", "S3-14", "S3-15",
+            "A4-4", "A4-5", "A4-29", "A4-40",
+            "S4-13", "S4-14", "S4-30", "S4-33", "S4-34"])
     def test_budget_stops_examining(self, expr, budget, status):
-        # S3 forms 10 lex-irredundant sets and A4 30, so budgets of 10 and
-        # 30 still answer; S4's witness is its 34th set
+        # S3 forms 4 class sets and A4 5, so budgets of 4 and 5 still
+        # answer; S4's witness is its 14th set.  The larger budgets are
+        # the boundaries of the sweep that formed every lex-irredundant
+        # set (S3 10, A4 30, S4's witness 34th)
         G = gz.construct(expr)
         v = is_cca_group_exhaustive(G, budget)
-        formed = list(itertools.islice(irredundant_class_sets(G), budget))
-        sets, connected = formed[-1][:2] if formed else (0, 0)
+        if status == "non-cca":
+            sets, connected = irredundant_counts(G, v.witness_set)
+        else:
+            formed = list(itertools.islice(irredundant_class_sets(G),
+                                           budget))
+            sets, connected = formed[-1][:2] if formed else (0, 0)
         assert (v.status, v.sets_checked, v.connected_checked) == (
             status, sets, connected)
         if status == "unknown":
@@ -609,8 +643,8 @@ class TestExhaustiveGroupVerdicts:
 
     def test_decides_exactly_the_minimal_connected_sets(self, monkeypatch):
         # a CCA group's sweep decides the connected sets with no connected
-        # subset, in order, on the helper's rows, and counts every
-        # lex-irredundant set it forms
+        # subset that are least in their orbit under conjugation, in
+        # order, on the helper's rows, and counts every set it forms
         decided = []
 
         def recording_is_cca_graph(graph):
@@ -627,14 +661,35 @@ class TestExhaustiveGroupVerdicts:
                 continue
             graphs = list(connected_class_graphs(G))
             sets = {frozenset(g.colours) for g in graphs}
+            class_of = {cls: c for c, cls in enumerate(colour_classes(G))}
+            images = conjugation_images(G)
             assert decided == [
                 (g.colours, g.left_rows) for g in graphs
                 if not any(frozenset(g.colours) - {c} in sets
-                           for c in g.colours)], expr
+                           for c in g.colours)
+                and least_in_orbit(tuple(map(class_of.get, g.colours)),
+                                   images)], expr
             assert (v.sets_checked, v.connected_checked) == \
                 irredundant_counts(G), expr
             checked += 1
         assert checked == 22
+
+    def test_witness_is_the_first_non_cca_minimal_set(self, time_limit):
+        # the first non-CCA minimal set in (class count, lex) order is
+        # least in its orbit, so the sweep keeps the witness of deciding
+        # every minimal set of the full listing in order
+        groups = gz.zoo_corpus(16) + [(expr, gz.construct(expr))
+                                      for expr in ("PSL2(7)", "A6")]
+        with time_limit(60):
+            for expr, G in groups:
+                status, witness_set, witness = "cca", None, None
+                for graph, v in minimal_class_verdicts(G):
+                    if not v.is_cca:
+                        status, witness_set, witness = \
+                            "non-cca", elements_of(graph), v.witness
+                got = is_cca_group_exhaustive(G)
+                assert (got.status, got.witness_set, got.witness_alpha) \
+                    == (status, witness_set, witness), expr
 
     def test_witness_graph_is_connected_non_cca(self):
         G = gz.symmetric_group(4)
@@ -645,7 +700,7 @@ class TestExhaustiveGroupVerdicts:
         assert not is_cca_graph(graph).is_cca
 
     @pytest.mark.parametrize("expr,sets,connected,witness_S,witness_alpha", [
-        ("S4", 34, 7,
+        ("S4", 14, 4,
          ["(1 2 3 4)", "(1 4 3 2)", "(1 3 4 2)", "(1 2 4 3)"],
          [0, 7, 2, 3, 14, 5, 6, 1, 8, 20, 10, 22, 12, 13, 4, 15, 16, 17,
           18, 19, 9, 21, 11, 23]),
@@ -665,6 +720,7 @@ class TestExhaustiveGroupVerdicts:
         assert rep["sets_checked"] == sets
         assert rep["connected_checked"] == connected
         assert irredundant_counts(G, v.witness_set) == (sets, connected)
+        assert rep["orbit_group_order"] == orbit_group_order(G)
         assert rep["witness_S"] == witness_S
         assert rep["witness_alpha"] == witness_alpha
         # the witness is a stab1 element of the witness graph that is not
@@ -677,16 +733,19 @@ class TestExhaustiveGroupVerdicts:
     def test_psl2_7_golden_witness(self, assign_calls, time_limit):
         # PSL(2, 7) is the smallest simple non-CCA group; the sweep took
         # 12-15 s on a 2-core machine and 4,335,184 assignments before
-        # backjumping, 0.2 s and 26,168 assignments after
+        # backjumping, 0.2 s and 26,168 assignments after, and 0.02 s and
+        # 4,211 assignments once it formed one class set per conjugation
+        # orbit
         G = gz.construct("PSL2(7)")
         with time_limit(10):
             v = is_cca_group_exhaustive(G)
         rep = v.to_json_dict(G)
-        assert assign_calls[0] <= 30000
+        assert assign_calls[0] <= 5000
         assert rep["status"] == "non-cca"
-        assert rep["sets_checked"] == 212
-        assert rep["connected_checked"] == 99
-        assert irredundant_counts(G, v.witness_set) == (212, 99)
+        assert rep["sets_checked"] == 23
+        assert rep["connected_checked"] == 16
+        assert rep["orbit_group_order"] == 168
+        assert irredundant_counts(G, v.witness_set) == (23, 16)
         assert rep["witness_S"] == [
             "(2 3 5)(4 7 6)", "(2 5 3)(4 6 7)",
             "(1 7 8 2)(3 6 4 5)", "(1 2 8 7)(3 5 4 6)"]
@@ -706,8 +765,9 @@ class TestExhaustiveGroupVerdicts:
     def test_supersets_of_cca_sets_are_not_decided(self, monkeypatch,
                                                     time_limit):
         # D12 has 2^18 - 1 class subsets.  Deciding every connected one
-        # took 25 s on a 2-core machine; the sweep forms 594 of them and
-        # decides the 120 with no connected subset, in 0.01 s: the time
+        # took 25 s on a 2-core machine; the sweep forms the 72
+        # lex-irredundant ones that are least in their conjugation orbit
+        # and decides the 16 with no connected subset, in 2 ms: the time
         # limit catches a lost pruning before the count does
         G = gz.construct("D12")
         decided = []
@@ -720,9 +780,9 @@ class TestExhaustiveGroupVerdicts:
         with time_limit(10):
             v = is_cca_group_exhaustive(G)
         assert (v.status, v.sets_checked, v.connected_checked) == (
-            "cca", 594, 411)
-        assert irredundant_counts(G) == (594, 411)
-        assert len(decided) == 120
+            "cca", 72, 37)
+        assert irredundant_counts(G) == (72, 37)
+        assert len(decided) == 16
 
     def test_marks_do_not_grow_with_the_class_subsets(self):
         # C2^5 has 31 classes: one mark per class subset would be 2^31;
@@ -742,8 +802,9 @@ class TestExhaustiveGroupVerdicts:
 
     def test_a5_is_cca_by_exhaustion(self, monkeypatch, time_limit):
         # A5, the smallest simple group with no element of order 4: 2^37
-        # class masks, of which the sweep forms 2,663 and decides the
-        # 1,095 minimal generating sets, in 0.2-0.3 s on a 2-core machine
+        # class masks.  The sweep formed 2,663 and decided the 1,095
+        # minimal generating sets in 0.2-0.3 s on a 2-core machine; one
+        # set per conjugation orbit, it forms 48 and decides 32, in 0.01 s
         G = gz.construct("A5")
         decided = []
 
@@ -754,9 +815,23 @@ class TestExhaustiveGroupVerdicts:
         monkeypatch.setattr(colourauts, "is_cca_graph", counting_is_cca_graph)
         with time_limit(5):
             v = is_cca_group_exhaustive(G)
-        assert (v.status, v.sets_checked, v.connected_checked) == (
-            "cca", 2663, 2337)
-        assert len(decided) == 1095
+        assert (v.status, v.sets_checked, v.connected_checked,
+                v.orbit_group_order) == ("cca", 48, 35, 60)
+        assert len(decided) == 32
+
+    @pytest.mark.parametrize("expr,seconds,sets,connected", [
+        ("PSL2(8)", 20, 6428, 6359), ("PSL2(11)", 30, 9406, 9202)])
+    def test_psl2_8_and_psl2_11_are_cca_by_exhaustion(
+            self, expr, seconds, sets, connected, time_limit):
+        # two more simple groups with no element of order 4.  Forming
+        # every lex-irredundant set, the sweep answered 'unknown' after
+        # 106 s and 167 s at a budget of 20,000 sets; one set per
+        # conjugation orbit, it decides them in 2-6 s on a 2-core machine
+        G = gz.construct(expr)
+        with time_limit(seconds):
+            v = is_cca_group_exhaustive(G)
+        assert (v.status, v.sets_checked, v.connected_checked,
+                v.orbit_group_order) == ("cca", sets, connected, G.order())
 
     @pytest.mark.parametrize("expr", ["D12", "C2 x D6"])
     def test_sweeps_of_order_24_take_under_a_tenth_of_a_second(self, expr):
@@ -1063,22 +1138,16 @@ class TestStrongGenerators:
         assert assign_calls[0] <= 4000
 
     def test_psl2_7_sweep_generators_match_the_chronological_search(
-            self, monkeypatch, time_limit):
-        # the generators each decision of the sweep examines: all of them
-        # on a CCA graph, up to the witness on the last
+            self, time_limit):
+        # the generators each decision examines: all of them on a CCA
+        # graph, up to the witness on the last, over the 99 minimal sets
+        # up to the witness in the full listing, not only the sweep's
+        # orbit representatives
         G = gz.construct("PSL2(7)")
-        decided = []
-
-        def recording_is_cca_graph(graph):
-            v = is_cca_graph(graph)
-            decided.append((graph, v.stab1_checked))
-            return v
-
-        monkeypatch.setattr(colourauts, "is_cca_graph",
-                            recording_is_cca_graph)
         slow = {frozenset(S) for S in PSL2_7_SLOW_SETS}
         with time_limit(60):
-            is_cca_group_exhaustive(G)
+            decided = [(graph, v.stab1_checked)
+                       for graph, v in minimal_class_verdicts(G)]
             assert len(decided) == 99
             compared = 0
             for graph, checked in decided:
