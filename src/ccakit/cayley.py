@@ -26,11 +26,10 @@ computed from the rows on first use and cached, so a disconnected set
 costs a single BFS.  ``bfs`` is the one BFS over rows: the graph's tree and
 aut_pm1's tree over the picked classes (colourauts) both come from it.  A
 graph has one vertex per element of the listing it indexes, and
-``check_graph_limit`` is the one check against the graph limit.  A
-class-set walk has a second bound: its rows come from the group's
-multiplication table, which fgroup builds only up to MULT_TABLE_LIMIT
-(1024) elements, so a walk of a larger group raises LimitExceeded whatever
-the graph limit allows.
+``check_graph_limit`` is the one check against the graph limit.  The
+exhaustive sweep makes it before class_rows builds the table, so the
+graph limit bounds the table's n^2 entries too (about 130 MB at the
+default of 4096).
 """
 
 from __future__ import annotations
@@ -181,10 +180,11 @@ def class_rows(group: FiniteGroup) -> list[list[list[int]]]:
     Classes come in order of their lower-indexed member, which comes
     first, read off the cached inverse_row: the layout build() gives the
     set of all non-identity elements.  The rows are those of
-    group.mult_table(), shared, not copied, so G must have order at most
-    MULT_TABLE_LIMIT.  The table is group.rows of every element, so
-    left_row computed at most the generators' rows; the rest, s^-1's
-    included, are derived from them.
+    group.mult_table(), shared, not copied: n^2 entries, so a caller
+    checks the graph limit first, as the exhaustive sweep does.  The
+    table is group.rows of every element, so left_row computed at most
+    the generators' rows; the rest, s^-1's included, are derived from
+    them.
     """
     mt = group.mult_table()
     return [[mt[i]] if i == j else [mt[i], mt[j]]

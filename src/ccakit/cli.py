@@ -19,8 +19,7 @@ import sys
 from . import groupzoo as gz
 from . import reproduce as rp
 from . import triples as tr
-from .cayley import (ConnectionSet, InvalidConnectionSet, build,
-                     check_graph_limit)
+from .cayley import ConnectionSet, InvalidConnectionSet, build
 from .colourauts import DEFAULT_BUDGET, is_cca_graph, is_cca_group_exhaustive
 from .fgroup import DEFAULT_ENUM_LIMIT, DEFAULT_GRAPH_LIMIT, LimitExceeded
 from .permcore import PermutationGroup
@@ -159,8 +158,7 @@ def cmd_cca(args) -> int:
                             graph_limit=args.limit_graph,
                             enum_limit=args.limit_enum)
     if args.exhaustive:
-        check_graph_limit(G, args.limit_graph)
-        verdict = is_cca_group_exhaustive(G, args.budget)
+        verdict = is_cca_group_exhaustive(G, args.budget, args.limit_graph)
         report["results"] = verdict.to_json_dict(G)
     else:
         elems = _parse_elements(G, args.set)

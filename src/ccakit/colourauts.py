@@ -133,8 +133,9 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from operator import itemgetter
 
-from .cayley import ColouredCayleyGraph, bfs, class_rows
-from .fgroup import DEFAULT_ENUM_LIMIT, FiniteGroup, LimitExceeded, closure
+from .cayley import ColouredCayleyGraph, bfs, check_graph_limit, class_rows
+from .fgroup import (DEFAULT_ENUM_LIMIT, DEFAULT_GRAPH_LIMIT, FiniteGroup,
+                     LimitExceeded, closure)
 
 STAB1_ORACLE_MAX = 8
 
@@ -887,7 +888,8 @@ class GroupCCAVerdict:
         return d
 
 
-def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET
+def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET,
+                            graph_limit: int = DEFAULT_GRAPH_LIMIT
                             ) -> GroupCCAVerdict:
     """Decide G by exhaustion: CCA exactly when every connected Cayley
     graph of G is.
@@ -925,8 +927,10 @@ def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET
     budget of sets formed yields the three-valued 'unknown'.  When no
     conjugation moves a class the orbits are single sets: no set is
     tested and no image filed.  The classes and their rows are
-    cayley.class_rows, read off the group's multiplication table, so G
-    must have order at most MULT_TABLE_LIMIT.
+    cayley.class_rows, read off the group's multiplication table.  The
+    sweep checks graph_limit once, before it builds any row, so a larger
+    group raises LimitExceeded and the limit bounds the table's n^2
+    entries too.
 
     Proof that it decides exactly the minimal generating sets least in
     their orbit, in (class count, lex) order, and so returns the first
@@ -962,6 +966,7 @@ def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET
     is_cca_graph reads that BFS and does not run it again.  The witness
     set's elements are listed class by class.
     """
+    check_graph_limit(group, graph_limit)
     rows = class_rows(group)
     n = group.order()
     orbits = _ClassOrbits(group, rows)

@@ -68,9 +68,6 @@ from typing import Any, Callable, Iterable, KeysView
 DEFAULT_ENUM_LIMIT = 10**6
 DEFAULT_GRAPH_LIMIT = 4096
 
-# full index-based multiplication tables are cached only up to this order
-MULT_TABLE_LIMIT = 1024
-
 
 class LimitExceeded(Exception):
     """An enumeration, graph-size or search budget limit was hit."""
@@ -239,15 +236,14 @@ class FiniteGroup(abc.ABC):
         The identity's row is the index's own position objects, which
         every row shares.
 
-        Only available for orders up to MULT_TABLE_LIMIT.
+        The table holds n^2 entries, built at any order, so its readers
+        bound n first: cayley.class_rows serves the exhaustive sweep,
+        which checks the graph limit before it builds a row (colourauts),
+        and criteria 7 and 8, which read fixed groups of order at most 64.
         """
         cached = getattr(self, "_mult_table", None)
         if cached is None:
-            n = len(self.elements())
-            if n > MULT_TABLE_LIMIT:
-                raise LimitExceeded(
-                    f"mult_table limited to order {MULT_TABLE_LIMIT}")
-            cached = self._mult_table = self.rows(range(n))
+            cached = self._mult_table = self.rows(range(len(self.elements())))
         return cached
 
     def left_map(self, g) -> Callable[[Any], Any]:

@@ -289,7 +289,6 @@ class HigmanGroup(FiniteGroup):
         Each XOR is looked up in the element index's positions at once,
         so the entries are its own position objects, which every row
         shares."""
-        self._check_enum_limit(self.order())
         p = self.params
         _check_fits(p, s)
         se, sf = s

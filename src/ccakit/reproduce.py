@@ -6,9 +6,9 @@ verdicts in the rows the criterion reports, so a criterion states each
 verdict once; criterion 3 reports a sample of its entries, and the sample
 keeps every failing one.  run_suite assembles the criteria into a report
 whose "results" subtree is byte-identical across runs with the same seed.
-Criterion 1 sweeps at colourauts.DEFAULT_BUDGET, far above the 34
-lex-irredundant class sets it forms at most (S4; A4 forms 30), so the
-suite takes no budget.  Criteria 2, 7 and 8 register the verdicts they
+Criterion 1 sweeps at colourauts.DEFAULT_BUDGET, far above the 14
+class sets it forms at most (S4; A4 forms 5), so the suite takes no
+budget.  Criteria 2, 7 and 8 register the verdicts they
 make in a registry, and criterion 9 audits each verdict's graph and
 stab1 without searching again.  Criteria 7 and 8 walk class sets over
 cayley.class_rows.

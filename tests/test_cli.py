@@ -400,15 +400,23 @@ class TestExitCodes:
         assert "graph limit 10" in capsys.readouterr().err
         assert main(argv) == EXIT_OK
 
-    def test_exhaustive_over_mult_table_limit_exit_3(self, capsys,
-                                                      left_row_calls):
-        # PSL2(13) has order 1092: README says its sweep stops at the
-        # default limits, before any row of the table is built
-        assert main(["cca", "PSL2(13)", "--exhaustive"]) == EXIT_LIMIT
-        err = capsys.readouterr().err
-        assert "limit exceeded" in err
-        assert "1024" in err
+    def test_exhaustive_graph_limit_refuses_before_any_row(
+            self, capsys, left_row_calls):
+        # PSL2(13) has order 1092: --limit-graph alone bounds the sweep,
+        # which refuses the group before any row of the table is built
+        argv = ["cca", "PSL2(13)", "--exhaustive", "--limit-graph", "1000"]
+        assert main(argv) == EXIT_LIMIT
+        assert "graph limit 1000" in capsys.readouterr().err
         assert left_row_calls == []
+
+    def test_exhaustive_past_order_1024_within_budget(self, capsys):
+        # the default graph limit, 4096, admits PSL2(13); a budget of 50
+        # sets answers before the full sweep (10,495 sets) would
+        rc, rep = run_json(capsys, ["cca", "PSL2(13)", "--exhaustive",
+                                    "--budget", "50"])
+        assert rc == EXIT_OK
+        assert (rep["results"]["status"], rep["results"]["sets_checked"]) \
+            == ("unknown", 50)
 
     def test_crosscheck_over_graph_limit_exit_3(self, capsys):
         argv = ["triple", "validate", "higman:n=8,seed=1",

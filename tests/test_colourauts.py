@@ -612,6 +612,17 @@ class TestExhaustiveGroupVerdicts:
         assert v.status == "unknown"
         assert v.sets_checked == 5
 
+    def test_graph_limit_refuses_before_any_row(self, left_row_calls):
+        # the graph limit is the sweep's one bound: checked before
+        # class_rows builds the table, so a refused group holds no row
+        G = gz.construct("S4")
+        with pytest.raises(LimitExceeded, match="graph limit 23"):
+            is_cca_group_exhaustive(G, graph_limit=G.order() - 1)
+        assert left_row_calls == []
+        assert getattr(G, "_mult_table", None) is None
+        assert is_cca_group_exhaustive(G, graph_limit=G.order()).status \
+            == "non-cca"
+
     @pytest.mark.parametrize("expr,budget,status", [
         ("S3", 0, "unknown"), ("S3", 3, "unknown"), ("S3", 4, "cca"),
         ("S3", 9, "cca"), ("S3", 10, "cca"), ("S3", 14, "cca"),
