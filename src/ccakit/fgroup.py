@@ -27,11 +27,18 @@ as soon as it has listed that many elements, with the same list.  A
 permutation group's bound is its chain's order or a bounding ancestor's
 (permcore); a generated subgroup's is its parent's order, when the parent
 is listed or knows its order (a Higman group) and holds every generator.
-A span that is the whole parent, such as most S_G(tau) spans, so stops
-after a few elements instead of applying every generator to every element.
-A generated subgroup's order and membership come from that listing, except
-in a Higman group, whose ``HigmanSubgroup`` reads both off GF(2) ranks of
-its generators and lists only when its elements are asked for (higman).
+
+A generated subgroup whose order is known, without listing it, to be its
+parent's is its parent as a set: its ``element_set``, ``contains`` and
+``order`` answer from the parent, and it lists only when its ``elements``
+or ``element_index`` are asked for, in its own order.  The order is known
+in two ways.  By Lagrange's theorem (``is_whole``), when the generators
+lie in a parent of known order and, with the identity, are more than half
+of it, as they are in most S_G(tau) spans; ``GeneratedSubgroup`` and a
+permutation group's ``generated_subgroup`` (permcore) apply it.  And by
+GF(2) ranks, from which a Higman group's ``HigmanSubgroup`` reads its
+order (higman).  Any other ``GeneratedSubgroup`` takes its order and
+membership from its listing.
 
 Index arithmetic has one direct computation and one derivation.
 ``left_row(s)``, row[v] = index(s*v), looks up ``left_map(s)`` of every
@@ -62,7 +69,7 @@ class.
 from __future__ import annotations
 
 import abc
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable, Iterable, KeysView
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -113,6 +120,17 @@ def closure(identity: Any, maps: list[Callable[[Any], Any]],
                             f"closure exceeded enumeration limit {limit}")
                     return elems
     return elems
+
+
+def is_whole(ngens: int, parent_order: int) -> bool:
+    """Whether a subgroup H of a group P of order parent_order, holding the
+    identity and ngens distinct other elements, is the whole of P.
+
+    True when 2 * (ngens + 1) > |P|, which proves H = P: |H| >= ngens + 1 >
+    |P| / 2, and |H| divides |P| (Lagrange), so |P| / |H| is a whole number
+    below 2, that is 1.  False proves nothing.
+    """
+    return 2 * (ngens + 1) > parent_order
 
 
 def distinct_generators(gens: Iterable, identity) -> list:
@@ -378,6 +396,23 @@ class GeneratedSubgroup(FiniteGroup):
         if order is not None and all(map(self.parent.contains, self._gens)):
             return order
         return None
+
+    @cached_property
+    def _whole(self) -> bool:
+        """Whether the subgroup is known, without listing it, to be its
+        parent: its distinct generators lie in the parent, whose order is
+        known, and ``is_whole`` proves it from their number."""
+        bound = self._listing_bound()
+        return bound is not None and is_whole(len(self._gens), bound)
+
+    def element_set(self) -> KeysView:
+        """The parent's set for a whole subgroup, else its own listing's."""
+        if self._whole:
+            return self.parent.element_set()
+        return super().element_set()
+
+    def order(self) -> int:
+        return self.parent.order() if self._whole else super().order()
 
     def elem_str(self, x) -> str:
         return self.parent.elem_str(x)

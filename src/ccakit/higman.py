@@ -37,7 +37,9 @@ The generators are the table's elements, a word is the left-to-right
 product of its letters (so "g1*g1" is g1's b-row word), and an element
 prints as its normal form, the letters of its bits in table order.
 
-Subgroups are counted by GF(2) ranks, not listed.  H = {(0, f)} is
+Subgroups are counted by GF(2) ranks, not listed, and a subgroup whose
+count is its parent's order is the parent as a set: its ``element_set``
+is the parent's.  H = {(0, f)} is
 central and elementary abelian, and (e, f) -> e is a homomorphism onto
 GF(2)^r with kernel H, so G/H is elementary abelian and G has class at
 most 2.  ``generated_subgroup`` returns a HigmanSubgroup X = <gens>, which
@@ -57,7 +59,8 @@ spanned by the lifts' squares (0, gamma(a, a)) and pairwise commutators
 ``contains(x)`` reduces x by the lifts and tests whether the e-part left
 is 0 and its f-part lies in that span.  Neither lists anything; the
 listing, its maps and rows stay GeneratedSubgroup's closure over the
-parent's maps, which the tests keep as the oracle for both.
+parent's maps, which the tests keep as the oracle for both.  That
+listing's bound is ``order``, so it stops at the subgroup's last element.
 
 The "constrained" flavour forces g_r^2 = g_{r-1}^2 = h_1, which pins rows
 r-1 and r of the b-matrix and makes (S, T, tau) with S = {g_1..g_{r-2},
@@ -375,7 +378,8 @@ class HigmanGroup(FiniteGroup):
 
 class HigmanSubgroup(GeneratedSubgroup):
     """<gens> in a Higman group, its order and membership by GF(2) ranks
-    (see the module docstring); its listing is GeneratedSubgroup's."""
+    (see the module docstring); its listing is GeneratedSubgroup's, bounded
+    by that order."""
 
     @cached_property
     def _echelon(self) -> tuple[list[Element], list[int]]:
@@ -411,6 +415,13 @@ class HigmanSubgroup(GeneratedSubgroup):
     def order(self) -> int:
         lifts, span = self._echelon
         return 1 << (len(lifts) + len(span))
+
+    def _listing_bound(self) -> int:
+        return self.order()
+
+    @cached_property
+    def _whole(self) -> bool:
+        return self.order() == self.parent.order()
 
     def contains(self, x) -> bool:
         """Whether x lies in the subgroup; an x outside the parent raises

@@ -58,6 +58,13 @@ elements.  The bound also stops the subgroup's own Schreier-Sims once its
 basic orbits multiply to it (``StabilizerChain``), as they do when the
 generators span the whole parent.
 
+A subgroup whose generators, with the identity, are more than half of
+such a parent is the whole parent (``fgroup.is_whole``), and needs no
+chain and no listing for its order or membership: ``order`` is the
+parent's, ``contains`` is the membership test that checked the
+generators, and ``element_set`` is the parent's.  Its ``elements`` still
+list it in its own order.
+
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
 base point.  This makes orders, membership tests and reports reproducible.
@@ -364,6 +371,9 @@ class PermutationGroup(FiniteGroup):
         # order, which bounds this group's, and that ancestor's base
         self._order_bound: int | None = None
         self._bound_base: list[int] | None = None
+        # set by generated_subgroup when this group is known to be its
+        # parent: that parent and its membership test
+        self._whole_of: tuple | None = None
         # left_row's (short base, base images -> position), built on use
         self._keyed: tuple | None = None
 
@@ -389,10 +399,22 @@ class PermutationGroup(FiniteGroup):
         return self._chain
 
     def order(self) -> int:
+        if self._whole_of is not None:
+            return self._order_bound
         return self.chain.order()
 
     def contains(self, p) -> bool:
-        return isinstance(p, Permutation) and self.chain.contains(p)
+        if not isinstance(p, Permutation):
+            return False
+        if self._whole_of is not None:
+            return self._whole_of[1](p)
+        return self.chain.contains(p)
+
+    def element_set(self):
+        """The parent's set for a whole subgroup, else its own listing's."""
+        if self._whole_of is not None:
+            return self._whole_of[0].element_set()
+        return super().element_set()
 
     def elements(self) -> list[Permutation]:
         """FiniteGroup's listing, on image tuples, each wrapped once.
@@ -474,7 +496,13 @@ class PermutationGroup(FiniteGroup):
         return list(map(positions.__getitem__, map(images, self.elements())))
 
     def generated_subgroup(self, gens) -> "PermutationGroup":
-        """<gens>, bounded by this group's known order if gens lie in it."""
+        """<gens>, bounded by this group's known order if gens lie in it.
+
+        Such a subgroup is this whole group when its distinct generators
+        and the identity are more than half of it: its order divides this
+        group's and is more than half of it (``fgroup.is_whole``).  It then
+        answers its order, membership and element set from this group.
+        """
         H = PermutationGroup(self.degree, gens)
         H.enum_limit = self.enum_limit
         chain = self._chain
@@ -487,6 +515,8 @@ class PermutationGroup(FiniteGroup):
             return H
         if all(map(member, H._gens)):
             H._order_bound, H._bound_base = bound, self._base()
+            if fgroup.is_whole(len(H._gens), bound):
+                H._whole_of = (self, member)
         return H
 
     def elem_str(self, x: Permutation) -> str:

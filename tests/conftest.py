@@ -26,6 +26,21 @@ def closure_calls(monkeypatch):
 
 
 @pytest.fixture
+def chains_built(monkeypatch):
+    """The arguments of every StabilizerChain construction while the test
+    runs."""
+    built = []
+    init = permcore.StabilizerChain.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(permcore.StabilizerChain, "__init__", counting)
+    return built
+
+
+@pytest.fixture
 def left_row_calls(monkeypatch):
     """The element of every `left_row` call made while the test runs, in
     call order: the rows computed directly rather than derived.

@@ -674,21 +674,6 @@ class TestOneIndex:
             assert tuple(G.elements()[-1]) in members
 
 
-@pytest.fixture
-def chains_built(monkeypatch):
-    """The arguments of every StabilizerChain construction while the test
-    runs."""
-    built = []
-    init = StabilizerChain.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(StabilizerChain, "__init__", counting)
-    return built
-
-
 class TestSubgroupOrderBound:
     """A subgroup of a group of known order lists without its own chain,
     keyed by its ancestor's base when that base is short."""

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import oracle_s_tau
@@ -185,7 +187,11 @@ class TestSpanListing:
         for expr, G in gz.zoo_corpus(48):
             for tau in G.involutions():
                 span = s_tau(G, tau).span()
-                assert span._listing_bound() == G.order(), expr
+                # a Higman span is bounded by its own rank order, the
+                # parent's order when it is whole
+                bound = (span.order() if isinstance(G, HigmanGroup)
+                         else G.order())
+                assert span._listing_bound() == bound, expr
                 assert span.elements() == self.unbounded(span), expr
 
     def test_proper_subgroup(self):
@@ -218,6 +224,107 @@ class TestSpanListing:
         monkeypatch.setattr(fgroup, "closure", counting)
         assert len(span.elements()) == 32
         assert calls < 32 * ngens // 4, (calls, ngens)
+
+
+def _outside(G):
+    """An element outside G: a permutation of G's degree unless G is all
+    of S_n, or a Higman pair past G's bits."""
+    if isinstance(G, HigmanGroup):
+        return (1 << G.params.r, 0)
+    members = G.element_set()
+    for images in itertools.permutations(range(G.degree)):
+        if images not in members:
+            return Permutation(images)
+    return Permutation.identity(G.degree + 1)
+
+
+def _oracle_spans():
+    """(G, span) for every S_G(tau) span of zoo_corpus(48), the first of
+    PSL(2,7) and every one of higman:n=6,seed=1."""
+    for _, G in gz.zoo_corpus(48):
+        for tau in G.involutions():
+            yield G, s_tau(G, tau).span()
+    G = gz.construct("PSL2(7)")
+    yield G, s_tau(G, G.involutions()[0]).span()
+    G = gz.construct("higman:n=6,seed=1")
+    for tau in G.involutions():
+        yield G, s_tau(G, tau).span()
+
+
+def _even_s4():
+    """S4, listed, and A4's 11 non-identity elements."""
+    S4 = gz.construct("S4")
+    evens = [x for x in S4.elements() if x != S4.identity()
+             and (len(x.moved_points()) - len(x.cycles())) % 2 == 0]
+    return S4, evens
+
+
+class TestWholeSpans:
+    """A span known to be its whole parent answers order, contains and
+    element_set from the parent; each answer equals the span's own
+    unbounded listing."""
+
+    def test_answers_match_the_listing(self):
+        spans = whole = 0
+        for G, span in _oracle_spans():
+            order = span.order()
+            members = span.element_set()
+            outside = _outside(G)
+            listing = set(TestSpanListing.unbounded(span))
+            assert order == len(listing)
+            for x in G.elements():
+                assert span.contains(x) == (x in listing)
+                assert (x in members) == (x in listing)
+            if isinstance(G, HigmanGroup):
+                with pytest.raises(ValueError, match="not an element"):
+                    span.contains(outside)
+            else:
+                assert not span.contains(outside)
+            assert outside not in members
+            spans += 1
+            whole += order == G.order()
+        # zoo_corpus(48), PSL(2,7) and higman:n=6,seed=1
+        assert (spans, whole) == (220 + 1 + 19, 213 + 1 + 15)
+
+    def test_whole_spans_list_nothing(self, closure_calls, chains_built):
+        whole = quiet = 0
+        for G, span in _oracle_spans():
+            del closure_calls[:], chains_built[:]
+            order = span.order()
+            held = list(map(span.contains, G.elements()))
+            assert len(span.element_set()) == order == sum(held)
+            if order != G.order():
+                continue
+            whole += 1
+            listed = bool(closure_calls or chains_built)
+            quiet += not listed
+            proved = (isinstance(G, HigmanGroup)
+                      or 2 * (len(span.generators()) + 1) > order)
+            assert proved != listed
+        # the count leaves nine whole spans in S4 unproved, and PSL(2,7)'s
+        assert (whole, quiet) == (213 + 1 + 15, 204 + 15)
+
+    def test_half_the_parent_is_not_proved_whole(self, closure_calls):
+        S4, evens = _even_s4()
+        assert len(evens) == 11
+        A4 = S4.generated_subgroup(evens)
+        del closure_calls[:]
+        assert len(A4.element_set()) == 12     # 2 * 12 is not > 24
+        assert len(closure_calls) == 1
+        assert A4.order() == 12
+        assert not A4.contains(parse_cycles("(1 2)", 4))
+
+    def test_one_more_generator_proves_it_whole(self, closure_calls,
+                                                chains_built):
+        S4, evens = _even_s4()
+        H = S4.generated_subgroup(evens + [parse_cycles("(1 2)", 4)])
+        del closure_calls[:], chains_built[:]
+        assert H.order() == 24
+        assert H.element_set() == S4.element_set()
+        assert all(map(H.contains, S4.elements()))
+        assert not H.contains(Permutation.identity(5))
+        assert closure_calls == [] and chains_built == []
+        assert H.elements() == TestSpanListing.unbounded(H)
 
 
 class TestValidateTriple:
