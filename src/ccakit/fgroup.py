@@ -21,24 +21,21 @@ element.  A permutation group with a short base keys its elements by their
 images of the base, and every permutation group's scans read only base
 points (permcore).
 
-A group may bound its order: ``_listing_bound`` is the largest order it
-can have where that is known without listing it, and ``closure`` returns
-as soon as it has listed that many elements, with the same list.  A
-permutation group's bound is its chain's order or a bounding ancestor's
-(permcore); a generated subgroup's is its parent's order, when the parent
-is listed or knows its order (a Higman group) and holds every generator.
-
-A generated subgroup whose order is known, without listing it, to be its
-parent's is its parent as a set: its ``element_set``, ``contains`` and
-``order`` answer from the parent, and it lists only when its ``elements``
-or ``element_index`` are asked for, in its own order.  The order is known
-in two ways.  By Lagrange's theorem (``is_whole``), when the generators
-lie in a parent of known order and, with the identity, are more than half
-of it, as they are in most S_G(tau) spans; ``GeneratedSubgroup`` and a
-permutation group's ``generated_subgroup`` (permcore) apply it.  And by
-GF(2) ranks, from which a Higman group's ``HigmanSubgroup`` reads its
-order (higman).  Any other ``GeneratedSubgroup`` takes its order and
-membership from its listing.
+A subgroup holds its ``parent``, and ``FiniteGroup`` alone bounds it and
+proves it whole.  Each group supplies ``_known_order``, the order it knows
+without listing: its listing's length here, its chain's order for a
+permutation group (permcore), 2^n for a Higman group and the GF(2) rank
+order for a Higman subgroup (higman).  The parent bound is the parent's
+known order, provided the parent holds every generator; the
+``_listing_bound`` is the group's own known order, else the parent bound,
+and ``closure`` returns as soon as it has listed that many elements, with
+the same list.  A subgroup is its whole parent when the parent bound is
+known and either Lagrange's theorem proves it (``is_whole``: the
+generators and the identity are more than half of the parent, as in most
+S_G(tau) spans) or its own known order is that bound.  A whole subgroup's
+``order`` is the bound, ``contains`` asks the parent and ``element_set``
+is the parent's, so reading them lists nothing; its ``elements`` and
+``element_index`` still list it in its own order.
 
 Index arithmetic has one direct computation and one derivation.
 ``left_row(s)``, row[v] = index(s*v), looks up ``left_map(s)`` of every
@@ -69,7 +66,7 @@ class.
 from __future__ import annotations
 
 import abc
-from functools import cached_property, partial
+from functools import partial
 from typing import Any, Callable, Iterable, KeysView
 
 DEFAULT_ENUM_LIMIT = 10**6
@@ -172,6 +169,7 @@ class FiniteGroup(abc.ABC):
     """
 
     enum_limit = DEFAULT_ENUM_LIMIT
+    parent: "FiniteGroup | None" = None     # set on a subgroup
 
     @abc.abstractmethod
     def identity(self):
@@ -208,15 +206,49 @@ class FiniteGroup(abc.ABC):
         the listing compares whole elements."""
         return {}
 
-    def _listing_bound(self) -> int | None:
-        """An upper bound on the order, known without listing the group,
-        or None.  ``elements`` hands it to ``closure``, which stops there."""
-        return None
-
     def _known_order(self) -> int | None:
         """The order if it is known without listing: here, once listed."""
         listed = getattr(self, "_elements", None)
         return None if listed is None else len(listed)
+
+    def _parent_bound(self) -> int | None:
+        """The parent's known order, provided the parent holds every
+        generator, else None: an upper bound on the order.  Found once.
+
+        Membership is looked up in the parent's element index when the
+        parent is listed, else asked of ``parent.contains``.
+        """
+        if "_bound" not in self.__dict__:
+            parent = self.parent
+            bound = None if parent is None else parent._known_order()
+            if bound is not None:
+                member = (parent.element_index().__contains__
+                          if getattr(parent, "_elements", None) is not None
+                          else parent.contains)
+                if not all(map(member, self.generators())):
+                    bound = None
+            self._bound = bound
+        return self._bound
+
+    def _listing_bound(self) -> int | None:
+        """An upper bound on the order, known without listing the group,
+        or None: the group's own known order, else the parent bound.
+        ``elements`` hands it to ``closure``, which stops there."""
+        known = self._known_order()
+        return self._parent_bound() if known is None else known
+
+    def _whole(self) -> bool:
+        """Whether the group is known, without listing it, to be its parent:
+        the parent bound is known, and ``is_whole`` proves it from the
+        number of generators or the group's own known order equals it.
+        Decided once."""
+        whole = getattr(self, "_is_whole", None)
+        if whole is None:
+            bound = self._parent_bound()
+            whole = self._is_whole = bound is not None and (
+                is_whole(len(self.generators()), bound)
+                or self._known_order() == bound)
+        return whole
 
     def _check_enum_limit(self, order: int) -> None:
         """Refuse, before listing, a group whose known order is too big."""
@@ -226,7 +258,10 @@ class FiniteGroup(abc.ABC):
                 f"{self.enum_limit}")
 
     def element_set(self) -> KeysView:
-        """The elements as a set: a view of `element_index`'s keys."""
+        """The elements as a set: the parent's for a whole group, else a
+        view of `element_index`'s keys."""
+        if self._whole():
+            return self.parent.element_set()
         return self.element_index().keys()
 
     def element_index(self) -> dict:
@@ -238,9 +273,16 @@ class FiniteGroup(abc.ABC):
         return cached
 
     def order(self) -> int:
-        return len(self.elements())
+        """The parent bound for a whole group, else the known order, else
+        the listing's length."""
+        if self._whole():
+            return self._parent_bound()
+        known = self._known_order()
+        return len(self.elements()) if known is None else known
 
     def contains(self, x) -> bool:
+        if self._whole():
+            return self.parent.contains(x)
         return x in self.element_set()
 
     def mult_table(self) -> list:
@@ -388,31 +430,6 @@ class GeneratedSubgroup(FiniteGroup):
 
     def generators(self) -> list:
         return list(self._gens)
-
-    def _listing_bound(self) -> int | None:
-        """The parent's order, if it is known and the parent holds every
-        generator."""
-        order = self.parent._known_order()
-        if order is not None and all(map(self.parent.contains, self._gens)):
-            return order
-        return None
-
-    @cached_property
-    def _whole(self) -> bool:
-        """Whether the subgroup is known, without listing it, to be its
-        parent: its distinct generators lie in the parent, whose order is
-        known, and ``is_whole`` proves it from their number."""
-        bound = self._listing_bound()
-        return bound is not None and is_whole(len(self._gens), bound)
-
-    def element_set(self) -> KeysView:
-        """The parent's set for a whole subgroup, else its own listing's."""
-        if self._whole:
-            return self.parent.element_set()
-        return super().element_set()
-
-    def order(self) -> int:
-        return self.parent.order() if self._whole else super().order()
 
     def elem_str(self, x) -> str:
         return self.parent.elem_str(x)

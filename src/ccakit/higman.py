@@ -37,30 +37,32 @@ The generators are the table's elements, a word is the left-to-right
 product of its letters (so "g1*g1" is g1's b-row word), and an element
 prints as its normal form, the letters of its bits in table order.
 
-Subgroups are counted by GF(2) ranks, not listed, and a subgroup whose
-count is its parent's order is the parent as a set: its ``element_set``
-is the parent's.  H = {(0, f)} is
-central and elementary abelian, and (e, f) -> e is a homomorphism onto
-GF(2)^r with kernel H, so G/H is elementary abelian and G has class at
-most 2.  ``generated_subgroup`` returns a HigmanSubgroup X = <gens>, which
-puts its generators in echelon form on first use: each one, multiplied by
-the lifts already kept whose pivot (top e-bit) it carries, top pivot
-first, either has an e-part left, and is kept as the lift of that e-part's
-top bit, or lies in H, a relation element.  With B = <lifts>, X = B *
-<relations>, so |X| = 2^k |X n H| for the k lifts, and X n H =
-Phi(B) * <relations>.  Proof: Phi(B) = B^2 [B, B] lies in H, since G/H is
-elementary abelian; every b in B is l * phi for a product l of distinct
-lifts and phi in Phi(B), and b in H forces l's e-part, a sum of distinct
-independent e-parts, to be 0, so l = 1 and B n H = Phi(B).  Squares and
-commutators are central, and gamma(0, .) = gamma(., 0) = 0, so Phi(B) is
-spanned by the lifts' squares (0, gamma(a, a)) and pairwise commutators
-(0, gamma(a, b) ^ gamma(b, a)) for their e-parts a, b.  So ``order`` is
-2^(k + rank of those f-words and the relations' f-parts), and
-``contains(x)`` reduces x by the lifts and tests whether the e-part left
-is 0 and its f-part lies in that span.  Neither lists anything; the
-listing, its maps and rows stay GeneratedSubgroup's closure over the
-parent's maps, which the tests keep as the oracle for both.  That
-listing's bound is ``order``, so it stops at the subgroup's last element.
+Subgroups are counted by GF(2) ranks, not listed.  The count is a Higman
+subgroup's known order, so by FiniteGroup's subgroup rule (fgroup) a
+subgroup whose count is its parent's order is the parent as a set: its
+``element_set`` is the parent's.  H = {(0, f)} is central and elementary
+abelian, and (e, f) -> e is a homomorphism onto GF(2)^r with kernel H, so
+G/H is elementary abelian and G has class at most 2.
+``generated_subgroup`` returns a HigmanSubgroup X = <gens>, which puts its
+generators in echelon form on first use: each one, multiplied by the lifts
+already kept whose pivot (top e-bit) it carries, top pivot first, either
+has an e-part left, and is kept as the lift of that e-part's top bit, or
+lies in H, a relation element.  With B = <lifts>, X = B * <relations>, so
+|X| = 2^k |X n H| for the k lifts, and X n H = Phi(B) * <relations>.
+Proof: Phi(B) = B^2 [B, B] lies in H, since G/H is elementary abelian;
+every b in B is l * phi for a product l of distinct lifts and phi in
+Phi(B), and b in H forces l's e-part, a sum of distinct independent
+e-parts, to be 0, so l = 1 and B n H = Phi(B).  Squares and commutators
+are central, and gamma(0, .) = gamma(., 0) = 0, so Phi(B) is spanned by
+the lifts' squares (0, gamma(a, a)) and pairwise commutators
+(0, gamma(a, b) ^ gamma(b, a)) for their e-parts a, b.  So the known order
+(``_known_order``), which ``order`` returns, is 2^(k + rank of those
+f-words and the relations' f-parts), and ``contains(x)`` reduces x by the
+lifts and tests whether the e-part left is 0 and its f-part lies in that
+span.  Neither lists anything; the listing, its maps and rows stay
+GeneratedSubgroup's closure over the parent's maps, which the tests keep
+as the oracle for both.  That listing's bound is the known order, so it
+stops at the subgroup's last element.
 
 The "constrained" flavour forces g_r^2 = g_{r-1}^2 = h_1, which pins rows
 r-1 and r of the b-matrix and makes (S, T, tau) with S = {g_1..g_{r-2},
@@ -412,16 +414,10 @@ class HigmanSubgroup(GeneratedSubgroup):
         if not self.parent.contains(x):
             raise ValueError(f"{x!r} is not an element of {self.parent!r}")
 
-    def order(self) -> int:
+    def _known_order(self) -> int:
+        """2^(number of lifts + rank of the central f-words)."""
         lifts, span = self._echelon
         return 1 << (len(lifts) + len(span))
-
-    def _listing_bound(self) -> int:
-        return self.order()
-
-    @cached_property
-    def _whole(self) -> bool:
-        return self.order() == self.parent.order()
 
     def contains(self, x) -> bool:
         """Whether x lies in the subgroup; an x outside the parent raises

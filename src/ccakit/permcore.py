@@ -41,29 +41,19 @@ permutation group read x^2 and x^4 at the base points only, and
 cycles through the base points, since x^k is the identity exactly when it
 fixes every base point.
 
-Listing checks the enumeration limit against the group's order first,
-which takes a stabilizer chain, except for a subgroup
-(``generated_subgroup``, ``point_stabilizer``) of a group whose order is
-known and within the limit: the parent's order bounds the subgroup's, so
-the subgroup lists without a chain of its own (Seress, *Permutation Group
-Algorithms*, 2003, ch. 4).  An order is known once the group's chain is
-built, and passes down from such a bounded subgroup to its subgroups.  It
-passes only to generators that lie in the parent, checked by a sift
-through the parent's chain or a lookup in its element index; other
-generators may span a larger group, which checks its own order.  The
-parent's base passes down with its order, since a base of a group is a
-base of each of its subgroups.  The order, or the parent's bound, is also
-``closure``'s listing bound: the listing stops once it has that many
-elements.  The bound also stops the subgroup's own Schreier-Sims once its
-basic orbits multiply to it (``StabilizerChain``), as they do when the
-generators span the whole parent.
-
-A subgroup whose generators, with the identity, are more than half of
-such a parent is the whole parent (``fgroup.is_whole``), and needs no
-chain and no listing for its order or membership: ``order`` is the
-parent's, ``contains`` is the membership test that checked the
-generators, and ``element_set`` is the parent's.  Its ``elements`` still
-list it in its own order.
+A permutation group's known order is its chain's, once built, and
+``generated_subgroup`` makes the group the subgroup's parent, so
+FiniteGroup's subgroup rule (fgroup) bounds the subgroup by that order
+and may prove it whole.  Listing checks the enumeration limit against the
+group's order first, which takes a stabilizer chain, unless the listing
+bound is within the limit: a bounded subgroup lists without a chain of
+its own (Seress, *Permutation Group Algorithms*, 2003, ch. 4).  Its base
+is its bounding parent's, since a base of a group is a base of each of
+its subgroups.  The parent bound also stops the subgroup's own
+Schreier-Sims once its basic orbits multiply to it (``StabilizerChain``),
+as they do when the generators span the whole parent.
+``point_stabilizer`` hands the stabilizer a chain on the hinted chain's
+base, which stops at its known order with no Schreier scan.
 
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
@@ -367,13 +357,6 @@ class PermutationGroup(FiniteGroup):
             gens, Permutation.identity(degree))
         self._chain: StabilizerChain | None = None
         self._elements: list[Permutation] | None = None
-        # set by generated_subgroup and point_stabilizer: an ancestor's
-        # order, which bounds this group's, and that ancestor's base
-        self._order_bound: int | None = None
-        self._bound_base: list[int] | None = None
-        # set by generated_subgroup when this group is known to be its
-        # parent: that parent and its membership test
-        self._whole_of: tuple | None = None
         # left_row's (short base, base images -> position), built on use
         self._keyed: tuple | None = None
 
@@ -395,35 +378,34 @@ class PermutationGroup(FiniteGroup):
     def chain(self) -> StabilizerChain:
         if self._chain is None:
             self._chain = StabilizerChain(self.degree, self._gens,
-                                          order_bound=self._order_bound)
+                                          order_bound=self._parent_bound())
         return self._chain
 
+    def _known_order(self) -> int | None:
+        """The chain's order, else the listing's length, else None."""
+        if self._chain is None:
+            return super()._known_order()
+        return self._chain.order()
+
     def order(self) -> int:
-        if self._whole_of is not None:
-            return self._order_bound
-        return self.chain.order()
+        return self._parent_bound() if self._whole() else self.chain.order()
 
     def contains(self, p) -> bool:
         if not isinstance(p, Permutation):
             return False
-        if self._whole_of is not None:
-            return self._whole_of[1](p)
+        if self._whole():
+            return self.parent.contains(p)
         return self.chain.contains(p)
-
-    def element_set(self):
-        """The parent's set for a whole subgroup, else its own listing's."""
-        if self._whole_of is not None:
-            return self._whole_of[0].element_set()
-        return super().element_set()
 
     def elements(self) -> list[Permutation]:
         """FiniteGroup's listing, on image tuples, each wrapped once.
 
-        A subgroup whose parent's order is known and within the limit needs
-        no chain of its own; otherwise the order is checked first.
+        A group whose listing bound is within the limit needs no chain of
+        its own; otherwise the order is checked first.
         """
         if self._elements is None:
-            if not self._bounded():
+            bound = self._listing_bound()
+            if bound is None or bound > self.enum_limit:
                 self._check_enum_limit(self.order())
             elems = super().elements()
             # in place: a second list would hold every element twice at once
@@ -432,22 +414,11 @@ class PermutationGroup(FiniteGroup):
                 elems[i] = trusted(t)
         return self._elements
 
-    def _bounded(self) -> bool:
-        """Whether a parent's order bounds this group's within the limit."""
-        bound = self._order_bound
-        return bound is not None and bound <= self.enum_limit
-
-    def _listing_bound(self) -> int | None:
-        """The chain's order, or else the bounding ancestor's order."""
-        if self._chain is None:
-            return self._order_bound
-        return self._chain.order()
-
     def _base(self) -> list[int]:
-        """A base: the chain's, or else the bounding ancestor's, since a base
+        """A base: the chain's, or else the bounding parent's, since a base
         of a group is a base of each of its subgroups."""
-        if self._chain is None and self._bound_base is not None:
-            return self._bound_base
+        if self._chain is None and self._parent_bound() is not None:
+            return self.parent._base()
         return self.chain.base
 
     def _short_base(self) -> list[int] | None:
@@ -496,27 +467,10 @@ class PermutationGroup(FiniteGroup):
         return list(map(positions.__getitem__, map(images, self.elements())))
 
     def generated_subgroup(self, gens) -> "PermutationGroup":
-        """<gens>, bounded by this group's known order if gens lie in it.
-
-        Such a subgroup is this whole group when its distinct generators
-        and the identity are more than half of it: its order divides this
-        group's and is more than half of it (``fgroup.is_whole``).  It then
-        answers its order, membership and element set from this group.
-        """
+        """<gens>, with this group as its parent, which bounds it and may
+        prove it whole (FiniteGroup's subgroup rule)."""
         H = PermutationGroup(self.degree, gens)
-        H.enum_limit = self.enum_limit
-        chain = self._chain
-        if chain is not None and self._elements is None:
-            bound, member = chain.order(), chain.contains
-        elif chain is not None or self._bounded():
-            index = self.element_index()
-            bound, member = len(index), index.__contains__
-        else:
-            return H
-        if all(map(member, H._gens)):
-            H._order_bound, H._bound_base = bound, self._base()
-            if fgroup.is_whole(len(H._gens), bound):
-                H._whole_of = (self, member)
+        H.parent, H.enum_limit = self, self.enum_limit
         return H
 
     def elem_str(self, x: Permutation) -> str:
@@ -563,10 +517,6 @@ class PermutationGroup(FiniteGroup):
 
     # -- permutation-specific operations --------------------------------------
 
-    def element_order(self, x: Permutation) -> int:
-        """x's order from all its cycles: x may lie outside the group."""
-        return x.order()
-
     def element_orders(self) -> list[int]:
         """The order of each element, the lcm of the lengths of its cycles
         through the base points: x^k is the identity exactly when it fixes
@@ -584,16 +534,22 @@ class PermutationGroup(FiniteGroup):
         return out
 
     def point_stabilizer(self, point: int) -> "PermutationGroup":
-        """Exact stabilizer of a point, via a chain based at that point."""
+        """Exact stabilizer of a point, via a chain based at that point.
+
+        The strong generators fixing the first base point, ``point``, span
+        the stabilizer, and are a strong generating set for it on the same
+        base, whose order the chain gives: |G| / |orbit|.  So the
+        stabilizer's own chain, given that base and order, stops after
+        one recompute, with no Schreier scan.
+        """
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside degree {self.degree}")
         chain = StabilizerChain(self.degree, self._gens, base_hint=(point,))
-        # the strong generators fixing the first base point, `point`, span
-        # the stabilizer, whose order the chain gives: |G| / |orbit|
         H = PermutationGroup(self.degree, chain._level_gens(1))
         H.enum_limit = self.enum_limit
-        H._order_bound = chain.order() // len(chain.transversals[0])
-        H._bound_base = chain.base
+        H._chain = StabilizerChain(
+            self.degree, H._gens, base_hint=chain.base,
+            order_bound=chain.order() // len(chain.transversals[0]))
         return H
 
     def __repr__(self) -> str:

@@ -54,9 +54,10 @@ class STauSet:
     elements: list = field(repr=False)
 
     def span(self) -> FiniteGroup:
-        """<S_G(tau)> in the carrier.  A span known to be the whole
-        carrier, most often because its generators are more than half of
-        it (``fgroup.is_whole``), answers order, contains and element_set
+        """<S_G(tau)>, with the carrier as its parent.  By FiniteGroup's
+        subgroup rule, a span known to be the whole carrier, most often
+        because its generators are more than half of it
+        (``fgroup.is_whole``), answers order, contains and element_set
         from the carrier without listing itself."""
         return self.carrier.generated_subgroup(self.elements)
 

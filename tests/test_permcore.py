@@ -473,7 +473,7 @@ class TestKnownOrderStop:
         stopped = 0
         for gens in (S + [t], S + [tau]):   # <S u T> = G, <S u {tau}>
             X = G.generated_subgroup(gens)
-            assert X._order_bound == G.order()
+            assert X._listing_bound() == G.order()
             del scans[:]
             chain = X.chain
             bounded = len(scans)
@@ -739,12 +739,17 @@ class TestSubgroupOrderBound:
             L.elements()
         assert closure_calls == []
 
-    def test_point_stabilizer_is_bounded_by_its_own_order(self):
+    def test_point_stabilizer_is_bounded_by_its_own_order(self, monkeypatch):
+        scans = []
+        scan = StabilizerChain._find_and_insert_residue
+        monkeypatch.setattr(StabilizerChain, "_find_and_insert_residue",
+                            lambda chain: scans.append(chain) or scan(chain))
         S6 = groupzoo.construct("S6", enum_limit=200)
         H = S6.point_stabilizer(0)
-        assert H._order_bound == 120
+        assert H._listing_bound() == 120
         assert len(H.elements()) == 120
-        assert H._chain is None
+        # S6's chain based at 0 scans; H's, built from it, never does
+        assert scans and all(chain is not H._chain for chain in scans)
 
     def test_psl2_17_subgroups_list_by_the_ancestors_base(
             self, chains_built, closure_calls):

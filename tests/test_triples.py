@@ -259,6 +259,28 @@ def _even_s4():
     return S4, evens
 
 
+def _higman_subgroup_of_a_subgroup():
+    """<g1, h1> inside the HigmanSubgroup <g1, g2, h1>: a generic
+    GeneratedSubgroup, bounded by its parent's rank order, 16, with the
+    parent unlisted."""
+    G = gz.construct("higman:n=5,seed=1")
+    K = G.generated_subgroup([G.g(1), G.g(2), G.h(1)])
+    return G, K.generated_subgroup([G.g(1), G.h(1)]), 16
+
+
+def _point_stabilizer(expr, point, order):
+    G = gz.construct(expr)
+    return G, G.point_stabilizer(point), order
+
+
+# name: () -> (G, a subgroup H of G, H's listing bound)
+OTHER_SUBGROUPS = {
+    "higman <g1, h1> in <g1, g2, h1>": _higman_subgroup_of_a_subgroup,
+    "S6 point 1": lambda: _point_stabilizer("S6", 0, 120),
+    "PSL2(17) point 18": lambda: _point_stabilizer("PSL2(17)", 17, 136),
+}
+
+
 class TestWholeSpans:
     """A span known to be its whole parent answers order, contains and
     element_set from the parent; each answer equals the span's own
@@ -285,6 +307,16 @@ class TestWholeSpans:
             whole += order == G.order()
         # zoo_corpus(48), PSL(2,7) and higman:n=6,seed=1
         assert (spans, whole) == (220 + 1 + 19, 213 + 1 + 15)
+
+    @pytest.mark.parametrize("name", OTHER_SUBGROUPS)
+    def test_other_subgroups_match_the_listing(self, name):
+        G, H, bound = OTHER_SUBGROUPS[name]()
+        assert H._listing_bound() == bound
+        listing = set(TestSpanListing.unbounded(H))
+        assert H.order() == len(listing)
+        for x in G.elements() + [_outside(G)]:
+            assert H.contains(x) == (x in listing)
+        assert set(H.element_set()) == listing
 
     def test_whole_spans_list_nothing(self, closure_calls, chains_built):
         whole = quiet = 0
