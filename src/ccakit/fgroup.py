@@ -23,9 +23,10 @@ points (permcore).
 
 A subgroup holds its ``parent``, and ``FiniteGroup`` alone bounds it and
 proves it whole.  Each group supplies ``_known_order``, the order it knows
-without listing: its listing's length here, its chain's order for a
-permutation group (permcore), 2^n for a Higman group and the GF(2) rank
-order for a Higman subgroup (higman).  The parent bound is the parent's
+without listing: its listing's length here; for a permutation group its
+chain's order, else its constructor's, else its listing's length
+(permcore); 2^n for a Higman group and the GF(2) rank order for a Higman
+subgroup (higman).  The parent bound is the parent's
 known order, provided the parent holds every generator; the
 ``_listing_bound`` is the group's own known order, else the parent bound,
 and ``closure`` returns as soon as it has listed that many elements, with

@@ -24,6 +24,14 @@ scaling of PSL2(2) and PSL2(3)), PermutationGroup drops it; S1, A1, A2,
 D1 and D2 keep their own cases, where the general generators would not
 parse or would give another group.
 
+The named constructors C_n, D_n, S_n and A_n give their group its order
+and a base (PermutationGroup's ``known``), and ``direct_product`` gives
+its factors' orders multiplied and their bases side by side, so these
+groups list, key and scan without a stabilizer chain; the tests check
+each against Schreier-Sims.  ``psl2`` and ``m11_group`` are given none:
+each verifies its order by an unbounded chain, which a wrong field table
+or data file fails.
+
 construct parses an expression and builds its group in the same pass;
 there is no separate syntax tree.  The point and set stabilizers and the
 normalizer are one filter over the group's elements, which passes every
@@ -39,7 +47,7 @@ import functools
 import json
 import re
 from dataclasses import dataclass, field
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 
 from .fgroup import DEFAULT_ENUM_LIMIT, FiniteGroup
@@ -175,29 +183,33 @@ def build_field(q: int) -> FieldTable:
 def cyclic_group(n: int) -> PermutationGroup:
     if n < 1:
         raise GroupExprError("C n requires n >= 1")
-    return PermutationGroup(n, [Permutation([(i + 1) % n for i in range(n)])])
+    return PermutationGroup(n, [Permutation([(i + 1) % n for i in range(n)])],
+                            known=(n, [0] if n > 1 else []))
 
 
 def symmetric_group(n: int) -> PermutationGroup:
     if n < 1:
         raise GroupExprError("S n requires n >= 1")
+    known = (factorial(n), list(range(n - 1)))
     if n == 1:
-        return PermutationGroup(1, [])
+        return PermutationGroup(1, [], known=known)
     return PermutationGroup(n, [parse_cycles("(1 2)", n),
-                                Permutation([(i + 1) % n for i in range(n)])])
+                                Permutation([(i + 1) % n for i in range(n)])],
+                            known=known)
 
 
 def alternating_group(n: int) -> PermutationGroup:
     if n < 1:
         raise GroupExprError("A n requires n >= 1")
     if n <= 2:
-        return PermutationGroup(max(n, 1), [])
+        return PermutationGroup(max(n, 1), [], known=(1, []))
     three = parse_cycles("(1 2 3)", n)
     if n % 2 == 1:
         big = Permutation([(i + 1) % n for i in range(n)])
     else:
         big = Permutation([0] + [1 + (i + 1) % (n - 1) for i in range(n - 1)])
-    return PermutationGroup(n, [three, big])
+    return PermutationGroup(n, [three, big],
+                            known=(factorial(n) // 2, list(range(n - 2))))
 
 
 def dihedral_group(n: int) -> PermutationGroup:
@@ -205,13 +217,14 @@ def dihedral_group(n: int) -> PermutationGroup:
     if n < 1:
         raise GroupExprError("D n requires n >= 1")
     if n == 1:
-        return PermutationGroup(2, [parse_cycles("(1 2)", 2)])
+        return PermutationGroup(2, [parse_cycles("(1 2)", 2)], known=(2, [0]))
     if n == 2:
         return PermutationGroup(4, [parse_cycles("(1 2)", 4),
-                                    parse_cycles("(3 4)", 4)])
+                                    parse_cycles("(3 4)", 4)],
+                                known=(4, [0, 2]))
     rot = Permutation([(i + 1) % n for i in range(n)])
     refl = Permutation([(n - i) % n for i in range(n)])
-    return PermutationGroup(n, [rot, refl])
+    return PermutationGroup(n, [rot, refl], known=(2 * n, [0, 1]))
 
 
 def psl2(q: int) -> PermutationGroup:
@@ -222,7 +235,9 @@ def psl2(q: int) -> PermutationGroup:
     whose shifts span GF(q) over its prime field), the square scaling
     x -> lambda^2 x, and the inversion x -> -1/x.  All lift to determinant-1
     matrices.  For q = 2 and 3 the scaling is the identity, which
-    PermutationGroup drops like any identity generator.
+    PermutationGroup drops like any identity generator.  The group is
+    given no order: an unbounded stabilizer chain checks it against
+    q(q^2 - 1) / gcd(2, q - 1).
     """
     F = build_field(q)
     deg = q + 1
@@ -265,13 +280,21 @@ def m11_group() -> PermutationGroup:
 
 
 def direct_product(A: PermutationGroup, B: PermutationGroup) -> PermutationGroup:
+    """A x B on the points of A, then those of B.  If both factors know
+    their orders, the product is given their product and the factors' bases
+    side by side."""
     da, db = A.degree, B.degree
     gens = []
     for g in A.generators():
         gens.append(Permutation(list(g) + [da + i for i in range(db)]))
     for g in B.generators():
         gens.append(Permutation(list(range(da)) + [da + i for i in g]))
-    return PermutationGroup(da + db, gens)
+    orders = A._known_order(), B._known_order()
+    known = None
+    if None not in orders:
+        known = (orders[0] * orders[1],
+                 A._base() + [da + b for b in B._base()])
+    return PermutationGroup(da + db, gens, known=known)
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,12 @@ certifies it against a literal word-rewriting collector anyway.
 
 Bilinearity also makes the correction cheap: each HigmanParams holds, for
 every 4-bit nibble of the right e-part and 8-bit byte of the left one, a
-4096-entry table of that block's correction word, built on first use (so
-a group refused as too large to list builds none).  gamma is then one
-lookup per block, and the tables stay at ceil(r/4) * ceil(r/8) * 4096
-entries or fewer for every r (two tables for r <= 8), whatever the
-enumeration limit.
+table of that block's correction word, built on first use (so a group
+refused as too large to list builds none).  A block is as wide as the
+bits of e it covers, so a table has 2^(nibble bits + byte bits) <= 4096
+entries: 2^(2r) for r <= 4.  gamma is then one lookup per block, and the
+tables stay at ceil(r/4) * ceil(r/8) * 4096 entries or fewer for every r
+(at most two tables for r <= 8), whatever the enumeration limit.
 
 Bulk products skip the gamma call too.  ``left_map(g)`` checks g once and
 fixes g's left bytes, so x -> g*x is one inlined lookup per table; the
@@ -143,23 +144,28 @@ class HigmanParams:
 
     @cached_property
     def _gamma_tables(self) -> tuple:
-        """(right shift, left shift, table) per block with a nonzero word;
-        see gamma.  Not a field, so not compared, hashed or printed."""
+        """(right shift, right mask, left width, left shift, left mask,
+        table) per block with a nonzero word; see gamma.  Not a field, so
+        not compared, hashed or printed."""
         tables = []
         for rlo in range(0, self.r, 4):
+            rw = min(4, self.r - rlo)
             for llo in range(0, self.r, 8):
-                # table[rn << 8 | lb]: the word of right nibble rn against
-                # left byte lb, built by doubling one bit at a time
-                table = [0] * 256
-                for i in range(rlo, rlo + 4):
+                lw = min(8, self.r - llo)
+                # table[rn << lw | lb]: the word of right nibble rn against
+                # left byte lb, each as wide as the bits the block has,
+                # built by doubling one bit at a time
+                table = [0] * (1 << lw)
+                for i in range(rlo, rlo + rw):
                     row = [0]
-                    for k in range(llo, llo + 8):
+                    for k in range(llo, llo + lw):
                         w = self._word(i, k)
                         row += [x ^ w for x in row]
                     table += [x ^ y for x, y in
-                              zip(table, row * (len(table) >> 8))]
+                              zip(table, row * (len(table) >> lw))]
                 if any(table):
-                    tables.append((rlo, llo, table))
+                    tables.append((rlo, (1 << rw) - 1, lw, llo,
+                                   (1 << lw) - 1, table))
         return tuple(tables)
 
     # -- JSON interchange ----------------------------------------------------
@@ -223,8 +229,8 @@ def gamma(params: HigmanParams, left_e: int, right_e: int) -> int:
     count for nothing.
     """
     f = 0
-    for rlo, llo, table in params._gamma_tables:
-        f ^= table[(right_e >> rlo & 15) << 8 | (left_e >> llo & 255)]
+    for rlo, rmask, lw, llo, lmask, table in params._gamma_tables:
+        f ^= table[(right_e >> rlo & rmask) << lw | (left_e >> llo & lmask)]
     return f
 
 
@@ -264,20 +270,22 @@ class HigmanGroup(FiniteGroup):
         return inverse(self.params, a)
 
     def left_map(self, g: Element):
-        """x -> g*x for x in G: one lookup per gamma table, g's left bytes
-        fixed.  Only g is checked; an x outside G still gives a product
-        outside G, since the XOR keeps x's sign and its bits past r or s."""
+        """x -> g*x for x in G: one lookup per gamma table, in the column
+        of g's left byte.  Only g is checked; an x outside G still gives a
+        product outside G, since the XOR keeps x's sign and its bits past r
+        or s."""
         p = self.params
         _check_fits(p, g)
         ge, gf = g
-        blocks = [(rlo, ge >> llo & 255, table)
-                  for rlo, llo, table in p._gamma_tables]
+        # table[rn << lw | lb] for every right nibble rn, at g's left byte
+        blocks = [(rlo, rmask, table[ge >> llo & lmask::1 << lw])
+                  for rlo, rmask, lw, llo, lmask, table in p._gamma_tables]
 
         def left(x: Element) -> Element:
             xe, xf = x
             f = gf ^ xf
-            for rlo, lb, table in blocks:
-                f ^= table[(xe >> rlo & 15) << 8 | lb]
+            for rlo, rmask, column in blocks:
+                f ^= column[xe >> rlo & rmask]
             return (ge ^ xe, f)
         return left
 
@@ -557,16 +565,17 @@ def regular_representation(G: HigmanGroup) -> PermutationGroup:
     """Degree-2^n permutation group via the right-multiplication action.
 
     Lists G's elements, so G's enum_limit bounds the construction.  The
-    action is checked to be regular (see _is_regular) before it is returned.
+    action is checked to be regular (see _is_regular) before it is
+    returned, so the group's order is its degree and [0] is a base, which
+    it is given.
     """
     elems = G.elements()
     idx = G.element_index()
     perms = [Permutation([idx[G.multiply(v, x)] for v in elems])
              for x in G.generators()]
-    P = PermutationGroup(len(elems), perms)
-    if not _is_regular(P.degree, P.generators()):
+    if not _is_regular(len(elems), perms):
         raise AssertionError("regular representation is not faithful/regular")
-    return P
+    return PermutationGroup(len(elems), perms, known=(len(elems), [0]))
 
 
 def _is_regular(degree: int, gens) -> bool:

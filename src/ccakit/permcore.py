@@ -41,19 +41,30 @@ permutation group read x^2 and x^4 at the base points only, and
 cycles through the base points, since x^k is the identity exactly when it
 fixes every base point.
 
-A permutation group's known order is its chain's, once built, and
-``generated_subgroup`` makes the group the subgroup's parent, so
-FiniteGroup's subgroup rule (fgroup) bounds the subgroup by that order
-and may prove it whole.  Listing checks the enumeration limit against the
-group's order first, which takes a stabilizer chain, unless the listing
-bound is within the limit: a bounded subgroup lists without a chain of
-its own (Seress, *Permutation Group Algorithms*, 2003, ch. 4).  Its base
-is its bounding parent's, since a base of a group is a base of each of
-its subgroups.  The parent bound also stops the subgroup's own
-Schreier-Sims once its basic orbits multiply to it (``StabilizerChain``),
-as they do when the generators span the whole parent.
-``point_stabilizer`` hands the stabilizer a chain on the hinted chain's
-base, which stops at its known order with no Schreier scan.
+A permutation group knows its order and a base, without listing, from
+one of three places:
+
+- its chain, once built;
+- its constructor, through ``known``, where the constructor knows them:
+  groupzoo's named groups and direct products, and higman's regular
+  representation.  ``psl2`` and M11 are given none, and verify their
+  order by an unbounded chain;
+- its parent, for a subgroup: ``generated_subgroup`` makes the group the
+  subgroup's parent, so FiniteGroup's subgroup rule (fgroup) bounds the
+  subgroup by the parent's known order and may prove it whole, and a base
+  of the parent is a base of each of its subgroups.
+
+Once listed, its order is the listing's length and membership a lookup in
+its element index.  So a named group lists, keys its listing and rows and
+scans its squares with no chain.  Listing checks the enumeration limit
+against the known order, or else the chain's, unless the listing bound is
+within the limit.  Every chain a group builds stops once its basic orbits
+multiply to the listing bound, the known order or else the parent bound
+(known-order Schreier-Sims, Seress, *Permutation Group Algorithms*, 2003,
+ch. 4; ``StabilizerChain``), which gives the chain built without it.
+``order()`` on an unlisted group not known to be whole still builds its
+chain.  ``point_stabilizer`` hands the stabilizer a chain on the hinted
+chain's base, which stops at its known order with no Schreier scan.
 
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
@@ -345,9 +356,15 @@ class StabilizerChain:
 
 
 class PermutationGroup(FiniteGroup):
-    """Group of permutations of a fixed degree, given by generators."""
+    """Group of permutations of a fixed degree, given by generators.
 
-    def __init__(self, degree: int, generators=()):
+    ``known``, if given, is the pair (order, base) that a constructor
+    knows without Schreier-Sims (groupzoo, higman); it is taken as given,
+    so only those constructors pass it.
+    """
+
+    def __init__(self, degree: int, generators=(), *,
+                 known: tuple[int, list[int]] | None = None):
         self.degree = degree
         gens = [g if isinstance(g, Permutation) else Permutation(g)
                 for g in generators]
@@ -355,6 +372,7 @@ class PermutationGroup(FiniteGroup):
             raise ValueError("generator degree mismatch")
         self._gens = fgroup.distinct_generators(
             gens, Permutation.identity(degree))
+        self._known = known
         self._chain: StabilizerChain | None = None
         self._elements: list[Permutation] | None = None
         # left_row's (short base, base images -> position), built on use
@@ -376,23 +394,36 @@ class PermutationGroup(FiniteGroup):
 
     @property
     def chain(self) -> StabilizerChain:
+        """The stabilizer chain, built on first use and stopped at the
+        listing bound."""
         if self._chain is None:
             self._chain = StabilizerChain(self.degree, self._gens,
-                                          order_bound=self._parent_bound())
+                                          order_bound=self._listing_bound())
         return self._chain
 
     def _known_order(self) -> int | None:
-        """The chain's order, else the listing's length, else None."""
-        if self._chain is None:
-            return super()._known_order()
-        return self._chain.order()
+        """The chain's order, else the constructor's, else the listing's
+        length, else None."""
+        if self._chain is not None:
+            return self._chain.order()
+        if self._known is not None:
+            return self._known[0]
+        return super()._known_order()
 
     def order(self) -> int:
+        """The listing's length, else the parent bound for a whole group,
+        else the chain's order."""
+        if self._elements is not None:
+            return len(self._elements)
         return self._parent_bound() if self._whole() else self.chain.order()
 
     def contains(self, p) -> bool:
+        """Looked up in the element index once listed, else asked of the
+        parent for a whole group, else sifted through the chain."""
         if not isinstance(p, Permutation):
             return False
+        if self._elements is not None:
+            return p in self.element_index()
         if self._whole():
             return self.parent.contains(p)
         return self.chain.contains(p)
@@ -400,13 +431,13 @@ class PermutationGroup(FiniteGroup):
     def elements(self) -> list[Permutation]:
         """FiniteGroup's listing, on image tuples, each wrapped once.
 
-        A group whose listing bound is within the limit needs no chain of
-        its own; otherwise the order is checked first.
+        A group whose listing bound is within the limit lists at once;
+        otherwise its known order, or else its chain's, is checked first.
         """
         if self._elements is None:
             bound = self._listing_bound()
             if bound is None or bound > self.enum_limit:
-                self._check_enum_limit(self.order())
+                self._check_enum_limit(self._known_order() or self.order())
             elems = super().elements()
             # in place: a second list would hold every element twice at once
             trusted = Permutation._trusted
@@ -415,8 +446,11 @@ class PermutationGroup(FiniteGroup):
         return self._elements
 
     def _base(self) -> list[int]:
-        """A base: the chain's, or else the bounding parent's, since a base
-        of a group is a base of each of its subgroups."""
+        """A base: the constructor's, else the chain's if built, else the
+        bounding parent's (a base of a group is a base of each of its
+        subgroups), else the chain's, built for it."""
+        if self._known is not None:
+            return self._known[1]
         if self._chain is None and self._parent_bound() is not None:
             return self.parent._base()
         return self.chain.base
@@ -534,7 +568,8 @@ class PermutationGroup(FiniteGroup):
         return out
 
     def point_stabilizer(self, point: int) -> "PermutationGroup":
-        """Exact stabilizer of a point, via a chain based at that point.
+        """Exact stabilizer of a point, via a chain based at that point and
+        stopped at the listing bound.
 
         The strong generators fixing the first base point, ``point``, span
         the stabilizer, and are a strong generating set for it on the same
@@ -544,7 +579,8 @@ class PermutationGroup(FiniteGroup):
         """
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside degree {self.degree}")
-        chain = StabilizerChain(self.degree, self._gens, base_hint=(point,))
+        chain = StabilizerChain(self.degree, self._gens, base_hint=(point,),
+                                order_bound=self._listing_bound())
         H = PermutationGroup(self.degree, chain._level_gens(1))
         H.enum_limit = self.enum_limit
         H._chain = StabilizerChain(

@@ -28,12 +28,12 @@ def closure_calls(monkeypatch):
 @pytest.fixture
 def chains_built(monkeypatch):
     """The arguments of every StabilizerChain construction while the test
-    runs."""
+    runs, each as the pair (args, kwargs)."""
     built = []
     init = permcore.StabilizerChain.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(args)
+        built.append((args, kwargs))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(permcore.StabilizerChain, "__init__", counting)

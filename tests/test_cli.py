@@ -96,6 +96,12 @@ class TestGroupCommand:
     def test_limit_exceeded_exit_3(self):
         assert main(["group", "PSL2(17)", "--limit-enum", "10"]) == EXIT_LIMIT
 
+    def test_given_order_past_the_limit_exit_3(self, capsys, closure_calls):
+        # S12 is given its order, 479,001,600, past the default limit
+        assert main(["group", "S12"]) == EXIT_LIMIT
+        assert "group order 479001600" in capsys.readouterr().err
+        assert closure_calls == []
+
 
 class TestCcaCommand:
     def test_s4_exhaustive_witness(self, capsys):

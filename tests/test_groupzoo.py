@@ -13,7 +13,8 @@ from ccakit import cli, fgroup
 from ccakit import groupzoo as gz
 from ccakit.fgroup import LimitExceeded
 from ccakit.higman import HigmanGroup, sample_params
-from ccakit.permcore import Permutation, PermutationGroup, parse_cycles
+from ccakit.permcore import (Permutation, PermutationGroup,
+                             StabilizerChain, parse_cycles)
 from ccakit.triples import s_tau
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -134,6 +135,61 @@ class TestConstructors:
     def test_direct_product(self):
         G = gz.direct_product(gz.cyclic_group(2), gz.symmetric_group(3))
         assert G.order() == 12
+
+
+PRODUCTS = ["C4 x C4 x C4", "C2 x D4", "S3 x A4", "D5 x C3 x S2",
+            "C2 x higman:n=4,seed=1"]
+
+
+class TestConstructorFacts:
+    """A named group is given its order and a base by its constructor, and
+    needs no stabilizer chain until membership asks for one."""
+
+    @pytest.mark.parametrize(
+        "expr", [f"C{n}" for n in range(1, 31)]
+        + [f"D{n}" for n in range(1, 31)]
+        + [f"S{n}" for n in range(1, 9)]
+        + [f"A{n}" for n in range(1, 10)] + PRODUCTS)
+    def test_recorded_facts_match_schreier_sims(self, chains_built, expr):
+        G = gz.construct(expr)
+        order, base = G._known_order(), G._base()
+        assert chains_built == []
+        gens = G.generators()
+        assert StabilizerChain(G.degree, gens).order() == order
+        # the base needs no extra point: it is a base of the group
+        assert StabilizerChain(G.degree, gens, base_hint=base).base == base
+
+    @pytest.mark.parametrize("expr", ["D16", "S4", "C4 x C4 x C4",
+                                      "C2 x D4"])
+    def test_named_groups_list_key_and_scan_without_a_chain(
+            self, chains_built, expr):
+        G = gz.construct(expr)
+        index = G.element_index()
+        assert len(index) == len(G.elements()) == G._known_order()
+        for g in G.generators():
+            assert G.left_row(g) == [index[G.multiply(g, v)]
+                                     for v in G.elements()]
+        assert G.involutions() == [x for x in G.elements()
+                                   if x.order() == 2]
+        assert G.has_element_of_order4() == any(
+            x.order() == 4 for x in G.elements())
+        assert G.element_orders() == [x.order() for x in G.elements()]
+        # D16, C4 x C4 x C4 and C2 x D4 have short bases and key their rows
+        assert (G._keyed is not None) == (expr != "S4")
+        assert chains_built == []
+        # a listed group answers order and membership from its listing
+        assert G.order() == len(index)
+        assert all(map(G.contains, G.elements()))
+        assert chains_built == []
+
+    @pytest.mark.parametrize("make", [lambda: gz.psl2(13), gz.m11_group],
+                             ids=["PSL2(13)", "M11"])
+    def test_psl2_and_m11_check_their_order_unbounded(self, chains_built,
+                                                      make):
+        G = make()
+        assert [kwargs.get("order_bound") for _, kwargs in chains_built] \
+            == [None]
+        assert G._known is None
 
 
 class TestParser:

@@ -208,9 +208,16 @@ class TestGammaTables:
         assert params.r == 40
         blocks = ((params.r + 3) // 4) * ((params.r + 7) // 8)
         assert len(params._gamma_tables) <= blocks
-        assert all(len(t) == 4096 for _, _, t in params._gamma_tables)
+        assert all(len(t) == 4096 for *_, t in params._gamma_tables)
         x = (1 << 39) | 5
         assert multiply(params, (x, 0), inverse(params, (x, 0))) == (0, 0)
+
+    @pytest.mark.parametrize("n, sizes", [(3, [16]), (6, [256]),
+                                          (9, [1024, 256])])
+    def test_tables_hold_only_the_bits_of_their_block(self, n, sizes):
+        # r = 2, 4, 6: each table is 2^(right bits + left bits) entries
+        params = sample_params(n, 1)
+        assert [len(t) for *_, t in params._gamma_tables] == sizes
 
     def test_group_too_large_to_list_builds_no_tables(self, monkeypatch,
                                                       capsys):

@@ -690,7 +690,8 @@ class TestSubgroupOrderBound:
         assert K._chain is None
 
     def test_subgroup_of_an_unordered_group_checks_its_order(self):
-        S5 = groupzoo.symmetric_group(5)
+        # a perm: atom, unlike the named S5, is given no order
+        S5 = groupzoo.construct("perm:5:(1 2),(1 2 3 4 5)")
         H = S5.generated_subgroup([parse_cycles("(1 2 3)", 5)])
         assert len(H.elements()) == 3
         assert H._chain is not None
