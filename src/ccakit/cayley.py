@@ -26,10 +26,13 @@ computed from the rows on first use and cached, so a disconnected set
 costs a single BFS.  ``bfs`` is the one BFS over rows: the graph's tree and
 aut_pm1's tree over the picked classes (colourauts) both come from it.  A
 graph has one vertex per element of the listing it indexes, and
-``check_graph_limit`` is the one check against the graph limit.  The
-exhaustive sweep makes it before class_rows builds the table, so the
-graph limit bounds the table's n^2 entries too (about 130 MB at the
-default of 4096).
+``check_graph_limit`` is the one check against the graph limit.  It reads
+a group's order where it is known without listing, and otherwise finds it
+by listing the group under the limit, so a group given by generators
+alone is refused after at most limit + 1 elements, with no stabilizer
+chain.  The exhaustive sweep makes the check before class_rows builds the
+table, so the graph limit bounds the table's n^2 entries too (about 130 MB
+at the default of 4096), and the table reads the listing the check left.
 """
 
 from __future__ import annotations
@@ -184,7 +187,8 @@ def class_rows(group: FiniteGroup) -> list[list[list[int]]]:
     checks the graph limit first, as the exhaustive sweep does.  The
     table is group.rows of every element, so left_row computed at most
     the generators' rows; the rest, s^-1's included, are derived from
-    them.
+    them, and the table fills inverse_row from the partner rows with no
+    inversion.
     """
     mt = group.mult_table()
     return [[mt[i]] if i == j else [mt[i], mt[j]]
@@ -192,8 +196,17 @@ def class_rows(group: FiniteGroup) -> list[list[list[int]]]:
 
 
 def check_graph_limit(group: FiniteGroup, graph_limit: int) -> None:
-    """Refuse a graph on more than graph_limit vertices (LimitExceeded)."""
-    n = group.order()
+    """Refuse a graph on more than graph_limit vertices (LimitExceeded).
+
+    The group's order is known without listing, or found by listing the
+    group under the smaller of graph_limit and its enumeration limit
+    (``FiniteGroup.order_within``): a larger group is refused after at
+    most graph_limit + 1 elements, far inside the n^2 table the limit
+    admits, and a smaller one keeps the listing its rows are read from.
+    """
+    n = group.order_within(graph_limit)
+    if n is None:
+        raise LimitExceeded(f"group order exceeds graph limit {graph_limit}")
     if n > graph_limit:
         raise LimitExceeded(
             f"group order {n} exceeds graph limit {graph_limit}")

@@ -927,10 +927,13 @@ def is_cca_group_exhaustive(group: FiniteGroup, budget: int = DEFAULT_BUDGET,
     budget of sets formed yields the three-valued 'unknown'.  When no
     conjugation moves a class the orbits are single sets: no set is
     tested and no image filed.  The classes and their rows are
-    cayley.class_rows, read off the group's multiplication table.  The
-    sweep checks graph_limit once, before it builds any row, so a larger
-    group raises LimitExceeded and the limit bounds the table's n^2
-    entries too.
+    cayley.class_rows, read off the group's multiplication table, which
+    also gives each class's inverse.  The sweep checks graph_limit once,
+    before it builds any row, so a larger group raises LimitExceeded and
+    the limit bounds the table's n^2 entries too.  The check reads the
+    group's order where it is known without listing and otherwise lists
+    the group under the limit (cayley.check_graph_limit), so a group
+    given by generators alone is swept with no stabilizer chain.
 
     Proof that it decides exactly the minimal generating sets least in
     their orbit, in (class count, lex) order, and so returns the first

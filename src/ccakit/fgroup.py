@@ -36,7 +36,10 @@ generators and the identity are more than half of the parent, as in most
 S_G(tau) spans) or its own known order is that bound.  A whole subgroup's
 ``order`` is the bound, ``contains`` asks the parent and ``element_set``
 is the parent's, so reading them lists nothing; its ``elements`` and
-``element_index`` still list it in its own order.
+``element_index`` still list it in its own order.  ``order_within(limit)``
+answers as ``order`` does without listing, else lists the group under
+the caller's limit (the graph limit, in cayley) instead of the
+enumeration limit, where that is smaller, and keeps the listing.
 
 Index arithmetic has one direct computation and one derivation.
 ``left_row(s)``, row[v] = index(s*v), looks up ``left_map(s)`` of every
@@ -58,10 +61,11 @@ in order.
 
 A listed group keeps one index, ``element_index`` (element -> position);
 ``element_set`` is a view of that index's keys, not a second copy.
-``inverse_row`` is cached beside it: the index of each element's inverse.
-`triples.s_tau` reads it with left rows to work on indices alone, and
-`cayley.class_rows` reads it to pair the rows of s and s^-1 in each colour
-class.
+``inverse_row`` is cached beside it: the index of each element's inverse,
+which ``mult_table`` fills from the partner rows it holds, inverting no
+element.  `triples.s_tau` reads it with left rows to work on indices
+alone, and `cayley.class_rows` reads it to pair the rows of s and s^-1 in
+each colour class.
 """
 
 from __future__ import annotations
@@ -193,14 +197,37 @@ class FiniteGroup(abc.ABC):
     def elements(self) -> list:
         """All elements, identity first, deterministic order.  Cached."""
         cached = getattr(self, "_elements", None)
-        if cached is None:
-            gens = self.generators()
-            cached = closure(self.identity(),
-                             [self.left_map(g) for g in gens],
-                             self.enum_limit, bound=self._listing_bound(),
-                             **self._listing_keys(gens))
-            self._elements = cached
-        return cached
+        return self._list(self.enum_limit) if cached is None else cached
+
+    def _list(self, limit: int) -> list:
+        """List the group by ``closure``, raising LimitExceeded past limit
+        elements, and keep the listing."""
+        gens = self.generators()
+        self._elements = closure(self.identity(),
+                                 [self.left_map(g) for g in gens],
+                                 limit, bound=self._listing_bound(),
+                                 **self._listing_keys(gens))
+        return self._elements
+
+    def order_within(self, limit: int) -> int | None:
+        """The order, if it is known without listing, as ``order`` knows
+        it (a whole subgroup's parent bound, else ``_known_order``), or
+        else found by listing at most limit + 1 elements; None once the
+        group has more than limit.
+
+        The listing runs under the smaller of limit and the enumeration
+        limit, and past the enumeration limit raises LimitExceeded, as
+        ``elements`` does.  A group within the limit keeps its listing.
+        """
+        known = self._parent_bound() if self._whole() else self._known_order()
+        if known is not None:
+            return known
+        if self.enum_limit < limit:
+            return len(self._list(self.enum_limit))
+        try:
+            return len(self._list(limit))
+        except LimitExceeded:
+            return None
 
     def _listing_keys(self, gens: list) -> dict:
         """``closure``'s key arguments for listing over gens: none here, so
@@ -295,7 +322,10 @@ class FiniteGroup(abc.ABC):
         an earlier element), so ``left_row`` computes at most the
         generators' rows.
         The identity's row is the index's own position objects, which
-        every row shares.
+        every row shares.  The rows held with the table include each
+        element's partner row, row(s^-1), whose entry at the identity is
+        the index of s^-1, so the table fills ``inverse_row`` too, unless
+        it is cached already, and inverts no element.
 
         The table holds n^2 entries, built at any order, so its readers
         bound n first: cayley.class_rows serves the exhaustive sweep,
@@ -304,7 +334,11 @@ class FiniteGroup(abc.ABC):
         """
         cached = getattr(self, "_mult_table", None)
         if cached is None:
-            cached = self._mult_table = self.rows(range(len(self.elements())))
+            members = range(len(self.elements()))
+            held = self._held_rows(members)
+            cached = self._mult_table = [held[i][0] for i in members]
+            if getattr(self, "_inverse_row", None) is None:
+                self._inverse_row = [held[i][1][0] for i in members]
         return cached
 
     def left_map(self, g) -> Callable[[Any], Any]:
@@ -326,22 +360,28 @@ class FiniteGroup(abc.ABC):
         row is held with it: the row itself for an involution
         (row[row[0]] == 0), else the inverse permutation.
         """
+        members = list(members)
+        held = self._held_rows(members)
+        return [held[i][0] for i in members]
+
+    def _held_rows(self, members: Iterable[int]) -> dict:
+        """The rows ``rows`` holds once it has every member: a -> (row of
+        a, row of a^-1), for each member a and its partner."""
         elems = self.elements()
         positions = list(self.element_index().values())
         held = {0: (positions, positions)}      # a: rows of a, a^-1
-        out = []
         for i in members:
             if i not in held:
                 row = _composite(held, i) or self.left_row(elems[i])
                 row_inv = row if row[row[0]] == 0 else _inverse(row, positions)
                 held[i] = (row, row_inv)
                 held[row_inv[0]] = (row_inv, row)
-            out.append(held[i][0])
-        return out
+        return held
 
     def inverse_row(self) -> list[int]:
         """Index of v^-1 per element v.  Cached, so `invert` is called once
-        per element, however many rows read it."""
+        per element, however many rows read it, and on none once
+        ``mult_table`` has filled it."""
         cached = getattr(self, "_inverse_row", None)
         if cached is None:
             index = self.element_index()

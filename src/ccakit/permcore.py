@@ -28,14 +28,15 @@ so the group's one element index answers a lookup by a Permutation or by
 the plain tuple a row product returns.
 
 An element of the group is fixed by its images of a base (Sims 1970).  A
-group whose base has at most degree/2 points (PSL(2, q) has 3 points on
-q + 1) keys its listing by those images, ``itemgetter`` over the base: it
-tests g * x for membership by the images x[g[b]] of the base points b and
-forms the full tuple only for a new element.  Its ``left_row(s)`` looks
-each s * v up by the same images, v[s[b]], in a key -> position index
-built once beside the element index, and forms no product.  A group with
-a longer base (S_n and A_n) lists and builds rows by full products, which
-cost less there.  The involution, square-root and order-4 scans of every
+group that knows a base without building a chain (below), of at most
+degree/2 points (PSL(2, q) has 3 points on q + 1), keys its listing by
+those images, ``itemgetter`` over the base: it tests g * x for membership
+by the images x[g[b]] of the base points b and forms the full tuple only
+for a new element.  Its ``left_row(s)`` looks each s * v up by the same
+images, v[s[b]], in a key -> position index built once beside the element
+index, and forms no product.  A group with a longer base (S_n and A_n),
+or with none known, lists and builds rows by full products, which cost
+less there.  The involution, square-root and order-4 scans of every
 permutation group read x^2 and x^4 at the base points only, and
 ``element_orders`` reads each order as the lcm of the lengths of the
 cycles through the base points, since x^k is the identity exactly when it
@@ -54,17 +55,23 @@ one of three places:
   subgroup by the parent's known order and may prove it whole, and a base
   of the parent is a base of each of its subgroups.
 
-Once listed, its order is the listing's length and membership a lookup in
-its element index.  So a named group lists, keys its listing and rows and
-scans its squares with no chain.  Listing checks the enumeration limit
-against the known order, or else the chain's, unless the listing bound is
-within the limit.  Every chain a group builds stops once its basic orbits
-multiply to the listing bound, the known order or else the parent bound
-(known-order Schreier-Sims, Seress, *Permutation Group Algorithms*, 2003,
-ch. 4; ``StabilizerChain``), which gives the chain built without it.
-``order()`` on an unlisted group not known to be whole still builds its
-chain.  ``point_stabilizer`` hands the stabilizer a chain on the hinted
-chain's base, which stops at its known order with no Schreier scan.
+Keys come only from a base known in one of these ways; no chain is built
+to key a listing or a row.  Once listed, its order is the listing's length
+and membership a lookup in its element index.  So a named group lists,
+keys its listing and rows and scans its squares with no chain.  Listing
+checks the enumeration limit against the known order, or else the
+chain's, unless the listing bound is within the limit; so a group given
+by generators alone is keyed by the chain that check builds.  The one
+listing without that check is ``order_within``'s, under a limit of its
+own (fgroup): the exhaustive sweep finds the order of such a group by
+listing it under the graph limit, and so builds no chain.  Every chain a
+group builds stops once its basic orbits multiply to the listing bound,
+the known order or else the parent bound (known-order Schreier-Sims,
+Seress, *Permutation Group Algorithms*, 2003, ch. 4; ``StabilizerChain``),
+which gives the chain built without it.  ``order()`` on an unlisted group
+not known to be whole still builds its chain.  ``point_stabilizer`` hands
+the stabilizer a chain on the hinted chain's base, which stops at its
+known order with no Schreier scan.
 
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
@@ -216,23 +223,26 @@ def parse_cycles(text: str, degree: int) -> Permutation:
 
     Whitespace-insensitive; "()" (or an empty string) is the identity, and
     an empty cycle anywhere multiplies by it.  Cycles are applied left to
-    right.
+    right: each is composed in place into one image list, p -> p * c, by
+    moving the images of the points that p sends into c, found in the
+    list of sources beside it.  The bijection is checked once, at the end.
     """
     stripped = _CYCLE_RE.sub("", text)
     if stripped.strip():
         raise ValueError(f"malformed cycle notation: {text!r}")
-    perm = Permutation.identity(degree)
+    images = list(range(degree))
+    sources = list(range(degree))       # images[sources[x]] == x
     for body in _CYCLE_RE.findall(text):
         pts = [int(tok) - 1 for tok in body.replace(",", " ").split()]
         if len(set(pts)) != len(pts):
             raise ValueError(f"repeated point in cycle: {body!r}")
         if any(p < 0 or p >= degree for p in pts):
             raise ValueError(f"point out of range 1..{degree}: ({body})")
-        images = list(range(degree))
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            images[a] = b
-        perm = perm * Permutation(images)
-    return perm
+        # (p * c)(i) = c(p(i)): the i with p(i) = a now goes to c(a) = b
+        for i, b in zip([sources[a] for a in pts], pts[1:] + pts[:1]):
+            images[i] = b
+            sources[b] = i
+    return Permutation(images)
 
 
 class StabilizerChain:
@@ -429,43 +439,56 @@ class PermutationGroup(FiniteGroup):
         return self.chain.contains(p)
 
     def elements(self) -> list[Permutation]:
-        """FiniteGroup's listing, on image tuples, each wrapped once.
+        """FiniteGroup's listing, each element wrapped once.
 
         A group whose listing bound is within the limit lists at once;
         otherwise its known order, or else its chain's, is checked first.
+        ``order_within`` lists under its own limit instead, with no check.
         """
         if self._elements is None:
             bound = self._listing_bound()
             if bound is None or bound > self.enum_limit:
                 self._check_enum_limit(self._known_order() or self.order())
-            elems = super().elements()
-            # in place: a second list would hold every element twice at once
-            trusted = Permutation._trusted
-            for i, t in enumerate(elems):
-                elems[i] = trusted(t)
+            self._list(self.enum_limit)
         return self._elements
 
-    def _base(self) -> list[int]:
-        """A base: the constructor's, else the chain's if built, else the
-        bounding parent's (a base of a group is a base of each of its
-        subgroups), else the chain's, built for it."""
+    def _list(self, limit: int) -> list[Permutation]:
+        """FiniteGroup's listing, on image tuples, each wrapped in place."""
+        elems = super()._list(limit)
+        # in place: a second list would hold every element twice at once
+        trusted = Permutation._trusted
+        for i, t in enumerate(elems):
+            elems[i] = trusted(t)
+        return elems
+
+    def _known_base(self) -> list[int] | None:
+        """A base known without building a chain: the constructor's, else
+        the chain's if built, else the bounding parent's (a base of a
+        group is a base of each of its subgroups), else None."""
         if self._known is not None:
             return self._known[1]
-        if self._chain is None and self._parent_bound() is not None:
-            return self.parent._base()
-        return self.chain.base
+        if self._chain is not None:
+            return self._chain.base
+        if self._parent_bound() is not None:
+            return self.parent._known_base()
+        return None
+
+    def _base(self) -> list[int]:
+        """The known base, else the chain's, built for it."""
+        base = self._known_base()
+        return self.chain.base if base is None else base
 
     def _short_base(self) -> list[int] | None:
-        """The base if it has at most degree/2 points, else None.  A base
-        of no points is the trivial group's, with nothing to key."""
-        base = self._base()
+        """The known base if it has at most degree/2 points, else None.  A
+        base of no points is the trivial group's, with nothing to key."""
+        base = self._known_base()
         if not base or 2 * len(base) > self.degree:
             return None
         return base
 
     def _listing_keys(self, gens: list) -> dict:
-        """Key the listing by base images if the base is short: g * x has
-        the images x[g[b]] of the base points b.
+        """Key the listing by base images if the known base is short: g * x
+        has the images x[g[b]] of the base points b.
 
         ``itemgetter`` of one point gives a scalar, which keys as well as a
         tuple.
@@ -484,16 +507,17 @@ class PermutationGroup(FiniteGroup):
     def left_row(self, s: Permutation) -> list[int]:
         """Row of s, a member of the group: the index of s*v per element v.
 
-        With a short base, s*v is looked up by its base images v[s[b]] in
-        a key -> position index, built on first use from ``element_index``
-        and sharing its position objects, so no product is formed.  A
-        longer base takes FiniteGroup's lookup of the full products.
+        With a short known base, s*v is looked up by its base images
+        v[s[b]] in a key -> position index, built on first use from
+        ``element_index`` and sharing its position objects, so no product
+        is formed.  A longer base, or none known without a chain, takes
+        FiniteGroup's lookup of the full products.
         """
         if self._keyed is None:
+            index = self.element_index()
             base = self._short_base()
             if base is None:
                 return super().left_row(s)
-            index = self.element_index()
             keys = map(itemgetter(*base), index)
             self._keyed = (base, dict(zip(keys, index.values())))
         base, positions = self._keyed

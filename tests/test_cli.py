@@ -415,6 +415,24 @@ class TestExitCodes:
         assert "graph limit 1000" in capsys.readouterr().err
         assert left_row_calls == []
 
+    def test_exhaustive_refuses_a_perm_group_by_listing(
+            self, capsys, closure_calls, chains_built, left_row_calls):
+        # S6 given by generators: its order is found by listing it under
+        # the graph limit, which stops at 101 elements, with no chain
+        argv = ["cca", "perm:6:(1 2),(1 2 3 4 5 6)", "--exhaustive"]
+        assert main(argv + ["--limit-graph", "100"]) == EXIT_LIMIT
+        assert "graph limit 100" in capsys.readouterr().err
+        assert [args[2] for args, _ in closure_calls] == [100]
+        assert chains_built == [] and left_row_calls == []
+        # an enumeration limit below the order and the graph limit refuses
+        del closure_calls[:]
+        assert main(argv + ["--limit-graph", "100",
+                            "--limit-enum", "50"]) == EXIT_LIMIT
+        err = capsys.readouterr().err
+        assert "enumeration limit 50" in err and "graph limit" not in err
+        assert [args[2] for args, _ in closure_calls] == [50]
+        assert chains_built == [] and left_row_calls == []
+
     def test_exhaustive_past_order_1024_within_budget(self, capsys):
         # the default graph limit, 4096, admits PSL2(13); a budget of 50
         # sets answers before the full sweep (10,495 sets) would

@@ -56,6 +56,7 @@ from ccakit.colourauts import (
 from ccakit.fgroup import LimitExceeded
 from ccakit.higman import HigmanGroup, quaternion_params, sample_params, \
     theorem3_triple
+from ccakit.permcore import PermutationGroup
 
 
 def connected_class_graphs(G):
@@ -852,6 +853,42 @@ class TestExhaustiveGroupVerdicts:
         G.mult_table()
         best = min(timed(is_cca_group_exhaustive, G) for _ in range(3))
         assert best < 0.1
+
+    # perm: forms of D8, C2 x C6, S4 and A5, with their reports as the
+    # sweep gave them when it built a stabilizer chain and inverted every
+    # element
+    PERM_SWEEPS = {
+        "perm:8:(1 2 3 4 5 6 7 8),(1 8)(2 7)(3 6)(4 5)":
+            ("cca", 28, 13, 8, None),
+        "perm:8:(1 2),(3 4 5 6 7 8)": ("cca", 31, 16, 1, None),
+        "perm:4:(1 2),(1 2 3 4)": (
+            "non-cca", 14, 4, 24,
+            (["(1 2 3 4)", "(1 4 3 2)", "(1 3 4 2)", "(1 2 4 3)"],
+             [0, 7, 2, 3, 14, 5, 6, 1, 8, 20, 10, 22, 12, 13, 4, 15, 16,
+              17, 18, 19, 9, 21, 11, 23])),
+        "perm:5:(1 2 3),(1 2 3 4 5)": ("cca", 48, 35, 60, None),
+    }
+
+    @pytest.mark.parametrize("expr", PERM_SWEEPS)
+    def test_perm_sweep_builds_no_chain_and_inverts_nothing(
+            self, expr, chains_built, monkeypatch):
+        # the sweep learns |G| by listing it under the graph limit, keys
+        # nothing by a base, and reads each inverse off the table's rows
+        inverted = []
+        invert = PermutationGroup.invert
+
+        def counting(group, a):
+            inverted.append(a)
+            return invert(group, a)
+
+        monkeypatch.setattr(PermutationGroup, "invert", counting)
+        G = gz.construct(expr)
+        rep = is_cca_group_exhaustive(G).to_json_dict(G)
+        assert chains_built == [] and inverted == []
+        witness = (rep["witness_S"], rep["witness_alpha"]) \
+            if "witness_S" in rep else None
+        assert (rep["status"], rep["sets_checked"], rep["connected_checked"],
+                rep["orbit_group_order"], witness) == self.PERM_SWEEPS[expr]
 
     def test_trivial_group(self):
         # no class to form a set from: the empty set generates the group

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from oracle_cycles import parse_cycles as reference_parse_cycles
 from oracle_schreier_sims import StabilizerChain as ReferenceChain
 
 from ccakit import fgroup, groupzoo
@@ -194,6 +195,42 @@ class TestCycleNotation:
     def test_non_disjoint_cycles_compose(self):
         # cycles are applied left to right, so this is a legal product
         assert parse_cycles("(1 2)(2 3)", 4).cycle_str() == "(1 3 2)"
+
+    @staticmethod
+    def random_cycles(rng, degree):
+        """Cycle notation of up to five cycles on 1..degree: overlapping,
+        empty, comma-separated, and now and then with a repeated point or
+        one out of range."""
+        cycles = []
+        for _ in range(rng.randint(0, 5)):
+            pts = rng.sample(range(1, degree + 1), rng.randint(0, degree))
+            if pts and rng.random() < 0.1:
+                pts.append(rng.choice(pts))
+            if rng.random() < 0.1:
+                pts.insert(rng.randint(0, len(pts)),
+                           rng.choice([0, degree + 1, degree + 7]))
+            sep = rng.choice([" ", ",", ", ", "  "])
+            cycles.append("(" + sep.join(map(str, pts)) + ")")
+        return rng.choice(["", " "]).join(cycles)
+
+    def test_matches_the_per_cycle_product(self):
+        rng = random.Random(20261020)
+        raised = 0
+        for _ in range(3000):
+            degree = rng.randint(1, 9)
+            text = self.random_cycles(rng, degree)
+            try:
+                want = reference_parse_cycles(text, degree)
+            except ValueError as ex:
+                raised += 1
+                with pytest.raises(ValueError) as got:
+                    parse_cycles(text, degree)
+                assert str(got.value) == str(ex), text
+                continue
+            got = parse_cycles(text, degree)
+            assert type(got) is Permutation
+            assert got == want, text
+        assert 300 < raised < 1500
 
 
 def assert_strong_generating_set(chain, order):
@@ -619,6 +656,33 @@ class TestKeyedRows:
                 del calls[:]
                 assert G.left_row(s) == generic_row(G, s)
                 assert calls == [s]
+
+
+class TestUnkeyedListing:
+    """A group given by generators alone, listed under a limit with no
+    chain, against the same group keyed by its chain's base: the same
+    listing, rows and table.  The inverse row that mult_table fills from
+    the partner rows is checked against one inversion per element."""
+
+    def test_zoo_corpus(self, chains_built):
+        groups = [G for _, G in groupzoo.zoo_corpus(48)
+                  if isinstance(G, PermutationGroup)]
+        assert len(groups) > 30
+        for G in groups:
+            unkeyed, keyed = (PermutationGroup(G.degree, G.generators())
+                              for _ in range(2))
+            keyed.chain         # keys its listing and rows by its base
+            del chains_built[:]
+            assert unkeyed.order_within(G.order()) == G.order()
+            elems = unkeyed.elements()
+            assert elems == keyed.elements()
+            assert [unkeyed.left_row(s) for s in elems] \
+                == [keyed.left_row(s) for s in elems]
+            assert unkeyed.mult_table() == keyed.mult_table()
+            assert chains_built == []
+            for H in (unkeyed, keyed):
+                index = H.element_index()
+                assert H.inverse_row() == [index[H.invert(v)] for v in index]
 
 
 class TestLeftMap:
