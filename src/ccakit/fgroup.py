@@ -21,24 +21,33 @@ element.  A permutation group with a short base keys its elements by their
 images of the base, and every permutation group's scans read only base
 points (permcore).
 
-A subgroup holds its ``parent``, and ``FiniteGroup`` alone bounds it and
-proves it whole.  Each group supplies ``_known_order``, the order it knows
-without listing: its listing's length here; for a permutation group its
-chain's order, else its constructor's, else its listing's length
-(permcore); 2^n for a Higman group and the GF(2) rank order for a Higman
-subgroup (higman).  The parent bound is the parent's
-known order, provided the parent holds every generator; the
-``_listing_bound`` is the group's own known order, else the parent bound,
-and ``closure`` returns as soon as it has listed that many elements, with
-the same list.  A subgroup is its whole parent when the parent bound is
-known and either Lagrange's theorem proves it (``is_whole``: the
+``FiniteGroup`` alone orders and lists a group, and bounds a subgroup,
+which holds its ``parent``, and proves it whole.  Each group supplies
+``_known_order``, the order it knows without listing: its listing's
+length here; for a permutation group its chain's order, else its
+constructor's, else its listing's length (permcore); 2^n for a Higman
+group and the GF(2) rank order for a Higman subgroup (higman).  The
+parent bound is the parent's known order, provided the parent holds
+every generator.  A subgroup is its whole parent when the parent bound
+is known and either Lagrange's theorem proves it (``is_whole``: the
 generators and the identity are more than half of the parent, as in most
-S_G(tau) spans) or its own known order is that bound.  A whole subgroup's
-``order`` is the bound, ``contains`` asks the parent and ``element_set``
-is the parent's, so reading them lists nothing; its ``elements`` and
+S_G(tau) spans) or its own known order is that bound.
+
+The order rule: the order known without listing (``_order_known``) is
+the parent bound for a whole group, else ``_known_order``.  ``order``
+returns it, or, where it is unknown, the length of a listing under the
+enumeration limit; a permutation group builds its chain there instead.
+``elements`` holds the one enumeration-limit check: the
+``_listing_bound`` is the group's own known order, else the parent
+bound, and unless it is within the limit, ``order`` is checked before
+the group lists, so a group past the limit is refused before it lists
+anything, and no group lists twice.  ``closure`` stops once it has
+listed as many elements as the listing bound, with the same list.  A
+whole subgroup's ``contains`` asks the parent and its ``element_set`` is
+the parent's, so reading them lists nothing; its ``elements`` and
 ``element_index`` still list it in its own order.  ``order_within(limit)``
-answers as ``order`` does without listing, else lists the group under
-the caller's limit (the graph limit, in cayley) instead of the
+answers from the order known without listing, else lists the group
+under the caller's limit (the graph limit, in cayley) instead of the
 enumeration limit, where that is smaller, and keeps the listing.
 
 Index arithmetic has one direct computation and one derivation.
@@ -175,6 +184,7 @@ class FiniteGroup(abc.ABC):
 
     enum_limit = DEFAULT_ENUM_LIMIT
     parent: "FiniteGroup | None" = None     # set on a subgroup
+    _elements: list | None = None           # the listing, once made
 
     @abc.abstractmethod
     def identity(self):
@@ -195,9 +205,24 @@ class FiniteGroup(abc.ABC):
     # -- element enumeration ------------------------------------------------
 
     def elements(self) -> list:
-        """All elements, identity first, deterministic order.  Cached."""
-        cached = getattr(self, "_elements", None)
-        return self._list(self.enum_limit) if cached is None else cached
+        """All elements, identity first, deterministic order.  Cached.
+
+        The one enumeration-limit check: unless the listing bound is within
+        the limit, ``order`` is checked first, and a group whose order is
+        past the limit is refused before it lists.  ``order`` lists a group
+        whose order it does not know, so no group lists twice.
+        """
+        if self._elements is None:
+            bound = self._listing_bound()
+            if bound is None or bound > self.enum_limit:
+                order = self.order()
+                if order > self.enum_limit:
+                    raise LimitExceeded(
+                        f"group order {order} exceeds enumeration limit "
+                        f"{self.enum_limit}")
+            if self._elements is None:      # else order() listed it
+                self._list(self.enum_limit)
+        return self._elements
 
     def _list(self, limit: int) -> list:
         """List the group by ``closure``, raising LimitExceeded past limit
@@ -210,16 +235,15 @@ class FiniteGroup(abc.ABC):
         return self._elements
 
     def order_within(self, limit: int) -> int | None:
-        """The order, if it is known without listing, as ``order`` knows
-        it (a whole subgroup's parent bound, else ``_known_order``), or
-        else found by listing at most limit + 1 elements; None once the
+        """The order, if it is known without listing (``_order_known``),
+        or else found by listing at most limit + 1 elements; None once the
         group has more than limit.
 
         The listing runs under the smaller of limit and the enumeration
         limit, and past the enumeration limit raises LimitExceeded, as
-        ``elements`` does.  A group within the limit keeps its listing.
+        ``order`` does.  A group within the limit keeps its listing.
         """
-        known = self._parent_bound() if self._whole() else self._known_order()
+        known = self._order_known()
         if known is not None:
             return known
         if self.enum_limit < limit:
@@ -236,8 +260,13 @@ class FiniteGroup(abc.ABC):
 
     def _known_order(self) -> int | None:
         """The order if it is known without listing: here, once listed."""
-        listed = getattr(self, "_elements", None)
-        return None if listed is None else len(listed)
+        return None if self._elements is None else len(self._elements)
+
+    def _order_known(self) -> int | None:
+        """The order known without listing: the parent bound for a whole
+        group, else ``_known_order``.  ``order``, ``order_within`` and the
+        check before a listing all read it."""
+        return self._parent_bound() if self._whole() else self._known_order()
 
     def _parent_bound(self) -> int | None:
         """The parent's known order, provided the parent holds every
@@ -251,7 +280,7 @@ class FiniteGroup(abc.ABC):
             bound = None if parent is None else parent._known_order()
             if bound is not None:
                 member = (parent.element_index().__contains__
-                          if getattr(parent, "_elements", None) is not None
+                          if parent._elements is not None
                           else parent.contains)
                 if not all(map(member, self.generators())):
                     bound = None
@@ -278,13 +307,6 @@ class FiniteGroup(abc.ABC):
                 or self._known_order() == bound)
         return whole
 
-    def _check_enum_limit(self, order: int) -> None:
-        """Refuse, before listing, a group whose known order is too big."""
-        if order > self.enum_limit:
-            raise LimitExceeded(
-                f"group order {order} exceeds enumeration limit "
-                f"{self.enum_limit}")
-
     def element_set(self) -> KeysView:
         """The elements as a set: the parent's for a whole group, else a
         view of `element_index`'s keys."""
@@ -301,17 +323,17 @@ class FiniteGroup(abc.ABC):
         return cached
 
     def order(self) -> int:
-        """The parent bound for a whole group, else the known order, else
-        the listing's length."""
-        if self._whole():
-            return self._parent_bound()
-        known = self._known_order()
-        return len(self.elements()) if known is None else known
+        """The order known without listing, else the length of a listing
+        under the enumeration limit."""
+        known = self._order_known()
+        return len(self._list(self.enum_limit)) if known is None else known
 
     def contains(self, x) -> bool:
+        """Asked of the parent for a whole group, else looked up in the
+        element index."""
         if self._whole():
             return self.parent.contains(x)
-        return x in self.element_set()
+        return x in self.element_index()
 
     def mult_table(self) -> list:
         """Index-based multiplication table, mt[a][b] = index of a*b.

@@ -27,8 +27,9 @@ parse or would give another group.
 The named constructors C_n, D_n, S_n and A_n give their group its order
 and a base (PermutationGroup's ``known``), and ``direct_product`` gives
 its factors' orders multiplied and their bases side by side, so these
-groups list, key and scan without a stabilizer chain; the tests check
-each against Schreier-Sims.  ``psl2`` and ``m11_group`` are given none:
+groups answer their order, list, key and scan without a stabilizer
+chain; the tests check each against Schreier-Sims.  ``psl2`` and
+``m11_group`` are given none:
 each verifies its order by an unbounded chain, which a wrong field table
 or data file fails.
 

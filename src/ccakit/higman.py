@@ -32,6 +32,12 @@ gamma is bilinear: ``left_row(s)`` doubles the row over the index bits
 with one gamma per e-bit and one XOR per element, and no dict, tuple or
 multiply.
 
+A Higman group supplies FiniteGroup (fgroup) only what it alone knows:
+its order 2^n (``_known_order``), its natural-order listing (``_list``),
+the maps and rows above, and ``contains``, which tells an (e, f) pair
+from a degree-2 Permutation, a tuple too.  FiniteGroup answers ``order``
+from 2^n and refuses a group past the enumeration limit before it lists.
+
 Words name elements through one letter table, built on first use: g1..gr
 map to the single e-bits and h1..hs to the single f-bits, in that order.
 The generators are the table's elements, a word is the left-to-right
@@ -63,7 +69,8 @@ lifts and tests whether the e-part left is 0 and its f-part lies in that
 span.  Neither lists anything; the listing, its maps and rows stay
 GeneratedSubgroup's closure over the parent's maps, which the tests keep
 as the oracle for both.  That listing's bound is the known order, so it
-stops at the subgroup's last element.
+stops at the subgroup's last element, and a subgroup whose known order is
+past the enumeration limit is refused before it lists.
 
 The "constrained" flavour forces g_r^2 = g_{r-1}^2 = h_1, which pins rows
 r-1 and r of the b-matrix and makes (S, T, tau) with S = {g_1..g_{r-2},
@@ -336,21 +343,16 @@ class HigmanGroup(FiniteGroup):
         """Generator h_j, 1-based."""
         return self._letter(f"h{j}")
 
-    def elements(self) -> list[Element]:
-        cached = getattr(self, "_elements", None)
-        if cached is None:
-            self._check_enum_limit(self.order())
-            p = self.params
-            cached = [(e, f) for e in range(1 << p.r)
-                      for f in range(1 << p.s)]
-            self._elements = cached
-        return cached
-
-    def order(self) -> int:
+    def _known_order(self) -> int:
         return 1 << self.params.n
 
-    def _known_order(self) -> int:
-        return self.order()
+    def _list(self, limit: int) -> list[Element]:
+        """The natural-order listing, (e, f) at index e * 2^s + f.  Only
+        ``elements`` calls it, once the known order is within the limit."""
+        p = self.params
+        self._elements = [(e, f) for e in range(1 << p.r)
+                          for f in range(1 << p.s)]
+        return self._elements
 
     def contains(self, x) -> bool:
         # a plain (e, f) pair only: a degree-2 Permutation is a tuple too

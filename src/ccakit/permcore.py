@@ -57,21 +57,22 @@ one of three places:
 
 Keys come only from a base known in one of these ways; no chain is built
 to key a listing or a row.  Once listed, its order is the listing's length
-and membership a lookup in its element index.  So a named group lists,
-keys its listing and rows and scans its squares with no chain.  Listing
-checks the enumeration limit against the known order, or else the
-chain's, unless the listing bound is within the limit; so a group given
-by generators alone is keyed by the chain that check builds.  The one
-listing without that check is ``order_within``'s, under a limit of its
-own (fgroup): the exhaustive sweep finds the order of such a group by
-listing it under the graph limit, and so builds no chain.  Every chain a
-group builds stops once its basic orbits multiply to the listing bound,
-the known order or else the parent bound (known-order Schreier-Sims,
-Seress, *Permutation Group Algorithms*, 2003, ch. 4; ``StabilizerChain``),
-which gives the chain built without it.  ``order()`` on an unlisted group
-not known to be whole still builds its chain.  ``point_stabilizer`` hands
-the stabilizer a chain on the hinted chain's base, which stops at its
-known order with no Schreier scan.
+and membership a lookup in its element index.  So a named group answers
+its order, lists, keys its listing and rows and scans its squares with no
+chain.  A group orders and lists by FiniteGroup's rule (fgroup), and its
+``order`` and ``contains`` differ only in using the chain where
+FiniteGroup would list: a chain orders only a group whose order nothing
+else gives, and sifts only for an unlisted group not known to be whole.
+So a group given by generators alone, with no listing bound within the
+enumeration limit, is ordered by its chain before it lists, and keyed by
+that chain's base.  The exhaustive sweep finds the order of such a group
+by ``order_within``, which lists it under the graph limit, and so builds
+no chain.  Every chain a group builds stops once its basic orbits
+multiply to the listing bound, the known order or else the parent bound
+(known-order Schreier-Sims, Seress, *Permutation Group Algorithms*,
+2003, ch. 4; ``StabilizerChain``), which gives the chain built without
+it.  ``point_stabilizer`` hands the stabilizer a chain on the hinted
+chain's base, which stops at its known order with no Schreier scan.
 
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
@@ -384,7 +385,6 @@ class PermutationGroup(FiniteGroup):
             gens, Permutation.identity(degree))
         self._known = known
         self._chain: StabilizerChain | None = None
-        self._elements: list[Permutation] | None = None
         # left_row's (short base, base images -> position), built on use
         self._keyed: tuple | None = None
 
@@ -421,36 +421,23 @@ class PermutationGroup(FiniteGroup):
         return super()._known_order()
 
     def order(self) -> int:
-        """The listing's length, else the parent bound for a whole group,
-        else the chain's order."""
-        if self._elements is not None:
-            return len(self._elements)
-        return self._parent_bound() if self._whole() else self.chain.order()
+        """FiniteGroup's order, with the chain's where it would list: the
+        order known without listing, else the chain's."""
+        known = self._order_known()
+        return self.chain.order() if known is None else known
 
     def contains(self, p) -> bool:
-        """Looked up in the element index once listed, else asked of the
-        parent for a whole group, else sifted through the chain."""
+        """FiniteGroup's membership, sifted through the chain where it
+        would list: a non-permutation is no member, a whole group asks its
+        parent, a listed group looks p up in its element index, and any
+        other sifts p."""
         if not isinstance(p, Permutation):
             return False
-        if self._elements is not None:
-            return p in self.element_index()
         if self._whole():
             return self.parent.contains(p)
-        return self.chain.contains(p)
-
-    def elements(self) -> list[Permutation]:
-        """FiniteGroup's listing, each element wrapped once.
-
-        A group whose listing bound is within the limit lists at once;
-        otherwise its known order, or else its chain's, is checked first.
-        ``order_within`` lists under its own limit instead, with no check.
-        """
         if self._elements is None:
-            bound = self._listing_bound()
-            if bound is None or bound > self.enum_limit:
-                self._check_enum_limit(self._known_order() or self.order())
-            self._list(self.enum_limit)
-        return self._elements
+            return self.chain.contains(p)
+        return p in self.element_index()
 
     def _list(self, limit: int) -> list[Permutation]:
         """FiniteGroup's listing, on image tuples, each wrapped in place."""

@@ -59,8 +59,9 @@ def test_target_is_defined_on_its_owner(owner, attr):
 
 
 def small_instance(owner):
-    """A fresh instance of a cached target's owner, nothing yet cached."""
-    G = gz.symmetric_group(3)
+    """A fresh instance of a cached target's owner, nothing yet cached: S3
+    given by generators alone, so its order() builds the chain."""
+    G = gz.construct("perm:3:(1 2),(1 2 3)")
     if owner.__name__ == "ColouredCayleyGraph":
         return build(G, ConnectionSet.from_elements(G, G.involutions()))
     return G

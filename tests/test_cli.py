@@ -97,9 +97,11 @@ class TestGroupCommand:
         assert main(["group", "PSL2(17)", "--limit-enum", "10"]) == EXIT_LIMIT
 
     def test_given_order_past_the_limit_exit_3(self, capsys, closure_calls):
-        # S12 is given its order, 479,001,600, past the default limit
-        assert main(["group", "S12"]) == EXIT_LIMIT
-        assert "group order 479001600" in capsys.readouterr().err
+        # S12 is given its order, 479,001,600, past the default limit; the
+        # same group given by generators alone is ordered by its chain
+        for expr in ["S12", "perm:12:(1 2),(1 2 3 4 5 6 7 8 9 10 11 12)"]:
+            assert main(["group", expr]) == EXIT_LIMIT
+            assert "group order 479001600" in capsys.readouterr().err
         assert closure_calls == []
 
 

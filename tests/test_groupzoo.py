@@ -152,7 +152,7 @@ class TestConstructorFacts:
         + [f"A{n}" for n in range(1, 10)] + PRODUCTS)
     def test_recorded_facts_match_schreier_sims(self, chains_built, expr):
         G = gz.construct(expr)
-        order, base = G._known_order(), G._base()
+        order, base = G.order(), G._base()
         assert chains_built == []
         gens = G.generators()
         assert StabilizerChain(G.degree, gens).order() == order
@@ -180,6 +180,10 @@ class TestConstructorFacts:
         # a listed group answers order and membership from its listing
         assert G.order() == len(index)
         assert all(map(G.contains, G.elements()))
+        assert chains_built == []
+
+    def test_zoo_corpus_builds_no_chain(self, chains_built):
+        assert len(gz.zoo_corpus(64)) > 0
         assert chains_built == []
 
     @pytest.mark.parametrize("make", [lambda: gz.psl2(13), gz.m11_group],

@@ -415,6 +415,16 @@ class TestRankSubgroups:
         with pytest.raises(ValueError, match="not an element"):
             G.generated_subgroup([G.g(2), x]).order()
 
+    def test_subgroup_past_the_limit_refused_before_listing(
+            self, closure_calls):
+        G = HigmanGroup(sample_params(12, 1))       # r = 8, s = 4
+        G.enum_limit = 100
+        X = G.generated_subgroup([G.g(i) for i in range(1, 6)])
+        assert X.order() == 512                     # by GF(2) ranks
+        with pytest.raises(LimitExceeded, match="group order 512"):
+            X.elements()
+        assert closure_calls == []
+
     def test_validate_triple_lists_nothing(self, closure_calls):
         G, trip = theorem3_triple(sample_params(12, 1))
         assert trip.valid and trip.index == 4

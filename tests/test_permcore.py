@@ -838,7 +838,7 @@ class TestSubgroupOrderBound:
     def test_bases_of_zero_and_one_point(self, chains_built, expr, gens,
                                          order):
         G = groupzoo.construct(expr)
-        G.order()
+        G.chain                 # H's generators are sifted through it
         H = G.generated_subgroup([parse_cycles(c, G.degree) for c in gens])
         del chains_built[:]
         assert len(H.elements()) == order
