@@ -63,34 +63,37 @@ class ConnectionSet:
     @classmethod
     def from_elements(cls, group: FiniteGroup, elems,
                       close_inverses: bool = False) -> "ConnectionSet":
+        """The connection set of elems, refused with InvalidConnectionSet
+        unless it is one; with close_inverses, each member's inverse is
+        added to it.
+
+        One pass over elems serves both modes.  Each value is tested by the
+        group's own rule, ``group.contains``, before any arithmetic, so a
+        value of the wrong type or range is refused by name (``elem_str``)
+        and never reaches ``invert``.  The identity is refused, each new
+        member is inverted once, and closing files its partner too.  One
+        inverse-closure check then runs over the members held, which a
+        closed set always passes.
+        """
         idx = group.element_index()
         e = group.identity()
         inverse = {}
-        out = []
         for s in elems:
-            # outside data enters here: check it before any arithmetic
-            if s not in idx:
+            if not group.contains(s):
                 raise InvalidConnectionSet(
                     f"{group.elem_str(s)} is not in the group")
             if s == e:
                 raise InvalidConnectionSet("identity in connection set")
-            if close_inverses:
-                if s not in inverse:
-                    si = group.invert(s)
-                    inverse[s], inverse[si] = si, s
-                    out.extend((s,) if s == si else (s, si))
-            elif s not in inverse:
-                inverse[s] = None
-                out.append(s)
-        # a set this call closed holds every inverse already
-        if not close_inverses:
-            for s in out:
+            if s not in inverse:
                 si = inverse[s] = group.invert(s)
-                if si not in inverse:
-                    raise InvalidConnectionSet(
-                        f"not inverse-closed: {group.elem_str(s)} present, "
-                        f"inverse missing")
-        out.sort(key=idx.__getitem__)
+                if close_inverses:
+                    inverse[si] = s
+        for s, si in inverse.items():
+            if si not in inverse:
+                raise InvalidConnectionSet(
+                    f"not inverse-closed: {group.elem_str(s)} present, "
+                    f"inverse missing")
+        out = sorted(inverse, key=idx.__getitem__)
         return cls(group=group, elements=tuple(out),
                    inverses=tuple(map(inverse.__getitem__, out)))
 

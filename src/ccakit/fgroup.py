@@ -465,7 +465,11 @@ class FiniteGroup(abc.ABC):
     # -- element I/O ---------------------------------------------------------
 
     def elem_str(self, x) -> str:
-        return str(x)
+        """x in the group's notation.  A value that is no element the group
+        can name (of another type, or out of range) is printed by ``repr``,
+        so an error message can name whatever it was given.  This default
+        has no notation of its own, so it prints every value by ``repr``."""
+        return repr(x)
 
     def elem_parse(self, text: str):
         raise NotImplementedError

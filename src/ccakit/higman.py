@@ -366,9 +366,11 @@ class HigmanGroup(FiniteGroup):
     def generated_subgroup(self, gens) -> "HigmanSubgroup":
         return HigmanSubgroup(self, list(gens))
 
-    def elem_str(self, x: Element) -> str:
+    def elem_str(self, x) -> str:
         """The normal form: the letters whose bit x carries, in table
-        order, or "1"."""
+        order, or "1"; a value ``contains`` refuses by ``repr``."""
+        if not self.contains(x):
+            return repr(x)
         e, f = x
         return "*".join(name for name, (le, lf) in self._letters.items()
                         if e & le or f & lf) or "1"

@@ -47,9 +47,10 @@ one of three places:
 
 - its chain, once built;
 - its constructor, through ``known``, where the constructor knows them:
-  groupzoo's named groups and direct products, and higman's regular
-  representation.  ``psl2`` and M11 are given none, and verify their
-  order by an unbounded chain;
+  groupzoo's named groups and direct products, higman's regular
+  representation, and ``point_stabilizer``, which reads the stabilizer's
+  order and base off the one chain it builds.  ``psl2`` and M11 are given
+  none, and verify their order by an unbounded chain;
 - its parent, for a subgroup: ``generated_subgroup`` makes the group the
   subgroup's parent, so FiniteGroup's subgroup rule (fgroup) bounds the
   subgroup by the parent's known order and may prove it whole, and a base
@@ -71,8 +72,7 @@ no chain.  Every chain a group builds stops once its basic orbits
 multiply to the listing bound, the known order or else the parent bound
 (known-order Schreier-Sims, Seress, *Permutation Group Algorithms*,
 2003, ch. 4; ``StabilizerChain``), which gives the chain built without
-it.  ``point_stabilizer`` hands the stabilizer a chain on the hinted
-chain's base, which stops at its known order with no Schreier scan.
+it.
 
 Stabilizer chains use deterministic base selection: base-hint points
 first, then the smallest point moved by the generator that forces a new
@@ -370,8 +370,9 @@ class PermutationGroup(FiniteGroup):
     """Group of permutations of a fixed degree, given by generators.
 
     ``known``, if given, is the pair (order, base) that a constructor
-    knows without Schreier-Sims (groupzoo, higman); it is taken as given,
-    so only those constructors pass it.
+    knows without Schreier-Sims (groupzoo, higman) or reads off a chain
+    it built (``point_stabilizer``); it is taken as given, so only those
+    constructors pass it.
     """
 
     def __init__(self, degree: int, generators=(), *,
@@ -518,8 +519,9 @@ class PermutationGroup(FiniteGroup):
         H.parent, H.enum_limit = self, self.enum_limit
         return H
 
-    def elem_str(self, x: Permutation) -> str:
-        return x.cycle_str()
+    def elem_str(self, x) -> str:
+        """Cycle notation; a value that is no Permutation by ``repr``."""
+        return x.cycle_str() if isinstance(x, Permutation) else repr(x)
 
     def elem_parse(self, text: str) -> Permutation:
         return parse_cycles(text, self.degree)
@@ -579,24 +581,23 @@ class PermutationGroup(FiniteGroup):
         return out
 
     def point_stabilizer(self, point: int) -> "PermutationGroup":
-        """Exact stabilizer of a point, via a chain based at that point and
-        stopped at the listing bound.
+        """Exact stabilizer of a point, via one chain based at that point
+        and stopped at the listing bound.
 
         The strong generators fixing the first base point, ``point``, span
         the stabilizer, and are a strong generating set for it on the same
-        base, whose order the chain gives: |G| / |orbit|.  So the
-        stabilizer's own chain, given that base and order, stops after
-        one recompute, with no Schreier scan.
+        base, whose order the chain gives: |G| / |orbit|.  The stabilizer
+        is given that order and base through ``known``, so it builds no
+        chain of its own to order, list or key itself.
         """
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} outside degree {self.degree}")
         chain = StabilizerChain(self.degree, self._gens, base_hint=(point,),
                                 order_bound=self._listing_bound())
-        H = PermutationGroup(self.degree, chain._level_gens(1))
+        H = PermutationGroup(
+            self.degree, chain._level_gens(1),
+            known=(chain.order() // len(chain.transversals[0]), chain.base))
         H.enum_limit = self.enum_limit
-        H._chain = StabilizerChain(
-            self.degree, H._gens, base_hint=chain.base,
-            order_bound=chain.order() // len(chain.transversals[0]))
         return H
 
     def __repr__(self) -> str:

@@ -101,15 +101,39 @@ class TestConnectionSet:
         assert sizes == [1, 1, 1, 2]   # three transpositions + one 3-cycle pair
 
     @pytest.mark.parametrize("expr, text", [
-        ("A4", "(1 2)"), ("perm:4:(1 2)", "(3 4)"), ("Q8 x C2", "(1 2)")])
+        ("A4", "(1 2)"), ("perm:4:(1 2)", "(3 4)"), ("Q8 x C2", "(1 2)"),
+        # values of the wrong type or range: a plain tuple equal to a
+        # member's images, a string, lists, a triple, a pair past Q8's bits
+        ("S3", (1, 0, 2)), ("S3", "x"), ("S3", [1, 0, 2]),
+        ("Q8", (1, 0, 0)), ("Q8", [1, 0]), ("Q8", (9, 0))])
     @pytest.mark.parametrize("close_inverses", [False, True])
     def test_rejects_elements_outside_the_group(self, expr, text,
                                                 close_inverses):
+        # cycle notation is parsed and named as written; any other value
+        # is passed as it is and named by repr
         G = gz.construct(expr)
-        x = G.elem_parse(text)
+        if isinstance(text, str) and text.startswith("("):
+            x, shown = G.elem_parse(text), text
+        else:
+            x, shown = text, repr(text)
         with pytest.raises(InvalidConnectionSet,
-                           match=rf"^{re.escape(text)} is not in the group$"):
+                           match=rf"^{re.escape(shown)} is not in the group$"):
             ConnectionSet.from_elements(G, [x], close_inverses)
+
+    @pytest.mark.parametrize("expr", [expr for expr, _ in gz.zoo_corpus(16)])
+    def test_checked_and_closed_sets_agree(self, expr):
+        # every non-identity element, checked as inverse-closed, and one
+        # member of each class, closed by the call, give the same set
+        G = gz.construct(expr)
+        e = G.identity()
+        members = [x for x in G.elements() if x != e]
+        checked = ConnectionSet.from_elements(G, members)
+        closed = ConnectionSet.from_elements(
+            G, [c[-1] for c in checked.colour_classes()],
+            close_inverses=True)
+        assert closed.elements == checked.elements
+        assert closed.inverses == checked.inverses
+        assert closed.colour_classes() == checked.colour_classes()
 
     def test_outside_higman_element_refused_before_arithmetic(self,
                                                               monkeypatch):

@@ -804,17 +804,26 @@ class TestSubgroupOrderBound:
             L.elements()
         assert closure_calls == []
 
-    def test_point_stabilizer_is_bounded_by_its_own_order(self, monkeypatch):
-        scans = []
-        scan = StabilizerChain._find_and_insert_residue
-        monkeypatch.setattr(StabilizerChain, "_find_and_insert_residue",
-                            lambda chain: scans.append(chain) or scan(chain))
-        S6 = groupzoo.construct("S6", enum_limit=200)
-        H = S6.point_stabilizer(0)
-        assert H._listing_bound() == 120
-        assert len(H.elements()) == 120
-        # S6's chain based at 0 scans; H's, built from it, never does
-        assert scans and all(chain is not H._chain for chain in scans)
+    def test_point_stabilizer_is_bounded_by_its_own_order(self,
+                                                          chains_built):
+        # one chain, based at the point, gives the stabilizer its order and
+        # base, so it lists under a limit its parent is past and builds no
+        # chain of its own
+        for expr, point, order, base in [
+                ("S6", 0, 120, [0, 1, 2, 4, 3]),
+                ("A7", 0, 360, [0, 2, 1, 4, 3]),
+                ("A8", 0, 2520, [0, 1, 2, 3, 4, 5]),
+                ("PSL2(17)", 17, 136, [17, 0, 1])]:
+            G = groupzoo.construct(expr, enum_limit=2 * order)
+            del chains_built[:]
+            H = G.point_stabilizer(point)
+            assert [kwargs["base_hint"] for _, kwargs in chains_built] \
+                == [(point,)]
+            assert H._chain is None
+            assert H._listing_bound() == H.order() == order
+            assert H._known_base() == base
+            assert len(H.elements()) == order
+            assert len(chains_built) == 1 and H._chain is None
 
     def test_psl2_17_subgroups_list_by_the_ancestors_base(
             self, chains_built, closure_calls):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -402,6 +403,18 @@ class TestValidateTriple:
         with pytest.raises(ValueError):
             validate_triple(G, [parse_cycles("(1 2)", 4)], [],
                             parse_cycles("(1 2)(3 4)", 4))
+
+    def test_rejects_values_it_cannot_name_as_members(self):
+        # a plain tuple, a string and a pair past Q8's bits are named by
+        # repr, not read as an element
+        S4, Q8 = gz.construct("S4"), gz.construct("Q8")
+        tau = parse_cycles("(1 2)(3 4)", 4)
+        for G, x, t in [(S4, (1, 0, 2, 3), tau), (S4, "x", tau),
+                        (Q8, (9, 0), Q8.h(1))]:
+            with pytest.raises(ValueError,
+                               match=rf"^element {re.escape(repr(x))} "
+                                     r"not in G$"):
+                validate_triple(G, [x], [], t)
 
     def test_rejects_non_involution_tau(self):
         G = gz.symmetric_group(3)
