@@ -14,9 +14,10 @@ of the projective line over GF(q) via unimodular Moebius maps modulo the
 centre.  Every GF(q) is built by one rule, polynomials over GF(p) modulo
 a monic irreducible one of degree f (q = p^f): for a prime q that is x,
 and for a prime power the pinned polynomial in data/field_polys.json.
-Its tables are exact lookups: products by the logarithms of the
-primitive element's powers, the only products formed by the polynomial
-rule, and sums by shifts of one digit.
+The field is built as the powers of its primitive element, the only
+products formed by the polynomial rule, and psl2 reads its generators off
+those powers, their logarithms and digit-wise sums; a modulus under which
+no element has order q - 1 (a reducible one) is refused.
 
 The named constructors take one generating set each.  Where a generator
 is the identity or repeats another at a small n (C1, S2, A3, and the
@@ -30,8 +31,8 @@ its factors' orders multiplied and their bases side by side, so these
 groups answer their order, list, key and scan without a stabilizer
 chain; the tests check each against Schreier-Sims.  ``psl2`` and
 ``m11_group`` are given none:
-each verifies its order by an unbounded chain, which a wrong field table
-or data file fails.
+each verifies its order by an unbounded chain, which a wrong field or
+data file fails.
 
 construct parses an expression and builds its group in the same pass;
 there is no separate syntax tree.  The point and set stabilizers and the
@@ -47,7 +48,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
 from math import factorial, gcd
 from pathlib import Path
 
@@ -80,43 +80,21 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass
-class FieldTable:
-    """GF(q) with exhaustively tabulated arithmetic, q <= 32.
+def build_field(q: int) -> tuple[int, list[int], list[int]]:
+    """GF(q) as (p, weights, exp): its characteristic p, the digit weights
+    p^k (k < f, q = p^f) and exp[k] = lambda^k (k < q - 1), the powers of
+    its primitive element lambda, the least element of order q - 1.
 
-    Elements are encoded as integers 0..q-1: the coefficient vector of the
-    residue polynomial, constant term first, read as base-p digits, lowest
-    first (so 0 and 1 are the field's 0 and 1).
-    """
+    GF(q) is GF(p)[x] modulo a monic irreducible polynomial of degree f: a
+    prime q is the case f = 1 with modulus x, and a prime power reads its
+    modulus from data/field_polys.json.  An element is the integer whose
+    base-p digits, lowest first, are its residue's coefficients, so 0 and
+    1 are the field's 0 and 1 and a sum is the digit-wise sum mod p.
 
-    q: int
-    p: int
-    f: int
-    add: list = field(repr=False)
-    mul: list = field(repr=False)
-    neg: list = field(repr=False)
-    inv: list = field(repr=False)
-    primitive: int = 0
-
-
-def build_field(q: int) -> FieldTable:
-    """GF(q) = GF(p)[x] modulo a monic irreducible polynomial of degree f.
-
-    One rule serves every q: a prime q is the case f = 1 with modulus x,
-    and a prime power reads its modulus from data/field_polys.json.  The
-    digit vector of an element is its residue's coefficients.
-
-    add is the digit-wise sum mod p, built row by row: row a is row a - w
-    followed by the shift that adds w = p^k, the largest power of p at
-    most a, which raises digit k by 1 mod p.  Every row of add is a
-    permutation of the field, so neg is where 0 stands in it.
-
-    The units form a cyclic group of order q - 1.  The first element whose
-    powers reach every unit is the primitive element lambda, the least one
-    of order q - 1; its powers, schoolbook products reduced by the modulus
-    and the only ones formed, give exp[k] = lambda^k and log, exp's
-    inverse.  Then mul[a][b] = exp[(log a + log b) mod (q - 1)] for units
-    a and b, and 0 if either is 0, and inv[a] = exp[-log a mod (q - 1)].
+    The only products formed are each candidate's powers, schoolbook
+    products reduced by the modulus, for at most q - 1 steps: a reducible
+    modulus has zero divisors, whose powers never return to 1.  A modulus
+    under which no element has order q - 1 is refused.
     """
     if q < 2 or q > MAX_PRIME_POWER_Q:
         raise GroupExprError(f"field order {q} outside supported range 2..32")
@@ -133,10 +111,6 @@ def build_field(q: int) -> FieldTable:
     weights = [p**i for i in range(f)]
     digits = [[a // w % p for w in weights] for a in range(q)]
 
-    def index(coeffs):
-        # the first f coefficients, each taken mod p, read in base p
-        return sum(c % p * w for c, w in zip(coeffs, weights))
-
     def mul(ca, cb):
         prod = [0] * (2 * f - 1)
         for i, x in enumerate(ca):
@@ -146,35 +120,20 @@ def build_field(q: int) -> FieldTable:
         for top in range(2 * f - 2, f - 1, -1):
             for k in range(f):
                 prod[top - f + k] -= prod[top] % p * red[k]
-        return index(prod)
-
-    shift = {w: [b + w if b // w % p < p - 1 else b - (p - 1) * w
-                 for b in range(q)] for w in weights}
-    add_t = [list(range(q))]
-    for a in range(1, q):
-        w = max(w for w in weights if w <= a)
-        add_t.append(list(map(shift[w].__getitem__, add_t[a - w])))
-    neg_t = [row.index(0) for row in add_t]
+        # the first f coefficients, each taken mod p, read in base p
+        return sum(c % p * w for c, w in zip(prod, weights))
 
     for primitive in range(1, q):
-        exp = [1]                       # the powers of primitive until 1
+        exp = [1]               # the powers of primitive until 1, or q - 1
         x = primitive
-        while x != 1:
+        while x != 1 and len(exp) < q - 1:
             exp.append(x)
             x = mul(digits[x], digits[primitive])
-        if len(exp) == q - 1:
-            break
-    log = [0] * q
-    for k, x in enumerate(exp):
-        log[x] = k
-    exp2 = exp + exp            # exp2[i + j] = exp[(i + j) mod (q - 1)]
-    unit_logs = log[1:]
-    mul_t = [[0] * q] + [[0] + [exp2[i + j] for j in unit_logs]
-                         for i in unit_logs]
-    inv_t = [0] + [exp[-i] for i in unit_logs]
-
-    return FieldTable(q=q, p=p, f=f, add=add_t, mul=mul_t, neg=neg_t,
-                      inv=inv_t, primitive=primitive)
+        if x == 1 and len(exp) == q - 1:
+            return p, weights, exp
+    raise GroupExprError(
+        f"no element of GF({q}) has order {q - 1}: its modulus in "
+        f"field_polys.json is not irreducible")
 
 
 # ---------------------------------------------------------------------------
@@ -232,33 +191,30 @@ def psl2(q: int) -> PermutationGroup:
     """PSL(2,q) on the projective line: points 0..q-1 are GF(q), point q is
     the point at infinity.
 
-    Generators: the translations x -> x + lambda^j (j < f, lambda primitive,
-    whose shifts span GF(q) over its prime field), the square scaling
-    x -> lambda^2 x, and the inversion x -> -1/x.  All lift to determinant-1
-    matrices.  For q = 2 and 3 the scaling is the identity, which
-    PermutationGroup drops like any identity generator.  The group is
-    given no order: an unbounded stabilizer chain checks it against
-    q(q^2 - 1) / gcd(2, q - 1).
+    Generators, all read off build_field's powers exp of the primitive
+    element lambda and their logarithms (log x = k where exp[k] = x): the
+    translations x -> x + lambda^j (j < f, whose shifts span GF(q) over
+    its prime field), digit-wise sums mod p; the square scaling
+    x -> lambda^2 x = exp[(log x + 2) mod (q - 1)]; and the inversion
+    x -> -1/x = exp[(h - log x) mod (q - 1)], where -1 = lambda^h: h =
+    (q - 1)/2 for odd q, since -1 is the one involution of the cyclic
+    unit group, and h = 0 for even q.  All lift to determinant-1 matrices.
+    For q = 2 and 3 the scaling is the identity, which PermutationGroup
+    drops like any identity generator.  The group is given no order: an
+    unbounded stabilizer chain checks it against q(q^2 - 1) / gcd(2, q - 1).
     """
-    F = build_field(q)
-    deg = q + 1
-    INF = q
-
-    def moebius(fn):
-        return Permutation([fn(x) for x in range(q)] + [fn(INF)])
-
-    gens = []
-    lam = F.primitive
-    shift = 1
-    for _ in range(F.f):
-        c = shift
-        gens.append(moebius(lambda x, c=c: INF if x == INF else F.add[x][c]))
-        shift = F.mul[shift][lam]
-    lam2 = F.mul[lam][lam]
-    gens.append(moebius(lambda x: INF if x == INF else F.mul[lam2][x]))
-    gens.append(moebius(
-        lambda x: (0 if x == INF else (INF if x == 0 else F.neg[F.inv[x]]))))
-    G = PermutationGroup(deg, gens)
+    p, weights, exp = build_field(q)
+    INF, n = q, q - 1
+    log = {x: k for k, x in enumerate(exp)}
+    h = n // 2 if q % 2 else 0
+    gens = [Permutation([sum((x // w + c // w) % p * w for w in weights)
+                         for x in range(q)] + [INF])
+            for c in exp[:len(weights)]]
+    gens.append(Permutation(
+        [0] + [exp[(log[x] + 2) % n] for x in range(1, q)] + [INF]))
+    gens.append(Permutation(
+        [INF] + [exp[(h - log[x]) % n] for x in range(1, q)] + [0]))
+    G = PermutationGroup(q + 1, gens)
     expected = q * (q - 1) * (q + 1) // gcd(2, q - 1)
     if G.order() != expected:
         raise GroupExprError(

@@ -403,7 +403,8 @@ class HigmanSubgroup(GeneratedSubgroup):
         lifts: list[Element] = []
         words = []
         for g in self._gens:
-            self._check_member(g)
+            if not self.parent.contains(g):
+                raise ValueError(f"{g!r} is not an element of {self.parent!r}")
             x = _reduce_by_lifts(p, lifts, g)
             if x[0]:
                 lifts.append(x)
@@ -422,19 +423,16 @@ class HigmanSubgroup(GeneratedSubgroup):
                 span.sort(reverse=True)
         return lifts, span
 
-    def _check_member(self, x) -> None:
-        if not self.parent.contains(x):
-            raise ValueError(f"{x!r} is not an element of {self.parent!r}")
-
     def _known_order(self) -> int:
         """2^(number of lifts + rank of the central f-words)."""
         lifts, span = self._echelon
         return 1 << (len(lifts) + len(span))
 
     def contains(self, x) -> bool:
-        """Whether x lies in the subgroup; an x outside the parent raises
-        ValueError."""
-        self._check_member(x)
+        """Whether x lies in the subgroup: False for any value that the
+        parent's ``contains`` refuses, like every other group."""
+        if not self.parent.contains(x):
+            return False
         lifts, span = self._echelon
         e, f = _reduce_by_lifts(self.parent.params, lifts, x)
         return e == 0 and _reduce_word(span, f) == 0

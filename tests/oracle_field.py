@@ -1,11 +1,13 @@
 """Reference GF(q) tables: every product by the schoolbook rule.
 
-This is the oracle for ``ccakit.groupzoo.build_field``, which forms only
-the powers of the primitive element by the schoolbook product and reads
-every other product off logarithms, and builds add from shifts.  Both must
-give the same add, mul, neg and inv tables and the same primitive element.
-The tables are built here as they were before that rewrite, so the oracle
-does not follow later changes to it.
+This is the oracle for ``ccakit.groupzoo.build_field`` and ``psl2``.
+build_field forms only the powers of the primitive element, by the
+schoolbook product, and psl2 reads its generators off those powers, their
+logarithms and digit-wise sums.  The oracle builds the full add, mul, neg
+and inv tables, which the tests check against the field axioms, and
+PSL(2, q)'s generators from those tables by the formula that read them
+before that rewrite.  Both are built here as they were then, so the
+oracle does not follow later changes to either.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from ccakit.groupzoo import _DATA_DIR, _is_prime
 
 
 def build_tables(q: int) -> dict:
-    """add, mul, neg, inv and primitive of GF(q), 2 <= q <= 32 a prime or
+    """f, add, mul, neg, inv and primitive of GF(q), 2 <= q <= 32 a prime or
     a prime power in data/field_polys.json, each product by the schoolbook
     rule and the primitive element the smallest of order q - 1."""
     if _is_prime(q):
@@ -56,5 +58,24 @@ def build_tables(q: int) -> dict:
         if k == q - 1:
             primitive = cand
             break
-    return {"add": add_t, "mul": mul_t, "neg": neg_t, "inv": inv_t,
+    return {"f": f, "add": add_t, "mul": mul_t, "neg": neg_t, "inv": inv_t,
             "primitive": primitive}
+
+
+def psl2_generators(q: int) -> list[tuple[int, ...]]:
+    """The images on 0..q (q the point at infinity) of PSL(2, q)'s
+    generators, read off the tables of GF(q): x -> x + lambda^j (j < f),
+    x -> lambda^2 x and x -> -1/x, in that order, identities included."""
+    t = build_tables(q)
+    add, mul, neg, inv, lam = (t[k] for k in ("add", "mul", "neg", "inv",
+                                              "primitive"))
+    inf = q
+    gens = []
+    shift = 1
+    for _ in range(t["f"]):
+        gens.append(tuple(add[x][shift] for x in range(q)) + (inf,))
+        shift = mul[shift][lam]
+    lam2 = mul[lam][lam]
+    gens.append(tuple(mul[lam2][x] for x in range(q)) + (inf,))
+    gens.append((inf,) + tuple(neg[inv[x]] for x in range(1, q)) + (0,))
+    return gens

@@ -105,14 +105,24 @@ class TestConnectionSet:
         # values of the wrong type or range: a plain tuple equal to a
         # member's images, a string, lists, a triple, a pair past Q8's bits
         ("S3", (1, 0, 2)), ("S3", "x"), ("S3", [1, 0, 2]),
-        ("Q8", (1, 0, 0)), ("Q8", [1, 0]), ("Q8", (9, 0))])
+        ("Q8", (1, 0, 0)), ("Q8", [1, 0]), ("Q8", (9, 0)),
+        # the same values, and Q8's g2, outside Q8's subgroup <g1> and
+        # outside <g1>'s subgroup <g1, h1>, which its two generators prove
+        # whole, so asks <g1> of each value
+        *[(sub, value) for sub in ("Q8 > g1", "Q8 > g1 > g1,h1")
+          for value in [(9, 0), [1, 0], "x", (1, 0, 0), "g2"]]])
     @pytest.mark.parametrize("close_inverses", [False, True])
     def test_rejects_elements_outside_the_group(self, expr, text,
                                                 close_inverses):
-        # cycle notation is parsed and named as written; any other value
-        # is passed as it is and named by repr
-        G = gz.construct(expr)
-        if isinstance(text, str) and text.startswith("("):
+        # "G > a > b,c" is G's subgroup generated by the word a, then that
+        # one's subgroup generated by b and c.  Cycle notation and words
+        # in g and h are parsed and named as written; any other value is
+        # passed as it is and named by repr
+        name, *subgroups = expr.split(" > ")
+        G = gz.construct(name)
+        for words in subgroups:
+            G = G.generated_subgroup(map(G.elem_parse, words.split(",")))
+        if isinstance(text, str) and text[:1] in ("(", "g", "h"):
             x, shown = G.elem_parse(text), text
         else:
             x, shown = text, repr(text)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from oracle_field import build_tables
+from oracle_field import build_tables, psl2_generators
 from oracle_normalizes import normalizes as product_form_normalizes
 
 from ccakit import cli, fgroup
@@ -48,35 +48,35 @@ FIELD_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
 class TestFieldTables:
     @pytest.mark.parametrize("q", FIELD_ORDERS)
     def test_field_axioms(self, q):
-        F = gz.build_field(q)
+        """The oracle's schoolbook tables (tests/oracle_field.py), the
+        reference for build_field and psl2, form a field."""
+        t = build_tables(q)
+        add, mul, neg, inv = t["add"], t["mul"], t["neg"], t["inv"]
         els = range(q)
         for a in els:
-            assert F.add[a][0] == a
-            assert F.mul[a][1] == a
-            assert F.mul[a][0] == 0
-            assert F.add[a][F.neg[a]] == 0
+            assert add[a][0] == a
+            assert mul[a][1] == a
+            assert mul[a][0] == 0
+            assert add[a][neg[a]] == 0
             if a != 0:
-                assert F.mul[a][F.inv[a]] == 1
+                assert mul[a][inv[a]] == 1
         # associativity and distributivity, exhaustive
         for a in els:
             for b in els:
-                assert F.add[a][b] == F.add[b][a]
-                assert F.mul[a][b] == F.mul[b][a]
+                assert add[a][b] == add[b][a]
+                assert mul[a][b] == mul[b][a]
                 for c in els:
-                    assert F.add[F.add[a][b]][c] == F.add[a][F.add[b][c]]
-                    assert F.mul[F.mul[a][b]][c] == F.mul[a][F.mul[b][c]]
-                    assert (F.mul[a][F.add[b][c]]
-                            == F.add[F.mul[a][b]][F.mul[a][c]])
+                    assert add[add[a][b]][c] == add[a][add[b][c]]
+                    assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                    assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
     @pytest.mark.parametrize("q", [4, 5, 8, 9, 16, 25, 27, 32])
     def test_primitive_element(self, q):
-        F = gz.build_field(q)
-        powers = set()
-        x = 1
-        for _ in range(q - 1):
-            x = F.mul[x][F.primitive]
-            powers.add(x)
-        assert len(powers) == q - 1
+        # the powers of the primitive element are every unit, once each
+        p, weights, exp = gz.build_field(q)
+        assert sorted(exp) == list(range(1, q))
+        assert p ** len(weights) == q
+        assert weights == [p**k for k in range(len(weights))]
 
     def test_unsupported_q(self):
         with pytest.raises(ValueError):
@@ -94,11 +94,31 @@ class TestFieldTables:
 
     @pytest.mark.parametrize("q", FIELD_ORDERS)
     def test_tables_are_the_schoolbook_tables(self, q):
-        """Products by logarithms and sums by shifts against every
-        product and sum by the schoolbook rule (tests/oracle_field.py)."""
-        F = gz.build_field(q)
-        assert {"add": F.add, "mul": F.mul, "neg": F.neg, "inv": F.inv,
-                "primitive": F.primitive} == build_tables(q)
+        """build_field's powers are the oracle primitive element's powers
+        under the oracle's schoolbook products, and psl2's generators are
+        the ones read off the oracle's full tables (tests/oracle_field.py),
+        in the same order, the identity dropped."""
+        t = build_tables(q)
+        powers = [1]
+        while len(powers) < q - 1:
+            powers.append(t["mul"][powers[-1]][t["primitive"]])
+        assert gz.build_field(q)[2] == powers
+        identity = tuple(range(q + 1))
+        assert [tuple(g) for g in gz.psl2(q).generators()] == [
+            g for g in psl2_generators(q) if g != identity]
+
+    def test_reducible_modulus_is_refused(self, monkeypatch, tmp_path,
+                                          time_limit):
+        # x^2 + 1 = (x + 1)^2 over GF(2): the powers of the zero divisor
+        # x + 1 never return to 1, and no element has order 3
+        polys = json.loads((gz._DATA_DIR / "field_polys.json").read_text())
+        polys["4"]["poly"] = [1, 0, 1]
+        (tmp_path / "field_polys.json").write_text(json.dumps(polys))
+        monkeypatch.setattr(gz, "_DATA_DIR", tmp_path)
+        with time_limit(5):
+            with pytest.raises(gz.GroupExprError, match=r"GF\(4\)"):
+                gz.psl2(4)
+            assert cli.main(["group", "PSL2(4)"]) == 2
 
 
 class TestConstructors:
