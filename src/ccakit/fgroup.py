@@ -8,11 +8,9 @@ identity first, then breadth-first closure over the generator list, so
 reports and witnesses are reproducible across runs.  ``closure`` is the one
 listing loop.  It takes one left-multiplication map x -> g*x per generator
 g, and a group hands out that map through one hook, ``left_map(g)``:
-``partial(multiply, g)`` by default, a C-level product on image tuples for
-permutation groups (and for stab1, in colourauts), one inlined table
-lookup per product for Higman groups, and the parent's map for a
-generated subgroup.  The involution and order-4 scans square through the
-same hook, and the square-root scan through ``multiply``.
+``partial(multiply, g)`` by default, and a C-level product on image
+tuples for permutation groups (and for stab1, in colourauts).  The
+involution, order-4 and square-root scans square by ``multiply``.
 
 A group may also key its elements: ``_listing_keys`` hands ``closure`` a
 key that tells the elements apart and, per generator g, the map
@@ -43,9 +41,10 @@ bound, and unless it is within the limit, ``order`` is checked before
 the group lists, so a group past the limit is refused before it lists
 anything, and no group lists twice.  ``closure`` stops once it has
 listed as many elements as the listing bound, with the same list.  A
-whole subgroup's ``contains`` asks the parent and its ``element_set`` is
-the parent's, so reading them lists nothing; its ``elements`` and
-``element_index`` still list it in its own order.  ``order_within(limit)``
+subgroup's ``contains`` refuses what its parent refuses.  A whole
+subgroup holds the rest and its ``element_set`` is the parent's, so
+reading them lists nothing; its ``elements`` and ``element_index``
+still list it in its own order.  ``order_within(limit)``
 answers from the order known without listing, else lists the group
 under the caller's limit (the graph limit, in cayley) instead of the
 enumeration limit, where that is smaller, and keeps the listing.
@@ -329,11 +328,11 @@ class FiniteGroup(abc.ABC):
         return len(self._list(self.enum_limit)) if known is None else known
 
     def contains(self, x) -> bool:
-        """Asked of the parent for a whole group, else looked up in the
-        element index."""
-        if self._whole():
-            return self.parent.contains(x)
-        return x in self.element_index()
+        """False for a value the parent refuses; then True for a whole
+        group, else looked up in the element index."""
+        if self.parent is not None and not self.parent.contains(x):
+            return False
+        return self._whole() or x in self.element_index()
 
     def mult_table(self) -> list:
         """Index-based multiplication table, mt[a][b] = index of a*b.
@@ -435,9 +434,8 @@ class FiniteGroup(abc.ABC):
 
     def involutions(self) -> list:
         e = self.identity()
-        left_map = self.left_map
-        return [x for x in self.elements()
-                if x != e and left_map(x)(x) == e]
+        multiply = self.multiply
+        return [x for x in self.elements() if x != e and multiply(x, x) == e]
 
     def square_roots(self, tau):
         """Every t with t*t == tau, lazily, in element order."""
@@ -447,10 +445,10 @@ class FiniteGroup(abc.ABC):
         """Whether some x has order 4: y = x*x is not the identity and y*y
         is."""
         e = self.identity()
-        left_map = self.left_map
+        multiply = self.multiply
         for x in self.elements():
-            y = left_map(x)(x)
-            if y != e and left_map(y)(y) == e:
+            y = multiply(x, x)
+            if y != e and multiply(y, y) == e:
                 return True
         return False
 
@@ -488,9 +486,6 @@ class GeneratedSubgroup(FiniteGroup):
 
     def multiply(self, a, b):
         return self.parent.multiply(a, b)
-
-    def left_map(self, g):
-        return self.parent.left_map(g)
 
     def invert(self, a):
         return self.parent.invert(a)

@@ -319,7 +319,7 @@ def has_element_of_order4(G: FiniteGroup) -> bool:
     """Exact verdict by a scan of the elements: x has order 4 exactly when
     x^2 is not the identity and x^4 is.  A permutation group compares x^2
     and x^4 with the identity at its base points only; other groups square
-    through ``G.left_map``."""
+    through ``G.multiply``."""
     return G.has_element_of_order4()
 
 

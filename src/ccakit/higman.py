@@ -23,20 +23,19 @@ entries: 2^(2r) for r <= 4.  gamma is then one lookup per block, and the
 tables stay at ceil(r/4) * ceil(r/8) * 4096 entries or fewer for every r
 (at most two tables for r <= 8), whatever the enumeration limit.
 
-Bulk products skip the gamma call too.  ``left_map(g)`` checks g once and
-fixes g's left bytes, so x -> g*x is one inlined lookup per table; the
-listings and rows of generated subgroups go through these maps.  Elements
-are listed in natural order, so (e, f) sits at index e * 2^s + f, and
-v -> index(s*v) is index(s) XOR a GF(2)-linear map of index(v), since
-gamma is bilinear: ``left_row(s)`` doubles the row over the index bits
-with one gamma per e-bit and one XOR per element, and no dict, tuple or
-multiply.
+Elements are listed in natural order, so (e, f) sits at index
+e * 2^s + f, and v -> index(s*v) is index(s) XOR a GF(2)-linear map of
+index(v), since gamma is bilinear: ``left_row(s)`` doubles the row over
+the index bits with one gamma per e-bit and one XOR per element, and no
+dict, tuple or multiply.
 
 A Higman group supplies FiniteGroup (fgroup) only what it alone knows:
 its order 2^n (``_known_order``), its natural-order listing (``_list``),
-the maps and rows above, and ``contains``, which tells an (e, f) pair
-from a degree-2 Permutation, a tuple too.  FiniteGroup answers ``order``
-from 2^n and refuses a group past the enumeration limit before it lists.
+the rows above, and ``contains``, which tells an (e, f) pair from a
+degree-2 Permutation, a tuple too.  FiniteGroup answers ``order`` from
+2^n and refuses a group past the enumeration limit before it lists.
+Every other product, in a listing or a scan, is ``multiply``, which
+checks both factors.
 
 Words name elements through one letter table, built on first use: g1..gr
 map to the single e-bits and h1..hs to the single f-bits, in that order.
@@ -66,9 +65,9 @@ the lifts' squares (0, gamma(a, a)) and pairwise commutators
 (``_known_order``), which ``order`` returns, is 2^(k + rank of those
 f-words and the relations' f-parts), and ``contains(x)`` reduces x by the
 lifts and tests whether the e-part left is 0 and its f-part lies in that
-span.  Neither lists anything; the listing, its maps and rows stay
-GeneratedSubgroup's closure over the parent's maps, which the tests keep
-as the oracle for both.  That listing's bound is the known order, so it
+span.  Neither lists anything; the listing stays FiniteGroup's closure
+over ``multiply``, which the tests keep as the oracle for both, and its
+rows are FiniteGroup's.  That listing's bound is the known order, so it
 stops at the subgroup's last element, and a subgroup whose known order is
 past the enumeration limit is refused before it lists.
 
@@ -276,26 +275,6 @@ class HigmanGroup(FiniteGroup):
     def invert(self, a: Element) -> Element:
         return inverse(self.params, a)
 
-    def left_map(self, g: Element):
-        """x -> g*x for x in G: one lookup per gamma table, in the column
-        of g's left byte.  Only g is checked; an x outside G still gives a
-        product outside G, since the XOR keeps x's sign and its bits past r
-        or s."""
-        p = self.params
-        _check_fits(p, g)
-        ge, gf = g
-        # table[rn << lw | lb] for every right nibble rn, at g's left byte
-        blocks = [(rlo, rmask, table[ge >> llo & lmask::1 << lw])
-                  for rlo, rmask, lw, llo, lmask, table in p._gamma_tables]
-
-        def left(x: Element) -> Element:
-            xe, xf = x
-            f = gf ^ xf
-            for rlo, rmask, column in blocks:
-                f ^= column[xe >> rlo & rmask]
-            return (ge ^ xe, f)
-        return left
-
     def left_row(self, s: Element) -> list[int]:
         """Index of s*v for every v, by doubling over the n index bits.
 
@@ -392,8 +371,8 @@ class HigmanGroup(FiniteGroup):
 
 class HigmanSubgroup(GeneratedSubgroup):
     """<gens> in a Higman group, its order and membership by GF(2) ranks
-    (see the module docstring); its listing is GeneratedSubgroup's, bounded
-    by that order."""
+    (see the module docstring); its listing is FiniteGroup's closure over
+    ``multiply``, bounded by that order."""
 
     @cached_property
     def _echelon(self) -> tuple[list[Element], list[int]]:

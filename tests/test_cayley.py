@@ -14,6 +14,7 @@ from ccakit.colourauts import (is_cca_group_exhaustive,
 from ccakit.fgroup import LimitExceeded
 from ccakit.higman import (HigmanGroup, quaternion_params, sample_params,
                            theorem3_triple)
+from ccakit.permcore import Permutation
 
 
 def class_subsets(G):
@@ -110,7 +111,13 @@ class TestConnectionSet:
         # outside <g1>'s subgroup <g1, h1>, which its two generators prove
         # whole, so asks <g1> of each value
         *[(sub, value) for sub in ("Q8 > g1", "Q8 > g1 > g1,h1")
-          for value in [(9, 0), [1, 0], "x", (1, 0, 0), "g2"]]])
+          for value in [(9, 0), [1, 0], "x", (1, 0, 0), "g2"]],
+        # the same values and a Permutation, which equals and hashes as g1,
+        # outside the proper subgroup <g1> of Q8's whole subgroup <g1, g2>:
+        # each is refused by its parent before it is looked up
+        *[("Q8 > g1,g2 > g1", value)
+          for value in [(9, 0), [1, 0], "x", (1, 0, 0), "g2",
+                        Permutation([1, 0])]]])
     @pytest.mark.parametrize("close_inverses", [False, True])
     def test_rejects_elements_outside_the_group(self, expr, text,
                                                 close_inverses):

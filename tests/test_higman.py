@@ -313,8 +313,9 @@ class TestRowsAndMaps:
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_subgroups_list_through_the_parent_maps(self, n):
-        # the two subgroups validate_triple lists, <S u T> and <S u {tau}>:
-        # their listings, maps and rows
+        # <S u T> and <S u {tau}> of the Theorem 3 triple, which their
+        # GF(2) ranks order: their listings, maps and rows against the
+        # closure over multiply and the rows built by multiply alone
         params = sample_params(n, 3)
         G = HigmanGroup(params)
         S = [G.g(i) for i in range(1, params.r - 1)] + \
@@ -342,7 +343,7 @@ class TestRowsAndMaps:
         with pytest.raises(ValueError) as by_multiply:
             G.multiply(g, G.identity())
         with pytest.raises(ValueError) as by_map:
-            G.left_map(g)
+            G.left_map(g)(G.identity())
         assert str(by_map.value) == str(by_multiply.value)
 
 
