@@ -126,10 +126,9 @@ class Permutation(tuple):
         # every pickle protocol rebuilds through the validating __new__
         return (Permutation, (tuple(self),))
 
-    @classmethod
-    def _trusted(cls, images) -> "Permutation":
-        """Wrap images known to be a bijection, without checking them."""
-        return tuple.__new__(cls, images)
+    # Wrap images known to be a bijection, without checking them: one
+    # C-level call, ``tuple.__new__(cls, images)``.
+    _trusted = classmethod(tuple.__new__)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -380,7 +379,7 @@ class PermutationGroup(FiniteGroup):
         self.degree = degree
         gens = [g if isinstance(g, Permutation) else Permutation(g)
                 for g in generators]
-        if any(g.degree != degree for g in gens):
+        if any(map(degree.__ne__, map(len, gens))):
             raise ValueError("generator degree mismatch")
         self._gens = fgroup.distinct_generators(
             gens, Permutation.identity(degree))

@@ -16,7 +16,9 @@ S_G(tau) is the set of non-identity elements centralised or inverted by
 conjugation by tau.  When tau lies in the carrier, `s_tau` works on
 element indices only: one row per tau, lt[i] = index(tau * x_i)
 (`left_row`), and the carrier's cached inverse table,
-inv[i] = index(x_i^-1) (`inverse_row`).  Since tau is an involution,
+inv[i] = index(x_i^-1) (`inverse_row`).  The row also checks tau, with
+no group product: for t = index(tau), tau != 1 iff t != 0, and
+tau^2 = 1 iff lt[t] == 0.  Since tau is an involution,
 (tau * x^-1)^-1 = x * tau, so the right row is rt[i] = inv[lt[inv[i]]]
 and conjugation by tau is i -> rt[lt[i]].  Two forms are computed from
 these rows and must agree, or `s_tau` raises AssertionError (index 0 is
@@ -26,10 +28,11 @@ the identity):
     definitional form    ({i : lt[i] == rt[i]} u {rt[i] : inv[i] == i}) - {0},
 
 the second being (C_G(tau) u {y*tau : y^2 = 1}) - {1}.  A tau outside the
-carrier has no index, so there `s_tau` keeps the filter form
-{x : x^tau in {x, x^-1}} over element products, which needs only that
-tau be an involution.  The product form of both, as it stood before the
-row form, is kept in the tests as the reference (tests/oracle_s_tau.py).
+carrier has no index, so there `s_tau` checks tau by squaring it and
+keeps the filter form {x : x^tau in {x, x^-1}} over element products,
+which needs only that tau be an involution.  The product form of both,
+as it stood before the row form, is kept in the tests as the reference
+(tests/oracle_s_tau.py).
 """
 
 from __future__ import annotations
@@ -78,20 +81,26 @@ def _fixed_or_inverted(G: FiniteGroup, x, tau) -> bool:
 def s_tau(carrier: FiniteGroup, tau) -> STauSet:
     """S(tau) over the carrier, in the carrier's element order.
 
-    tau must be an involution.  When it lies in the carrier, both forms are
-    read off tau's left row and the inverse table (see the module
-    docstring) and must agree; when it lies outside, the conjugation filter
-    runs over element products.
+    tau must be an involution, else ValueError.  When it lies in the
+    carrier, the check and both forms are read off tau's left row and the
+    inverse table (see the module docstring), and the forms must agree;
+    when it lies outside, tau is squared and the conjugation filter runs
+    over element products.  The carrier is listed before tau is checked,
+    so a carrier past its enumeration limit raises LimitExceeded first,
+    whatever tau is.
     """
     G = carrier
-    _require_involution(G, tau)
     elems = G.elements()
-    if tau not in G.element_set():
+    t = G.element_index().get(tau)
+    if t is None:
+        _require_involution(G, tau)
         e = G.identity()
         return STauSet(carrier=carrier, elements=[
             x for x in elems if x != e and _fixed_or_inverted(G, x, tau)])
-    inv = G.inverse_row()
     lt = G.left_row(tau)                    # tau * x_i
+    if not t or lt[t]:                      # tau == 1, or tau^2 != 1
+        raise ValueError("tau must be an involution")
+    inv = G.inverse_row()
     rt = [inv[lt[j]] for j in inv]          # x_i * tau
     # index 0 is the identity; rt[lt[i]] is tau * x_i * tau
     filt = [i for i, j in enumerate(lt) if i and rt[j] in (i, inv[i])]

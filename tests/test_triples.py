@@ -57,6 +57,28 @@ class TestSTau:
             s_tau(G, parse_cycles("(1 2 3)", 3))
         with pytest.raises(ValueError):
             s_tau(G, G.identity())
+        # in the carrier, s_tau refuses x exactly when the product check
+        # of the oracle does: the identity, and orders 3, 4, 8, ...
+        refused = set()
+        for expr, G in gz.zoo_corpus(24):
+            for x in G.elements():
+                try:
+                    oracle_s_tau._require_involution(G, x)
+                except ValueError:
+                    refused.add(G.element_order(x))
+                    with pytest.raises(ValueError,
+                                       match="^tau must be an involution$"):
+                        s_tau(G, x)
+                else:
+                    s_tau(G, x)
+        assert {1, 3, 4, 8} <= refused
+        # outside the carrier, by the product check
+        A6 = gz.alternating_group(6)
+        K = A6.generated_subgroup([parse_cycles("(1 2 3)", 6)])
+        x = parse_cycles("(4 5 6)", 6)
+        assert not K.contains(x)
+        with pytest.raises(ValueError, match="^tau must be an involution$"):
+            s_tau(K, x)
 
     def test_both_forms_agree_zoo(self):
         for expr, G in gz.zoo_corpus(24):
@@ -170,7 +192,7 @@ class TestRowFormWork:
             before = dict(calls)
             s_tau(G, tau)
             assert calls["left_row"] - before["left_row"] == 1
-            assert calls["multiply"] - before["multiply"] == 1
+            assert calls["multiply"] - before["multiply"] == 0
         assert calls["invert"] <= G.order()
 
 
