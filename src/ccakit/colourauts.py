@@ -66,10 +66,12 @@ outside its class already fails at v = 1.  So alpha passes exactly when
 it is a homomorphism sending every s to s or s^-1, an automorphism since
 S generates G: exactly when it is in aut_pm1.  A stab1 element sends
 every s, the {s, s^-1}-neighbour of vertex 0, to s or s^-1, so it is a
-group automorphism exactly when it passes.  aut_pm1 needs the check in
-full only on classes that generate G: once those equations hold, the
-map is an automorphism, and any other class's equation holds at every
-v exactly when it holds at v = 1 (see aut_pm1).
+group automorphism exactly when it passes.  aut_pm1 keeps a map when
+the check passes on the graph of the classes it picked, which generate
+G, and the map sends the first member of every other class into its
+class, the v = 1 test: once the picked classes' equations hold, the map
+is an automorphism, and any other class's equation holds at every v
+exactly when it holds at v = 1 (see aut_pm1).
 
 After a witness, the rest of stab1 comes mostly from the witness itself,
 by three facts.
@@ -103,9 +105,8 @@ level k's generator by composition, byte-identical to the search's, and
 the level is searched only when none lands there.  A conjugate that
 moves first the base point of a level the search proved trivial
 contradicts it, and raises AssertionError (exit 4 in the CLI).  After
-the witness, the S6 triple graph runs no search where it ran 5, and the
-PSL(2, 17) dihedral:16 one 36 where it ran 178; a verdict's stab1 there
-takes 3.7 and 154 ms where it took 9.4 and 465 ms, on a 2-core machine.
+the witness, the S6 triple graph runs no search, and the PSL(2, 17)
+dihedral:16 one runs 36.
 
 There is one decision path.  is_cca_graph decides a single graph by
 streaming the strong generators and stopping at the first that fails; its
@@ -119,9 +120,8 @@ which each class lies outside the subgroup its lex-smaller classes
 generate, that are least in their orbit under conjugation, and grows
 only those that do not generate; it applies is_cca_graph to the minimal
 ones, reads only the decision, and returns at the first that fails.  It
-never walks the 2^k class subsets: A5 has 2^37, of which it forms 48
-(2,663 when it formed every lex-irredundant set), and PSL(2, 8) and
-PSL(2, 11) are CCA by exhaustion in seconds.
+never walks the 2^k class subsets: A5 has 2^37, of which it forms 48,
+and PSL(2, 8) and PSL(2, 11) are CCA by exhaustion in seconds.
 """
 
 from __future__ import annotations
@@ -640,11 +640,14 @@ def aut_pm1(graph: ColouredCayleyGraph) -> list[tuple]:
     Colour classes are picked while they enlarge the subgroup the picked
     ones generate, at most log2|G| of them.  Each choice of s or s^-1 for
     each picked first member s fixes a map phi along the BFS tree
-    (cayley.bfs) of their rows, with phi(1) = 1 and phi(s) the choice.
-    phi is kept when the row equation phi(s * v) = phi(s) * phi(v) holds
-    for every v on the picked classes, and phi(t) is t or t^-1 for the
-    first member t of every other class.  That is exactly the full
-    automorphism check on every class:
+    (cayley.bfs) of their rows, with phi(1) = 1 and phi(s) the choice:
+    s lies outside the subgroup of the classes picked before it, so the
+    tree reaches s from 1 along s's own class.  phi is kept when phi(t)
+    is t or t^-1 for the first member t of every other class, the v = 1
+    test, and _automorphism_violation finds nothing on the graph of the
+    picked classes: there phi(s) is read as s or s^-1, as chosen, and the
+    row equation phi(s * v) = phi(s) * phi(v) holds for every picked s and
+    every v.  That is exactly the full automorphism check on every class:
     - The elements x with phi(x * v) = phi(x) * phi(v) for every v are
       closed under products, as phi(x * y * v) = phi(x) * phi(y) *
       phi(v) and, at v = 1, phi(x * y) = phi(x) * phi(y).  They hold the
@@ -669,24 +672,14 @@ def aut_pm1(graph: ColouredCayleyGraph) -> list[tuple]:
             others.append((rows[0][0], rows[-1][0]))
     # (u, v, i): u = s_i * v, s_i the i-th picked first member
     tree = [(u, *parent[u]) for u in order[1:]]
-
-    def kept(phi, images) -> bool:
-        for t, ti in others:
-            if phi[t] != t and phi[t] != ti:
-                return False
-        for rows, arow in zip(picked, images):
-            row = rows[0]
-            for v in range(n):
-                if phi[row[v]] != arow[phi[v]]:
-                    return False
-        return True
-
+    picked_graph = ColouredCayleyGraph(graph.group, picked)
     out = []
     for images in itertools.product(*picked):
         phi = [0] * n
         for u, v, i in tree:
             phi[u] = images[i][phi[v]]
-        if kept(phi, images):
+        if all(phi[t] == t or phi[t] == ti for t, ti in others) \
+                and _automorphism_violation(picked_graph, phi) is None:
             out.append(tuple(phi))
     return sorted(out)
 

@@ -60,10 +60,12 @@ Keys come only from a base known in one of these ways; no chain is built
 to key a listing or a row.  Once listed, its order is the listing's length
 and membership a lookup in its element index.  So a named group answers
 its order, lists, keys its listing and rows and scans its squares with no
-chain.  A group orders and lists by FiniteGroup's rule (fgroup), and its
-``order`` and ``contains`` differ only in using the chain where
-FiniteGroup would list: a chain orders only a group whose order nothing
-else gives, and sifts only for an unlisted group not known to be whole.
+chain.  A group orders and lists, and tests membership, by FiniteGroup's
+rules (fgroup), and its ``order`` and ``contains`` differ only in using
+the chain where FiniteGroup would list: a chain orders only a group whose
+order nothing else gives, and sifts only for an unlisted group not known
+to be whole.  Otherwise ``contains`` refuses a non-permutation and is
+FiniteGroup's, so a subgroup refuses what its parent refuses.
 So a group given by generators alone, with no listing bound within the
 enumeration limit, is ordered by its chain before it lists, and keyed by
 that chain's base.  The exhaustive sweep finds the order of such a group
@@ -427,17 +429,14 @@ class PermutationGroup(FiniteGroup):
         return self.chain.order() if known is None else known
 
     def contains(self, p) -> bool:
-        """FiniteGroup's membership, sifted through the chain where it
-        would list: a non-permutation is no member, a whole group asks its
-        parent, a listed group looks p up in its element index, and any
-        other sifts p."""
+        """FiniteGroup's membership, except that a non-permutation is no
+        member and an unlisted group not known to be whole sifts p
+        through its chain where FiniteGroup would list."""
         if not isinstance(p, Permutation):
             return False
-        if self._whole():
-            return self.parent.contains(p)
-        if self._elements is None:
+        if not self._whole() and self._elements is None:
             return self.chain.contains(p)
-        return p in self.element_index()
+        return super().contains(p)
 
     def _list(self, limit: int) -> list[Permutation]:
         """FiniteGroup's listing, on image tuples, each wrapped in place."""

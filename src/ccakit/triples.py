@@ -81,16 +81,20 @@ def _fixed_or_inverted(G: FiniteGroup, x, tau) -> bool:
 def s_tau(carrier: FiniteGroup, tau) -> STauSet:
     """S(tau) over the carrier, in the carrier's element order.
 
-    tau must be an involution, else ValueError.  When it lies in the
-    carrier, the check and both forms are read off tau's left row and the
-    inverse table (see the module docstring), and the forms must agree;
-    when it lies outside, tau is squared and the conjugation filter runs
-    over element products.  The carrier is listed before tau is checked,
-    so a carrier past its enumeration limit raises LimitExceeded first,
-    whatever tau is.
+    tau must be an involution of the type of the carrier's elements,
+    else ValueError: a value of another type, such as the plain tuple a
+    Permutation equals, is refused before it is looked up.  When tau lies
+    in the carrier, the check and both forms are read off tau's left row
+    and the inverse table (see the module docstring), and the forms must
+    agree; when it lies outside, tau is squared and the conjugation
+    filter runs over element products.  The carrier is listed before tau
+    is checked, so a carrier past its enumeration limit raises
+    LimitExceeded first, whatever tau is.
     """
     G = carrier
     elems = G.elements()
+    if type(tau) is not type(elems[0]):
+        raise ValueError("tau must be an involution")
     t = G.element_index().get(tau)
     if t is None:
         _require_involution(G, tau)
@@ -183,15 +187,13 @@ def search_triple_subgroup_strategy(G: FiniteGroup,
 
     tau ranges over the involutions of H in enumeration order, then the
     involutions of G normalizing H from outside; t over square roots of
-    tau in G outside <S u {tau}>.  The first fully valid triple in this
+    tau in G outside <S u {tau}>, so when <S u {tau}> is G, where (Aiv)
+    fails, every root is skipped.  The first fully valid triple in this
     deterministic order wins.
     """
-    order_g = G.order()
     for tau in _tau_candidates(G, H):
         S = s_tau(H, tau).elements
         X = G.generated_subgroup(S + [tau])
-        if X.order() == order_g:
-            continue   # (Aiv) can never hold for this tau
         for t in G.square_roots(tau):
             if X.contains(t):
                 continue

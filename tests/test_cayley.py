@@ -117,7 +117,11 @@ class TestConnectionSet:
         # each is refused by its parent before it is looked up
         *[("Q8 > g1,g2 > g1", value)
           for value in [(9, 0), [1, 0], "x", (1, 0, 0), "g2",
-                        Permutation([1, 0])]]])
+                        Permutation([1, 0])]],
+        # (1 2) lies in the listing of <(1 2), (1 2 3 4 5)>, which its
+        # generators, outside its parent <(1 2 3)>, make all of S5, and is
+        # refused by that parent before it is looked up
+        ("A5 > (1 2 3) > (1 2),(1 2 3 4 5)", "(1 2)")])
     @pytest.mark.parametrize("close_inverses", [False, True])
     def test_rejects_elements_outside_the_group(self, expr, text,
                                                 close_inverses):
@@ -215,6 +219,14 @@ class TestBuild:
         conn = ConnectionSet.from_elements(G, ts)
         with pytest.raises(LimitExceeded):
             build(G, conn, graph_limit=100)
+
+    def test_connection_set_of_another_group_refused(self):
+        # an equal group built apart is another group
+        G, other = gz.symmetric_group(3), gz.symmetric_group(3)
+        conn = ConnectionSet.from_elements(other, other.involutions())
+        with pytest.raises(ValueError, match="^connection set belongs to "
+                                             "a different group$"):
+            build(G, conn)
 
     def test_edge_count_matches_valency(self):
         G = gz.dihedral_group(4)

@@ -89,6 +89,15 @@ class TestGroupCommand:
 
     def test_bad_expression_exit_2(self, capsys):
         assert main(["group", "Z99"]) == EXIT_USAGE
+        for expr, message in [
+                ("S0", "S n requires n >= 1"), ("A0", "A n requires n >= 1"),
+                ("D0", "D n requires n >= 1"),
+                ("higman:seed=1", "need n=<int>"),
+                ("higman:n", "bad higman parameter 'n'"),
+                ("higman:n=5,foo=2", "unknown higman parameter(s): ['foo']")]:
+            capsys.readouterr()
+            assert main(["group", expr]) == EXIT_USAGE
+            assert message in capsys.readouterr().err
 
     def test_missing_subcommand_exit_2(self):
         assert main([]) == EXIT_USAGE
@@ -335,9 +344,14 @@ class TestTripleCommand:
         assert main(["triple", "validate", "A6",
                      "--tau", "(1 2"]) == EXIT_USAGE
 
-    def test_bad_subgroup_spec_exit_2(self):
+    def test_bad_subgroup_spec_exit_2(self, capsys):
         assert main(["triple", "search", "A6",
                      "--subgroup", "wat:1"]) == EXIT_USAGE
+        for spec in ["point:x", "dihedral:x"]:
+            capsys.readouterr()
+            assert main(["triple", "search", "A6",
+                         "--subgroup", spec]) == EXIT_USAGE
+            assert f"bad subgroup spec {spec!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", ["pointwise:0", "setwise:0,5",
                                       "pointwise:9", "setwise:4,6",
@@ -371,6 +385,8 @@ LIMIT_PROBES = [
     ["triple", "search", "S5", "--subgroup", "point:5", "--limit-enum", "13"],
     ["triple", "validate", "higman:n=8,seed=1", "--S", "g1,g2,g3,h1,h2,h3",
      "--T", "g4,g5", "--tau", "h1", "--crosscheck", "--limit-enum", "10"],
+    # refused while the product is built
+    ["group", "C2 x higman:n=6,seed=1", "--limit-enum", "10"],
 ]
 
 
@@ -501,6 +517,17 @@ class TestReproduceCommand:
         rc, rep = run_json(capsys, ["reproduce", "--only", "1"])
         assert rc == EXIT_OK
         assert rep["results"]["criterion_1"]["pass"] is True
+
+    def test_text_report_lists_its_cases(self, capsys):
+        # in text mode each case, a dict in a list, sits under a "-" line
+        rc, rep = run_json(capsys, ["reproduce", "--only", "4"])
+        cases = rep["results"]["criterion_4"]["cases"]
+        assert main(["reproduce", "--only", "4"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("    cases:") + 1
+        assert lines[start:start + 2] == ["      -",
+                                          f"        q: {cases[0]['q']}"]
+        assert lines.count("      -") == len(cases)
 
     def test_unknown_criterion_exit_2(self):
         assert main(["reproduce", "--only", "criterion_99"]) == EXIT_USAGE

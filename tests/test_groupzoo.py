@@ -308,6 +308,17 @@ class TestStabilizers:
         assert H.order() == 12
         assert all({g[3], g[4]} == {3, 4} for g in H.elements())
 
+    @pytest.mark.parametrize("stabilizer, point", [
+        (lambda G: gz.pointwise_stabilizer(G, [5]), 5),
+        (lambda G: gz.setwise_stabilizer(G, [-1]), -1),
+        (lambda G: G.point_stabilizer(5), 5),
+    ], ids=["pointwise", "setwise", "point"])
+    def test_point_outside_the_degree_refused(self, stabilizer, point):
+        # points are 0-based, so S5 acts on 0 .. 4
+        with pytest.raises(ValueError,
+                           match=f"^point {point} outside degree 5$"):
+            stabilizer(gz.symmetric_group(5))
+
     def test_subgroups_take_the_parent_enum_limit(self):
         S5 = gz.construct("S5", enum_limit=13)
         H = S5.point_stabilizer(4)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from functools import partial, reduce
 
 import pytest
@@ -590,6 +591,23 @@ class TestParamsIO:
         edit(d)
         with pytest.raises(ValueError):
             HigmanParams.from_json_dict(d)
+
+    @pytest.mark.parametrize("r, s, b, c, constrained, message", [
+        (0, 1, (), (), False, "need r >= 1 and s >= 1"),
+        (1, 0, (0,), (), False, "need r >= 1 and s >= 1"),
+        (2, 1, (1,), (0,), False, "b must have one row per g-generator"),
+        (2, 1, (1, 1), (), False, "c must have one word per pair i < j"),
+        (2, 1, (2, 1), (0,), False, "b/c words wider than s bits"),
+        (2, 1, (1, 1), (2,), False, "b/c words wider than s bits"),
+        (1, 1, (1,), (), True, "constrained params need n >= 3 and r >= 2"),
+        (1, 2, (1,), (), True, "constrained params need n >= 3 and r >= 2"),
+        (2, 1, (1, 0), (1,), True,
+         "constrained params require g_r^2 = g_{r-1}^2 = h_1"),
+    ], ids=["r-0", "s-0", "b-rows", "c-words", "b-wide", "c-wide",
+            "constrained-n-2", "constrained-r-1", "constrained-b"])
+    def test_constructor_refusals(self, r, s, b, c, constrained, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HigmanParams(r=r, s=s, b=b, c=c, constrained=constrained)
 
 
 class TestTheoremTriple:

@@ -79,6 +79,16 @@ class TestSTau:
         assert not K.contains(x)
         with pytest.raises(ValueError, match="^tau must be an involution$"):
             s_tau(K, x)
+        # a value of another type than the carrier's elements, inside or
+        # outside it: a plain tuple a Permutation of A6 equals, the same
+        # tuple outside K, and the degree-2 identity Permutation, which
+        # equals Q8's h1, the pair (0, 1)
+        tup = tuple(parse_cycles("(3 5)(4 6)", 6))
+        for carrier, tau in [(A6, tup), (K, tup),
+                             (gz.construct("Q8"), Permutation([0, 1]))]:
+            with pytest.raises(ValueError,
+                               match="^tau must be an involution$"):
+                s_tau(carrier, tau)
 
     def test_both_forms_agree_zoo(self):
         for expr, G in gz.zoo_corpus(24):
@@ -506,6 +516,19 @@ class TestSearch:
         G = gz.alternating_group(4)     # CCA, so no triple can exist
         H = G.point_stabilizer(0)
         assert search_triple_subgroup_strategy(G, H) is None
+
+    @pytest.mark.parametrize("expr, involutions",
+                             [("S3", 3), ("D4", 5), ("S4", 9), ("D5", 5)])
+    def test_no_triple_where_every_span_is_whole(self, expr, involutions):
+        # <S_G(tau) u {tau}> = G for every involution tau, so (Aiv) fails
+        # for each, and every square root lies in the span and is skipped
+        G = gz.construct(expr)
+        taus = G.involutions()
+        assert len(taus) == involutions
+        for tau in taus:
+            span = G.generated_subgroup(s_tau(G, tau).elements + [tau])
+            assert span.order() == G.order()
+        assert search_triple_subgroup_strategy(G, G) is None
 
 
 class TestSquareRoots:
